@@ -18,7 +18,9 @@ relative contract away from the zeros.
 from __future__ import annotations
 
 import csv
+import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -257,38 +259,40 @@ def _bisect_zero(j: int) -> float:
     return 0.5 * (lo + hi)
 
 
-def j0_zeros(count: int) -> list[BesselZero]:
+@functools.lru_cache(maxsize=None)
+def _zero(j: int) -> BesselZero:
+    """The j-th zero, Newton-refined from its McMahon guess (memoized)."""
+    x = _mcmahon_guess(j)
+    lo, hi = (j - 0.75) * math.pi, (j + 0.25) * math.pi
+    converged = False
+    for _ in range(100):
+        f = j0(x)
+        fp = j0_prime(x)
+        dx = f / fp
+        x_new = x - dx
+        if not lo < x_new < hi:
+            x_new = _bisect_zero(j)
+        if abs(x_new - x) <= 1e-15 * x:
+            x = x_new
+            converged = True
+            break
+        x = x_new
+    if not converged and abs(j0(x)) > 1e-12:
+        raise NonConvergence(f"Newton failed for J0 zero #{j}")
+    return BesselZero(index=j, r=x, lam=x * x)
+
+
+def j0_zeros(count: int) -> tuple[BesselZero, ...]:
     """First ``count`` positive zeros of J0, Newton-refined from McMahon guesses.
 
     Falls back to bisection on [(j - 3/4) pi, (j + 1/4) pi] if Newton leaves
     its bracket, and raises :class:`NonConvergence` after 100 iterations
-    (which would signal a defective j0).
+    (which would signal a defective j0).  Each zero is computed once per
+    process; the result is an immutable tuple of frozen records.
     """
     if not 1 <= count <= 64:
         raise ValueError("count must be in [1, 64]")
-    zeros = []
-    for j in range(1, count + 1):
-        x = _mcmahon_guess(j)
-        lo, hi = (j - 0.75) * math.pi, (j + 0.25) * math.pi
-        converged = False
-        for _ in range(100):
-            f = j0(x)
-            fp = j0_prime(x)
-            dx = f / fp
-            x_new = x - dx
-            if not lo < x_new < hi:
-                x_new = _bisect_zero(j)
-            if abs(x_new - x) <= 1e-15 * x:
-                x = x_new
-                converged = True
-                break
-            x = x_new
-        else:
-            pass
-        if not converged and abs(j0(x)) > 1e-12:
-            raise NonConvergence(f"Newton failed for J0 zero #{j}")
-        zeros.append(BesselZero(index=j, r=x, lam=x * x))
-    return zeros
+    return tuple(_zero(j) for j in range(1, count + 1))
 
 
 @dataclass
@@ -312,7 +316,7 @@ class Eigenfunction:
         return self.gridfunction.values
 
 
-def eta(j: int, grid: RadialGrid, zeros: list[BesselZero] | None = None) -> Eigenfunction:
+def eta(j: int, grid: RadialGrid, zeros: Sequence[BesselZero] | None = None) -> Eigenfunction:
     """Sample eta_j(y) = sqrt(2) J0(y r_j) / |J0'(r_j)| on ``grid``."""
     if zeros is None:
         zeros = j0_zeros(j)
@@ -324,7 +328,18 @@ def eta(j: int, grid: RadialGrid, zeros: list[BesselZero] | None = None) -> Eige
     return Eigenfunction(index=j, lam=z.lam, gridfunction=GridFunction(grid, vals))
 
 
-def eta_deriv(j: int, grid: RadialGrid, zeros: list[BesselZero] | None = None) -> GridFunction:
+@functools.lru_cache(maxsize=None)
+def eta_samples(j: int, grid: RadialGrid) -> np.ndarray:
+    """Samples of eta_j on ``grid`` (the floats of ``eta(j, grid).values``),
+    memoized per (j, grid.n).
+
+    The array is backed by an immutable buffer, so neither it nor any view
+    of it can be made writeable.
+    """
+    return np.frombuffer(eta(j, grid).values.tobytes(), dtype=float)
+
+
+def eta_deriv(j: int, grid: RadialGrid, zeros: Sequence[BesselZero] | None = None) -> GridFunction:
     """Analytic derivative of eta_j: sqrt(2) r_j J0'(y r_j) / |J0'(r_j)|."""
     if zeros is None:
         zeros = j0_zeros(j)
@@ -336,7 +351,7 @@ def eta_deriv(j: int, grid: RadialGrid, zeros: list[BesselZero] | None = None) -
 
 
 def scaling_coefficient(k: int, j: int, grid: RadialGrid,
-                        zeros: list[BesselZero] | None = None) -> float:
+                        zeros: Sequence[BesselZero] | None = None) -> float:
     """Quadrature value of <y eta_k', eta_j>_0 (Simpson, analytic derivative).
 
     Equals -1 for j = k; for j != k it feeds the coupling coefficients of the
@@ -350,7 +365,7 @@ def scaling_coefficient(k: int, j: int, grid: RadialGrid,
     return float(np.sum(w * grid.y * ek_d.values * ej.values * grid.y))
 
 
-def zeros_to_csv(path, zeros: list[BesselZero]):
+def zeros_to_csv(path, zeros: Sequence[BesselZero]):
     """Dump (j, r_j, lam_j, boundary_slope) rows for documentation tables."""
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)

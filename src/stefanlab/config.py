@@ -16,6 +16,7 @@ parse -> serialize -> parse round trip is the identity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError
@@ -63,6 +64,13 @@ class ScenarioConfig:
             raise ConfigError("|b0| must be <= 0.05")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        for name in _POSITIVE_FIELDS:
+            val = getattr(self, name)
+            if val is None and name in _OPTIONAL_FIELDS:
+                continue
+            if not (isinstance(val, (int, float)) and math.isfinite(val)
+                    and val > 0):
+                raise ConfigError(f"{name} must be finite and > 0, got {val!r}")
         if self.lower_modes and len(self.lower_modes) != self.k - 1:
             raise ConfigError(
                 f"lower_modes needs {self.k - 1} entries for k = {self.k}"
@@ -108,6 +116,8 @@ _BOOL_FIELDS = {"quick", "json_output"}
 _STR_FIELDS = {"mode", "out_dir"}
 _TUPLE_FIELDS = {"b_values", "lower_modes"}
 _OPTIONAL_FIELDS = {"ds", "s_max", "rate_tol"}
+_POSITIVE_FIELDS = ("ds", "s_max", "record_ds", "amplitude", "ceiling",
+                    "shoot_tol", "mass_tol", "rate_tol", "radius_tol")
 
 
 def _parse_value(token: str, fname: str, lineno: int):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,19 +68,23 @@ def adiabatic_b_deriv(s: float, k: int, amplitude: float = ADIABATIC_AMPLITUDE,
 
 @dataclass
 class Basis:
-    """Eigenbasis of H_b used for one decomposition: values, eigenvalues."""
+    """Eigenbasis of H_b used for one decomposition: values, eigenvalues,
+    and the operator it was solved from (None for an interpolated basis)."""
 
     b: float
     psis: np.ndarray          # (n+1, k) columns are psi_{b,j}
     lams: np.ndarray          # (k,)
     grid: RadialGrid
+    operator: spectrum.DriftOperator | None = None
 
     @classmethod
     def solve(cls, grid: RadialGrid, b: float, k: int) -> "Basis":
-        pairs = spectrum.eigenpairs(grid, WeightParam(b), k)
+        w = WeightParam(b)
+        op = spectrum.assemble_hb(grid, w)
+        pairs = spectrum.eigenpairs(grid, w, k, operator=op)
         psis = np.column_stack([p.psi.values for p in pairs])
         lams = np.array([p.lam for p in pairs])
-        return cls(b=b, psis=psis, lams=lams, grid=grid)
+        return cls(b=b, psis=psis, lams=lams, grid=grid, operator=op)
 
 
 @dataclass
@@ -150,7 +154,9 @@ def decompose(v: GridFunction, s: float, k: int, w: WeightParam,
         V = coeffs[: k - 1] * math.exp(growth)
     else:
         V = np.zeros(0)
-    e_val = energy_of(eps, w) if compute_energy else float("nan")
+    # the basis operator is H_b only when it was solved at exactly this b
+    op = basis.operator if basis.b == w.b else None
+    e_val = energy_of(eps, w, op) if compute_energy else float("nan")
     return ModulationState(s=s, k=k, b=w.b, coeffs=coeffs, eps=eps,
                            energy=e_val, V=V, a=float("nan"),
                            ortho_defect=defect)
@@ -172,19 +178,25 @@ def energy(ms: ModulationState, w: WeightParam) -> float:
 
 def self_consistent_b1(v: GridFunction, tol: float = 1e-12,
                        max_iter: int = 50, initial: float | None = None,
-                       return_basis: bool = False):
+                       return_basis: bool = False,
+                       basis: Basis | None = None):
     """Ground-mode coefficient with the basis parameter equal to itself.
 
     Fixed-point iteration b <- <v, psi_{b,1}>_b / <psi_{b,1}, psi_{b,1}>_b,
     stopped at |increment| < tol; raises :class:`NonConvergence` after
-    ``max_iter`` iterations.
+    ``max_iter`` iterations.  A ``basis`` already solved at exactly an
+    iterate's b is used instead of a new eigensolve.  With ``return_basis``
+    the result is ``(b, basis, solves)``: the basis solved at (or within
+    B_FREEZE of) b and the number of eigensolves performed.
     """
     grid = v.grid
     b = 0.0 if initial is None else float(initial)
-    basis = None
+    solves = 0
     for _ in range(max_iter):
         bb = 0.0 if abs(b) < B_FREEZE else b
-        basis = Basis.solve(grid, bb, 1)
+        if basis is None or basis.b != bb:
+            basis = Basis.solve(grid, bb, 1)
+            solves += 1
         w = WeightParam(bb)
         psi = GridFunction(grid, basis.psis[:, 0])
         b_new = inner_b(v, psi, w) / inner_b(psi, psi, w)
@@ -192,7 +204,8 @@ def self_consistent_b1(v: GridFunction, tol: float = 1e-12,
             if return_basis:
                 if abs(b_new - bb) >= B_FREEZE:
                     basis = Basis.solve(grid, b_new, 1)
-                return b_new, basis
+                    solves += 1
+                return b_new, basis, solves
             return b_new
         b = b_new
     raise NonConvergence("self-consistent ground-mode parameter did not settle")
@@ -290,7 +303,10 @@ def _profile_error_projection(states, dt_s):
 
 @dataclass
 class TrackResult:
-    """Per-record decompositions of a run plus summary diagnostics."""
+    """Per-record decompositions of a run plus summary diagnostics.
+
+    ``n_basis_refreshes`` counts the eigensolves the tracking performed.
+    """
 
     k: int
     states: list[ModulationState]
@@ -329,11 +345,12 @@ def track_run(series: TimeSeries, k: int,
               with_projections: bool = False) -> TrackResult:
     """Decompose every snapshot of a completed run.
 
-    For k = 1 the basis parameter is re-solved self-consistently per record
-    (warm-started from the previous record).  For k > 1 the basis follows the
-    adiabatic schedule with 10%-drift anchor refreshes; ``anchor_cache`` maps
-    anchor b values to solved bases and can be shared across runs of the same
-    family (the schedule does not depend on the data).
+    For k = 1 the basis parameter is re-solved self-consistently per record,
+    warm-started from the previous record's parameter and basis.  For k > 1
+    the basis follows the adiabatic schedule with 10%-drift anchor
+    refreshes; ``anchor_cache`` maps anchor b values to solved bases and can
+    be shared across runs of the same family (the schedule does not depend
+    on the data).
     """
     if not series.snapshots:
         raise ValueError("run was recorded without snapshots")
@@ -345,17 +362,20 @@ def track_run(series: TimeSeries, k: int,
     curvature = 0.0
 
     if k == 1:
-        b_prev = None
+        # record i starts from b_{i-1}; the basis returned for record i-1 is
+        # reused when it was solved at exactly that b, which holds below
+        # B_FREEZE (both are 0) and after a final re-solve
+        b1, basis = None, None
         for i, s in enumerate(np.asarray(series.s)):
             v = GridFunction(grid, series.snapshots[i])
-            b1, basis = self_consistent_b1(v, initial=b_prev, return_basis=True)
-            b_prev = b1
+            b1, basis, solves = self_consistent_b1(
+                v, initial=b1, return_basis=True, basis=basis)
+            n_refresh += solves
             bb = 0.0 if abs(b1) < B_FREEZE else b1
             ms = decompose(v, float(s), 1, WeightParam(bb), basis=basis,
                            zeros=zeros, eta_k_gap=eta_gap)
             ms.a = float(series.a[i])
             states.append(ms)
-            n_refresh += 1
     else:
         cache = anchor_cache if anchor_cache is not None else {}
         b_sched = np.array([adiabatic_b(float(s), k, amplitude, zeros)
@@ -374,7 +394,9 @@ def track_run(series: TimeSeries, k: int,
         anchor_bases = {}
         for key in anchors:
             if key not in cache:
-                cache[key] = Basis.solve(grid, key, k)
+                # anchors are only interpolated: drop the operator, which
+                # decompose could use only at the anchor's own b
+                cache[key] = replace(Basis.solve(grid, key, k), operator=None)
                 n_refresh += 1
             anchor_bases[key] = cache[key]
         anchor_vals = sorted(anchor_bases.keys())

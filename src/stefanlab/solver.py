@@ -27,7 +27,7 @@ import numpy as np
 from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import BoundaryBlowup, ConservationError, NonPositiveRadius
-from .weighted import GridFunction, RadialGrid
+from .weighted import GridFunction, RadialGrid, end_slope
 
 #: stop a run once the solution norm falls below this floor
 NORM_FLOOR = 1e-12
@@ -44,14 +44,9 @@ class SimState:
     v: GridFunction
 
 
-def _slope(values: np.ndarray, h: float) -> float:
-    return float((11.0 * values[-1] - 18.0 * values[-2]
-                  + 9.0 * values[-3] - 2.0 * values[-4]) / (6.0 * h))
-
-
 def boundary_slope(v: GridFunction) -> float:
     """4-point one-sided O(h^3) estimate of v_y at y = 1."""
-    return _slope(v.values, v.grid.h)
+    return end_slope(v.values, v.grid.h)
 
 
 def make_state(v0: GridFunction, lam: float = 1.0) -> SimState:
@@ -147,7 +142,7 @@ class Stepper:
         # predictor: drift frozen at the start of the step
         vstar = self._implicit_solve(base - ds * a0 * drift0)
         vstar_full = np.concatenate([vstar, [0.0]])
-        a1 = _slope(vstar_full, self.grid.h)
+        a1 = end_slope(vstar_full, self.grid.h)
         drift1 = self._lambda_term(vstar_full)[:n]
         # corrector: trapezoidal drift
         vnew = self._implicit_solve(

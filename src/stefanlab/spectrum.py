@@ -27,7 +27,8 @@ from scipy.linalg import eigh_tridiagonal
 
 from . import bessel
 from .errors import NonConvergence
-from .weighted import GridFunction, RadialGrid, WeightParam, deriv, inner_b, norm_b
+from .weighted import (GridFunction, RadialGrid, WeightParam, deriv, end_slope,
+                       inner_b, norm_b)
 
 _MAX_EIGENPAIRS = 12
 
@@ -121,11 +122,6 @@ class EigenPair:
     residual: float
 
 
-def _boundary_slope(values: np.ndarray, h: float) -> float:
-    return float((11.0 * values[-1] - 18.0 * values[-2]
-                  + 9.0 * values[-3] - 2.0 * values[-4]) / (6.0 * h))
-
-
 def eigenpairs(grid: RadialGrid, w: WeightParam, count: int,
                operator: DriftOperator | None = None) -> list[EigenPair]:
     """Smallest ``count`` eigenpairs of H_b on ``grid``.
@@ -144,7 +140,6 @@ def eigenpairs(grid: RadialGrid, w: WeightParam, count: int,
         )
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NonConvergence(f"tridiagonal eigensolver failed: {exc}") from exc
-    zeros = bessel.j0_zeros(count)
     out = []
     sqrt_m = np.sqrt(op.node_mass)
     for k in range(1, count + 1):
@@ -153,8 +148,8 @@ def eigenpairs(grid: RadialGrid, w: WeightParam, count: int,
         psi = GridFunction(grid, full)
         nrm = norm_b(psi, w)
         psi.values /= nrm
-        ek = bessel.eta(k, grid, zeros)
-        if inner_b(psi, ek.gridfunction, w) < 0.0:
+        ek = GridFunction(grid, bessel.eta_samples(k, grid))
+        if inner_b(psi, ek, w) < 0.0:
             psi.values *= -1.0
         # Rayleigh polish in the matrix's own mass weights: the bisection
         # eigenvalues carry an absolute error ~ ||T|| eps ~ 1e-9 otherwise
@@ -171,7 +166,7 @@ def eigenpairs(grid: RadialGrid, w: WeightParam, count: int,
                 b=w.b,
                 lam=lam,
                 psi=psi,
-                boundary_slope=_boundary_slope(psi.values, grid.h),
+                boundary_slope=end_slope(psi.values, grid.h),
                 residual=resid,
             )
         )
@@ -221,7 +216,8 @@ def perturbation_sweep(grid: RadialGrid, k: int, b_values) -> PerturbationReport
     base = eigenpairs(grid, WeightParam(0.0), k)
     lam0 = base[k - 1].lam
     zeros = bessel.j0_zeros(k)
-    etas = [bessel.eta(j, grid, zeros) for j in range(1, k + 1)]
+    etas = [GridFunction(grid, bessel.eta_samples(j, grid))
+            for j in range(1, k + 1)]
     lam_ex = [z.lam for z in zeros]
     gcoef = [bessel.scaling_coefficient(k, j, grid, zeros) for j in range(1, k)]
 
@@ -236,11 +232,9 @@ def perturbation_sweep(grid: RadialGrid, k: int, b_values) -> PerturbationReport
         residuals.append(pair.residual)
         if k > 1:
             gram = np.array([
-                [inner_b(ei.gridfunction, ej.gridfunction, w) for ej in etas]
-                for ei in etas
+                [inner_b(ei, ej, w) for ej in etas] for ei in etas
             ])
-            rhs = np.array([inner_b(pair.psi, e.gridfunction, w)
-                            for e in etas])
+            rhs = np.array([inner_b(pair.psi, e, w) for e in etas])
             coef = np.linalg.solve(gram, rhs)
             mu_hat[b] = coef[: k - 1] / coef[k - 1]
             mu_model[b] = np.array([
@@ -282,11 +276,12 @@ def random_dirichlet(grid: RadialGrid, rng: np.random.Generator,
     White nodal noise would make every Rayleigh quotient enormous and the
     gap check vacuous; a random low-mode combination actually probes it.
     """
-    zeros = bessel.j0_zeros(modes)
+    if not 1 <= modes <= 64:
+        raise ValueError("modes must be in [1, 64]")
     coeffs = rng.standard_normal(modes) / np.arange(1, modes + 1)
     vals = np.zeros(grid.n + 1)
     for j in range(1, modes + 1):
-        vals += coeffs[j - 1] * bessel.eta(j, grid, zeros).values
+        vals += coeffs[j - 1] * bessel.eta_samples(j, grid)
     vals[-1] = 0.0
     return GridFunction(grid, vals)
 

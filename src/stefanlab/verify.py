@@ -80,9 +80,6 @@ class VerificationContext:
     def grid(self, n: int) -> RadialGrid:
         return self._get(("grid", n), lambda: RadialGrid(n))
 
-    def zeros(self, count: int = 12):
-        return self._get(("zeros", count), lambda: bessel.j0_zeros(count))
-
     def eigen(self, n: int, b: float, kmax: int):
         def build():
             return spectrum.eigenpairs(self.grid(n), WeightParam(b), kmax)
@@ -228,7 +225,7 @@ def criterion_2(ctx: VerificationContext, quick: bool = False) -> CriterionResul
 
 def criterion_3(ctx: VerificationContext) -> CriterionResult:
     t0 = time.perf_counter()
-    zeros = ctx.zeros()
+    zeros = bessel.j0_zeros(12)
     worst_ratio = 0.0
     rel_consts = []
     for k in (1, 2, 3):
@@ -255,7 +252,7 @@ def criterion_4(ctx: VerificationContext) -> CriterionResult:
     # Simpson's h^4 r_k^4 error floor for the k = 8 oscillatory integrand
     # sits at ~1.3e-8 on 1024 intervals; the tolerance needs the finer grid
     grid = ctx.grid(2048)
-    zeros = ctx.zeros()
+    zeros = bessel.j0_zeros(12)
     worst = max(abs(bessel.scaling_coefficient(k, k, grid, zeros) + 1.0)
                 for k in range(1, 9))
     dt = time.perf_counter() - t0
@@ -444,7 +441,7 @@ def _rk4_mode_law(lam: float, sigma: float, b0: float, s_grid: np.ndarray,
 
 def criterion_11(ctx: VerificationContext) -> CriterionResult:
     t0 = time.perf_counter()
-    zeros = ctx.zeros()
+    zeros = bessel.j0_zeros(12)
     s_grid = np.linspace(0.0, 5.0, 51)
     worst = 0.0
     for k in (1, 2, 3, 4):

@@ -137,6 +137,12 @@ def deriv(f: GridFunction) -> GridFunction:
     return GridFunction(f.grid, d, dirichlet=False)
 
 
+def end_slope(values: np.ndarray, h: float) -> float:
+    """4-point one-sided O(h^3) estimate of the derivative at y = 1."""
+    return float((11.0 * values[-1] - 18.0 * values[-2]
+                  + 9.0 * values[-3] - 2.0 * values[-4]) / (6.0 * h))
+
+
 def lambda_op(f: GridFunction) -> GridFunction:
     """Scaling operator y d/dy applied to f; exactly zero at the origin."""
     d = deriv(f)

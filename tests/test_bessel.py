@@ -131,6 +131,24 @@ class TestZeros:
         assert np.all(np.diff(lams) > 1.0)
         assert max(abs(bessel.j0(z.r)) for z in zs) <= 1e-12
 
+    @pytest.mark.parametrize("count", [1, 2, 12, 33, 64])
+    def test_memoized_zeros_bitwise_fresh(self, count):
+        fresh = [bessel._zero.__wrapped__(j) for j in range(1, count + 1)]
+        got = bessel.j0_zeros(count)
+        assert [(z.index, z.r.hex(), z.lam.hex()) for z in got] == \
+            [(z.index, z.r.hex(), z.lam.hex()) for z in fresh]
+
+    def test_returned_zeros_cannot_change_the_cache(self):
+        first = bessel.j0_zeros(8)
+        with pytest.raises(TypeError):
+            first[0] = None
+        with pytest.raises(AttributeError):
+            first[0].r = 1.0
+        as_list = list(first)
+        as_list.clear()
+        assert bessel.j0_zeros(8) == first
+        assert len(bessel.j0_zeros(8)) == 8
+
     def test_count_bounds(self):
         with pytest.raises(ValueError):
             bessel.j0_zeros(0)
@@ -163,6 +181,12 @@ class TestEigenfunctions:
             for i in range(8) for j in range(8)
         )
         assert worst <= 1e-8
+
+    def test_cached_samples_match_eta(self, grid1024, zeros12):
+        for j in (1, 5, 12):
+            cached = bessel.eta_samples(j, grid1024)
+            fresh = bessel.eta(j, grid1024, zeros12).values
+            assert cached.tobytes() == fresh.tobytes()
 
     def test_sign_alternation(self, grid1024, zeros12):
         for j in range(1, 9):

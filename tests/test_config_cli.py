@@ -74,6 +74,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config("k = 2\nlower_modes = 1e-5, 2e-5")
 
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", [
+        "ds", "s_max", "record_ds", "amplitude", "ceiling", "shoot_tol",
+        "mass_tol", "rate_tol", "radius_tol"])
+    def test_non_positive_numeric_fields_rejected(self, field, bad):
+        with pytest.raises(ConfigError, match=field):
+            ScenarioConfig(**{field: bad})
+
     def test_optional_none(self):
         cfg = parse_config("ds = none\ns_max = auto")
         assert cfg.ds is None
@@ -111,6 +119,14 @@ class TestCliExitCodes:
                          "--grid", "512", "--smax", "0.1",
                          "--out", str(tmp_path)])
         assert code == 2
+
+    def test_negative_step_is_config_error(self, tmp_path, capsys):
+        code = cli.main(["--mode", "run", "--k", "1", "--ds", "-1",
+                         "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "config error:" in err
+        assert "Traceback" not in err
 
     def test_k2_run_without_lower_modes(self, tmp_path):
         code = cli.main(["--mode", "run", "--k", "2", "--b0", "0.01",

@@ -246,6 +246,61 @@ class TestTrackRun:
             modulation.track_run(ts, 1)
 
 
+class TestK1BasisReuse:
+    """k = 1 tracking reuses the previous record's basis and operator; the
+    reference loop solves every basis and assembles every H_b afresh."""
+
+    @pytest.fixture(scope="class")
+    def series(self, grid512):
+        # run to the norm floor at a coarse record cadence: the records
+        # below B_FREEZE, where the basis is reused, are part of the run
+        w = WeightParam(-0.01)
+        v0 = modulation.build_profile(grid512, w, [-0.01])
+        ts = solver.run(v0, ds=solver.default_ds(grid512, 1), s_max=6.0,
+                        record_ds=1e-2)
+        assert ts.reached_floor
+        return ts
+
+    @staticmethod
+    def fresh_states(series):
+        states, solves, b1 = [], 0, None
+        for i, s in enumerate(series.s):
+            v = GridFunction(series.grid, series.snapshots[i])
+            b1, basis, n = modulation.self_consistent_b1(
+                v, initial=b1, return_basis=True)
+            solves += n
+            bare = modulation.Basis(b=basis.b, psis=basis.psis,
+                                    lams=basis.lams, grid=basis.grid)
+            bb = 0.0 if abs(b1) < modulation.B_FREEZE else b1
+            states.append(modulation.decompose(v, float(s), 1,
+                                               WeightParam(bb), basis=bare))
+        return states, solves
+
+    def test_bitwise_equal_to_fresh_solves(self, series):
+        track = modulation.track_run(series, 1)
+        ref, ref_solves = self.fresh_states(series)
+        assert len(track.states) == len(ref) == len(series.s)
+        for got, want in zip(track.states, ref):
+            assert got.b == want.b
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+            assert got.energy == want.energy
+            assert got.eps.values.tobytes() == want.eps.values.tobytes()
+        assert track.n_basis_refreshes < ref_solves
+
+    def test_refresh_count_is_eigensolve_count(self, series, monkeypatch):
+        calls = []
+        solve = spectrum.eigenpairs
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(spectrum, "eigenpairs", counted)
+        track = modulation.track_run(series, 1)
+        assert track.n_basis_refreshes == len(calls)
+        assert len(calls) <= 2 * len(track.states)
+
+
 class TestProfileBuilder:
     def test_profile_matches_coefficients(self, grid512):
         w = WeightParam(0.02)

@@ -94,6 +94,26 @@ class TestEigenpairs:
         order = math.log2(d1 / d2)
         assert 1.8 <= order <= 2.2
 
+    def test_reference_samples_read_only(self, grid512):
+        w = WeightParam(0.01)
+        before = spectrum.eigenpairs(grid512, w, 3)
+        for j in (1, 2, 3):
+            ref = bessel.eta_samples(j, grid512)
+            with pytest.raises(ValueError):
+                ref[5] = 1.0
+            with pytest.raises(ValueError):
+                ref.flags.writeable = True
+            view = ref[:]
+            with pytest.raises(ValueError):
+                view.flags.writeable = True
+            gf = GridFunction(grid512, ref)
+            with pytest.raises(ValueError):
+                gf.values *= -1.0
+        after = spectrum.eigenpairs(grid512, w, 3)
+        for p, q in zip(before, after):
+            assert p.psi.values.tobytes() == q.psi.values.tobytes()
+            assert p.lam == q.lam and p.residual == q.residual
+
     def test_preconditions(self, grid512):
         with pytest.raises(ValueError):
             spectrum.eigenpairs(grid512, W0, 13)
