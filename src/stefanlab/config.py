@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError
+from .spectrum import MAX_EIGENPAIRS
 
 MODES = ("spectrum", "run", "shoot", "verify-all")
 
@@ -36,7 +37,6 @@ class ScenarioConfig:
     s_max: float | None = None       # None -> mode-dependent default
     record_ds: float = 2e-3
     seed: int = 1234
-    jobs: int = 1
     quick: bool = False
     json_output: bool = False
     out_dir: str = "out"
@@ -52,18 +52,20 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.k < 1:
-            raise ConfigError("k must be >= 1")
+        # a k-mode profile is built from the first k eigenpairs
+        if not 1 <= self.k <= MAX_EIGENPAIRS:
+            raise ConfigError(f"k must be in [1, {MAX_EIGENPAIRS}]")
         if self.mode == "shoot" and self.k not in (2, 3):
             raise ConfigError("shooting supports k in {2, 3} only")
         if self.grid_n < 8 or self.grid_n % 2:
             raise ConfigError("grid must be even and >= 8")
         if self.mode in ("spectrum", "run", "shoot") and self.grid_n < 512:
             raise ConfigError(f"mode {self.mode!r} needs a grid of >= 512")
-        if abs(self.b0) > 0.05:
-            raise ConfigError("|b0| must be <= 0.05")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
+        if not (math.isfinite(self.b0) and abs(self.b0) <= 0.05):
+            raise ConfigError(
+                f"b0 must be finite with |b0| <= 0.05, got {self.b0!r}")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         for name in _POSITIVE_FIELDS:
             val = getattr(self, name)
             if val is None and name in _OPTIONAL_FIELDS:
@@ -75,6 +77,13 @@ class ScenarioConfig:
             raise ConfigError(
                 f"lower_modes needs {self.k - 1} entries for k = {self.k}"
             )
+        if not all(math.isfinite(x) and abs(x) <= 0.05
+                   for x in self.lower_modes):
+            raise ConfigError("lower_modes must be finite with |x| <= 0.05")
+        if (len(self.b_values) < 3
+                or not all(b != 0.0 and abs(b) < 0.05 for b in self.b_values)):
+            raise ConfigError(
+                "b_values needs >= 3 nonzero values with |b| < 0.05")
 
     def effective_rate_tol(self) -> float:
         if self.rate_tol is not None:
@@ -97,7 +106,6 @@ _KEYMAP = {
     ("", "s_max"): "s_max",
     ("", "record_ds"): "record_ds",
     ("", "seed"): "seed",
-    ("", "jobs"): "jobs",
     ("", "quick"): "quick",
     ("", "json"): "json_output",
     ("", "out"): "out_dir",
@@ -111,7 +119,7 @@ _KEYMAP = {
     ("tolerances", "radius"): "radius_tol",
 }
 
-_INT_FIELDS = {"k", "grid_n", "seed", "jobs"}
+_INT_FIELDS = {"k", "grid_n", "seed"}
 _BOOL_FIELDS = {"quick", "json_output"}
 _STR_FIELDS = {"mode", "out_dir"}
 _TUPLE_FIELDS = {"b_values", "lower_modes"}

@@ -27,8 +27,8 @@ import numpy as np
 
 from . import bessel, spectrum
 from .errors import InsufficientHistory, NonConvergence, SingularGram
-from .solver import SimState, TimeSeries
-from .weighted import GridFunction, RadialGrid, WeightParam, inner_b, lambda_op
+from .solver import TimeSeries
+from .weighted import GridFunction, RadialGrid, WeightParam, inner_b
 
 #: default amplitude of the adiabatic basis schedule for k > 1
 ADIABATIC_AMPLITUDE = 0.02
@@ -55,15 +55,6 @@ def adiabatic_b(s: float, k: int, amplitude: float = ADIABATIC_AMPLITUDE,
         zeros = bessel.j0_zeros(k)
     lam_k = zeros[k - 1].lam
     return amplitude * math.exp(-lam_k * s) / (s + 1.0)
-
-
-def adiabatic_b_deriv(s: float, k: int, amplitude: float = ADIABATIC_AMPLITUDE,
-                      zeros=None) -> float:
-    if zeros is None:
-        zeros = bessel.j0_zeros(k)
-    lam_k = zeros[k - 1].lam
-    return -amplitude * math.exp(-lam_k * s) * (lam_k / (s + 1.0)
-                                                + 1.0 / (s + 1.0) ** 2)
 
 
 @dataclass
@@ -114,8 +105,6 @@ class ModDiagnostics:
     s: np.ndarray
     residuals: np.ndarray     # (n_interior, k)
     ratios: np.ndarray        # (n_interior,)
-    psi_proj: np.ndarray      # (n_interior, k)
-    phi: np.ndarray           # (n_interior,)
 
 
 def _weighted_gram(psis: np.ndarray, grid: RadialGrid, w: WeightParam) -> np.ndarray:
@@ -169,11 +158,6 @@ def energy_of(eps: GridFunction, w: WeightParam,
     e2 = op.apply(eps.values)
     gf = GridFunction(eps.grid, e2, dirichlet=False)
     return inner_b(gf, gf, w)
-
-
-def energy(ms: ModulationState, w: WeightParam) -> float:
-    """Energy of a decomposition snapshot (recomputed from its remainder)."""
-    return energy_of(ms.eps, w)
 
 
 def self_consistent_b1(v: GridFunction, tol: float = 1e-12,
@@ -234,11 +218,6 @@ def boundary_law_defect(a: float, ms: ModulationState, zeros=None) -> float:
     return abs(a - law)
 
 
-def boundary_law_check(state: SimState, ms: ModulationState) -> float:
-    """Boundary-law defect evaluated at a solver state (consistent times)."""
-    return boundary_law_defect(state.a, ms)
-
-
 def modulation_residual(states: list[ModulationState], dt_s: float,
                         zeros=None) -> ModDiagnostics:
     """Centered-difference residuals of the leading mode laws.
@@ -248,57 +227,36 @@ def modulation_residual(states: list[ModulationState], dt_s: float,
     |(b_1)_s + lam_1 b_1 + sqrt(2 lam_1) b_1^2| and the ratio divides by
     |b_1|^{5/2}; for k > 1 each lower mode includes the forced quadratic
     term with its coupling coefficient and the ratio divides by b |b_k|.
-    The ``psi_proj`` column reports the profile-error projection proxy.
     """
     if len(states) < 3:
         raise InsufficientHistory("need >= 3 states for centered differences")
     k = states[0].k
     if zeros is None:
         zeros = bessel.j0_zeros(max(k, 2))
-    diag = _residuals_only(states, dt_s, zeros)
-    diag.psi_proj = _profile_error_projection(states, dt_s)
-    return diag
-
-
-def _profile_error_projection(states, dt_s):
-    """|<profile-error, psi_j>_b| proxy from the remainder equation.
-
-    Projects  d_s eps + H_b eps + (a - b) Lambda eps + Mod_j psi_j  onto the
-    basis at the recorded cadence; everything is finite-differenced in s.
-    """
-    k = states[0].k
+    lam = np.array([z.lam for z in zeros])
     grid = states[0].eps.grid
+    gcoef = (np.array([bessel.scaling_coefficient(k, j, grid, zeros)
+                       for j in range(1, k)]) if k > 1 else np.zeros(0))
     B = np.vstack([st.coeffs for st in states])
+    bpar = np.array([st.b for st in states])
+    s_arr = np.array([st.s for st in states])
     dB = (B[2:] - B[:-2]) / (2.0 * dt_s)
-    out = np.empty((len(states) - 2, k))
-    for i in range(1, len(states) - 1):
-        st = states[i]
-        w = WeightParam(st.b)
-        basis = Basis.solve(grid, st.b if abs(st.b) >= B_FREEZE else 0.0, k)
-        wv = grid.simpson * w.rho(grid.y) * grid.y
-        deps = (states[i + 1].eps.values - states[i - 1].eps.values) / (2.0 * dt_s)
-        op = spectrum.assemble_hb(grid, w)
-        heps = op.apply(st.eps.values)
-        leps = lambda_op(st.eps).values
-        resid_field = deps + heps + (st.a - st.b) * leps
-        proj = basis.psis.T @ (wv * resid_field)
-        gram_diag = np.array([
-            float(np.sum(wv * basis.psis[:, j] ** 2)) for j in range(k)
-        ])
-        coupling = np.empty(k)
-        b_k = st.coeffs[k - 1]
-        if k == 1:
-            lpsi = lambda_op(GridFunction(grid, basis.psis[:, 0])).values
-            ratio = float(np.sum(wv * lpsi * basis.psis[:, 0])) / gram_diag[0]
-            coupling[0] = (st.a - st.b) * st.coeffs[0] * ratio
-        else:
-            lpsi_k = lambda_op(GridFunction(grid, basis.psis[:, k - 1])).values
-            for j in range(k):
-                ratio = float(np.sum(wv * lpsi_k * basis.psis[:, j])) / gram_diag[j]
-                coupling[j] = st.a * b_k * ratio
-        mod = dB[i - 1] + st.coeffs * basis.lams + coupling
-        out[i - 1] = np.abs(proj + mod * gram_diag)
-    return out
+    mid = slice(1, -1)
+    Bm = B[mid]
+    res = np.empty_like(dB)
+    c_k = math.sqrt(2.0 * lam[k - 1])
+    res[:, k - 1] = np.abs(dB[:, k - 1] + lam[k - 1] * Bm[:, k - 1]
+                           + (-1.0) ** (k + 1) * c_k * Bm[:, k - 1] ** 2)
+    for j in range(1, k):
+        res[:, j - 1] = np.abs(dB[:, j - 1] + lam[j - 1] * Bm[:, j - 1]
+                               + (-1.0) ** k * c_k * Bm[:, k - 1] ** 2
+                               * gcoef[j - 1])
+    if k == 1:
+        ratios = res[:, 0] / np.maximum(np.abs(Bm[:, 0]) ** 2.5, 1e-300)
+    else:
+        ratios = res.sum(axis=1) / np.maximum(
+            np.abs(bpar[mid]) * np.abs(Bm[:, k - 1]), 1e-300)
+    return ModDiagnostics(s=s_arr[mid], residuals=res, ratios=ratios)
 
 
 @dataclass
@@ -313,7 +271,6 @@ class TrackResult:
     diagnostics: ModDiagnostics | None
     record_ds: float
     n_basis_refreshes: int
-    basis_curvature: float
 
     def coeff_array(self) -> np.ndarray:
         return np.vstack([st.coeffs for st in self.states])
@@ -341,8 +298,7 @@ class TrackResult:
 def track_run(series: TimeSeries, k: int,
               amplitude: float = ADIABATIC_AMPLITUDE,
               anchor_cache: dict | None = None,
-              with_residuals: bool = True,
-              with_projections: bool = False) -> TrackResult:
+              with_residuals: bool = True) -> TrackResult:
     """Decompose every snapshot of a completed run.
 
     For k = 1 the basis parameter is re-solved self-consistently per record,
@@ -359,7 +315,6 @@ def track_run(series: TimeSeries, k: int,
     eta_gap = gap_exponent(k, zeros)
     states: list[ModulationState] = []
     n_refresh = 0
-    curvature = 0.0
 
     if k == 1:
         # record i starts from b_{i-1}; the basis returned for record i-1 is
@@ -399,15 +354,7 @@ def track_run(series: TimeSeries, k: int,
                 cache[key] = replace(Basis.solve(grid, key, k), operator=None)
                 n_refresh += 1
             anchor_bases[key] = cache[key]
-        anchor_vals = sorted(anchor_bases.keys())
-        # basis interpolation curvature: second difference across anchor triples
-        av = anchor_vals
-        for i in range(1, len(av) - 1):
-            t = (av[i] - av[i - 1]) / (av[i + 1] - av[i - 1])
-            mix = ((1 - t) * anchor_bases[av[i - 1]].psis
-                   + t * anchor_bases[av[i + 1]].psis)
-            curvature = max(curvature, float(np.max(np.abs(
-                mix - anchor_bases[av[i]].psis))))
+        av = sorted(anchor_bases)
 
         def basis_at(b: float) -> Basis:
             key = 0.0 if b < B_FREEZE else b
@@ -441,46 +388,8 @@ def track_run(series: TimeSeries, k: int,
     diagnostics = None
     if with_residuals and len(states) >= 3:
         dt = float(series.s[1] - series.s[0])
-        if with_projections:
-            diagnostics = modulation_residual(states, dt, zeros=zeros)
-        else:
-            diagnostics = _residuals_only(states, dt, zeros)
+        diagnostics = modulation_residual(states, dt, zeros=zeros)
     return TrackResult(k=k, states=states, diagnostics=diagnostics,
                        record_ds=float(series.s[1] - series.s[0])
                        if len(series.s) > 1 else float("nan"),
-                       n_basis_refreshes=n_refresh,
-                       basis_curvature=curvature)
-
-
-def _residuals_only(states, dt_s, zeros) -> ModDiagnostics:
-    """Residual/ratio/phi diagnostics without the costly projection pass."""
-    k = states[0].k
-    lam = np.array([z.lam for z in zeros])
-    grid = states[0].eps.grid
-    gcoef = (np.array([bessel.scaling_coefficient(k, j, grid, zeros)
-                       for j in range(1, k)]) if k > 1 else np.zeros(0))
-    B = np.vstack([st.coeffs for st in states])
-    bpar = np.array([st.b for st in states])
-    a_arr = np.array([st.a for st in states])
-    s_arr = np.array([st.s for st in states])
-    dB = (B[2:] - B[:-2]) / (2.0 * dt_s)
-    dbpar = (bpar[2:] - bpar[:-2]) / (2.0 * dt_s)
-    mid = slice(1, -1)
-    Bm = B[mid]
-    res = np.empty_like(dB)
-    c_k = math.sqrt(2.0 * lam[k - 1])
-    res[:, k - 1] = np.abs(dB[:, k - 1] + lam[k - 1] * Bm[:, k - 1]
-                           + (-1.0) ** (k + 1) * c_k * Bm[:, k - 1] ** 2)
-    for j in range(1, k):
-        res[:, j - 1] = np.abs(dB[:, j - 1] + lam[j - 1] * Bm[:, j - 1]
-                               + (-1.0) ** k * c_k * Bm[:, k - 1] ** 2
-                               * gcoef[j - 1])
-    if k == 1:
-        ratios = res[:, 0] / np.maximum(np.abs(Bm[:, 0]) ** 2.5, 1e-300)
-    else:
-        ratios = res.sum(axis=1) / np.maximum(
-            np.abs(bpar[mid]) * np.abs(Bm[:, k - 1]), 1e-300)
-    phi = dbpar + 2.0 * bpar[mid] * (a_arr[mid] - bpar[mid])
-    return ModDiagnostics(s=s_arr[mid], residuals=res, ratios=ratios,
-                          psi_proj=np.full((len(s_arr) - 2, k), np.nan),
-                          phi=phi)
+                       n_basis_refreshes=n_refresh)

@@ -26,8 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import get_lapack_funcs
 
+from . import spectrum
 from .errors import BoundaryBlowup, ConservationError, NonPositiveRadius
-from .weighted import GridFunction, RadialGrid, end_slope
+from .weighted import (GridFunction, RadialGrid, WeightParam, deriv_values,
+                       end_slope)
 
 #: stop a run once the solution norm falls below this floor
 NORM_FLOOR = 1e-12
@@ -77,18 +79,16 @@ class Stepper:
         self.grid = grid
         self.ds = ds
         n, h = grid.n, grid.h
-        yh = (np.arange(n) + 0.5) * h
-        m = grid.y[:n] * h
-        m[0] = h * h / 8.0
-        # unsymmetrized tridiagonal of -Delta (b = 0 flux form) on interior nodes
-        diag = np.empty(n)
-        diag[0] = yh[0] / (h * m[0])
-        diag[1:] = (yh[: n - 1] + yh[1:n]) / (h * m[1:])
+        # unsymmetrized tridiagonal of -Delta on interior nodes: H_b at b = 0,
+        # where the weight is exactly 1.0, so fluxes and masses are unscaled
+        op = spectrum.assemble_hb(grid, WeightParam(0.0))
+        wf, m = op.half_flux, op.node_mass
+        diag = op.diag
         sub = np.empty(n)
         sub[0] = 0.0
-        sub[1:] = -yh[: n - 1] / (h * m[1:])
+        sub[1:] = -wf[: n - 1] / (h * m[1:])
         sup = np.empty(n)
-        sup[: n - 1] = -yh[: n - 1] / (h * m[: n - 1])
+        sup[: n - 1] = -wf[: n - 1] / (h * m[: n - 1])
         sup[n - 1] = 0.0
         self._diag, self._sub, self._sup = diag, sub, sup
         dl = (ds / 2.0) * sub[1:]
@@ -100,20 +100,6 @@ class Stepper:
         if res[-1] != 0:
             raise RuntimeError("tridiagonal factorization failed")
         self._fact = res[:5]
-
-    def _lambda_term(self, values: np.ndarray) -> np.ndarray:
-        # y * dv/dy on interior nodes, 4th-order stencils
-        h = self.grid.h
-        v = values
-        d = np.empty_like(v)
-        d[2:-2] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * h)
-        c = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / (12.0 * h)
-        d[0] = c @ v[:5]
-        d[1] = c @ v[1:6]
-        cr = -c[::-1]
-        d[-1] = cr @ v[-5:]
-        d[-2] = cr @ v[-6:-1]
-        return self.grid.y * d
 
     def _apply_neg_lap(self, vi: np.ndarray) -> np.ndarray:
         out = self._diag * vi
@@ -138,12 +124,13 @@ class Stepper:
             raise BoundaryBlowup(f"|a| = {abs(a0):.3g} > 1")
         vi = v[:n]
         base = vi - (ds / 2.0) * self._apply_neg_lap(vi)
-        drift0 = self._lambda_term(v)[:n]
+        y, h = self.grid.y[:n], self.grid.h
+        drift0 = y * deriv_values(v, h)[:n]
         # predictor: drift frozen at the start of the step
         vstar = self._implicit_solve(base - ds * a0 * drift0)
         vstar_full = np.concatenate([vstar, [0.0]])
-        a1 = end_slope(vstar_full, self.grid.h)
-        drift1 = self._lambda_term(vstar_full)[:n]
+        a1 = end_slope(vstar_full, h)
+        drift1 = y * deriv_values(vstar_full, h)[:n]
         # corrector: trapezoidal drift
         vnew = self._implicit_solve(
             base - (ds / 2.0) * (a0 * drift0 + a1 * drift1)
@@ -157,11 +144,6 @@ class Stepper:
         vgf = GridFunction(self.grid, vfull)
         return SimState(s=state.s + ds, t=t_new, lam=lam_new,
                         a=boundary_slope(vgf), v=vgf)
-
-
-def step(state: SimState, ds: float) -> SimState:
-    """Single-step convenience wrapper (builds a throwaway factorization)."""
-    return Stepper(state.v.grid, ds).advance(state)
 
 
 @dataclass
@@ -250,38 +232,6 @@ def run(v0: GridFunction, ds: float, s_max: float,
         mass=np.asarray(rec["mass"]), vnorm=np.asarray(rec["vnorm"]),
         snapshots=snaps, reached_floor=reached_floor,
     )
-
-
-_CHECKPOINT_MAGIC = 0x53464C42  # "SFLB"
-
-
-def write_checkpoint(path, state: SimState):
-    """Flat little-endian float64 checkpoint.
-
-    Layout: magic, version, n, s, t, lam, a, then the n+1 nodal values —
-    all encoded as float64, little-endian, no padding.
-    """
-    grid = state.v.grid
-    head = np.array(
-        [float(_CHECKPOINT_MAGIC), 1.0, float(grid.n),
-         state.s, state.t, state.lam, state.a],
-        dtype="<f8",
-    )
-    with open(path, "wb") as fh:
-        fh.write(head.tobytes())
-        fh.write(state.v.values.astype("<f8").tobytes())
-
-
-def read_checkpoint(path) -> SimState:
-    raw = np.fromfile(path, dtype="<f8")
-    if len(raw) < 7 or int(raw[0]) != _CHECKPOINT_MAGIC or int(raw[1]) != 1:
-        raise ValueError("not a stefanlab checkpoint")
-    n = int(raw[2])
-    vals = raw[7:7 + n + 1].copy()
-    grid = RadialGrid(n)
-    vals[-1] = 0.0
-    return SimState(s=float(raw[3]), t=float(raw[4]), lam=float(raw[5]),
-                    a=float(raw[6]), v=GridFunction(grid, vals))
 
 
 def default_ds(grid: RadialGrid, k: int = 1) -> float:

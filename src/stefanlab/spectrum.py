@@ -30,7 +30,8 @@ from .errors import NonConvergence
 from .weighted import (GridFunction, RadialGrid, WeightParam, deriv, end_slope,
                        inner_b, norm_b)
 
-_MAX_EIGENPAIRS = 12
+#: largest number of eigenpairs `eigenpairs` computes
+MAX_EIGENPAIRS = 12
 
 
 @dataclass
@@ -71,19 +72,6 @@ class DriftOperator:
         vp = c1 @ v[-5:]
         vpp = c2 @ v[-5:]
         out[n] = -(vpp + vp) + self.w.b * vp
-        return out
-
-    def apply_interior(self, values_interior: np.ndarray) -> np.ndarray:
-        """Apply H_b to the interior part (length n) of a Dirichlet vector."""
-        v = values_interior
-        n, h = self.grid.n, self.grid.h
-        wf = self.half_flux
-        m = self.node_mass
-        vpad = np.concatenate([v, [0.0]])
-        flux = wf * (vpad[1:] - vpad[:n]) / h
-        out = np.empty(n)
-        out[0] = -flux[0] / m[0]
-        out[1:] = -(flux[1:] - flux[:-1]) / m[1:]
         return out
 
 
@@ -129,8 +117,8 @@ def eigenpairs(grid: RadialGrid, w: WeightParam, count: int,
     Requires count <= 12 and a grid of at least 512 intervals (coarser grids
     are fine for the low modes but are outside the accuracy contract).
     """
-    if not 1 <= count <= _MAX_EIGENPAIRS:
-        raise ValueError(f"count must be in [1, {_MAX_EIGENPAIRS}]")
+    if not 1 <= count <= MAX_EIGENPAIRS:
+        raise ValueError(f"count must be in [1, {MAX_EIGENPAIRS}]")
     if grid.n < 512:
         raise ValueError("eigenpairs requires a grid of at least 512 intervals")
     op = operator if operator is not None else assemble_hb(grid, w)
@@ -154,10 +142,10 @@ def eigenpairs(grid: RadialGrid, w: WeightParam, count: int,
         # Rayleigh polish in the matrix's own mass weights: the bisection
         # eigenvalues carry an absolute error ~ ||T|| eps ~ 1e-9 otherwise
         interior = psi.values[: grid.n]
-        hpsi = op.apply_interior(interior)
-        lam = float(np.dot(op.node_mass * interior, hpsi)
+        hpsi = op.apply(psi.values)
+        lam = float(np.dot(op.node_mass * interior, hpsi[: grid.n])
                     / np.dot(op.node_mass * interior, interior))
-        resid_full = op.apply(psi.values) - lam * psi.values
+        resid_full = hpsi - lam * psi.values
         resid_full[-1] = 0.0  # residual measured on the Dirichlet subspace
         resid = norm_b(GridFunction(grid, resid_full), w)
         out.append(

@@ -50,31 +50,14 @@ class CriterionResult:
 
 
 class VerificationContext:
-    """Lazily built shared artifacts (runs, tracks, spectra) for the suite.
+    """Lazily built shared artifacts (runs, tracks, spectra) for the suite."""
 
-    Safe under the thread-pool prebuild: each cache key gets its own lock,
-    so distinct artifacts build concurrently while repeated requests for
-    the same key wait for the first build.
-    """
-
-    def __init__(self, jobs: int = 1):
-        import threading
-
-        self.jobs = jobs
+    def __init__(self):
         self._cache: dict = {}
-        self._locks: dict = {}
-        self._master = threading.Lock()
 
     def _get(self, key, builder):
-        import threading
-
-        with self._master:
-            if key in self._cache:
-                return self._cache[key]
-            lock = self._locks.setdefault(key, threading.Lock())
-        with lock:
-            if key not in self._cache:
-                self._cache[key] = builder()
+        if key not in self._cache:
+            self._cache[key] = builder()
         return self._cache[key]
 
     def grid(self, n: int) -> RadialGrid:
@@ -467,15 +450,12 @@ ALL_CRITERIA = {
 QUICK_SET = (1, 2, 3, 4, 11)
 
 
-def run_all(quick: bool = False, jobs: int = 1,
-            ctx: VerificationContext | None = None,
+def run_all(quick: bool = False, ctx: VerificationContext | None = None,
             printer=print) -> list[CriterionResult]:
     """Run the suite (or the quick spectral subset) and print one line each."""
     if ctx is None:
-        ctx = VerificationContext(jobs=jobs)
+        ctx = VerificationContext()
     numbers = QUICK_SET if quick else tuple(sorted(ALL_CRITERIA))
-    if not quick and jobs > 1:
-        _prebuild_parallel(ctx, jobs)
     results = []
     for num in numbers:
         fn = ALL_CRITERIA[num]
@@ -487,19 +467,3 @@ def run_all(quick: bool = False, jobs: int = 1,
         if printer is not None:
             printer(res.line())
     return results
-
-
-def _prebuild_parallel(ctx: VerificationContext, jobs: int):
-    """Warm the expensive shared artifacts concurrently (thread pool)."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    tasks = [
-        lambda: ctx.k1_run(+1),
-        lambda: ctx.k1_run(-1),
-        lambda: ctx.k1_run_2048(),
-        lambda: ctx.k2_family(+1),
-    ]
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        futures = [pool.submit(t) for t in tasks]
-        for f in futures:
-            f.result()

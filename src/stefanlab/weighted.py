@@ -101,9 +101,6 @@ class GridFunction:
         if self.dirichlet and self.values[-1] != 0.0:
             raise ValueError("Dirichlet-tagged function must vanish at y=1")
 
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.grid, self.values.copy(), self.dirichlet)
-
 
 def _check_same_grid(f: GridFunction, g: GridFunction):
     if f.grid != g.grid:
@@ -122,10 +119,9 @@ def norm_b(f: GridFunction, w: WeightParam) -> float:
     return float(np.sqrt(max(inner_b(f, f, w), 0.0)))
 
 
-def deriv(f: GridFunction) -> GridFunction:
-    """4th-order first derivative (5-point one-sided stencils at the ends)."""
-    v = f.values
-    h = f.grid.h
+def deriv_values(v: np.ndarray, h: float) -> np.ndarray:
+    """4th-order first derivative of nodal values with spacing h
+    (5-point one-sided stencils at the ends)."""
     d = np.empty_like(v)
     d[2:-2] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * h)
     c = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / (12.0 * h)
@@ -134,7 +130,13 @@ def deriv(f: GridFunction) -> GridFunction:
     cr = -c[::-1]
     d[-1] = cr @ v[-5:]
     d[-2] = cr @ v[-6:-1]
-    return GridFunction(f.grid, d, dirichlet=False)
+    return d
+
+
+def deriv(f: GridFunction) -> GridFunction:
+    """4th-order first derivative of a grid function."""
+    return GridFunction(f.grid, deriv_values(f.values, f.grid.h),
+                        dirichlet=False)
 
 
 def end_slope(values: np.ndarray, h: float) -> float:
@@ -145,8 +147,8 @@ def end_slope(values: np.ndarray, h: float) -> float:
 
 def lambda_op(f: GridFunction) -> GridFunction:
     """Scaling operator y d/dy applied to f; exactly zero at the origin."""
-    d = deriv(f)
-    return GridFunction(f.grid, f.grid.y * d.values, dirichlet=False)
+    return GridFunction(f.grid, f.grid.y * deriv_values(f.values, f.grid.h),
+                        dirichlet=False)
 
 
 def h1b_norm(f: GridFunction, w: WeightParam) -> float:

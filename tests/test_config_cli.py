@@ -1,13 +1,21 @@
 """Configuration grammar, round-trip identity, CLI exit-code contract."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stefanlab import cli
-from stefanlab.config import (ScenarioConfig, parse_config,
+from stefanlab.config import (MODES, ScenarioConfig, parse_config,
                               serialize_config, with_overrides)
 from stefanlab.errors import ConfigError
+
+# derandomized and without an example database: the same examples every run,
+# no files left behind
+BOUNDED = settings(max_examples=200, deadline=None, derandomize=True,
+                   database=None)
 
 
 class TestConfigParsing:
@@ -93,6 +101,88 @@ class TestConfigParsing:
             with_overrides(cfg, mode="shoot", k=4)
 
 
+def _small(limit):
+    return st.floats(-limit, limit, allow_nan=False, allow_infinity=False)
+
+
+def _positive():
+    return st.floats(1e-12, 10.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _configs(draw):
+    mode = draw(st.sampled_from(MODES))
+    k = draw(st.sampled_from((2, 3)) if mode == "shoot"
+             else st.integers(1, 12))
+    return dict(
+        mode=mode, k=k, b0=draw(_small(0.05)),
+        grid_n=2 * draw(st.integers(256, 2048)),
+        ds=draw(st.none() | _positive()), s_max=draw(st.none() | _positive()),
+        record_ds=draw(_positive()), seed=draw(st.integers(0, 2 ** 63)),
+        quick=draw(st.booleans()), json_output=draw(st.booleans()),
+        out_dir=draw(st.text("abcXYZ019_-./", min_size=1, max_size=12)),
+        b_values=tuple(draw(st.lists(
+            _small(0.0499).filter(lambda b: b != 0.0), min_size=3,
+            max_size=5))),
+        lower_modes=tuple(draw(st.lists(_small(0.05), min_size=k - 1,
+                                        max_size=k - 1))),
+        amplitude=draw(_positive()), ceiling=draw(_positive()),
+        shoot_tol=draw(_positive()), mass_tol=draw(_positive()),
+        rate_tol=draw(st.none() | _positive()),
+        radius_tol=draw(_positive()),
+    )
+
+
+def _float_list(limit):
+    return st.lists(st.floats(-limit, limit), max_size=4).map(
+        lambda xs: ", ".join(repr(x) for x in xs))
+
+
+# plausible values per key (valid and invalid ones), then arbitrary text
+_SETTINGS = {
+    "mode": st.sampled_from(MODES + ("explode",)),
+    "k": st.integers(0, 14).map(str),
+    "b0": st.floats(-0.06, 0.06).map(repr),
+    "grid": st.sampled_from(("512", "1024", "511", "256", "1e3")),
+    "ds": st.sampled_from(("none", "auto", "1e-4", "-1", "0")),
+    "record_ds": st.floats(-1.0, 1.0).map(repr),
+    "seed": st.integers(-2, 10 ** 6).map(str),
+    "quick": st.sampled_from(("true", "false", "yes", "maybe")),
+    "out": st.text("ab/_ #", max_size=6),
+    "b_values": _float_list(0.06),
+    "lower_modes": _float_list(0.06),
+    "[shoot]\nceiling": st.floats(-1.0, 3.0).map(repr),
+    "[tolerances]\nrate": st.sampled_from(("none", "0.05", "-0.1", "inf")),
+    "mystery": st.just("1"),
+}
+_LINES = st.one_of(
+    st.sampled_from(sorted(_SETTINGS)).flatmap(
+        lambda key: _SETTINGS[key].map(lambda val: f"{key} = {val}")),
+    st.sampled_from(("[]", "[other]", "[open", "# comment", "", "k 1")),
+    st.text(max_size=20))
+
+
+class TestConfigProperties:
+    @BOUNDED
+    @given(_configs())
+    def test_parse_serialize_parse_is_identity(self, fields):
+        cfg = ScenarioConfig(**fields)
+        text = serialize_config(cfg)
+        again = parse_config(text)
+        assert again == cfg
+        assert serialize_config(again) == text
+
+    @BOUNDED
+    @given(st.lists(_LINES, max_size=6))
+    def test_any_text_validates_or_raises_config_error(self, lines):
+        try:
+            cfg = parse_config("\n".join(lines))
+        except ConfigError:
+            return
+        assert math.isfinite(cfg.b0) and abs(cfg.b0) <= 0.05
+        assert parse_config(serialize_config(cfg)) == cfg
+
+
 class TestCliExitCodes:
     def test_malformed_config_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -128,6 +218,27 @@ class TestCliExitCodes:
         assert "config error:" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("config, flags", [
+        (None, ["--b0", "nan"]),
+        (None, ["--k", "2", "--lower", "nan"]),
+        (None, ["--k", "2", "--lower", "1e308"]),
+        ("mode = spectrum\nb_values = 0.01, 0.02\n", []),
+        (None, ["--seed", "-1"]),
+        (None, ["--k", "13", "--lower", ",".join(["1e-5"] * 12)]),
+    ])
+    def test_invalid_values_are_config_errors(self, config, flags, tmp_path,
+                                              capsys):
+        argv = flags + ["--out", str(tmp_path / "out")]
+        if config is not None:
+            path = tmp_path / "scenario.cfg"
+            path.write_text(config)
+            argv = ["--config", str(path)] + argv
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "config error:" in err
+        assert not (tmp_path / "out").exists()
+
     def test_k2_run_without_lower_modes(self, tmp_path):
         code = cli.main(["--mode", "run", "--k", "2", "--b0", "0.01",
                          "--grid", "512", "--out", str(tmp_path)])
@@ -148,6 +259,17 @@ class TestCliSpectrum:
         assert abs(lam_b1 - (5.783185962946785 - 0.01)) < 1e-4
         report = json.loads((out / "spectrum_report.json").read_text())
         assert all(report["checks"].values())
+
+    def test_spectrum_coarsest_grid_passes(self, tmp_path):
+        # the orthonormality check measures quadrature of the analytic
+        # eigenfunctions, so it holds whatever grid the spectrum uses
+        out = tmp_path / "spectrum_512"
+        code = cli.main(["--mode", "spectrum", "--grid", "512",
+                         "--b0", "0.01", "--out", str(out)])
+        assert code == 0
+        report = json.loads((out / "spectrum_report.json").read_text())
+        assert all(report["checks"].values())
+        assert report["orthonormality_defect"] <= 1e-8
 
     def test_spectrum_deterministic_outputs(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -217,26 +339,6 @@ class TestCliShootRunWorkflow:
         verdict = json.loads((run_out / "verdict.json").read_text())
         assert verdict["passed"]
         assert verdict["regime"] == "freezing"
-
-
-class TestVerificationContext:
-    def test_threaded_prebuild_builds_once(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        from stefanlab.verify import VerificationContext
-
-        ctx = VerificationContext()
-        counter = {"n": 0}
-
-        def builder():
-            counter["n"] += 1
-            return object()
-
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(
-                lambda _: ctx._get("shared-key", builder), range(32)))
-        assert counter["n"] == 1
-        assert all(r is results[0] for r in results)
 
 
 class TestCliVerifyQuick:

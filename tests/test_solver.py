@@ -23,7 +23,7 @@ class TestStepBasics:
     def test_zero_solution_fixed_point(self, grid512):
         v0 = GridFunction(grid512, np.zeros(513))
         state = solver.make_state(v0)
-        nxt = solver.step(state, 1e-4)
+        nxt = solver.Stepper(grid512, 1e-4).advance(state)
         assert np.all(nxt.v.values == 0.0)
         assert nxt.a == 0.0
         assert nxt.lam == 1.0
@@ -31,24 +31,24 @@ class TestStepBasics:
 
     def test_dirichlet_preserved_exactly(self, grid512, zeros12):
         state = solver.make_state(eta_profile(grid512, 1, 0.01, zeros12))
-        nxt = solver.step(state, 1e-4)
+        nxt = solver.Stepper(grid512, 1e-4).advance(state)
         assert nxt.v.values[-1] == 0.0
 
     def test_boundary_blowup_guard(self, grid512, zeros12):
         state = solver.make_state(eta_profile(grid512, 1, 0.9, zeros12))
         assert abs(state.a) > 1.0
         with pytest.raises(BoundaryBlowup):
-            solver.step(state, 1e-4)
+            solver.Stepper(grid512, 1e-4).advance(state)
 
     def test_nonpositive_radius_guard(self, grid512, zeros12):
         state = solver.make_state(eta_profile(grid512, 1, 0.01, zeros12))
         state.lam = 0.0
         with pytest.raises(NonPositiveRadius):
-            solver.step(state, 1e-4)
+            solver.Stepper(grid512, 1e-4).advance(state)
 
     def test_radius_update_multiplicative(self, grid512, zeros12):
         state = solver.make_state(eta_profile(grid512, 1, 0.01, zeros12))
-        nxt = solver.step(state, 1e-4)
+        nxt = solver.Stepper(grid512, 1e-4).advance(state)
         assert nxt.lam > 0.0
         # freezing direction: a > 0 for a negative slope profile? a is the
         # boundary slope of v; for +eta_1 data the slope is negative, so the
@@ -159,25 +159,6 @@ class TestConvergence:
             defects.append(time_reconstruction_check(ts))
         # trapezoid-in-s error model: quartering with the halved cadence
         assert defects[1] <= defects[0] / 3.0
-
-
-class TestCheckpoint:
-    def test_round_trip(self, grid512, zeros12, tmp_path):
-        state = solver.make_state(eta_profile(grid512, 2, 0.005, zeros12))
-        state = solver.step(state, 1e-4)
-        path = tmp_path / "state.bin"
-        solver.write_checkpoint(path, state)
-        back = solver.read_checkpoint(path)
-        assert back.s == state.s
-        assert back.t == state.t
-        assert back.lam == state.lam
-        assert np.array_equal(back.v.values, state.v.values)
-
-    def test_rejects_garbage(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"not a checkpoint at all")
-        with pytest.raises(ValueError):
-            solver.read_checkpoint(path)
 
 
 def test_csv_header(tmp_path, grid512, zeros12):
