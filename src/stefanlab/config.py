@@ -80,10 +80,12 @@ class ScenarioConfig:
         if not all(math.isfinite(x) and abs(x) <= 0.05
                    for x in self.lower_modes):
             raise ConfigError("lower_modes must be finite with |x| <= 0.05")
-        if (len(self.b_values) < 3
+        if (len(set(self.b_values)) < 3
                 or not all(b != 0.0 and abs(b) < 0.05 for b in self.b_values)):
             raise ConfigError(
-                "b_values needs >= 3 nonzero values with |b| < 0.05")
+                "b_values needs >= 3 distinct nonzero values with |b| < 0.05")
+        if not self.out_dir:
+            raise ConfigError("out must name a directory")
 
     def effective_rate_tol(self) -> float:
         if self.rate_tol is not None:

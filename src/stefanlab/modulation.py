@@ -1,15 +1,16 @@
 """Mode decomposition and diagnostics along a renormalized run.
 
 A profile v(s) is split as v = sum_j b_j psi_{b,j} + eps with eps weighted-
-orthogonal to the first k eigenfunctions of the drifted Laplacian.  For the
-ground-mode regime (k = 1) the basis parameter equals the coefficient itself
-and is found by a fixed-point iteration; for k > 1 the basis rides a fixed
-adiabatic schedule
+orthogonal to the first k eigenfunctions psi_{b,j} of the drifted Laplacian
+H_b, solved at exactly the parameter b the profile is decomposed at (frozen
+at b = 0 below B_FREEZE).  Only the choice of b depends on the regime: for
+the ground mode (k = 1) it is the coefficient itself, found by a fixed-point
+iteration; for k > 1 it rides a fixed adiabatic schedule
 
     b(s) = A e^{-lam_k s} / (s + 1),
 
-with eigenpairs refreshed whenever b drifts by more than 10% (relative)
-since the last assembly and linearly interpolated in b between refreshes.
+whose bases are memoized per scheduled b, since the schedule does not
+depend on the data.
 
 Tracked per record: the coefficients b_j, the remainder eps, the second-order
 energy E = ||H_b eps||^2 (weighted), the rescaled trap variables
@@ -57,10 +58,15 @@ def adiabatic_b(s: float, k: int, amplitude: float = ADIABATIC_AMPLITUDE,
     return amplitude * math.exp(-lam_k * s) / (s + 1.0)
 
 
+def frozen_b(b: float) -> float:
+    """Parameter a basis for b is solved at: 0 below B_FREEZE, else b."""
+    return 0.0 if abs(b) < B_FREEZE else b
+
+
 @dataclass
 class Basis:
     """Eigenbasis of H_b used for one decomposition: values, eigenvalues,
-    and the operator it was solved from (None for an interpolated basis)."""
+    and the operator it was solved from (None once dropped from a cache)."""
 
     b: float
     psis: np.ndarray          # (n+1, k) columns are psi_{b,j}
@@ -113,14 +119,13 @@ def _weighted_gram(psis: np.ndarray, grid: RadialGrid, w: WeightParam) -> np.nda
 
 
 def decompose(v: GridFunction, s: float, k: int, w: WeightParam,
-              basis: Basis | None = None, zeros=None,
-              compute_energy: bool = True,
-              eta_k_gap: float | None = None) -> ModulationState:
+              basis: Basis | None = None) -> ModulationState:
     """Split v into k basis modes plus a weighted-orthogonal remainder.
 
     Solves the k x k Gram system for the coefficients; raises
     :class:`SingularGram` when the basis conditioning exceeds 1e8 (a sign
-    that the parameter b is outside its range).
+    that the parameter b is outside its range).  Trap variables whose
+    growth factor overflows are +-inf (0 for a zero coefficient).
     """
     if basis is None:
         basis = Basis.solve(v.grid, w.b, k)
@@ -134,21 +139,19 @@ def decompose(v: GridFunction, s: float, k: int, w: WeightParam,
     eps_vals[-1] = 0.0
     eps = GridFunction(v.grid, eps_vals)
     defect = float(np.max(np.abs(basis.psis.T @ (wv * eps_vals))))
-    if zeros is None:
-        zeros = bessel.j0_zeros(k)
-    if eta_k_gap is None:
-        eta_k_gap = gap_exponent(k, zeros)
+    V = coeffs[: k - 1]
     if k > 1:
-        growth = (zeros[k - 1].lam + eta_k_gap) * s
-        V = coeffs[: k - 1] * math.exp(growth)
-    else:
-        V = np.zeros(0)
+        zeros = bessel.j0_zeros(k)
+        growth = (zeros[k - 1].lam + gap_exponent(k, zeros)) * s
+        try:
+            V = V * math.exp(growth)
+        except OverflowError:
+            V = np.where(V == 0.0, V, np.copysign(math.inf, V))
     # the basis operator is H_b only when it was solved at exactly this b
     op = basis.operator if basis.b == w.b else None
-    e_val = energy_of(eps, w, op) if compute_energy else float("nan")
     return ModulationState(s=s, k=k, b=w.b, coeffs=coeffs, eps=eps,
-                           energy=e_val, V=V, a=float("nan"),
-                           ortho_defect=defect)
+                           energy=energy_of(eps, w, op), V=V,
+                           a=float("nan"), ortho_defect=defect)
 
 
 def energy_of(eps: GridFunction, w: WeightParam,
@@ -162,22 +165,22 @@ def energy_of(eps: GridFunction, w: WeightParam,
 
 def self_consistent_b1(v: GridFunction, tol: float = 1e-12,
                        max_iter: int = 50, initial: float | None = None,
-                       return_basis: bool = False,
                        basis: Basis | None = None):
     """Ground-mode coefficient with the basis parameter equal to itself.
 
-    Fixed-point iteration b <- <v, psi_{b,1}>_b / <psi_{b,1}, psi_{b,1}>_b,
-    stopped at |increment| < tol; raises :class:`NonConvergence` after
-    ``max_iter`` iterations.  A ``basis`` already solved at exactly an
-    iterate's b is used instead of a new eigensolve.  With ``return_basis``
-    the result is ``(b, basis, solves)``: the basis solved at (or within
-    B_FREEZE of) b and the number of eigensolves performed.
+    Fixed-point iteration b <- F(b) = <v, psi_{b,1}>_b / <psi_{b,1}, psi_{b,1}>_b
+    from ``initial`` (default 0), stopped at the first iterate with
+    |F(b) - b| < tol; raises :class:`NonConvergence` after ``max_iter``
+    iterations.  A ``basis`` already solved at an iterate's parameter is used
+    instead of a new eigensolve.  Returns ``(b, basis, solves)``: that
+    iterate, its basis (solved at ``frozen_b(b)``) and the number of
+    eigensolves performed.
     """
     grid = v.grid
     b = 0.0 if initial is None else float(initial)
     solves = 0
     for _ in range(max_iter):
-        bb = 0.0 if abs(b) < B_FREEZE else b
+        bb = frozen_b(b)
         if basis is None or basis.b != bb:
             basis = Basis.solve(grid, bb, 1)
             solves += 1
@@ -185,14 +188,20 @@ def self_consistent_b1(v: GridFunction, tol: float = 1e-12,
         psi = GridFunction(grid, basis.psis[:, 0])
         b_new = inner_b(v, psi, w) / inner_b(psi, psi, w)
         if abs(b_new - b) < tol:
-            if return_basis:
-                if abs(b_new - bb) >= B_FREEZE:
-                    basis = Basis.solve(grid, b_new, 1)
-                    solves += 1
-                return b_new, basis, solves
-            return b_new
+            return b, basis, solves
         b = b_new
     raise NonConvergence("self-consistent ground-mode parameter did not settle")
+
+
+def scheduled_basis(cache: dict, grid: RadialGrid, k: int, s: float,
+                    amplitude: float) -> Basis:
+    """Basis at the adiabatic schedule's parameter for s, memoized in
+    ``cache`` (one per grid and k) by that parameter and kept without its
+    operator, so that a cache shared by many runs stays small."""
+    b = frozen_b(adiabatic_b(s, k, amplitude))
+    if b not in cache:
+        cache[b] = replace(Basis.solve(grid, b, k), operator=None)
+    return cache[b]
 
 
 def build_profile(grid: RadialGrid, w: WeightParam, coeffs) -> GridFunction:
@@ -297,99 +306,39 @@ class TrackResult:
 
 def track_run(series: TimeSeries, k: int,
               amplitude: float = ADIABATIC_AMPLITUDE,
-              anchor_cache: dict | None = None,
+              basis_cache: dict | None = None,
               with_residuals: bool = True) -> TrackResult:
     """Decompose every snapshot of a completed run.
 
-    For k = 1 the basis parameter is re-solved self-consistently per record,
-    warm-started from the previous record's parameter and basis.  For k > 1
-    the basis follows the adiabatic schedule with 10%-drift anchor
-    refreshes; ``anchor_cache`` maps anchor b values to solved bases and can
-    be shared across runs of the same family (the schedule does not depend
-    on the data).
+    Every record is decomposed on the basis solved at exactly its parameter
+    b.  For k = 1, b is the self-consistent ground coefficient, warm-started
+    from the previous record's b and basis.  For k > 1, b is the adiabatic
+    schedule's value at the record, and its basis comes from
+    ``basis_cache`` (see :func:`scheduled_basis`), which can be shared
+    across runs of the same family.
     """
     if not series.snapshots:
         raise ValueError("run was recorded without snapshots")
     grid = series.grid
-    zeros = bessel.j0_zeros(max(k, 2))
-    eta_gap = gap_exponent(k, zeros)
+    cache = basis_cache if basis_cache is not None else {}
+    n_cached = len(cache)
     states: list[ModulationState] = []
-    n_refresh = 0
+    n_solves = 0
+    b, basis = None, None
+    for i, s in enumerate(map(float, series.s)):
+        v = GridFunction(grid, series.snapshots[i])
+        if k == 1:
+            b, basis, solves = self_consistent_b1(v, initial=b, basis=basis)
+            n_solves += solves
+        else:
+            basis = scheduled_basis(cache, grid, k, s, amplitude)
+        ms = decompose(v, s, k, WeightParam(basis.b), basis=basis)
+        ms.a = float(series.a[i])
+        states.append(ms)
+    n_solves += len(cache) - n_cached
 
-    if k == 1:
-        # record i starts from b_{i-1}; the basis returned for record i-1 is
-        # reused when it was solved at exactly that b, which holds below
-        # B_FREEZE (both are 0) and after a final re-solve
-        b1, basis = None, None
-        for i, s in enumerate(np.asarray(series.s)):
-            v = GridFunction(grid, series.snapshots[i])
-            b1, basis, solves = self_consistent_b1(
-                v, initial=b1, return_basis=True, basis=basis)
-            n_refresh += solves
-            bb = 0.0 if abs(b1) < B_FREEZE else b1
-            ms = decompose(v, float(s), 1, WeightParam(bb), basis=basis,
-                           zeros=zeros, eta_k_gap=eta_gap)
-            ms.a = float(series.a[i])
-            states.append(ms)
-    else:
-        cache = anchor_cache if anchor_cache is not None else {}
-        b_sched = np.array([adiabatic_b(float(s), k, amplitude, zeros)
-                            for s in series.s])
-        # anchor layout: first record, then every >10% relative drift,
-        # frozen at b = 0 below the numeric floor
-        anchors: list[float] = []
-        last = None
-        for b in b_sched:
-            key = 0.0 if b < B_FREEZE else b
-            if last is None or (last > 0.0 and key > 0.0
-                                and abs(key - last) > 0.1 * last) \
-                    or (key == 0.0 and last != 0.0):
-                anchors.append(key)
-                last = key
-        anchor_bases = {}
-        for key in anchors:
-            if key not in cache:
-                # anchors are only interpolated: drop the operator, which
-                # decompose could use only at the anchor's own b
-                cache[key] = replace(Basis.solve(grid, key, k), operator=None)
-                n_refresh += 1
-            anchor_bases[key] = cache[key]
-        av = sorted(anchor_bases)
-
-        def basis_at(b: float) -> Basis:
-            key = 0.0 if b < B_FREEZE else b
-            if key <= av[0]:
-                lo = hi = av[0]
-            elif key >= av[-1]:
-                lo = hi = av[-1]
-            else:
-                idx = np.searchsorted(av, key)
-                lo, hi = av[idx - 1], av[idx]
-            if lo == hi:
-                base = anchor_bases[lo]
-                return Basis(b=key, psis=base.psis, lams=base.lams, grid=grid)
-            t = (key - lo) / (hi - lo)
-            blo, bhi = anchor_bases[lo], anchor_bases[hi]
-            return Basis(b=key,
-                         psis=(1 - t) * blo.psis + t * bhi.psis,
-                         lams=(1 - t) * blo.lams + t * bhi.lams,
-                         grid=grid)
-
-        for i, s in enumerate(np.asarray(series.s)):
-            v = GridFunction(grid, series.snapshots[i])
-            b = float(b_sched[i])
-            bb = 0.0 if b < B_FREEZE else b
-            ms = decompose(v, float(s), k, WeightParam(bb),
-                           basis=basis_at(bb), zeros=zeros, eta_k_gap=eta_gap)
-            ms.b = bb
-            ms.a = float(series.a[i])
-            states.append(ms)
-
-    diagnostics = None
-    if with_residuals and len(states) >= 3:
-        dt = float(series.s[1] - series.s[0])
-        diagnostics = modulation_residual(states, dt, zeros=zeros)
+    dt = float(series.s[1] - series.s[0]) if len(series.s) > 1 else float("nan")
+    diagnostics = (modulation_residual(states, dt)
+                   if with_residuals and len(states) >= 3 else None)
     return TrackResult(k=k, states=states, diagnostics=diagnostics,
-                       record_ds=float(series.s[1] - series.s[0])
-                       if len(series.s) > 1 else float("nan"),
-                       n_basis_refreshes=n_refresh)
+                       record_ds=dt, n_basis_refreshes=n_solves)

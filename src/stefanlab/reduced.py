@@ -27,7 +27,7 @@ import numpy as np
 
 from . import bessel, modulation, solver
 from .errors import NoTrappedData, PoleCrossing
-from .weighted import GridFunction, RadialGrid, WeightParam
+from .weighted import GridFunction, RadialGrid
 
 #: default ceiling on the summed squared trap variables
 TRAP_CEILING = 1.0
@@ -197,8 +197,9 @@ class TrapEvaluator:
 
     Builds v0 = sum_j b_j(0) psi_{b(0), j}, runs the renormalized flow,
     tracks the trap variables V_j, and reports the first record where
-    sum_j V_j^2 crosses the ceiling.  Basis anchors are shared across
-    evaluations (the adiabatic schedule is data-independent).
+    sum_j V_j^2 crosses the ceiling.  The bases of the adiabatic schedule,
+    b(0) included, are solved once and shared across evaluations in
+    ``basis_cache`` (the schedule is data-independent).
     """
 
     def __init__(self, k: int, b_k0: float, grid: RadialGrid,
@@ -222,15 +223,14 @@ class TrapEvaluator:
         # running past the standard norm floor narrows the trapped window,
         # which keeps the found point well inside it relative to the tolerance
         self.norm_floor = norm_floor
-        self.anchor_cache: dict = {}
-        b_init = modulation.adiabatic_b(0.0, k, amplitude)
-        self._w0 = WeightParam(b_init)
-        self._basis0 = modulation.Basis.solve(grid, b_init, k)
+        self.basis_cache: dict = {}
         self.evaluations = 0
 
     def initial_profile(self, lower: np.ndarray) -> GridFunction:
+        basis = modulation.scheduled_basis(self.basis_cache, self.grid,
+                                           self.k, 0.0, self.amplitude)
         coeffs = np.concatenate([lower, [self.b_k0]])
-        vals = self._basis0.psis @ coeffs
+        vals = basis.psis @ coeffs
         vals[-1] = 0.0
         return GridFunction(self.grid, vals)
 
@@ -243,7 +243,7 @@ class TrapEvaluator:
                             norm_floor=self.norm_floor)
         track = modulation.track_run(series, self.k,
                                      amplitude=self.amplitude,
-                                     anchor_cache=self.anchor_cache,
+                                     basis_cache=self.basis_cache,
                                      with_residuals=False)
         self.evaluations += 1
         v2 = np.array([float(np.sum(st.V ** 2)) for st in track.states])

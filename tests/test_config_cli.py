@@ -123,7 +123,7 @@ def _configs(draw):
         out_dir=draw(st.text("abcXYZ019_-./", min_size=1, max_size=12)),
         b_values=tuple(draw(st.lists(
             _small(0.0499).filter(lambda b: b != 0.0), min_size=3,
-            max_size=5))),
+            max_size=5, unique=True))),
         lower_modes=tuple(draw(st.lists(_small(0.05), min_size=k - 1,
                                         max_size=k - 1))),
         amplitude=draw(_positive()), ceiling=draw(_positive()),
@@ -225,10 +225,12 @@ class TestCliExitCodes:
         ("mode = spectrum\nb_values = 0.01, 0.02\n", []),
         (None, ["--seed", "-1"]),
         (None, ["--k", "13", "--lower", ",".join(["1e-5"] * 12)]),
+        ("mode = spectrum\nb_values = 0.01, 0.01, 0.01\n", []),
+        (None, ["--smax", "0.001", "--out", ""]),
     ])
     def test_invalid_values_are_config_errors(self, config, flags, tmp_path,
                                               capsys):
-        argv = flags + ["--out", str(tmp_path / "out")]
+        argv = ["--out", str(tmp_path / "out")] + flags
         if config is not None:
             path = tmp_path / "scenario.cfg"
             path.write_text(config)

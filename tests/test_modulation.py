@@ -1,6 +1,7 @@
 """Mode decomposition, self-consistent ground parameter, energy, residuals."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -56,18 +57,32 @@ class TestDecompose:
         with pytest.raises(SingularGram):
             modulation.decompose(v, 0.0, 2, WeightParam(0.01), basis=dup)
 
+    def test_overflowing_trap_variables(self, grid512):
+        # e^{(lam_2 + gap_2) s} overflows a float at s = 30
+        w = WeightParam(0.01)
+        v = modulation.build_profile(grid512, w, [-1e-3, 0.01])
+        zero = GridFunction(grid512, np.zeros(513))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ms = modulation.decompose(v, 30.0, 2, w)
+            ms0 = modulation.decompose(zero, 30.0, 2, w)
+        assert ms.V[0] == -math.inf
+        assert ms0.coeffs[0] == 0.0 and ms0.V[0] == 0.0
+
 
 class TestSelfConsistentB1:
     def test_zero_input(self, grid512):
         v = GridFunction(grid512, np.zeros(513))
-        assert modulation.self_consistent_b1(v) == 0.0
+        b, basis, solves = modulation.self_consistent_b1(v)
+        assert b == 0.0 and basis.b == 0.0 and solves == 1
 
     def test_constructed_fixed_point(self, grid512):
         target = 0.01
         basis = modulation.Basis.solve(grid512, target, 1)
         v = GridFunction(grid512, target * basis.psis[:, 0])
-        got = modulation.self_consistent_b1(v)
+        got, basis, _ = modulation.self_consistent_b1(v)
         assert abs(got - target) < 1e-10
+        assert basis.b == got
 
     def test_contraction_of_increments(self, grid512, zeros12):
         # replicate the iteration and watch |increment| decrease
@@ -245,8 +260,8 @@ class TestK1BasisReuse:
 
     @pytest.fixture(scope="class")
     def series(self, grid512):
-        # run to the norm floor at a coarse record cadence: the records
-        # below B_FREEZE, where the basis is reused, are part of the run
+        # run to the norm floor at a coarse record cadence: records on both
+        # sides of B_FREEZE are part of the run
         w = WeightParam(-0.01)
         v0 = modulation.build_profile(grid512, w, [-0.01])
         ts = solver.run(v0, ds=solver.default_ds(grid512, 1), s_max=6.0,
@@ -259,14 +274,13 @@ class TestK1BasisReuse:
         states, solves, b1 = [], 0, None
         for i, s in enumerate(series.s):
             v = GridFunction(series.grid, series.snapshots[i])
-            b1, basis, n = modulation.self_consistent_b1(
-                v, initial=b1, return_basis=True)
+            b1, basis, n = modulation.self_consistent_b1(v, initial=b1)
             solves += n
             bare = modulation.Basis(b=basis.b, psis=basis.psis,
                                     lams=basis.lams, grid=basis.grid)
-            bb = 0.0 if abs(b1) < modulation.B_FREEZE else b1
             states.append(modulation.decompose(v, float(s), 1,
-                                               WeightParam(bb), basis=bare))
+                                               WeightParam(basis.b),
+                                               basis=bare))
         return states, solves
 
     def test_bitwise_equal_to_fresh_solves(self, series):
@@ -292,6 +306,74 @@ class TestK1BasisReuse:
         track = modulation.track_run(series, 1)
         assert track.n_basis_refreshes == len(calls)
         assert len(calls) <= 2 * len(track.states)
+
+
+class TestExactBasis:
+    """Each record is decomposed on the basis solved at exactly its b."""
+
+    @pytest.fixture(scope="class")
+    def k1_series(self, grid512):
+        v0 = modulation.build_profile(grid512, WeightParam(0.01), [0.01])
+        return solver.run(v0, ds=solver.default_ds(grid512, 1), s_max=0.1,
+                          record_ds=1e-2)
+
+    @pytest.fixture(scope="class")
+    def k2_series(self, grid512):
+        w = WeightParam(modulation.adiabatic_b(0.0, 2))
+        v0 = modulation.build_profile(grid512, w, [1e-5, 0.01])
+        return solver.run(v0, ds=solver.default_ds(grid512, 2), s_max=0.05,
+                          record_ds=2e-3)
+
+    @staticmethod
+    def decomposed(monkeypatch, series, k, **kwargs):
+        seen = []
+        decompose = modulation.decompose
+
+        def spy(v, s, k, w, basis=None, **rest):
+            seen.append((w.b, basis))
+            return decompose(v, s, k, w, basis=basis, **rest)
+
+        monkeypatch.setattr(modulation, "decompose", spy)
+        track = modulation.track_run(series, k, **kwargs)
+        monkeypatch.undo()
+        return track, seen
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_basis_parameter_is_decomposed_parameter(self, k, request,
+                                                     monkeypatch):
+        series = request.getfixturevalue(f"k{k}_series")
+        track, seen = self.decomposed(monkeypatch, series, k)
+        assert len(seen) == len(series.s)
+        assert all(abs(b) >= modulation.B_FREEZE for b, _ in seen)
+        assert [b for b, _ in seen] == [basis.b for _, basis in seen]
+        assert [st.b for st in track.states] == [b for b, _ in seen]
+
+    def test_k2_bases_are_fresh_solves(self, k2_series, monkeypatch):
+        _, seen = self.decomposed(monkeypatch, k2_series, 2)
+        for b, basis in seen:
+            fresh = modulation.Basis.solve(k2_series.grid, b, 2)
+            assert basis.psis.tobytes() == fresh.psis.tobytes()
+            assert basis.lams.tobytes() == fresh.lams.tobytes()
+            assert basis.operator is None
+
+    def test_shared_cache_solves_each_b_once(self, k2_series, monkeypatch):
+        calls = []
+        solve = spectrum.eigenpairs
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(spectrum, "eigenpairs", counted)
+        cache = {}
+        first = modulation.track_run(k2_series, 2, basis_cache=cache)
+        assert first.n_basis_refreshes == len(calls) == len(cache)
+        assert len(cache) == len({st.b for st in first.states})
+        del calls[:]
+        second = modulation.track_run(k2_series, 2, basis_cache=cache)
+        assert second.n_basis_refreshes == 0 and not calls
+        for a, b in zip(first.states, second.states):
+            assert a.coeffs.tobytes() == b.coeffs.tobytes()
 
 
 class TestProfileBuilder:
