@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 
 from .errors import ConfigError
 from .spectrum import MAX_EIGENPAIRS
+from .weighted import B_CAP
 
 MODES = ("spectrum", "run", "shoot", "verify-all")
 
@@ -73,6 +74,15 @@ class ScenarioConfig:
             if not (isinstance(val, (int, float)) and math.isfinite(val)
                     and val > 0):
                 raise ConfigError(f"{name} must be finite and > 0, got {val!r}")
+        # the adiabatic schedule starts at b = amplitude
+        if self.amplitude >= B_CAP:
+            raise ConfigError(f"amplitude must be < {B_CAP}, got {self.amplitude!r}")
+        # the shooting horizon ln(ceiling / (4 tol)) / growth has growth > 0
+        if self.ceiling <= 4.0 * self.shoot_tol:
+            raise ConfigError(
+                "shooting horizon ln(ceiling / (4 tol)) / growth must be > 0, "
+                f"so ceiling > 4 tol; got ceiling = {self.ceiling!r}, "
+                f"tol = {self.shoot_tol!r}")
         if self.lower_modes and len(self.lower_modes) != self.k - 1:
             raise ConfigError(
                 f"lower_modes needs {self.k - 1} entries for k = {self.k}"

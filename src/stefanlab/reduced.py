@@ -13,14 +13,17 @@ with coupling coefficients g_jk = <y eta_k', eta_j>_0 from quadrature.  The
 full system (with the remainder terms dropped) integrates by fixed-step RK4.
 
 For k > 1 the lower modes are exponentially unstable against the rescaled
-trap variables; trapped initial data for the full PDE evolution is found by
-bisection (coordinate-wise sign boxes for k = 3) on the exit map of a run.
+trap variables V.  Trapped initial data for the full PDE evolution is the
+root of the lower-mode data's map to V at a fixed horizon, found by Newton
+steps on a finite-difference Jacobian with Broyden updates (the secant
+method for k = 2) and certified by a run whose V never reaches the ceiling.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +34,10 @@ from .weighted import GridFunction, RadialGrid
 
 #: default ceiling on the summed squared trap variables
 TRAP_CEILING = 1.0
-#: bisection width at which the shooting stops refining
+#: step length below which the trap search gives up without a trap
 SHOOT_TOL = 1e-12
+#: Newton (secant/Broyden) steps after which the trap search gives up
+MAX_UPDATES = 20
 
 
 def default_shoot_horizon(k: int, tol: float = SHOOT_TOL,
@@ -42,8 +47,8 @@ def default_shoot_horizon(k: int, tol: float = SHOOT_TOL,
     The slowest-growing trap variable of a near-trapped trajectory expands
     like e^{(lam_k + gap_k - lam_1) s}, so data within the tolerance of the
     trapped point stays below the ceiling up to
-    s = ln(ceiling / (4 tol)) / growth; beyond that no tolerable bisection
-    output can certify a trap.
+    s = ln(ceiling / (4 tol)) / growth.  The trap search reads V there;
+    beyond it a datum found to within the tolerance cannot certify a trap.
     """
     zeros = bessel.j0_zeros(k)
     growth = (zeros[k - 1].lam + modulation.gap_exponent(k, zeros)
@@ -159,6 +164,7 @@ class ShootingResult:
     ceiling: float
     tol: float
     iterations: int
+    evaluations: int
 
     @property
     def trapped(self) -> bool:
@@ -174,6 +180,7 @@ class ShootingResult:
             "ceiling": self.ceiling,
             "tol": self.tol,
             "iterations": self.iterations,
+            "evaluations": self.evaluations,
         }
         text = json.dumps(payload, sort_keys=True, indent=2)
         if path is not None:
@@ -187,7 +194,7 @@ class TrapEvaluation:
     """One PDE evaluation of the exit map."""
 
     exit_s: float | None
-    exit_V: np.ndarray
+    horizon_V: np.ndarray     # trap variables at the evaluator's horizon
     max_v2: float
     track: modulation.TrackResult
 
@@ -195,11 +202,14 @@ class TrapEvaluation:
 class TrapEvaluator:
     """Exit map of the full PDE flow for lower-mode initial data.
 
-    Builds v0 = sum_j b_j(0) psi_{b(0), j}, runs the renormalized flow,
-    tracks the trap variables V_j, and reports the first record where
-    sum_j V_j^2 crosses the ceiling.  The bases of the adiabatic schedule,
-    b(0) included, are solved once and shared across evaluations in
-    ``basis_cache`` (the schedule is data-independent).
+    Builds v0 = sum_j b_j(0) psi_{b(0), j}, runs the renormalized flow to
+    ``s_max`` (or the norm floor), tracks the trap variables V_j, and
+    reports the first record where sum_j V_j^2 crosses the ceiling, plus V
+    at the ``horizon`` min(s_max, default_shoot_horizon): the first record
+    with s >= horizon - ds/2 (NaN if the run stopped short of it).  The
+    bases of the adiabatic schedule, b(0) included, are solved once and
+    shared across evaluations in ``basis_cache`` (the schedule is
+    data-independent).
     """
 
     def __init__(self, k: int, b_k0: float, grid: RadialGrid,
@@ -214,8 +224,9 @@ class TrapEvaluator:
         self.b_k0 = b_k0
         self.grid = grid
         self.ds = ds if ds is not None else solver.default_ds(grid, k)
-        self.s_max = (s_max if s_max is not None
-                      else default_shoot_horizon(k, tol, ceiling))
+        horizon = default_shoot_horizon(k, tol, ceiling)
+        self.s_max = s_max if s_max is not None else horizon
+        self.horizon = min(self.s_max, horizon)
         self.ceiling = ceiling
         self.amplitude = amplitude
         self.record_ds = record_ds
@@ -246,44 +257,15 @@ class TrapEvaluator:
                                      basis_cache=self.basis_cache,
                                      with_residuals=False)
         self.evaluations += 1
+        at = np.nonzero(series.s >= self.horizon - 0.5 * self.ds)[0]
+        horizon_V = (track.states[at[0]].V.copy() if len(at)
+                     else np.full(self.k - 1, np.nan))
         v2 = np.array([float(np.sum(st.V ** 2)) for st in track.states])
         over = np.nonzero(v2 >= self.ceiling ** 2)[0]
-        if len(over):
-            i = int(over[0])
-            return TrapEvaluation(exit_s=float(track.states[i].s),
-                                  exit_V=track.states[i].V.copy(),
-                                  max_v2=float(v2[: i + 1].max()),
-                                  track=track)
-        return TrapEvaluation(exit_s=None, exit_V=track.states[-1].V.copy(),
-                              max_v2=float(v2.max()), track=track)
-
-
-def _exit_sign(ev: TrapEvaluation, j: int) -> float:
-    return math.copysign(1.0, ev.exit_V[j])
-
-
-def _bracket_coordinate(evaluator: TrapEvaluator, lower: np.ndarray, j: int,
-                        scale: float, max_expand: int = 24):
-    """Find [lo, hi] in coordinate j with opposite exit signs (or a trap)."""
-    width = scale
-    for _ in range(max_expand):
-        lo_vec = lower.copy()
-        lo_vec[j] -= width
-        hi_vec = lower.copy()
-        hi_vec[j] += width
-        ev_lo = evaluator.evaluate(lo_vec)
-        if ev_lo.exit_s is None:
-            return ("trapped", lo_vec, ev_lo)
-        ev_hi = evaluator.evaluate(hi_vec)
-        if ev_hi.exit_s is None:
-            return ("trapped", hi_vec, ev_hi)
-        if _exit_sign(ev_lo, j) != _exit_sign(ev_hi, j):
-            return ("bracket", (lo_vec[j], hi_vec[j], ev_lo, ev_hi), None)
-        width *= 4.0
-    raise NoTrappedData(
-        f"no sign change in coordinate {j + 1} after {max_expand} expansions; "
-        "check the driving amplitude or the resolution"
-    )
+        end = int(over[0]) + 1 if len(over) else len(v2)
+        return TrapEvaluation(
+            exit_s=float(series.s[end - 1]) if len(over) else None,
+            horizon_V=horizon_V, max_v2=float(v2[:end].max()), track=track)
 
 
 def shoot_trapped(k: int, b_k0: float, ceiling: float = TRAP_CEILING,
@@ -291,12 +273,19 @@ def shoot_trapped(k: int, b_k0: float, ceiling: float = TRAP_CEILING,
                   ds: float | None = None, tol: float = SHOOT_TOL,
                   amplitude: float = modulation.ADIABATIC_AMPLITUDE,
                   evaluator: TrapEvaluator | None = None) -> ShootingResult:
-    """Bisection search for lower-mode data trapped to the horizon.
+    """Newton search for lower-mode data trapped to the horizon.
 
-    k = 2 bisects the single lower coefficient; k = 3 alternates coordinate
-    bisections driven by the sign of the dominant trap variable at exit
-    (assumes the empirically observed monotone exit behavior).  The default
-    horizon is :func:`default_shoot_horizon` for the tolerance in use.
+    The trapped datum is the root of F(x) = V(s_F), the trap variables at
+    the evaluator's horizon s_F of the run from lower-mode data x; F is
+    affine in x to a relative curvature of ~1e-5 over the probe width.
+    From x = 0, k - 1 coordinate probes at eight times the forced-response
+    scale give a finite-difference Jacobian J; then x <- x - J^{-1} F with
+    Broyden's update of J after each step (the secant method for k = 2).
+    The search stops at the first evaluation that stays below the ceiling
+    up to s_max or the norm floor, the trap certificate.  It raises
+    :class:`NoTrappedData` after a step shorter than ``tol`` that does not
+    trap, after ``MAX_UPDATES`` steps, on a singular J or a non-finite F.
+    Each evaluation is reported on stderr.
     """
     if grid is None:
         grid = RadialGrid(512)
@@ -308,54 +297,57 @@ def shoot_trapped(k: int, b_k0: float, ceiling: float = TRAP_CEILING,
     lam = np.array([z.lam for z in zeros])
     c_k = math.sqrt(2.0 * lam[k - 1])
     g = coupling_coefficients(k, grid, zeros)
-    # forced-response scale of the lower coefficients, used to seed brackets
+    # forced-response scale of the lower coefficients sets the probe widths
     scale = np.abs(c_k * b_k0 ** 2 * g / (2.0 * lam[k - 1] - lam[: k - 1]))
-    scale = np.maximum(scale, 1e-8)
+    widths = 8.0 * np.maximum(scale, 1e-8)
+    first = evaluator.evaluations
 
-    lower = np.zeros(k - 1)
-    iterations = 0
-    best: TrapEvaluation | None = None
+    def evaluate(x):
+        ev = evaluator.evaluate(x)
+        norm = float(np.linalg.norm(ev.horizon_V))
+        where = ("trapped" if ev.exit_s is None
+                 else f"exit s = {ev.exit_s:.4f}")
+        print(f"shoot: evaluation {evaluator.evaluations - first}: "
+              f"x = [{', '.join(f'{v:+.15e}' for v in x)}], {where}, "
+              f"|V(s_F)| = {norm:.3e}", file=sys.stderr)
+        if ev.exit_s is None or np.isfinite(norm):
+            return ev
+        raise NoTrappedData(f"non-finite trap variables at s_F = "
+                            f"{evaluator.horizon:.4f} for x = {list(x)}")
 
-    for sweep in range(2 if k == 3 else 1):
-        for j in range(k - 1):
-            status, payload, ev = _bracket_coordinate(
-                evaluator, lower, j, 8.0 * float(scale[j]))
-            if status == "trapped":
-                lower = payload
-                best = ev
-                break
-            lo, hi, ev_lo, ev_hi = payload
-            sign_lo = _exit_sign(ev_lo, j)
-            while hi - lo > tol:
-                iterations += 1
-                mid = 0.5 * (lo + hi)
-                vec = lower.copy()
-                vec[j] = mid
-                ev_mid = evaluator.evaluate(vec)
-                if ev_mid.exit_s is None:
-                    lower = vec
-                    best = ev_mid
-                    break
-                if _exit_sign(ev_mid, j) == sign_lo:
-                    lo = mid
-                else:
-                    hi = mid
-            else:
-                lower[j] = 0.5 * (lo + hi)
-                continue
-            break
-        if best is not None and best.exit_s is None:
-            break
+    def trapped(x, ev, updates):
+        return ShootingResult(k=k, b_k0=b_k0,
+                              initials=tuple(float(v) for v in x),
+                              exit_s=None, max_v2=ev.max_v2,
+                              ceiling=ceiling, tol=tol, iterations=updates,
+                              evaluations=evaluator.evaluations - first)
 
-    if best is None or best.exit_s is not None:
-        final = evaluator.evaluate(lower)
-        if final.exit_s is not None:
+    x = np.zeros(k - 1)
+    probes = []
+    for point in [x, *(x + np.diag(widths))]:
+        ev = evaluate(point)
+        if ev.exit_s is None:
+            return trapped(point, ev, 0)
+        probes.append(ev.horizon_V)
+    F = probes[0]
+    J = (np.array(probes[1:]) - F).T / widths
+    for updates in range(1, MAX_UPDATES + 1):
+        try:
+            step = -np.linalg.solve(J, F)
+        except np.linalg.LinAlgError:
+            step = np.full(k - 1, np.nan)
+        if not np.all(np.isfinite(step)):
+            raise NoTrappedData(f"singular Jacobian of V(s_F): {J.tolist()}")
+        x = x + step
+        ev = evaluate(x)
+        if ev.exit_s is None:
+            return trapped(x, ev, updates)
+        if np.max(np.abs(step)) < tol:
             raise NoTrappedData(
-                f"bracket narrowed to {tol:g} without trapping; "
-                f"last exit at s = {final.exit_s:.4f}"
-            )
-        best = final
-    return ShootingResult(k=k, b_k0=b_k0,
-                          initials=tuple(float(x) for x in lower),
-                          exit_s=best.exit_s, max_v2=best.max_v2,
-                          ceiling=ceiling, tol=tol, iterations=iterations)
+                f"step {np.max(np.abs(step)):.3g} below tol = {tol:g} "
+                f"without trapping; last exit at s = {ev.exit_s:.4f}")
+        F_new = ev.horizon_V
+        J += np.outer(F_new - F - J @ step, step) / (step @ step)
+        F = F_new
+    raise NoTrappedData(f"no trapped data after {MAX_UPDATES} steps; "
+                        f"last exit at s = {ev.exit_s:.4f}")

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stefanlab import cli
+from stefanlab import cli, reduced
 from stefanlab.config import (MODES, ScenarioConfig, parse_config,
                               serialize_config, with_overrides)
 from stefanlab.errors import ConfigError
+from stefanlab.weighted import B_CAP
 
 # derandomized and without an example database: the same examples every run,
 # no files left behind
@@ -90,6 +91,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=field):
             ScenarioConfig(**{field: bad})
 
+    def test_shoot_horizon_must_be_positive(self):
+        # the shooting horizon ln(ceiling / (4 tol)) / growth is <= 0 exactly
+        # when ceiling <= 4 tol
+        for tol in (0.25, 0.5):
+            assert reduced.default_shoot_horizon(2, tol, 1.0) <= 0.0
+            with pytest.raises(ConfigError, match="horizon"):
+                ScenarioConfig(mode="shoot", k=2, shoot_tol=tol, ceiling=1.0)
+        assert reduced.default_shoot_horizon(2, 0.2499, 1.0) > 0.0
+        assert ScenarioConfig(mode="shoot", k=2, shoot_tol=0.2499).ceiling == 1.0
+
     def test_optional_none(self):
         cfg = parse_config("ds = none\ns_max = auto")
         assert cfg.ds is None
@@ -114,6 +125,7 @@ def _configs(draw):
     mode = draw(st.sampled_from(MODES))
     k = draw(st.sampled_from((2, 3)) if mode == "shoot"
              else st.integers(1, 12))
+    ceiling = draw(_positive())
     return dict(
         mode=mode, k=k, b0=draw(_small(0.05)),
         grid_n=2 * draw(st.integers(256, 2048)),
@@ -126,8 +138,11 @@ def _configs(draw):
             max_size=5, unique=True))),
         lower_modes=tuple(draw(st.lists(_small(0.05), min_size=k - 1,
                                         max_size=k - 1))),
-        amplitude=draw(_positive()), ceiling=draw(_positive()),
-        shoot_tol=draw(_positive()), mass_tol=draw(_positive()),
+        amplitude=draw(st.floats(1e-12, B_CAP, exclude_max=True)),
+        ceiling=ceiling,
+        shoot_tol=draw(st.floats(0.0, ceiling / 4.0, exclude_min=True,
+                                 exclude_max=True)),
+        mass_tol=draw(_positive()),
         rate_tol=draw(st.none() | _positive()),
         radius_tol=draw(_positive()),
     )
@@ -227,6 +242,10 @@ class TestCliExitCodes:
         (None, ["--k", "13", "--lower", ",".join(["1e-5"] * 12)]),
         ("mode = spectrum\nb_values = 0.01, 0.01, 0.01\n", []),
         (None, ["--smax", "0.001", "--out", ""]),
+        ("[shoot]\namplitude = 0.5\n", ["--mode", "shoot", "--k", "2"]),
+        ("[shoot]\namplitude = 0.5\n", ["--k", "2", "--lower", "0.0001"]),
+        ("[shoot]\ntol = 0.5\n",
+         ["--mode", "shoot", "--k", "2", "--grid", "512", "--b0", "0.01"]),
     ])
     def test_invalid_values_are_config_errors(self, config, flags, tmp_path,
                                               capsys):

@@ -117,6 +117,14 @@ class TestShootingK2:
             out = ev.evaluate(pert)
             assert out.exit_s is not None
 
+    def test_search_cost_and_centre(self, k2_shot):
+        # two secant steps from the base point and one probe land at the
+        # root of V_1(s_F), the centre of the trapped window
+        res = k2_shot["result"]
+        assert res.evaluations <= 6
+        assert res.iterations <= res.evaluations - 2
+        assert abs(k2_shot["trapped_eval"].horizon_V[0]) < 1e-3
+
     def test_json_record(self, k2_shot, tmp_path):
         res = k2_shot["result"]
         path = tmp_path / "shoot.json"
@@ -125,6 +133,7 @@ class TestShootingK2:
         assert payload["k"] == 2
         assert payload["exit_s"] is None
         assert payload["found_initials"] == list(res.initials)
+        assert payload["evaluations"] == res.evaluations
         # identical serialization on repeat: fixed-step, no randomness
         assert res.to_json() == res.to_json()
 
@@ -132,13 +141,14 @@ class TestShootingK2:
 class TestShootingK3:
     def test_two_unstable_modes_trapped(self):
         # the default horizon keeps the fastest trap variable's trapped
-        # window wider than the bisection tolerance (~0.33 for k = 3)
+        # window wider than the search tolerance (~0.33 for k = 3)
         grid = RadialGrid(512)
         ev = reduced.TrapEvaluator(3, 0.02, grid, ds=6e-5)
         assert ev.s_max == pytest.approx(reduced.default_shoot_horizon(3))
         res = reduced.shoot_trapped(3, 0.02, grid=grid, evaluator=ev,
                                     tol=1e-12)
         assert res.trapped
+        assert ev.evaluations == res.evaluations <= 8
         assert res.max_v2 <= res.ceiling ** 2
         # both lower coefficients sit at the quadratically forced scale
         assert all(abs(x) < 1e-2 for x in res.initials)
@@ -169,3 +179,79 @@ class TestShootingFailure:
         with pytest.raises(NoTrappedData):
             reduced.shoot_trapped(2, 0.02, grid=grid, evaluator=ev,
                                   ceiling=1e-8, tol=1e-6)
+
+
+class TestShootingHorizon:
+    def test_long_run_reads_v_at_the_default_horizon(self):
+        # runs to s_max = 2 end at the norm floor at different s; the search
+        # reads V at the default horizon, not at each run's last record
+        res = reduced.shoot_trapped(2, 0.01, s_max=2.0)
+        assert res.trapped
+        assert res.evaluations <= 6
+
+    def test_zero_driving_mode_needs_one_evaluation(self):
+        res = reduced.shoot_trapped(2, 0.0)
+        assert res.trapped
+        assert res.initials == (0.0,)
+        assert res.evaluations == 1
+        assert res.iterations == 0
+
+
+class _StubEvaluator:
+    """Exit map without a PDE: V(s_F) = f(x); data traps iff |f(x)| < trap_below."""
+
+    horizon = 0.5
+
+    def __init__(self, f, trap_below=1e-3):
+        self.f = f
+        self.trap_below = trap_below
+        self.evaluations = 0
+
+    def evaluate(self, x):
+        self.evaluations += 1
+        v = np.asarray(self.f(np.asarray(x)), dtype=float)
+        trapped = bool(np.all(np.abs(v) < self.trap_below))
+        return reduced.TrapEvaluation(exit_s=None if trapped else 0.1,
+                                      horizon_V=v, max_v2=1.0, track=None)
+
+
+class TestShootingStubs:
+    def _shoot(self, k, f):
+        ev = _StubEvaluator(f)
+        return reduced.shoot_trapped(k, 0.01, evaluator=ev, tol=1e-12), ev
+
+    def test_affine_map_secant_lands_in_one_step(self):
+        res, ev = self._shoot(2, lambda x: 2.5e11 * (x - 3e-6))
+        assert res.trapped
+        assert ev.evaluations == 3
+        assert res.iterations == 1
+        assert abs(res.initials[0] - 3e-6) < 1e-14
+
+    def test_affine_map_broyden_k3(self):
+        A = np.array([[2.0e11, 3.0e10], [-1.0e10, 5.0e11]])
+        root = np.array([2e-6, -7e-6])
+        res, ev = self._shoot(3, lambda x: A @ (x - root))
+        assert res.trapped
+        assert ev.evaluations == 4
+        assert np.allclose(res.initials, root, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("k, f", [
+        (2, lambda x: np.array([3.0])),
+        (3, lambda x: np.array([1.0, 1.0]) * (x[0] + x[1] + 1.0)),
+    ])
+    def test_v_independent_of_data_is_no_trapped_data(self, k, f):
+        with pytest.raises(NoTrappedData, match="singular"):
+            self._shoot(k, f)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_v_is_no_trapped_data(self, bad):
+        with pytest.raises(NoTrappedData, match="non-finite"):
+            self._shoot(2, lambda x: np.array([bad]))
+
+    def test_step_below_tolerance_is_no_trapped_data(self):
+        # the root itself does not trap, so the step after the one that
+        # reaches it is shorter than tol
+        ev = _StubEvaluator(lambda x: 2.5e11 * (x - 3e-6), trap_below=0.0)
+        with pytest.raises(NoTrappedData, match="below tol"):
+            reduced.shoot_trapped(2, 0.01, evaluator=ev, tol=1e-12)
+        assert ev.evaluations == 4
