@@ -13,7 +13,7 @@ solver
 modulation
     Mode decomposition, trap variables, energy and law residuals.
 reduced
-    Closed-form and RK4 reduced mode systems; trapped-data shooting.
+    Closed-form mode law, mode couplings; trapped-data shooting.
 asymptotics
     Terminal radius, rate fits, melting/freezing classification.
 cli

@@ -235,6 +235,11 @@ class BesselZero:
     r: float
     lam: float
 
+    @property
+    def boundary_slope(self) -> float:
+        """Analytic slope (-1)^j sqrt(2 lam_j) of eta_j at y = 1."""
+        return (-1.0) ** self.index * math.sqrt(2.0 * self.lam)
+
 
 def _mcmahon_guess(j: int) -> float:
     # McMahon expansion of the j-th J0 zero
@@ -295,29 +300,9 @@ def j0_zeros(count: int) -> tuple[BesselZero, ...]:
     return tuple(_zero(j) for j in range(1, count + 1))
 
 
-@dataclass
-class Eigenfunction:
-    """Normalized radial Dirichlet eigenfunction sampled on a grid.
-
-    ``boundary_slope`` is the analytic value (-1)^j sqrt(2 lam_j) of the
-    derivative at y = 1; the sampled boundary value is pinned to exactly 0.
-    """
-
-    index: int
-    lam: float
-    gridfunction: GridFunction
-
-    @property
-    def boundary_slope(self) -> float:
-        return (-1.0) ** self.index * math.sqrt(2.0 * self.lam)
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.gridfunction.values
-
-
-def eta(j: int, grid: RadialGrid, zeros: Sequence[BesselZero] | None = None) -> Eigenfunction:
-    """Sample eta_j(y) = sqrt(2) J0(y r_j) / |J0'(r_j)| on ``grid``."""
+def eta(j: int, grid: RadialGrid, zeros: Sequence[BesselZero] | None = None) -> GridFunction:
+    """Sample eta_j(y) = sqrt(2) J0(y r_j) / |J0'(r_j)| on ``grid``; the
+    boundary sample is pinned to exactly 0."""
     if zeros is None:
         zeros = j0_zeros(j)
     if j < 1 or j > len(zeros):
@@ -325,7 +310,7 @@ def eta(j: int, grid: RadialGrid, zeros: Sequence[BesselZero] | None = None) -> 
     z = zeros[j - 1]
     vals = math.sqrt(2.0) * j0(grid.y * z.r) / abs(j1(z.r))
     vals[-1] = 0.0
-    return Eigenfunction(index=j, lam=z.lam, gridfunction=GridFunction(grid, vals))
+    return GridFunction(grid, vals)
 
 
 @functools.lru_cache(maxsize=None)
@@ -371,5 +356,5 @@ def zeros_to_csv(path, zeros: Sequence[BesselZero]):
         wr = csv.writer(fh)
         wr.writerow(["j", "r_j", "lambda_j", "boundary_slope"])
         for z in zeros:
-            slope = (-1.0) ** z.index * math.sqrt(2.0 * z.lam)
-            wr.writerow([z.index, repr(z.r), repr(z.lam), repr(slope)])
+            wr.writerow([z.index, repr(z.r), repr(z.lam),
+                         repr(z.boundary_slope)])

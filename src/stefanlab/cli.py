@@ -108,7 +108,7 @@ def cmd_spectrum(cfg: ScenarioConfig) -> int:
     quad = grid if grid.n >= 1024 else RadialGrid(1024)
     w0 = WeightParam(0.0)
     etas = [bessel.eta(j, quad, zeros) for j in range(1, 9)]
-    ortho = max(abs(inner_b(etas[i].gridfunction, etas[j].gridfunction, w0)
+    ortho = max(abs(inner_b(etas[i], etas[j], w0)
                     - (1.0 if i == j else 0.0))
                 for i in range(8) for j in range(8))
     checks["orthonormality_1e-8"] = ortho <= 1e-8

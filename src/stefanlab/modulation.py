@@ -95,22 +95,6 @@ class ModulationState:
     eps: GridFunction
     energy: float
     V: np.ndarray
-    a: float
-    ortho_defect: float
-
-
-@dataclass
-class ModDiagnostics:
-    """Finite-differenced residuals of the leading mode laws.
-
-    All quantities are reported, not asserted: the implicit constants of the
-    remainder bounds are unknown.  ``ratios`` normalizes the residual by the
-    predicted remainder scale (|b_1|^{5/2} for k = 1, b |b_k| for k > 1).
-    """
-
-    s: np.ndarray
-    residuals: np.ndarray     # (n_interior, k)
-    ratios: np.ndarray        # (n_interior,)
 
 
 def _weighted_gram(psis: np.ndarray, grid: RadialGrid, w: WeightParam) -> np.ndarray:
@@ -138,7 +122,6 @@ def decompose(v: GridFunction, s: float, k: int, w: WeightParam,
     eps_vals = v.values - basis.psis @ coeffs
     eps_vals[-1] = 0.0
     eps = GridFunction(v.grid, eps_vals)
-    defect = float(np.max(np.abs(basis.psis.T @ (wv * eps_vals))))
     V = coeffs[: k - 1]
     if k > 1:
         zeros = bessel.j0_zeros(k)
@@ -150,8 +133,7 @@ def decompose(v: GridFunction, s: float, k: int, w: WeightParam,
     # the basis operator is H_b only when it was solved at exactly this b
     op = basis.operator if basis.b == w.b else None
     return ModulationState(s=s, k=k, b=w.b, coeffs=coeffs, eps=eps,
-                           energy=energy_of(eps, w, op), V=V,
-                           a=float("nan"), ortho_defect=defect)
+                           energy=energy_of(eps, w, op), V=V)
 
 
 def energy_of(eps: GridFunction, w: WeightParam,
@@ -213,29 +195,19 @@ def build_profile(grid: RadialGrid, w: WeightParam, coeffs) -> GridFunction:
     return GridFunction(grid, vals)
 
 
-def boundary_law_defect(a: float, ms: ModulationState, zeros=None) -> float:
-    """|a - leading boundary law| for the tracked mode.
-
-    Ground mode: a = -sqrt(2 lam_1) b_1 (defect expected O(|b_1|^{3/2}));
-    higher modes: a = (-1)^k sqrt(2 lam_k) b_k (defect expected O(b))."""
-    k = ms.k
-    if zeros is None:
-        zeros = bessel.j0_zeros(k)
-    lam_k = zeros[k - 1].lam
-    b_k = ms.coeffs[k - 1]
-    law = (-1.0) ** k * math.sqrt(2.0 * lam_k) * b_k
-    return abs(a - law)
-
-
 def modulation_residual(states: list[ModulationState], dt_s: float,
-                        zeros=None) -> ModDiagnostics:
-    """Centered-difference residuals of the leading mode laws.
+                        zeros=None) -> np.ndarray:
+    """Centered-difference residuals of the leading mode laws, one row of k
+    per state.
 
-    Needs at least 3 consecutive states recorded at uniform spacing
-    ``dt_s``.  For the ground mode the residual is
-    |(b_1)_s + lam_1 b_1 + sqrt(2 lam_1) b_1^2| and the ratio divides by
-    |b_1|^{5/2}; for k > 1 each lower mode includes the forced quadratic
-    term with its coupling coefficient and the ratio divides by b |b_k|.
+    Needs at least 3 states recorded at the cadence ``dt_s``.  A row is NaN
+    where the state's neighbours are not one cadence away on each side: the
+    first and last states, and the one before a closing record taken between
+    cadence points.  For the ground mode the residual is
+    |(b_1)_s + lam_1 b_1 + sqrt(2 lam_1) b_1^2|; for k > 1 each lower mode
+    includes the forced quadratic term with its coupling coefficient.  The
+    residuals are reported, not asserted: the implicit constants of the
+    remainder bounds are unknown.
     """
     if len(states) < 3:
         raise InsufficientHistory("need >= 3 states for centered differences")
@@ -247,38 +219,36 @@ def modulation_residual(states: list[ModulationState], dt_s: float,
     gcoef = (np.array([bessel.scaling_coefficient(k, j, grid, zeros)
                        for j in range(1, k)]) if k > 1 else np.zeros(0))
     B = np.vstack([st.coeffs for st in states])
-    bpar = np.array([st.b for st in states])
     s_arr = np.array([st.s for st in states])
     dB = (B[2:] - B[:-2]) / (2.0 * dt_s)
-    mid = slice(1, -1)
-    Bm = B[mid]
-    res = np.empty_like(dB)
+    Bm = B[1:-1]
+    res = np.full(B.shape, np.nan)
+    mid = res[1:-1]
     c_k = math.sqrt(2.0 * lam[k - 1])
-    res[:, k - 1] = np.abs(dB[:, k - 1] + lam[k - 1] * Bm[:, k - 1]
+    mid[:, k - 1] = np.abs(dB[:, k - 1] + lam[k - 1] * Bm[:, k - 1]
                            + (-1.0) ** (k + 1) * c_k * Bm[:, k - 1] ** 2)
     for j in range(1, k):
-        res[:, j - 1] = np.abs(dB[:, j - 1] + lam[j - 1] * Bm[:, j - 1]
+        mid[:, j - 1] = np.abs(dB[:, j - 1] + lam[j - 1] * Bm[:, j - 1]
                                + (-1.0) ** k * c_k * Bm[:, k - 1] ** 2
                                * gcoef[j - 1])
-    if k == 1:
-        ratios = res[:, 0] / np.maximum(np.abs(Bm[:, 0]) ** 2.5, 1e-300)
-    else:
-        ratios = res.sum(axis=1) / np.maximum(
-            np.abs(bpar[mid]) * np.abs(Bm[:, k - 1]), 1e-300)
-    return ModDiagnostics(s=s_arr[mid], residuals=res, ratios=ratios)
+    # an off-cadence record is at least one step short of the cadence, far
+    # beyond the round-off of the summed steps between records
+    mid[np.abs(s_arr[2:] - s_arr[:-2] - 2.0 * dt_s) > 1e-6 * dt_s] = np.nan
+    return res
 
 
 @dataclass
 class TrackResult:
     """Per-record decompositions of a run plus summary diagnostics.
 
+    ``residuals`` holds the mode-law residuals of each state (see
+    :func:`modulation_residual`; all NaN when they were not computed), and
     ``n_basis_refreshes`` counts the eigensolves the tracking performed.
     """
 
     k: int
     states: list[ModulationState]
-    diagnostics: ModDiagnostics | None
-    record_ds: float
+    residuals: np.ndarray     # (n_states, k)
     n_basis_refreshes: int
 
     def coeff_array(self) -> np.ndarray:
@@ -292,15 +262,9 @@ class TrackResult:
                     + ["E"] + [f"V_{j}" for j in range(1, k)]
                     + [f"residual_{j}" for j in range(1, k + 1)])
             wr.writerow(head)
-            res_by_s = {}
-            if self.diagnostics is not None:
-                for i, s in enumerate(self.diagnostics.s):
-                    res_by_s[round(float(s), 12)] = self.diagnostics.residuals[i]
-            for st in self.states:
-                res = res_by_s.get(round(st.s, 12))
-                res_cols = (list(res) if res is not None else [float("nan")] * k)
+            for st, res in zip(self.states, self.residuals):
                 row = ([st.s, st.b] + list(st.coeffs) + [st.energy]
-                       + list(st.V) + res_cols)
+                       + list(st.V) + list(res))
                 wr.writerow([repr(float(x)) for x in row])
 
 
@@ -317,28 +281,26 @@ def track_run(series: TimeSeries, k: int,
     ``basis_cache`` (see :func:`scheduled_basis`), which can be shared
     across runs of the same family.
     """
-    if not series.snapshots:
-        raise ValueError("run was recorded without snapshots")
     grid = series.grid
     cache = basis_cache if basis_cache is not None else {}
     n_cached = len(cache)
     states: list[ModulationState] = []
     n_solves = 0
     b, basis = None, None
-    for i, s in enumerate(map(float, series.s)):
-        v = GridFunction(grid, series.snapshots[i])
+    for s, snapshot in zip(map(float, series.s), series.snapshots):
+        v = GridFunction(grid, snapshot)
         if k == 1:
             b, basis, solves = self_consistent_b1(v, initial=b, basis=basis)
             n_solves += solves
         else:
             basis = scheduled_basis(cache, grid, k, s, amplitude)
-        ms = decompose(v, s, k, WeightParam(basis.b), basis=basis)
-        ms.a = float(series.a[i])
-        states.append(ms)
+        states.append(decompose(v, s, k, WeightParam(basis.b), basis=basis))
     n_solves += len(cache) - n_cached
 
-    dt = float(series.s[1] - series.s[0]) if len(series.s) > 1 else float("nan")
-    diagnostics = (modulation_residual(states, dt)
-                   if with_residuals and len(states) >= 3 else None)
-    return TrackResult(k=k, states=states, diagnostics=diagnostics,
-                       record_ds=dt, n_basis_refreshes=n_solves)
+    if with_residuals and len(states) >= 3:
+        residuals = modulation_residual(states,
+                                        float(series.s[1] - series.s[0]))
+    else:
+        residuals = np.full((len(states), k), np.nan)
+    return TrackResult(k=k, states=states, residuals=residuals,
+                       n_basis_refreshes=n_solves)

@@ -1,4 +1,4 @@
-"""Finite-dimensional mode dynamics: closed forms, RK4, and trap shooting.
+"""Finite-dimensional mode dynamics: closed forms and trap shooting.
 
 The tracked mode obeys the quadratic law
 
@@ -9,8 +9,7 @@ linearly damped and quadratically forced,
 
     b_j' = -lam_j b_j - (-1)^k sqrt(2 lam_k) b_k^2 g_jk,
 
-with coupling coefficients g_jk = <y eta_k', eta_j>_0 from quadrature.  The
-full system (with the remainder terms dropped) integrates by fixed-step RK4.
+with coupling coefficients g_jk = <y eta_k', eta_j>_0 from quadrature.
 
 For k > 1 the lower modes are exponentially unstable against the rescaled
 trap variables V.  Trapped initial data for the full PDE evolution is the
@@ -109,52 +108,10 @@ def coupling_coefficients(k: int, grid: RadialGrid | None = None,
                      for j in range(1, k)])
 
 
-def integrate_system(k: int, b0, s_max: float, ds: float = 1e-3,
-                     quadratic: bool = True,
-                     grid: RadialGrid | None = None):
-    """Fixed-step RK4 on the k-mode leading system.
-
-    ``b0`` is the initial coefficient vector (b_1 .. b_k).  With
-    ``quadratic=False`` the forcing terms are dropped and the modes decay as
-    pure exponentials (a linearization check).  Returns (s_grid, B) with B
-    of shape (n_steps + 1, k).
-    """
-    b0 = np.asarray(b0, dtype=float)
-    if b0.shape != (k,):
-        raise ValueError(f"need {k} initial coefficients")
-    zeros = bessel.j0_zeros(k)
-    lam = np.array([z.lam for z in zeros])
-    c_k = math.sqrt(2.0 * lam[k - 1])
-    sigma = (-1.0) ** (k + 1)
-    g = coupling_coefficients(k, grid, zeros) if k > 1 else np.zeros(0)
-
-    def rhs(B):
-        out = -lam * B
-        if quadratic:
-            bk2 = B[k - 1] ** 2
-            out[k - 1] -= sigma * c_k * bk2
-            if k > 1:
-                out[: k - 1] -= (-1.0) ** k * c_k * bk2 * g
-        return out
-
-    n = int(round(s_max / ds))
-    S = np.linspace(0.0, n * ds, n + 1)
-    B = np.empty((n + 1, k))
-    B[0] = b0
-    y = b0.copy()
-    for i in range(n):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * ds * k1)
-        k3 = rhs(y + 0.5 * ds * k2)
-        k4 = rhs(y + ds * k3)
-        y = y + (ds / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        B[i + 1] = y
-    return S, B
-
-
 @dataclass
 class ShootingResult:
-    """Outcome of the trapped-data search."""
+    """Outcome of the trapped-data search, with the evaluation that
+    certified the trap (not serialized)."""
 
     k: int
     b_k0: float
@@ -165,6 +122,7 @@ class ShootingResult:
     tol: float
     iterations: int
     evaluations: int
+    certificate: TrapEvaluation
 
     @property
     def trapped(self) -> bool:
@@ -320,7 +278,8 @@ def shoot_trapped(k: int, b_k0: float, ceiling: float = TRAP_CEILING,
                               initials=tuple(float(v) for v in x),
                               exit_s=None, max_v2=ev.max_v2,
                               ceiling=ceiling, tol=tol, iterations=updates,
-                              evaluations=evaluator.evaluations - first)
+                              evaluations=evaluator.evaluations - first,
+                              certificate=ev)
 
     x = np.zeros(k - 1)
     probes = []

@@ -175,8 +175,7 @@ class TimeSeries:
 
 def run(v0: GridFunction, ds: float, s_max: float,
         record_ds: float = 2e-3, mass_tol: float = 1e-6,
-        norm_floor: float = NORM_FLOOR,
-        keep_snapshots: bool = True) -> TimeSeries:
+        norm_floor: float = NORM_FLOOR) -> TimeSeries:
     """Integrate the renormalized flow until s_max or the norm floor.
 
     The mass invariant is checked at every record; drifting past
@@ -203,8 +202,7 @@ def run(v0: GridFunction, ds: float, s_max: float,
         m = mass(state)
         rec["mass"].append(m)
         rec["vnorm"].append(vnorm(state))
-        if keep_snapshots:
-            snaps.append(state.v.values.copy())
+        snaps.append(state.v.values.copy())
         drift = abs(m - m0) / abs(m0)
         if drift > mass_tol:
             raise ConservationError(

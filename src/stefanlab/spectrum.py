@@ -184,7 +184,6 @@ class PerturbationReport:
     lam_values: np.ndarray
     slope: float
     residual_order: float
-    defects: np.ndarray
     mu_hat: dict[float, np.ndarray]
     mu_model: dict[float, np.ndarray]
     mu_db_fd: np.ndarray
@@ -230,7 +229,6 @@ def perturbation_sweep(grid: RadialGrid, k: int, b_values) -> PerturbationReport
                 for j in range(1, k)
             ])
     lam_vals = np.asarray(lam_vals)
-    defects = np.asarray(defects)
     slope = float(np.polyfit(bs, lam_vals, 1)[0])
     order = float(np.polyfit(np.log(np.abs(bs)), np.log(np.abs(defects)), 1)[0])
     # finite-difference estimate of d mu / d b between the two largest |b|
@@ -245,7 +243,7 @@ def perturbation_sweep(grid: RadialGrid, k: int, b_values) -> PerturbationReport
         mu_db_model = np.zeros(0)
     return PerturbationReport(
         k=k, b_values=bs, lam_values=lam_vals, slope=slope,
-        residual_order=order, defects=defects, mu_hat=mu_hat,
+        residual_order=order, mu_hat=mu_hat,
         mu_model=mu_model, mu_db_fd=mu_db_fd, mu_db_model=mu_db_model,
         boundary_slopes=np.asarray(slopes), residuals=np.asarray(residuals),
     )

@@ -68,32 +68,22 @@ class VerificationContext:
             return spectrum.eigenpairs(self.grid(n), WeightParam(b), kmax)
         return self._get(("eigen", n, round(b, 12), kmax), build)
 
-    def k1_run(self, sign: int):
+    def k1_run(self, sign: int, n: int = 1024):
         def build():
-            grid = self.grid(1024)
+            grid = self.grid(n)
             b0 = sign * K1_B0
             w = WeightParam(b0)
             v0 = modulation.build_profile(grid, w, [b0])
             u0i = asymptotics.u0_disk_integral(v0)
             ts = solver.run(v0, ds=solver.default_ds(grid, 1), s_max=6.0)
             return ts, u0i
-        return self._get(("k1_run", sign), build)
+        return self._get(("k1_run", sign, n), build)
 
     def k1_track(self, sign: int):
         def build():
             ts, _ = self.k1_run(sign)
             return modulation.track_run(ts, 1)
         return self._get(("k1_track", sign), build)
-
-    def k1_run_2048(self):
-        def build():
-            grid = self.grid(2048)
-            b0 = -K1_B0
-            w = WeightParam(b0)
-            v0 = modulation.build_profile(grid, w, [b0])
-            ts = solver.run(v0, ds=solver.default_ds(grid, 1), s_max=6.0)
-            return ts
-        return self._get(("k1_run_2048",), build)
 
     def k2_family(self, sign: int = 1):
         """Shoot for trapped data and build the fit run at the same resolution."""
@@ -102,7 +92,6 @@ class VerificationContext:
             b20 = sign * K2_B0
             ev = reduced.TrapEvaluator(2, b20, grid)
             result = reduced.shoot_trapped(2, b20, grid=grid, evaluator=ev)
-            trapped = ev.evaluate(np.array(result.initials))
             v0 = ev.initial_profile(np.array(result.initials))
             u0i = asymptotics.u0_disk_integral(v0)
             fit_ts = solver.run(v0, ds=ev.ds, s_max=0.85, record_ds=2e-3,
@@ -110,7 +99,6 @@ class VerificationContext:
             return {
                 "evaluator": ev,
                 "result": result,
-                "trapped_eval": trapped,
                 "fit_ts": fit_ts,
                 "u0_integral": u0i,
             }
@@ -212,7 +200,7 @@ def criterion_3(ctx: VerificationContext) -> CriterionResult:
     worst_ratio = 0.0
     rel_consts = []
     for k in (1, 2, 3):
-        target = (-1.0) ** k * math.sqrt(2.0 * zeros[k - 1].lam)
+        target = zeros[k - 1].boundary_slope
         for b in (-0.02, -0.01, -0.005, 0.005, 0.01, 0.02):
             pair = ctx.eigen(1024, b, k)[k - 1]
             defect = abs(pair.boundary_slope - target)
@@ -255,7 +243,7 @@ def criterion_5(ctx: VerificationContext) -> CriterionResult:
     t0 = time.perf_counter()
     d_pos = _drift(ctx.k1_run(+1)[0])
     d_neg = _drift(ctx.k1_run(-1)[0])
-    d_2048 = _drift(ctx.k1_run_2048())
+    d_2048 = _drift(ctx.k1_run(-1, 2048)[0])
     ratio = d_neg / d_2048 if d_2048 > 0 else math.inf
     ok = d_pos <= 1e-6 and d_neg <= 1e-6 and ratio >= 3.0
     dt = time.perf_counter() - t0
@@ -382,7 +370,7 @@ def criterion_10(ctx: VerificationContext) -> CriterionResult:
         ok = ok and good
         rows.append(f"k=1 b0={sign * K1_B0:+.3f}: E/|b1|^3 {info}")
     fam = ctx.k2_family(+1)
-    track2 = fam["trapped_eval"].track
+    track2 = fam["result"].certificate.track
     b_sched = np.array([st.b for st in track2.states])
     energy2 = np.array([st.energy for st in track2.states])
     mask2 = b_sched >= modulation.B_FREEZE

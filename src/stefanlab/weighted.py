@@ -1,8 +1,8 @@
 """Gaussian-weighted radial geometry on the unit disk.
 
 Carries the uniform radial grid, the drift weight rho_b(y) = exp(-b y^2 / 2),
-the weighted inner product <f, g>_b = int_0^1 f g rho_b y dy, the associated
-L2/H1 norms, and the scaling operator  f -> y f'(y).
+the weighted inner product <f, g>_b = int_0^1 f g rho_b y dy and its L2
+norm, the 4th-order derivative stencils and the one-sided boundary slope.
 
 All quadrature is composite Simpson on the grid nodes (O(h^4) on smooth
 integrands); derivatives use 4th-order stencils so that quadrature error,
@@ -68,9 +68,10 @@ class WeightParam:
             raise ValueError(f"|b| must be < {B_CAP}, got {self.b}")
         if abs(self.b) > B_WARN:
             warnings.warn(
-                f"drift parameter |b|={abs(self.b):.3g} > {B_WARN}; "
+                f"drift parameter |b|={float(abs(self.b))!r} > {B_WARN}; "
                 "expansions degrade in this range",
-                stacklevel=2,
+                # past __post_init__ and the generated __init__ to the caller
+                stacklevel=3,
             )
 
     def rho(self, y: np.ndarray) -> np.ndarray:
@@ -143,17 +144,3 @@ def end_slope(values: np.ndarray, h: float) -> float:
     """4-point one-sided O(h^3) estimate of the derivative at y = 1."""
     return float((11.0 * values[-1] - 18.0 * values[-2]
                   + 9.0 * values[-3] - 2.0 * values[-4]) / (6.0 * h))
-
-
-def lambda_op(f: GridFunction) -> GridFunction:
-    """Scaling operator y d/dy applied to f; exactly zero at the origin."""
-    return GridFunction(f.grid, f.grid.y * deriv_values(f.values, f.grid.h),
-                        dirichlet=False)
-
-
-def h1b_norm(f: GridFunction, w: WeightParam) -> float:
-    """sqrt(||f'||_{L2_b}^2 + ||f||_{L2_b}^2) for a Dirichlet grid function."""
-    if not f.dirichlet:
-        raise ValueError("h1b_norm expects a Dirichlet-tagged grid function")
-    df = deriv(f)
-    return float(np.sqrt(inner_b(df, df, w) + inner_b(f, f, w)))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from stefanlab import bessel
-from stefanlab.weighted import RadialGrid, WeightParam, inner_b, lambda_op
+from stefanlab.weighted import RadialGrid, WeightParam, deriv_values, inner_b
 
 W0 = WeightParam(0.0)
 
@@ -163,18 +163,17 @@ class TestEigenfunctions:
 
     def test_normalization(self, grid1024, zeros12):
         e1 = bessel.eta(1, grid1024, zeros12)
-        assert abs(inner_b(e1.gridfunction, e1.gridfunction, W0) - 1.0) < 1e-8
+        assert abs(inner_b(e1, e1, W0) - 1.0) < 1e-8
 
-    def test_boundary_slope_analytic(self, grid1024, zeros12):
-        e1 = bessel.eta(1, grid1024, zeros12)
-        assert abs(e1.boundary_slope + math.sqrt(2 * LAM1)) < 1e-12
+    def test_boundary_slope_analytic(self, zeros12):
+        assert abs(zeros12[0].boundary_slope + math.sqrt(2 * LAM1)) < 1e-12
 
     def test_index_out_of_range(self, grid1024, zeros12):
         with pytest.raises(IndexError):
             bessel.eta(13, grid1024, zeros12)
 
     def test_orthonormality_8x8(self, grid1024, zeros12):
-        etas = [bessel.eta(j, grid1024, zeros12).gridfunction
+        etas = [bessel.eta(j, grid1024, zeros12)
                 for j in range(1, 9)]
         worst = max(
             abs(inner_b(etas[i], etas[j], W0) - (1.0 if i == j else 0.0))
@@ -191,10 +190,11 @@ class TestEigenfunctions:
     def test_sign_alternation(self, grid1024, zeros12):
         for j in range(1, 9):
             e = bessel.eta(j, grid1024, zeros12)
-            assert math.copysign(1.0, e.boundary_slope) == (-1.0) ** j
+            slope = zeros12[j - 1].boundary_slope
+            assert math.copysign(1.0, slope) == (-1.0) ** j
             # the sampled profile agrees with the analytic slope near y = 1
-            fd = lambda_op(e.gridfunction).values[-1]
-            assert abs(fd - e.boundary_slope) < 1e-5
+            fd = (grid1024.y * deriv_values(e.values, grid1024.h))[-1]
+            assert abs(fd - slope) < 1e-5
 
     def test_ode_residual_second_order(self, zeros12):
         # y eta'' + eta' + lam y eta = 0 pointwise to O(h^2), central stencils
@@ -202,12 +202,11 @@ class TestEigenfunctions:
         for n in (256, 512):
             grid = RadialGrid(n)
             h = grid.h
-            e = bessel.eta(3, grid, zeros12)
-            v = e.values
+            v = bessel.eta(3, grid, zeros12).values
             y = grid.y
             d1 = (v[2:] - v[:-2]) / (2 * h)
             d2 = (v[2:] - 2 * v[1:-1] + v[:-2]) / h ** 2
-            resid = y[1:-1] * d2 + d1 + e.lam * y[1:-1] * v[1:-1]
+            resid = y[1:-1] * d2 + d1 + zeros12[2].lam * y[1:-1] * v[1:-1]
             defects.append(np.max(np.abs(resid)))
         order = math.log2(defects[0] / defects[1])
         assert 1.8 <= order <= 2.2

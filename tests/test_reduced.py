@@ -1,4 +1,4 @@
-"""Closed-form mode law, RK4 system, and trapped-data shooting."""
+"""Closed-form mode law, mode couplings, and trapped-data shooting."""
 
 import json
 import math
@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from stefanlab import reduced
+from stefanlab import reduced, verify
 from stefanlab.errors import NoTrappedData, PoleCrossing
 from stefanlab.weighted import RadialGrid
 
@@ -21,12 +21,12 @@ class TestRiccatiExact:
             reduced.RiccatiParams.for_mode(1, 0.06)
 
     def test_matches_rk4_small_step(self, zeros12):
+        # against criterion 11's RK4 oracle
         p = reduced.RiccatiParams.for_mode(1, 0.01, zeros12)
         s_grid = np.linspace(0.0, 1.0, 11)
-        _, traj = reduced.integrate_system(1, [0.01], 1.0, ds=1e-4)
-        sampled = traj[::1000, 0]
+        rk4 = verify._rk4_mode_law(p.lam_k, p.sigma, p.b0, s_grid, 1e-4)
         exact = reduced.riccati_exact(p, s_grid)
-        assert np.max(np.abs(sampled - exact)) < 1e-10
+        assert np.max(np.abs(rk4 - exact)) < 1e-10
 
     def test_normalized_limit_constant(self, zeros12):
         # e^{lam s} b(s) approaches 1 / (1/b0 + sigma c / lam)
@@ -52,35 +52,6 @@ class TestRiccatiExact:
             reduced.riccati_exact(p, 2.0)
 
 
-class TestIntegrateSystem:
-    def test_zero_stays_zero(self):
-        _, traj = reduced.integrate_system(2, [0.0, 0.0], 0.5)
-        assert np.max(np.abs(traj)) == 0.0
-
-    def test_driven_mode_matches_closed_form(self, zeros12):
-        s_grid, traj = reduced.integrate_system(2, [0.0, 0.01], 1.0, ds=1e-3)
-        p = reduced.RiccatiParams.for_mode(2, 0.01, zeros12)
-        exact = reduced.riccati_exact(p, s_grid)
-        assert np.max(np.abs(traj[:, 1] - exact)) < 1e-8
-
-    def test_linearized_modes_decouple(self, zeros12):
-        b0 = [0.002, 0.01]
-        s_grid, traj = reduced.integrate_system(2, b0, 0.5, ds=1e-3,
-                                                quadratic=False)
-        for j in (0, 1):
-            expect = b0[j] * np.exp(-zeros12[j].lam * s_grid)
-            assert np.max(np.abs(traj[:, j] - expect)) < 1e-9
-
-    def test_lower_mode_forced_at_quadratic_order(self, zeros12):
-        _, traj = reduced.integrate_system(2, [0.0, 0.01], 0.3, ds=1e-3)
-        peak = np.max(np.abs(traj[:, 0]))
-        assert 0.0 < peak < 5.0 * 0.01 ** 2
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            reduced.integrate_system(2, [0.01], 1.0)
-
-
 class TestCouplings:
     def test_closed_form_oracle(self, grid1024, zeros12):
         g = reduced.coupling_coefficients(3, grid1024, zeros12)
@@ -104,7 +75,7 @@ class TestShootingK2:
         assert res.max_v2 <= res.ceiling ** 2
 
     def test_trap_certificate(self, k2_shot):
-        ev = k2_shot["trapped_eval"]
+        ev = k2_shot["result"].certificate
         assert ev.exit_s is None
         assert ev.max_v2 <= 1.0
 
@@ -123,7 +94,7 @@ class TestShootingK2:
         res = k2_shot["result"]
         assert res.evaluations <= 6
         assert res.iterations <= res.evaluations - 2
-        assert abs(k2_shot["trapped_eval"].horizon_V[0]) < 1e-3
+        assert abs(k2_shot["result"].certificate.horizon_V[0]) < 1e-3
 
     def test_json_record(self, k2_shot, tmp_path):
         res = k2_shot["result"]
@@ -255,3 +226,17 @@ class TestShootingStubs:
         with pytest.raises(NoTrappedData, match="below tol"):
             reduced.shoot_trapped(2, 0.01, evaluator=ev, tol=1e-12)
         assert ev.evaluations == 4
+
+    def test_family_reuses_the_certifying_evaluation(self, monkeypatch):
+        # the verification family takes its trapped run from the search
+        # instead of evaluating the certified datum again
+        stub = _StubEvaluator(lambda x: 2.5e11 * (x - 3e-6))
+
+        def evaluate(self, x):
+            self.evaluations += 1
+            return stub.evaluate(x)
+
+        monkeypatch.setattr(reduced.TrapEvaluator, "evaluate", evaluate)
+        fam = verify.VerificationContext().k2_family(+1)
+        assert fam["evaluator"].evaluations == fam["result"].evaluations == 3
+        assert fam["result"].certificate.exit_s is None

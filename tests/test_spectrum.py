@@ -55,7 +55,7 @@ class TestEigenpairs:
     def test_unperturbed_vectors_match_eta(self, grid1024, zeros12):
         pairs = spectrum.eigenpairs(grid1024, W0, 3)
         for k, pair in enumerate(pairs, start=1):
-            ek = bessel.eta(k, grid1024, zeros12).gridfunction
+            ek = bessel.eta(k, grid1024, zeros12)
             diff = GridFunction(grid1024, pair.psi.values - ek.values)
             assert norm_b(diff, W0) <= 200 * zeros12[k - 1].lam * grid1024.h ** 2
 
@@ -64,7 +64,7 @@ class TestEigenpairs:
             for k, pair in enumerate(ctx.eigen(1024, b, 3), start=1):
                 w = WeightParam(b)
                 assert abs(norm_b(pair.psi, w) - 1.0) <= 1e-12
-                ek = bessel.eta(k, grid1024, zeros12).gridfunction
+                ek = bessel.eta(k, grid1024, zeros12)
                 assert inner_b(pair.psi, ek, w) > 0.0
                 assert pair.residual <= 1e-8
 
@@ -73,7 +73,7 @@ class TestEigenpairs:
         for b in (0.01, -0.02):
             w = WeightParam(b)
             for k, pair in enumerate(ctx.eigen(1024, b, 3), start=1):
-                ek = bessel.eta(k, grid1024, zeros12).gridfunction
+                ek = bessel.eta(k, grid1024, zeros12)
                 assert abs(inner_b(pair.psi, ek, w) - 1.0) <= 5 * abs(b)
 
     def test_ground_state_positive(self, ctx):
@@ -162,7 +162,7 @@ class TestSpectralGap:
         assert val >= zeros12[1].lam - 0.1
 
     def test_sharpness_witness(self, grid1024, zeros12):
-        e2 = bessel.eta(2, grid1024, zeros12).gridfunction
+        e2 = bessel.eta(2, grid1024, zeros12)
         q = spectrum.rayleigh_quotient(e2, W0)
         assert abs(q - zeros12[1].lam) <= 0.05
 
