@@ -300,14 +300,11 @@ def j0_zeros(count: int) -> tuple[BesselZero, ...]:
     return tuple(_zero(j) for j in range(1, count + 1))
 
 
-def eta(j: int, grid: RadialGrid, zeros: Sequence[BesselZero] | None = None) -> GridFunction:
+def eta(j: int, grid: RadialGrid) -> GridFunction:
     """Sample eta_j(y) = sqrt(2) J0(y r_j) / |J0'(r_j)| on ``grid``; the
-    boundary sample is pinned to exactly 0."""
-    if zeros is None:
-        zeros = j0_zeros(j)
-    if j < 1 or j > len(zeros):
-        raise IndexError(f"eigenfunction index {j} outside precomputed zeros")
-    z = zeros[j - 1]
+    boundary sample is pinned to exactly 0.  Raises ``ValueError`` for j
+    outside [1, 64], as :func:`j0_zeros` does."""
+    z = j0_zeros(j)[-1]
     vals = math.sqrt(2.0) * j0(grid.y * z.r) / abs(j1(z.r))
     vals[-1] = 0.0
     return GridFunction(grid, vals)
@@ -324,28 +321,22 @@ def eta_samples(j: int, grid: RadialGrid) -> np.ndarray:
     return np.frombuffer(eta(j, grid).values.tobytes(), dtype=float)
 
 
-def eta_deriv(j: int, grid: RadialGrid, zeros: Sequence[BesselZero] | None = None) -> GridFunction:
-    """Analytic derivative of eta_j: sqrt(2) r_j J0'(y r_j) / |J0'(r_j)|."""
-    if zeros is None:
-        zeros = j0_zeros(j)
-    if j < 1 or j > len(zeros):
-        raise IndexError(f"eigenfunction index {j} outside precomputed zeros")
-    z = zeros[j - 1]
+def eta_deriv(j: int, grid: RadialGrid) -> GridFunction:
+    """Analytic derivative of eta_j: sqrt(2) r_j J0'(y r_j) / |J0'(r_j)|;
+    j in [1, 64] as for :func:`eta`."""
+    z = j0_zeros(j)[-1]
     vals = math.sqrt(2.0) * z.r * j0_prime(grid.y * z.r) / abs(j1(z.r))
     return GridFunction(grid, vals, dirichlet=False)
 
 
-def scaling_coefficient(k: int, j: int, grid: RadialGrid,
-                        zeros: Sequence[BesselZero] | None = None) -> float:
+def scaling_coefficient(k: int, j: int, grid: RadialGrid) -> float:
     """Quadrature value of <y eta_k', eta_j>_0 (Simpson, analytic derivative).
 
     Equals -1 for j = k; for j != k it feeds the coupling coefficients of the
     reduced mode system.
     """
-    if zeros is None:
-        zeros = j0_zeros(max(k, j))
-    ek_d = eta_deriv(k, grid, zeros)
-    ej = eta(j, grid, zeros)
+    ek_d = eta_deriv(k, grid)
+    ej = eta(j, grid)
     w = grid.simpson
     return float(np.sum(w * grid.y * ek_d.values * ej.values * grid.y))
 

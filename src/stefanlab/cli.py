@@ -107,14 +107,14 @@ def cmd_spectrum(cfg: ScenarioConfig) -> int:
     # error (~ h^4 r_j^4) exceeds 1e-8 on 512 intervals
     quad = grid if grid.n >= 1024 else RadialGrid(1024)
     w0 = WeightParam(0.0)
-    etas = [bessel.eta(j, quad, zeros) for j in range(1, 9)]
+    etas = [bessel.eta(j, quad) for j in range(1, 9)]
     ortho = max(abs(inner_b(etas[i], etas[j], w0)
                     - (1.0 if i == j else 0.0))
                 for i in range(8) for j in range(8))
     checks["orthonormality_1e-8"] = ortho <= 1e-8
     # the k = 8 identity needs the finer quadrature (Simpson error ~ h^4 r_k^4)
     fine = grid if grid.n >= 2048 else RadialGrid(2048)
-    scaling = max(abs(bessel.scaling_coefficient(kk, kk, fine, zeros) + 1.0)
+    scaling = max(abs(bessel.scaling_coefficient(kk, kk, fine) + 1.0)
                   for kk in range(1, 9))
     checks["scaling_identity_1e-8"] = scaling <= 1e-8
     checks["sweep_slope_near_minus_one"] = all(
@@ -149,27 +149,20 @@ def cmd_spectrum(cfg: ScenarioConfig) -> int:
     return 0 if ok else 2
 
 
-def _initial_profile(cfg: ScenarioConfig):
-    grid = RadialGrid(cfg.grid_n)
-    if cfg.k == 1:
-        w = WeightParam(cfg.b0)
-        return grid, modulation.build_profile(grid, w, [cfg.b0])
-    if not cfg.lower_modes:
+def cmd_run(cfg: ScenarioConfig) -> int:
+    if cfg.k > 1 and not cfg.lower_modes:
         raise ConfigError(
             "k > 1 runs need lower_modes (run 'shoot' first or pass "
             "--lower/--shoot-file)"
         )
-    b_init = modulation.adiabatic_b(0.0, cfg.k, cfg.amplitude)
-    w = WeightParam(b_init)
-    coeffs = list(cfg.lower_modes) + [cfg.b0]
-    return grid, modulation.build_profile(grid, w, coeffs)
-
-
-def cmd_run(cfg: ScenarioConfig) -> int:
-    grid, v0 = _initial_profile(cfg)
+    grid = RadialGrid(cfg.grid_n)
+    v0 = modulation.build_profile(grid, cfg.k, [*cfg.lower_modes, cfg.b0],
+                                  cfg.amplitude)
     ds = cfg.ds if cfg.ds is not None else solver.default_ds(grid, cfg.k)
+    s_max = (cfg.s_max if cfg.s_max is not None
+             else solver.default_s_max(cfg.k))
     u0i = asymptotics.u0_disk_integral(v0)
-    series = solver.run(v0, ds=ds, s_max=cfg.effective_s_max(),
+    series = solver.run(v0, ds=ds, s_max=s_max,
                         record_ds=cfg.record_ds, mass_tol=cfg.mass_tol)
     series.to_csv(_outpath(cfg, "timeseries.csv"))
     track = modulation.track_run(series, cfg.k, amplitude=cfg.amplitude)
@@ -189,10 +182,11 @@ def cmd_run(cfg: ScenarioConfig) -> int:
 
 
 def cmd_shoot(cfg: ScenarioConfig) -> int:
-    grid = RadialGrid(cfg.grid_n)
-    result = reduced.shoot_trapped(
-        cfg.k, cfg.b0, ceiling=cfg.ceiling, s_max=cfg.s_max,
-        grid=grid, ds=cfg.ds, tol=cfg.shoot_tol, amplitude=cfg.amplitude)
+    evaluator = reduced.TrapEvaluator(
+        cfg.k, cfg.b0, RadialGrid(cfg.grid_n), ds=cfg.ds, s_max=cfg.s_max,
+        ceiling=cfg.ceiling, amplitude=cfg.amplitude,
+        record_ds=cfg.record_ds, mass_tol=cfg.mass_tol, tol=cfg.shoot_tol)
+    result = reduced.shoot_trapped(evaluator)
     path = _outpath(cfg, f"shoot_k{cfg.k}.json")
     result.to_json(path)
     print(f"shoot: trapped initials {result.initials} "

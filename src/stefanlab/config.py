@@ -20,6 +20,9 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError
+from .modulation import ADIABATIC_AMPLITUDE
+from .reduced import SHOOT_TOL, TRAP_CEILING
+from .solver import MASS_TOL, RECORD_DS
 from .spectrum import MAX_EIGENPAIRS
 from .weighted import B_CAP
 
@@ -36,17 +39,17 @@ class ScenarioConfig:
     grid_n: int = 1024
     ds: float | None = None          # None -> step-size default for (grid, k)
     s_max: float | None = None       # None -> mode-dependent default
-    record_ds: float = 2e-3
+    record_ds: float = RECORD_DS
     seed: int = 1234
     quick: bool = False
     json_output: bool = False
     out_dir: str = "out"
     b_values: tuple = (0.005, 0.01, 0.02)
     lower_modes: tuple = ()          # b_1(0) .. b_{k-1}(0) for k > 1 runs
-    amplitude: float = 0.02          # adiabatic basis amplitude for k > 1
-    ceiling: float = 1.0             # trap ceiling D_k
-    shoot_tol: float = 1e-12
-    mass_tol: float = 1e-6
+    amplitude: float = ADIABATIC_AMPLITUDE  # adiabatic basis amplitude, k > 1
+    ceiling: float = TRAP_CEILING    # trap ceiling D_k
+    shoot_tol: float = SHOOT_TOL
+    mass_tol: float = MASS_TOL
     rate_tol: float | None = None    # None -> 0.02 (k = 1) / 0.03 (k > 1)
     radius_tol: float = 1e-4
 
@@ -101,11 +104,6 @@ class ScenarioConfig:
         if self.rate_tol is not None:
             return self.rate_tol
         return 0.02 if self.k == 1 else 0.03
-
-    def effective_s_max(self) -> float:
-        if self.s_max is not None:
-            return self.s_max
-        return 6.0 if self.k == 1 else 0.85
 
 
 # (section, key) -> dataclass field; top-level uses section ""

@@ -12,10 +12,10 @@ iteration; for k > 1 it rides a fixed adiabatic schedule
 whose bases are memoized per scheduled b, since the schedule does not
 depend on the data.
 
-Tracked per record: the coefficients b_j, the remainder eps, the second-order
-energy E = ||H_b eps||^2 (weighted), the rescaled trap variables
+Tracked per record: the coefficients b_j, the second-order energy
+E = ||H_b eps||^2 (weighted) of the remainder, the rescaled trap variables
 V_j = b_j e^{(lam_k + gap_k) s}, and the leading-order mode-equation
-residuals.
+residuals.  The remainder itself is not kept.
 """
 
 from __future__ import annotations
@@ -39,22 +39,19 @@ B_FREEZE = 1e-9
 GRAM_COND_CAP = 1e8
 
 
-def gap_exponent(k: int, zeros=None) -> float:
+def gap_exponent(k: int) -> float:
     """Trap-variable exponent shift: a quarter of the gap to the next-lower
     eigenvalue (any value in the open half-gap works; the midpoint is used)."""
     if k < 2:
         return 0.0
-    if zeros is None:
-        zeros = bessel.j0_zeros(k)
+    zeros = bessel.j0_zeros(k)
     return 0.25 * (zeros[k - 1].lam - zeros[k - 2].lam)
 
 
-def adiabatic_b(s: float, k: int, amplitude: float = ADIABATIC_AMPLITUDE,
-                zeros=None) -> float:
+def adiabatic_b(s: float, k: int,
+                amplitude: float = ADIABATIC_AMPLITUDE) -> float:
     """Adiabatic basis parameter A e^{-lam_k s} / (s + 1)."""
-    if zeros is None:
-        zeros = bessel.j0_zeros(k)
-    lam_k = zeros[k - 1].lam
+    lam_k = bessel.j0_zeros(k)[k - 1].lam
     return amplitude * math.exp(-lam_k * s) / (s + 1.0)
 
 
@@ -89,34 +86,28 @@ class ModulationState:
     """Decomposition snapshot at one record time."""
 
     s: float
-    k: int
     b: float
-    coeffs: np.ndarray
-    eps: GridFunction
+    coeffs: np.ndarray        # (k,)
     energy: float
     V: np.ndarray
 
 
-def _weighted_gram(psis: np.ndarray, grid: RadialGrid, w: WeightParam) -> np.ndarray:
-    wv = grid.simpson * w.rho(grid.y) * grid.y
-    return psis.T @ (wv[:, None] * psis)
-
-
-def decompose(v: GridFunction, s: float, k: int, w: WeightParam,
-              basis: Basis | None = None) -> ModulationState:
-    """Split v into k basis modes plus a weighted-orthogonal remainder.
+def decompose(v: GridFunction, s: float, basis: Basis) -> ModulationState:
+    """Split v into the k modes of ``basis`` plus a remainder eps weighted-
+    orthogonal to them, in the weight of the basis parameter b.
 
     Solves the k x k Gram system for the coefficients; raises
     :class:`SingularGram` when the basis conditioning exceeds 1e8 (a sign
-    that the parameter b is outside its range).  Trap variables whose
-    growth factor overflows are +-inf (0 for a zero coefficient).
+    that the parameter b is outside its range).  The state keeps the energy
+    of eps, not eps.  Trap variables whose growth factor overflows are +-inf
+    (0 for a zero coefficient).
     """
-    if basis is None:
-        basis = Basis.solve(v.grid, w.b, k)
-    gram = _weighted_gram(basis.psis, v.grid, w)
+    k = basis.psis.shape[1]
+    w = WeightParam(basis.b)
+    wv = v.grid.simpson * w.rho(v.grid.y) * v.grid.y
+    gram = basis.psis.T @ (wv[:, None] * basis.psis)
     if np.linalg.cond(gram) > GRAM_COND_CAP:
         raise SingularGram(f"Gram conditioning {np.linalg.cond(gram):.2e}")
-    wv = v.grid.simpson * w.rho(v.grid.y) * v.grid.y
     rhs = basis.psis.T @ (wv * v.values)
     coeffs = np.linalg.solve(gram, rhs)
     eps_vals = v.values - basis.psis @ coeffs
@@ -124,16 +115,13 @@ def decompose(v: GridFunction, s: float, k: int, w: WeightParam,
     eps = GridFunction(v.grid, eps_vals)
     V = coeffs[: k - 1]
     if k > 1:
-        zeros = bessel.j0_zeros(k)
-        growth = (zeros[k - 1].lam + gap_exponent(k, zeros)) * s
+        growth = (bessel.j0_zeros(k)[k - 1].lam + gap_exponent(k)) * s
         try:
             V = V * math.exp(growth)
         except OverflowError:
             V = np.where(V == 0.0, V, np.copysign(math.inf, V))
-    # the basis operator is H_b only when it was solved at exactly this b
-    op = basis.operator if basis.b == w.b else None
-    return ModulationState(s=s, k=k, b=w.b, coeffs=coeffs, eps=eps,
-                           energy=energy_of(eps, w, op), V=V)
+    return ModulationState(s=s, b=basis.b, coeffs=coeffs,
+                           energy=energy_of(eps, w, basis.operator), V=V)
 
 
 def energy_of(eps: GridFunction, w: WeightParam,
@@ -186,17 +174,22 @@ def scheduled_basis(cache: dict, grid: RadialGrid, k: int, s: float,
     return cache[b]
 
 
-def build_profile(grid: RadialGrid, w: WeightParam, coeffs) -> GridFunction:
-    """Leading profile sum_j coeffs[j] psi_{w.b, j+1} as initial data."""
+def build_profile(grid: RadialGrid, k: int, coeffs,
+                  amplitude: float = ADIABATIC_AMPLITUDE) -> GridFunction:
+    """Initial data sum_j coeffs[j] psi_{b, j+1} of a k-mode run, with
+    coeffs = (b_1(0), .., b_k(0)).  The basis parameter b is the ground
+    coefficient itself for k = 1 and the adiabatic schedule's b(0), as
+    tracked, for k > 1."""
     coeffs = np.asarray(coeffs, dtype=float)
-    basis = Basis.solve(grid, w.b, len(coeffs))
-    vals = basis.psis @ coeffs
+    b = (float(coeffs[0]) if k == 1
+         else frozen_b(adiabatic_b(0.0, k, amplitude)))
+    vals = Basis.solve(grid, b, k).psis @ coeffs
     vals[-1] = 0.0
     return GridFunction(grid, vals)
 
 
 def modulation_residual(states: list[ModulationState], dt_s: float,
-                        zeros=None) -> np.ndarray:
+                        grid: RadialGrid) -> np.ndarray:
     """Centered-difference residuals of the leading mode laws, one row of k
     per state.
 
@@ -207,18 +200,16 @@ def modulation_residual(states: list[ModulationState], dt_s: float,
     |(b_1)_s + lam_1 b_1 + sqrt(2 lam_1) b_1^2|; for k > 1 each lower mode
     includes the forced quadratic term with its coupling coefficient.  The
     residuals are reported, not asserted: the implicit constants of the
-    remainder bounds are unknown.
+    remainder bounds are unknown.  The coupling coefficients are
+    integrated on ``grid``.
     """
     if len(states) < 3:
         raise InsufficientHistory("need >= 3 states for centered differences")
-    k = states[0].k
-    if zeros is None:
-        zeros = bessel.j0_zeros(max(k, 2))
-    lam = np.array([z.lam for z in zeros])
-    grid = states[0].eps.grid
-    gcoef = (np.array([bessel.scaling_coefficient(k, j, grid, zeros)
-                       for j in range(1, k)]) if k > 1 else np.zeros(0))
     B = np.vstack([st.coeffs for st in states])
+    k = B.shape[1]
+    lam = np.array([z.lam for z in bessel.j0_zeros(k)])
+    gcoef = np.array([bessel.scaling_coefficient(k, j, grid)
+                      for j in range(1, k)])
     s_arr = np.array([st.s for st in states])
     dB = (B[2:] - B[:-2]) / (2.0 * dt_s)
     Bm = B[1:-1]
@@ -242,7 +233,7 @@ class TrackResult:
     """Per-record decompositions of a run plus summary diagnostics.
 
     ``residuals`` holds the mode-law residuals of each state (see
-    :func:`modulation_residual`; all NaN when they were not computed), and
+    :func:`modulation_residual`; all NaN for fewer than 3 states), and
     ``n_basis_refreshes`` counts the eigensolves the tracking performed.
     """
 
@@ -270,8 +261,7 @@ class TrackResult:
 
 def track_run(series: TimeSeries, k: int,
               amplitude: float = ADIABATIC_AMPLITUDE,
-              basis_cache: dict | None = None,
-              with_residuals: bool = True) -> TrackResult:
+              basis_cache: dict | None = None) -> TrackResult:
     """Decompose every snapshot of a completed run.
 
     Every record is decomposed on the basis solved at exactly its parameter
@@ -294,12 +284,12 @@ def track_run(series: TimeSeries, k: int,
             n_solves += solves
         else:
             basis = scheduled_basis(cache, grid, k, s, amplitude)
-        states.append(decompose(v, s, k, WeightParam(basis.b), basis=basis))
+        states.append(decompose(v, s, basis))
     n_solves += len(cache) - n_cached
 
-    if with_residuals and len(states) >= 3:
-        residuals = modulation_residual(states,
-                                        float(series.s[1] - series.s[0]))
+    if len(states) >= 3:
+        residuals = modulation_residual(
+            states, float(series.s[1] - series.s[0]), grid)
     else:
         residuals = np.full((len(states), k), np.nan)
     return TrackResult(k=k, states=states, residuals=residuals,

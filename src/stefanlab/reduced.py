@@ -29,12 +29,16 @@ import numpy as np
 
 from . import bessel, modulation, solver
 from .errors import NoTrappedData, PoleCrossing
-from .weighted import GridFunction, RadialGrid
+from .weighted import RadialGrid
 
 #: default ceiling on the summed squared trap variables
 TRAP_CEILING = 1.0
 #: step length below which the trap search gives up without a trap
 SHOOT_TOL = 1e-12
+#: norm floor of trap-search runs: running past the standard floor narrows
+#: the trapped window, which keeps the found point well inside it relative
+#: to the tolerance
+SHOOT_NORM_FLOOR = 1e-14
 #: Newton (secant/Broyden) steps after which the trap search gives up
 MAX_UPDATES = 20
 
@@ -50,8 +54,7 @@ def default_shoot_horizon(k: int, tol: float = SHOOT_TOL,
     beyond it a datum found to within the tolerance cannot certify a trap.
     """
     zeros = bessel.j0_zeros(k)
-    growth = (zeros[k - 1].lam + modulation.gap_exponent(k, zeros)
-              - zeros[0].lam)
+    growth = zeros[k - 1].lam + modulation.gap_exponent(k) - zeros[0].lam
     return math.log(ceiling / (4.0 * tol)) / growth
 
 
@@ -65,12 +68,10 @@ class RiccatiParams:
     b0: float
 
     @classmethod
-    def for_mode(cls, k: int, b0: float, zeros=None) -> "RiccatiParams":
+    def for_mode(cls, k: int, b0: float) -> "RiccatiParams":
         if abs(b0) > 0.05:
             raise ValueError("|b0| <= 0.05 in the reduced regime")
-        if zeros is None:
-            zeros = bessel.j0_zeros(k)
-        return cls(k=k, lam_k=zeros[k - 1].lam,
+        return cls(k=k, lam_k=bessel.j0_zeros(k)[k - 1].lam,
                    sigma=(-1.0) ** (k + 1), b0=b0)
 
 
@@ -97,46 +98,41 @@ def riccati_exact(p: RiccatiParams, s):
     return float(out[0]) if scalar else out
 
 
-def coupling_coefficients(k: int, grid: RadialGrid | None = None,
-                          zeros=None) -> np.ndarray:
+def coupling_coefficients(k: int, grid: RadialGrid) -> np.ndarray:
     """Quadrature couplings g_jk = <y eta_k', eta_j>_0 for j = 1..k-1."""
-    if grid is None:
-        grid = RadialGrid(1024)
-    if zeros is None:
-        zeros = bessel.j0_zeros(max(k, 1))
-    return np.array([bessel.scaling_coefficient(k, j, grid, zeros)
+    return np.array([bessel.scaling_coefficient(k, j, grid)
                      for j in range(1, k)])
 
 
 @dataclass
 class ShootingResult:
-    """Outcome of the trapped-data search, with the evaluation that
-    certified the trap (not serialized)."""
+    """Trapped datum found by the search, the terms of its certificate (the
+    evaluator's ceiling, tol, horizon and s_max) and the evaluation that
+    certified it (not serialized)."""
 
     k: int
     b_k0: float
     initials: tuple[float, ...]
-    exit_s: float | None
     max_v2: float
     ceiling: float
     tol: float
+    horizon: float
+    s_max: float
     iterations: int
     evaluations: int
     certificate: TrapEvaluation
-
-    @property
-    def trapped(self) -> bool:
-        return self.exit_s is None
 
     def to_json(self, path=None) -> str:
         payload = {
             "k": self.k,
             "b_k0": self.b_k0,
             "found_initials": list(self.initials),
-            "exit_s": self.exit_s,
+            "exit_s": None,     # only trapped data is returned
             "max_V2": self.max_v2,
             "ceiling": self.ceiling,
             "tol": self.tol,
+            "horizon": self.horizon,
+            "s_max": self.s_max,
             "iterations": self.iterations,
             "evaluations": self.evaluations,
         }
@@ -158,26 +154,32 @@ class TrapEvaluation:
 
 
 class TrapEvaluator:
-    """Exit map of the full PDE flow for lower-mode initial data.
+    """Exit map of the full PDE flow for lower-mode initial data, and the
+    one source of a trap search's settings.
 
     Builds v0 = sum_j b_j(0) psi_{b(0), j}, runs the renormalized flow to
-    ``s_max`` (or the norm floor), tracks the trap variables V_j, and
-    reports the first record where sum_j V_j^2 crosses the ceiling, plus V
-    at the ``horizon`` min(s_max, default_shoot_horizon): the first record
-    with s >= horizon - ds/2 (NaN if the run stopped short of it).  The
-    bases of the adiabatic schedule, b(0) included, are solved once and
-    shared across evaluations in ``basis_cache`` (the schedule is
-    data-independent).
+    ``s_max`` (or ``SHOOT_NORM_FLOOR``) at the step ``ds`` and the record
+    cadence ``record_ds`` under the mass guard ``mass_tol``, tracks the trap
+    variables V_j, and reports the first record where sum_j V_j^2 crosses
+    the ceiling, plus V at the ``horizon`` min(s_max, default_shoot_horizon):
+    the first record with s >= horizon - ds/2 (NaN if the run stopped short
+    of it).  ``tol`` is the search's step tolerance; ``ceiling > 4 tol``
+    keeps the horizon positive.  The bases of the adiabatic schedule are
+    solved once and shared across evaluations in ``basis_cache`` (the
+    schedule is data-independent).
     """
 
     def __init__(self, k: int, b_k0: float, grid: RadialGrid,
                  ds: float | None = None, s_max: float | None = None,
                  ceiling: float = TRAP_CEILING,
                  amplitude: float = modulation.ADIABATIC_AMPLITUDE,
-                 record_ds: float = 2e-3, mass_tol: float = 1e-5,
-                 norm_floor: float = 1e-14, tol: float = SHOOT_TOL):
+                 record_ds: float = solver.RECORD_DS,
+                 mass_tol: float = solver.MASS_TOL, tol: float = SHOOT_TOL):
         if k < 2 or k > 3:
             raise ValueError("trap shooting supports k in {2, 3}")
+        if ceiling <= 4.0 * tol:
+            raise ValueError(f"ceiling > 4 tol keeps the horizon positive; "
+                             f"got ceiling = {ceiling!r}, tol = {tol!r}")
         self.k = k
         self.b_k0 = b_k0
         self.grid = grid
@@ -186,34 +188,24 @@ class TrapEvaluator:
         self.s_max = s_max if s_max is not None else horizon
         self.horizon = min(self.s_max, horizon)
         self.ceiling = ceiling
+        self.tol = tol
         self.amplitude = amplitude
         self.record_ds = record_ds
         self.mass_tol = mass_tol
-        # running past the standard norm floor narrows the trapped window,
-        # which keeps the found point well inside it relative to the tolerance
-        self.norm_floor = norm_floor
         self.basis_cache: dict = {}
         self.evaluations = 0
 
-    def initial_profile(self, lower: np.ndarray) -> GridFunction:
-        basis = modulation.scheduled_basis(self.basis_cache, self.grid,
-                                           self.k, 0.0, self.amplitude)
-        coeffs = np.concatenate([lower, [self.b_k0]])
-        vals = basis.psis @ coeffs
-        vals[-1] = 0.0
-        return GridFunction(self.grid, vals)
-
     def evaluate(self, lower) -> TrapEvaluation:
         lower = np.atleast_1d(np.asarray(lower, dtype=float))
-        v0 = self.initial_profile(lower)
+        v0 = modulation.build_profile(self.grid, self.k, [*lower, self.b_k0],
+                                      self.amplitude)
         series = solver.run(v0, ds=self.ds, s_max=self.s_max,
                             record_ds=self.record_ds,
                             mass_tol=self.mass_tol,
-                            norm_floor=self.norm_floor)
+                            norm_floor=SHOOT_NORM_FLOOR)
         track = modulation.track_run(series, self.k,
                                      amplitude=self.amplitude,
-                                     basis_cache=self.basis_cache,
-                                     with_residuals=False)
+                                     basis_cache=self.basis_cache)
         self.evaluations += 1
         at = np.nonzero(series.s >= self.horizon - 0.5 * self.ds)[0]
         horizon_V = (track.states[at[0]].V.copy() if len(at)
@@ -226,12 +218,9 @@ class TrapEvaluator:
             horizon_V=horizon_V, max_v2=float(v2[:end].max()), track=track)
 
 
-def shoot_trapped(k: int, b_k0: float, ceiling: float = TRAP_CEILING,
-                  s_max: float | None = None, grid: RadialGrid | None = None,
-                  ds: float | None = None, tol: float = SHOOT_TOL,
-                  amplitude: float = modulation.ADIABATIC_AMPLITUDE,
-                  evaluator: TrapEvaluator | None = None) -> ShootingResult:
-    """Newton search for lower-mode data trapped to the horizon.
+def shoot_trapped(evaluator: TrapEvaluator) -> ShootingResult:
+    """Newton search for lower-mode data trapped to the horizon, with every
+    setting read from ``evaluator``.
 
     The trapped datum is the root of F(x) = V(s_F), the trap variables at
     the evaluator's horizon s_F of the run from lower-mode data x; F is
@@ -240,21 +229,18 @@ def shoot_trapped(k: int, b_k0: float, ceiling: float = TRAP_CEILING,
     scale give a finite-difference Jacobian J; then x <- x - J^{-1} F with
     Broyden's update of J after each step (the secant method for k = 2).
     The search stops at the first evaluation that stays below the ceiling
-    up to s_max or the norm floor, the trap certificate.  It raises
-    :class:`NoTrappedData` after a step shorter than ``tol`` that does not
-    trap, after ``MAX_UPDATES`` steps, on a singular J or a non-finite F.
-    Each evaluation is reported on stderr.
+    up to s_max or the norm floor, the trap certificate.  When x = 0 traps
+    although b_k(0) != 0 forces it off the trapped point, the first probe is
+    evaluated too; if it also traps, s_max is too short to tell trapped
+    from untrapped data and the search raises :class:`NoTrappedData`.  It
+    also raises after a step shorter than the evaluator's ``tol`` that does
+    not trap, after ``MAX_UPDATES`` steps, on a singular J or a non-finite
+    F.  Each evaluation is reported on stderr.
     """
-    if grid is None:
-        grid = RadialGrid(512)
-    if evaluator is None:
-        evaluator = TrapEvaluator(k, b_k0, grid, ds=ds, s_max=s_max,
-                                  ceiling=ceiling, amplitude=amplitude,
-                                  tol=tol)
-    zeros = bessel.j0_zeros(k)
-    lam = np.array([z.lam for z in zeros])
+    k, b_k0, tol = evaluator.k, evaluator.b_k0, evaluator.tol
+    lam = np.array([z.lam for z in bessel.j0_zeros(k)])
     c_k = math.sqrt(2.0 * lam[k - 1])
-    g = coupling_coefficients(k, grid, zeros)
+    g = coupling_coefficients(k, evaluator.grid)
     # forced-response scale of the lower coefficients sets the probe widths
     scale = np.abs(c_k * b_k0 ** 2 * g / (2.0 * lam[k - 1] - lam[: k - 1]))
     widths = 8.0 * np.maximum(scale, 1e-8)
@@ -276,20 +262,30 @@ def shoot_trapped(k: int, b_k0: float, ceiling: float = TRAP_CEILING,
     def trapped(x, ev, updates):
         return ShootingResult(k=k, b_k0=b_k0,
                               initials=tuple(float(v) for v in x),
-                              exit_s=None, max_v2=ev.max_v2,
-                              ceiling=ceiling, tol=tol, iterations=updates,
+                              max_v2=ev.max_v2, ceiling=evaluator.ceiling,
+                              tol=tol, horizon=evaluator.horizon,
+                              s_max=evaluator.s_max, iterations=updates,
                               evaluations=evaluator.evaluations - first,
                               certificate=ev)
 
     x = np.zeros(k - 1)
-    probes = []
-    for point in [x, *(x + np.diag(widths))]:
+    probes = x + np.diag(widths)
+    ev = evaluate(x)
+    if ev.exit_s is None:
+        if b_k0 != 0.0 and evaluate(probes[0]).exit_s is None:
+            raise NoTrappedData(
+                f"x = 0 and the probe x_1 = {widths[0]:.3g} both trap up to "
+                f"s_max = {evaluator.s_max:.4g} (horizon "
+                f"{evaluator.horizon:.4g}): too short to certify a trap")
+        return trapped(x, ev, 0)
+    F = ev.horizon_V
+    rows = []
+    for point in probes:
         ev = evaluate(point)
         if ev.exit_s is None:
             return trapped(point, ev, 0)
-        probes.append(ev.horizon_V)
-    F = probes[0]
-    J = (np.array(probes[1:]) - F).T / widths
+        rows.append(ev.horizon_V)
+    J = (np.array(rows) - F).T / widths
     for updates in range(1, MAX_UPDATES + 1):
         try:
             step = -np.linalg.solve(J, F)

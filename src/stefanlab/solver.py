@@ -26,13 +26,17 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import get_lapack_funcs
 
-from . import spectrum
+from . import bessel, spectrum
 from .errors import BoundaryBlowup, ConservationError, NonPositiveRadius
 from .weighted import (GridFunction, RadialGrid, WeightParam, deriv_values,
                        end_slope)
 
 #: stop a run once the solution norm falls below this floor
 NORM_FLOOR = 1e-12
+#: default record cadence in s
+RECORD_DS = 2e-3
+#: default bound on the relative mass drift
+MASS_TOL = 1e-6
 
 
 @dataclass
@@ -151,7 +155,6 @@ class TimeSeries:
     """Sampled run records plus profile snapshots at the record cadence."""
 
     grid: RadialGrid
-    ds: float
     s: np.ndarray
     t: np.ndarray
     lam: np.ndarray
@@ -174,7 +177,7 @@ class TimeSeries:
 
 
 def run(v0: GridFunction, ds: float, s_max: float,
-        record_ds: float = 2e-3, mass_tol: float = 1e-6,
+        record_ds: float = RECORD_DS, mass_tol: float = MASS_TOL,
         norm_floor: float = NORM_FLOOR) -> TimeSeries:
     """Integrate the renormalized flow until s_max or the norm floor.
 
@@ -224,8 +227,7 @@ def run(v0: GridFunction, ds: float, s_max: float,
     if not reached_floor and rec["s"][-1] < state.s:
         record(state)
     return TimeSeries(
-        grid=grid, ds=ds,
-        s=np.asarray(rec["s"]), t=np.asarray(rec["t"]),
+        grid=grid, s=np.asarray(rec["s"]), t=np.asarray(rec["t"]),
         lam=np.asarray(rec["lam"]), a=np.asarray(rec["a"]),
         mass=np.asarray(rec["mass"]), vnorm=np.asarray(rec["vnorm"]),
         snapshots=snaps, reached_floor=reached_floor,
@@ -234,8 +236,11 @@ def run(v0: GridFunction, ds: float, s_max: float,
 
 def default_ds(grid: RadialGrid, k: int = 1) -> float:
     """Step-size default: 0.2 h scaled down with the mode's decay rate."""
-    from . import bessel
-
     lam_k = bessel.j0_zeros(k)[k - 1].lam
     lam_1 = bessel.j0_zeros(1)[0].lam
     return 0.2 * grid.h * (lam_1 / lam_k)
+
+
+def default_s_max(k: int) -> float:
+    """Run horizon default: long enough for the rate fit of mode k."""
+    return 6.0 if k == 1 else 0.85

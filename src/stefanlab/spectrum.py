@@ -202,11 +202,10 @@ def perturbation_sweep(grid: RadialGrid, k: int, b_values) -> PerturbationReport
         raise ValueError("need >= 3 nonzero b values inside (-0.05, 0.05)")
     base = eigenpairs(grid, WeightParam(0.0), k)
     lam0 = base[k - 1].lam
-    zeros = bessel.j0_zeros(k)
     etas = [GridFunction(grid, bessel.eta_samples(j, grid))
             for j in range(1, k + 1)]
-    lam_ex = [z.lam for z in zeros]
-    gcoef = [bessel.scaling_coefficient(k, j, grid, zeros) for j in range(1, k)]
+    lam_ex = [z.lam for z in bessel.j0_zeros(k)]
+    gcoef = [bessel.scaling_coefficient(k, j, grid) for j in range(1, k)]
 
     lam_vals, defects, slopes, residuals = [], [], [], []
     mu_hat, mu_model = {}, {}

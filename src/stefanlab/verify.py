@@ -71,11 +71,10 @@ class VerificationContext:
     def k1_run(self, sign: int, n: int = 1024):
         def build():
             grid = self.grid(n)
-            b0 = sign * K1_B0
-            w = WeightParam(b0)
-            v0 = modulation.build_profile(grid, w, [b0])
+            v0 = modulation.build_profile(grid, 1, [sign * K1_B0])
             u0i = asymptotics.u0_disk_integral(v0)
-            ts = solver.run(v0, ds=solver.default_ds(grid, 1), s_max=6.0)
+            ts = solver.run(v0, ds=solver.default_ds(grid, 1),
+                            s_max=solver.default_s_max(1))
             return ts, u0i
         return self._get(("k1_run", sign, n), build)
 
@@ -86,16 +85,15 @@ class VerificationContext:
         return self._get(("k1_track", sign), build)
 
     def k2_family(self, sign: int = 1):
-        """Shoot for trapped data and build the fit run at the same resolution."""
+        """Shoot for trapped data and build the fit run at the same
+        resolution, the run ``--mode run --shoot-file`` makes."""
         def build():
-            grid = self.grid(512)
-            b20 = sign * K2_B0
-            ev = reduced.TrapEvaluator(2, b20, grid)
-            result = reduced.shoot_trapped(2, b20, grid=grid, evaluator=ev)
-            v0 = ev.initial_profile(np.array(result.initials))
+            ev = reduced.TrapEvaluator(2, sign * K2_B0, self.grid(512))
+            result = reduced.shoot_trapped(ev)
+            v0 = modulation.build_profile(ev.grid, 2,
+                                          [*result.initials, ev.b_k0])
             u0i = asymptotics.u0_disk_integral(v0)
-            fit_ts = solver.run(v0, ds=ev.ds, s_max=0.85, record_ds=2e-3,
-                                mass_tol=1e-5)
+            fit_ts = solver.run(v0, ds=ev.ds, s_max=solver.default_s_max(2))
             return {
                 "evaluator": ev,
                 "result": result,
@@ -223,8 +221,7 @@ def criterion_4(ctx: VerificationContext) -> CriterionResult:
     # Simpson's h^4 r_k^4 error floor for the k = 8 oscillatory integrand
     # sits at ~1.3e-8 on 1024 intervals; the tolerance needs the finer grid
     grid = ctx.grid(2048)
-    zeros = bessel.j0_zeros(12)
-    worst = max(abs(bessel.scaling_coefficient(k, k, grid, zeros) + 1.0)
+    worst = max(abs(bessel.scaling_coefficient(k, k, grid) + 1.0)
                 for k in range(1, 9))
     dt = time.perf_counter() - t0
     return CriterionResult(
@@ -301,10 +298,9 @@ def criterion_8(ctx: VerificationContext) -> CriterionResult:
     fam = ctx.k2_family(+1)
     res = fam["result"]
     ev = fam["evaluator"]
-    ok = res.trapped
     lam_inf = asymptotics.predicted_terminal_radius(fam["u0_integral"])
     fit = asymptotics.fit_rate(fam["fit_ts"], lam_inf, 2)
-    ok = ok and fit.rate_rel_error <= 0.03 and fit.r_squared >= 0.999
+    ok = fit.rate_rel_error <= 0.03 and fit.r_squared >= 0.999
     witness_exits = []
     for sgn in (+1, -1):
         pert = np.array(res.initials)
@@ -412,12 +408,11 @@ def _rk4_mode_law(lam: float, sigma: float, b0: float, s_grid: np.ndarray,
 
 def criterion_11(ctx: VerificationContext) -> CriterionResult:
     t0 = time.perf_counter()
-    zeros = bessel.j0_zeros(12)
     s_grid = np.linspace(0.0, 5.0, 51)
     worst = 0.0
     for k in (1, 2, 3, 4):
         for b0 in (0.05, -0.05, 0.01, -0.01):
-            params = reduced.RiccatiParams.for_mode(k, b0, zeros)
+            params = reduced.RiccatiParams.for_mode(k, b0)
             exact = reduced.riccati_exact(params, s_grid)
             rk4 = _rk4_mode_law(params.lam_k, params.sigma, b0, s_grid, 1e-4)
             worst = max(worst, float(np.max(np.abs(exact - rk4))))

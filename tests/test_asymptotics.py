@@ -19,7 +19,7 @@ def synthetic_series(rate=3.0, lam_inf=0.9, amp=0.1, n=1000, dt=5e-3,
     lam = lam_inf + amp * np.exp(-rate * t)
     grid = RadialGrid(64)
     return TimeSeries(
-        grid=grid, ds=dt, s=t.copy(), t=t, lam=lam, a=np.zeros(n),
+        grid=grid, s=t.copy(), t=t, lam=lam, a=np.zeros(n),
         mass=np.full(n, math.pi), vnorm=np.full(n, 1e-13),
         snapshots=[], reached_floor=floored,
     )
@@ -136,7 +136,7 @@ class TestRateParityCoherence:
     """All four scenarios (two regimes per tracked mode) agree with the
     parity rule and fit the same predicted exponent."""
 
-    def test_four_scenarios(self, ctx, zeros12):
+    def test_four_scenarios(self, ctx):
         outcomes = []
         for sign in (+1, -1):
             ts, u0i = ctx.k1_run(sign)

@@ -157,23 +157,27 @@ class TestZeros:
 
 
 class TestEigenfunctions:
-    def test_dirichlet_pin(self, grid1024, zeros12):
-        e1 = bessel.eta(1, grid1024, zeros12)
+    def test_dirichlet_pin(self, grid1024):
+        e1 = bessel.eta(1, grid1024)
         assert e1.values[-1] == 0.0
 
-    def test_normalization(self, grid1024, zeros12):
-        e1 = bessel.eta(1, grid1024, zeros12)
+    def test_normalization(self, grid1024):
+        e1 = bessel.eta(1, grid1024)
         assert abs(inner_b(e1, e1, W0) - 1.0) < 1e-8
 
     def test_boundary_slope_analytic(self, zeros12):
         assert abs(zeros12[0].boundary_slope + math.sqrt(2 * LAM1)) < 1e-12
 
-    def test_index_out_of_range(self, grid1024, zeros12):
-        with pytest.raises(IndexError):
-            bessel.eta(13, grid1024, zeros12)
+    def test_index_out_of_range(self, grid1024):
+        # the indices j0_zeros rejects
+        for j in (0, 65):
+            with pytest.raises(ValueError):
+                bessel.eta(j, grid1024)
+            with pytest.raises(ValueError):
+                bessel.eta_deriv(j, grid1024)
 
-    def test_orthonormality_8x8(self, grid1024, zeros12):
-        etas = [bessel.eta(j, grid1024, zeros12)
+    def test_orthonormality_8x8(self, grid1024):
+        etas = [bessel.eta(j, grid1024)
                 for j in range(1, 9)]
         worst = max(
             abs(inner_b(etas[i], etas[j], W0) - (1.0 if i == j else 0.0))
@@ -181,15 +185,15 @@ class TestEigenfunctions:
         )
         assert worst <= 1e-8
 
-    def test_cached_samples_match_eta(self, grid1024, zeros12):
+    def test_cached_samples_match_eta(self, grid1024):
         for j in (1, 5, 12):
             cached = bessel.eta_samples(j, grid1024)
-            fresh = bessel.eta(j, grid1024, zeros12).values
+            fresh = bessel.eta(j, grid1024).values
             assert cached.tobytes() == fresh.tobytes()
 
     def test_sign_alternation(self, grid1024, zeros12):
         for j in range(1, 9):
-            e = bessel.eta(j, grid1024, zeros12)
+            e = bessel.eta(j, grid1024)
             slope = zeros12[j - 1].boundary_slope
             assert math.copysign(1.0, slope) == (-1.0) ** j
             # the sampled profile agrees with the analytic slope near y = 1
@@ -202,7 +206,7 @@ class TestEigenfunctions:
         for n in (256, 512):
             grid = RadialGrid(n)
             h = grid.h
-            v = bessel.eta(3, grid, zeros12).values
+            v = bessel.eta(3, grid).values
             y = grid.y
             d1 = (v[2:] - v[:-2]) / (2 * h)
             d2 = (v[2:] - 2 * v[1:-1] + v[:-2]) / h ** 2
@@ -211,10 +215,10 @@ class TestEigenfunctions:
         order = math.log2(defects[0] / defects[1])
         assert 1.8 <= order <= 2.2
 
-    def test_scaling_identity_diagonal(self, zeros12):
+    def test_scaling_identity_diagonal(self):
         grid = RadialGrid(2048)
         for k in range(1, 9):
-            val = bessel.scaling_coefficient(k, k, grid, zeros12)
+            val = bessel.scaling_coefficient(k, k, grid)
             assert abs(val + 1.0) <= 1e-8
 
     def test_scaling_coefficient_closed_form(self, grid1024, zeros12):
@@ -224,7 +228,7 @@ class TestEigenfunctions:
             lam_k, lam_j = zeros12[k - 1].lam, zeros12[j - 1].lam
             closed = ((-1.0) ** (k + j) * 2.0 * math.sqrt(lam_k * lam_j)
                       / (lam_k - lam_j))
-            quad = bessel.scaling_coefficient(k, j, grid1024, zeros12)
+            quad = bessel.scaling_coefficient(k, j, grid1024)
             assert abs(quad - closed) < 1e-8
 
 

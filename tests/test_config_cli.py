@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from stefanlab import cli, reduced
 from stefanlab.config import (MODES, ScenarioConfig, parse_config,
                               serialize_config, with_overrides)
-from stefanlab.errors import ConfigError
+from stefanlab.errors import ConfigError, NoTrappedData
 from stefanlab.weighted import B_CAP
 
 # derandomized and without an example database: the same examples every run,
@@ -258,6 +258,46 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert code == 1
         assert "config error:" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_shoot_reads_the_mass_tolerance(self, tmp_path, capsys):
+        # the first record of the first search run drifts past 1e-12
+        path = tmp_path / "shoot.cfg"
+        path.write_text("mode = shoot\nk = 2\ngrid = 512\n"
+                        "[tolerances]\nmass = 1e-12\n")
+        code = cli.main(["--config", str(path), "--out", str(tmp_path)])
+        assert code == 2
+        assert "mass drift" in capsys.readouterr().err
+
+    def test_shoot_hands_the_config_to_the_evaluator(self, tmp_path,
+                                                      monkeypatch):
+        seen = []
+
+        def shoot(evaluator):
+            seen.append(evaluator)
+            raise NoTrappedData("stub search")
+
+        monkeypatch.setattr(reduced, "shoot_trapped", shoot)
+        path = tmp_path / "shoot.cfg"
+        path.write_text("mode = shoot\nk = 3\nb0 = -0.02\ngrid = 512\n"
+                        "ds = 1e-4\ns_max = 0.3\nrecord_ds = 0.004\n"
+                        "[shoot]\namplitude = 0.01\nceiling = 0.5\n"
+                        "tol = 1e-10\n[tolerances]\nmass = 1e-5\n")
+        code = cli.main(["--config", str(path), "--out", str(tmp_path)])
+        assert code == 2
+        ev, = seen
+        assert (ev.k, ev.b_k0, ev.grid.n) == (3, -0.02, 512)
+        assert (ev.ds, ev.s_max, ev.record_ds) == (1e-4, 0.3, 0.004)
+        assert (ev.amplitude, ev.ceiling, ev.tol) == (0.01, 0.5, 1e-10)
+        assert ev.mass_tol == 1e-5
+
+    def test_shoot_horizon_too_short_to_certify(self, tmp_path, capsys):
+        # at s_max = 0.01 the zero datum and the first probe both trap
+        code = cli.main(["--mode", "shoot", "--k", "2", "--grid", "512",
+                         "--b0", "0.01", "--smax", "0.01",
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "too short" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_k2_run_without_lower_modes(self, tmp_path):

@@ -14,28 +14,36 @@ from stefanlab.weighted import (GridFunction, WeightParam, inner_b,
 W0 = WeightParam(0.0)
 
 
+def remainder(v, basis, ms):
+    """eps = v - Psi c of a decomposition, pinned at y = 1."""
+    vals = v.values - basis.psis @ ms.coeffs
+    vals[-1] = 0.0
+    return GridFunction(v.grid, vals)
+
+
 class TestDecompose:
     def test_pure_mode_recovered(self, grid512):
         w = WeightParam(0.01)
         basis = modulation.Basis.solve(grid512, 0.01, 1)
         v = GridFunction(grid512, basis.psis[:, 0].copy())
-        ms = modulation.decompose(v, 0.0, 1, w, basis=basis)
+        ms = modulation.decompose(v, 0.0, basis)
         assert abs(ms.coeffs[0] - 1.0) < 1e-12
-        assert norm_b(ms.eps, w) < 1e-12
+        assert norm_b(remainder(v, basis, ms), w) < 1e-12
 
     def test_two_mode_combination(self, grid512):
         w = WeightParam(0.01)
         basis = modulation.Basis.solve(grid512, 0.01, 2)
         v = GridFunction(grid512, basis.psis @ np.array([2.0, 3.0]))
-        ms = modulation.decompose(v, 0.0, 2, w, basis=basis)
+        ms = modulation.decompose(v, 0.0, basis)
         assert np.allclose(ms.coeffs, [2.0, 3.0], atol=1e-10)
-        assert norm_b(ms.eps, w) < 1e-10
+        assert norm_b(remainder(v, basis, ms), w) < 1e-10
 
-    def test_orthogonal_mode_goes_to_remainder(self, grid512, zeros12):
-        v = bessel.eta(3, grid512, zeros12)
-        ms = modulation.decompose(v, 0.0, 2, W0)
+    def test_orthogonal_mode_goes_to_remainder(self, grid512):
+        v = bessel.eta(3, grid512)
+        basis = modulation.Basis.solve(grid512, 0.0, 2)
+        ms = modulation.decompose(v, 0.0, basis)
         assert np.max(np.abs(ms.coeffs)) < 1e-6
-        assert abs(norm_b(ms.eps, W0) - 1.0) < 1e-4
+        assert abs(norm_b(remainder(v, basis, ms), W0) - 1.0) < 1e-4
 
     def test_orthogonality_invariant(self, grid512, rng):
         w = WeightParam(0.015)
@@ -43,9 +51,9 @@ class TestDecompose:
         psis = [GridFunction(grid512, psi) for psi in basis.psis.T]
         for _ in range(4):
             f = spectrum.random_dirichlet(grid512, rng, modes=10)
-            ms = modulation.decompose(f, 0.0, 2, w, basis=basis)
-            defect = max(abs(inner_b(ms.eps, psi, w)) for psi in psis)
-            assert defect <= 1e-10 * (1.0 + norm_b(ms.eps, w))
+            eps = remainder(f, basis, modulation.decompose(f, 0.0, basis))
+            defect = max(abs(inner_b(eps, psi, w)) for psi in psis)
+            assert defect <= 1e-10 * (1.0 + norm_b(eps, w))
 
     def test_singular_gram_detected(self, grid512):
         basis = modulation.Basis.solve(grid512, 0.01, 1)
@@ -57,17 +65,17 @@ class TestDecompose:
         )
         v = GridFunction(grid512, basis.psis[:, 0].copy())
         with pytest.raises(SingularGram):
-            modulation.decompose(v, 0.0, 2, WeightParam(0.01), basis=dup)
+            modulation.decompose(v, 0.0, dup)
 
     def test_overflowing_trap_variables(self, grid512):
         # e^{(lam_2 + gap_2) s} overflows a float at s = 30
-        w = WeightParam(0.01)
-        v = modulation.build_profile(grid512, w, [-1e-3, 0.01])
+        v = modulation.build_profile(grid512, 2, [-1e-3, 0.01], 0.01)
+        basis = modulation.Basis.solve(grid512, 0.01, 2)
         zero = GridFunction(grid512, np.zeros(513))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ms = modulation.decompose(v, 30.0, 2, w)
-            ms0 = modulation.decompose(zero, 30.0, 2, w)
+            ms = modulation.decompose(v, 30.0, basis)
+            ms0 = modulation.decompose(zero, 30.0, basis)
         assert ms.V[0] == -math.inf
         assert ms0.coeffs[0] == 0.0 and ms0.V[0] == 0.0
 
@@ -86,10 +94,10 @@ class TestSelfConsistentB1:
         assert abs(got - target) < 1e-10
         assert basis.b == got
 
-    def test_contraction_of_increments(self, grid512, zeros12):
+    def test_contraction_of_increments(self, grid512):
         # replicate the iteration and watch |increment| decrease
         amp = 0.03
-        vals = amp * bessel.eta(1, grid512, zeros12).values
+        vals = amp * bessel.eta(1, grid512).values
         vals[-1] = 0.0
         v = GridFunction(grid512, vals)
         b = 0.0
@@ -104,8 +112,8 @@ class TestSelfConsistentB1:
         nontrivial = [x for x in increments if x > 1e-14]
         assert all(x2 < x1 for x1, x2 in zip(nontrivial, nontrivial[1:]))
 
-    def test_nonconvergence_cap(self, grid512, zeros12):
-        vals = 0.02 * bessel.eta(1, grid512, zeros12).values
+    def test_nonconvergence_cap(self, grid512):
+        vals = 0.02 * bessel.eta(1, grid512).values
         vals[-1] = 0.0
         v = GridFunction(grid512, vals)
         with pytest.raises(NonConvergence):
@@ -120,7 +128,7 @@ class TestEnergy:
     def test_eigenmode_energy(self, grid1024, zeros12):
         # H_0 eta_2 = lam_2 eta_2, so E = delta^2 lam_2^2 (normalized mode)
         delta = 1e-3
-        vals = delta * bessel.eta(2, grid1024, zeros12).values
+        vals = delta * bessel.eta(2, grid1024).values
         vals[-1] = 0.0
         e = GridFunction(grid1024, vals)
         got = modulation.energy_of(e, W0)
@@ -130,53 +138,51 @@ class TestEnergy:
 
 class TestAdiabaticSchedule:
     def test_initial_value_and_decay(self, zeros12):
-        b0 = modulation.adiabatic_b(0.0, 2, 0.02, zeros12)
+        b0 = modulation.adiabatic_b(0.0, 2, 0.02)
         assert b0 == 0.02
-        b1 = modulation.adiabatic_b(0.1, 2, 0.02, zeros12)
+        b1 = modulation.adiabatic_b(0.1, 2, 0.02)
         assert b1 == pytest.approx(
             0.02 * math.exp(-zeros12[1].lam * 0.1) / 1.1)
 
     def test_gap_exponent_in_open_interval(self, zeros12):
         for k in (2, 3, 4):
-            g = modulation.gap_exponent(k, zeros12)
+            g = modulation.gap_exponent(k)
             half_gap = 0.5 * (zeros12[k - 1].lam - zeros12[k - 2].lam)
             assert 0.0 < g < half_gap
 
 
 class TestModulationResidual:
-    def _riccati_states(self, grid, dt_s, n, b0=0.01):
+    def _riccati_states(self, dt_s, n, b0=0.01):
         params = reduced.RiccatiParams.for_mode(1, b0)
-        zero_eps = GridFunction(grid, np.zeros(grid.n + 1))
         states = []
         for i in range(n):
             s = i * dt_s
             b = reduced.riccati_exact(params, s)
             states.append(modulation.ModulationState(
-                s=s, k=1, b=b, coeffs=np.array([b]), eps=zero_eps,
-                energy=0.0, V=np.zeros(0)))
+                s=s, b=b, coeffs=np.array([b]), energy=0.0,
+                V=np.zeros(0)))
         return states
 
     def test_synthetic_riccati_input(self, grid512):
         # pure ODE input at a fine cadence: residual is FD error only
-        states = self._riccati_states(grid512, 1e-4, 41)
-        res = modulation.modulation_residual(states, 1e-4)
+        states = self._riccati_states(1e-4, 41)
+        res = modulation.modulation_residual(states, 1e-4, grid512)
         assert res.shape == (41, 1)
         assert np.all(np.isnan(res[[0, -1]]))
         assert np.max(res[1:-1]) <= 1e-8
 
     def test_zero_history(self, grid512):
-        zero_eps = GridFunction(grid512, np.zeros(513))
         states = [modulation.ModulationState(
-            s=i * 1e-3, k=1, b=0.0, coeffs=np.zeros(1), eps=zero_eps,
-            energy=0.0, V=np.zeros(0))
+            s=i * 1e-3, b=0.0, coeffs=np.zeros(1), energy=0.0,
+            V=np.zeros(0))
             for i in range(5)]
-        res = modulation.modulation_residual(states, 1e-3)
+        res = modulation.modulation_residual(states, 1e-3, grid512)
         assert np.max(res[1:-1]) == 0.0
 
     def test_insufficient_history(self, grid512):
-        states = self._riccati_states(grid512, 1e-4, 2)
+        states = self._riccati_states(1e-4, 2)
         with pytest.raises(InsufficientHistory):
-            modulation.modulation_residual(states, 1e-4)
+            modulation.modulation_residual(states, 1e-4, grid512)
 
     def test_pde_ratio_bounded(self, ctx):
         # the tracked-law residual over |b1|^{5/2} stays below a fixed
@@ -191,7 +197,7 @@ class TestModulationResidual:
         # s_max = 0.1 falls one step after the last record at the cadence
         # (5 steps), so the run closes with a record one step later; the
         # record before it has no centred difference at the cadence
-        v0 = modulation.build_profile(grid512, WeightParam(-0.01), [-0.01])
+        v0 = modulation.build_profile(grid512, 1, [-0.01])
         ts = solver.run(v0, ds=solver.default_ds(grid512, 1), s_max=0.1)
         cadence = ts.s[1] - ts.s[0]
         assert ts.s[-1] - ts.s[-2] < 0.5 * cadence
@@ -267,8 +273,7 @@ class TestK1BasisReuse:
     def series(self, grid512):
         # run to the norm floor at a coarse record cadence: records on both
         # sides of B_FREEZE are part of the run
-        w = WeightParam(-0.01)
-        v0 = modulation.build_profile(grid512, w, [-0.01])
+        v0 = modulation.build_profile(grid512, 1, [-0.01])
         ts = solver.run(v0, ds=solver.default_ds(grid512, 1), s_max=6.0,
                         record_ds=1e-2)
         assert ts.reached_floor
@@ -283,9 +288,7 @@ class TestK1BasisReuse:
             solves += n
             bare = modulation.Basis(b=basis.b, psis=basis.psis,
                                     lams=basis.lams, grid=basis.grid)
-            states.append(modulation.decompose(v, float(s), 1,
-                                               WeightParam(basis.b),
-                                               basis=bare))
+            states.append(modulation.decompose(v, float(s), bare))
         return states, solves
 
     def test_bitwise_equal_to_fresh_solves(self, series):
@@ -296,7 +299,6 @@ class TestK1BasisReuse:
             assert got.b == want.b
             assert got.coeffs.tobytes() == want.coeffs.tobytes()
             assert got.energy == want.energy
-            assert got.eps.values.tobytes() == want.eps.values.tobytes()
         assert track.n_basis_refreshes < ref_solves
 
     def test_refresh_count_is_eigensolve_count(self, series, monkeypatch):
@@ -318,14 +320,13 @@ class TestExactBasis:
 
     @pytest.fixture(scope="class")
     def k1_series(self, grid512):
-        v0 = modulation.build_profile(grid512, WeightParam(0.01), [0.01])
+        v0 = modulation.build_profile(grid512, 1, [0.01])
         return solver.run(v0, ds=solver.default_ds(grid512, 1), s_max=0.1,
                           record_ds=1e-2)
 
     @pytest.fixture(scope="class")
     def k2_series(self, grid512):
-        w = WeightParam(modulation.adiabatic_b(0.0, 2))
-        v0 = modulation.build_profile(grid512, w, [1e-5, 0.01])
+        v0 = modulation.build_profile(grid512, 2, [1e-5, 0.01])
         return solver.run(v0, ds=solver.default_ds(grid512, 2), s_max=0.05,
                           record_ds=2e-3)
 
@@ -334,9 +335,9 @@ class TestExactBasis:
         seen = []
         decompose = modulation.decompose
 
-        def spy(v, s, k, w, basis=None, **rest):
-            seen.append((w.b, basis))
-            return decompose(v, s, k, w, basis=basis, **rest)
+        def spy(v, s, basis):
+            seen.append((s, basis))
+            return decompose(v, s, basis)
 
         monkeypatch.setattr(modulation, "decompose", spy)
         track = modulation.track_run(series, k, **kwargs)
@@ -349,14 +350,20 @@ class TestExactBasis:
         series = request.getfixturevalue(f"k{k}_series")
         track, seen = self.decomposed(monkeypatch, series, k)
         assert len(seen) == len(series.s)
-        assert all(abs(b) >= modulation.B_FREEZE for b, _ in seen)
-        assert [b for b, _ in seen] == [basis.b for _, basis in seen]
-        assert [st.b for st in track.states] == [b for b, _ in seen]
+        bs = [basis.b for _, basis in seen]
+        assert all(abs(b) >= modulation.B_FREEZE for b in bs)
+        assert [st.b for st in track.states] == bs
+        if k == 1:
+            # the self-consistent parameter: b_1 of the decomposition
+            assert all(abs(st.coeffs[0] - st.b) < 1e-11
+                       for st in track.states)
+        else:
+            assert bs == [modulation.adiabatic_b(s, 2) for s, _ in seen]
 
     def test_k2_bases_are_fresh_solves(self, k2_series, monkeypatch):
         _, seen = self.decomposed(monkeypatch, k2_series, 2)
-        for b, basis in seen:
-            fresh = modulation.Basis.solve(k2_series.grid, b, 2)
+        for _, basis in seen:
+            fresh = modulation.Basis.solve(k2_series.grid, basis.b, 2)
             assert basis.psis.tobytes() == fresh.psis.tobytes()
             assert basis.lams.tobytes() == fresh.lams.tobytes()
             assert basis.operator is None
@@ -383,8 +390,11 @@ class TestExactBasis:
 
 class TestProfileBuilder:
     def test_profile_matches_coefficients(self, grid512):
-        w = WeightParam(0.02)
-        v = modulation.build_profile(grid512, w, [0.003, 0.01])
-        ms = modulation.decompose(v, 0.0, 2, w)
-        assert np.allclose(ms.coeffs, [0.003, 0.01], atol=1e-12)
-        assert v.values[-1] == 0.0
+        for k, coeffs in ((1, [0.01]), (2, [0.003, 0.01])):
+            v = modulation.build_profile(grid512, k, coeffs)
+            # the basis the run's first record is decomposed on
+            b = 0.01 if k == 1 else modulation.adiabatic_b(0.0, 2)
+            basis = modulation.Basis.solve(grid512, b, k)
+            ms = modulation.decompose(v, 0.0, basis)
+            assert np.allclose(ms.coeffs, coeffs, atol=1e-12)
+            assert v.values[-1] == 0.0

@@ -20,25 +20,25 @@ class TestRiccatiExact:
         with pytest.raises(ValueError):
             reduced.RiccatiParams.for_mode(1, 0.06)
 
-    def test_matches_rk4_small_step(self, zeros12):
+    def test_matches_rk4_small_step(self):
         # against criterion 11's RK4 oracle
-        p = reduced.RiccatiParams.for_mode(1, 0.01, zeros12)
+        p = reduced.RiccatiParams.for_mode(1, 0.01)
         s_grid = np.linspace(0.0, 1.0, 11)
         rk4 = verify._rk4_mode_law(p.lam_k, p.sigma, p.b0, s_grid, 1e-4)
         exact = reduced.riccati_exact(p, s_grid)
         assert np.max(np.abs(rk4 - exact)) < 1e-10
 
-    def test_normalized_limit_constant(self, zeros12):
+    def test_normalized_limit_constant(self):
         # e^{lam s} b(s) approaches 1 / (1/b0 + sigma c / lam)
-        p = reduced.RiccatiParams.for_mode(2, 0.01, zeros12)
+        p = reduced.RiccatiParams.for_mode(2, 0.01)
         c = math.sqrt(2 * p.lam_k)
         expect = 1.0 / (1.0 / p.b0 + p.sigma * c / p.lam_k)
         for s in (8.0, 10.0):
             val = math.exp(p.lam_k * s) * reduced.riccati_exact(p, s)
             assert abs(val - expect) < 1e-6 * abs(expect)
 
-    def test_monotone_melting_branch(self, zeros12):
-        p = reduced.RiccatiParams.for_mode(1, 0.03, zeros12)
+    def test_monotone_melting_branch(self):
+        p = reduced.RiccatiParams.for_mode(1, 0.03)
         s = np.linspace(0.0, 4.0, 200)
         b = reduced.riccati_exact(p, s)
         assert np.all(b > 0)
@@ -54,7 +54,7 @@ class TestRiccatiExact:
 
 class TestCouplings:
     def test_closed_form_oracle(self, grid1024, zeros12):
-        g = reduced.coupling_coefficients(3, grid1024, zeros12)
+        g = reduced.coupling_coefficients(3, grid1024)
         for j in (1, 2):
             lam_k, lam_j = zeros12[2].lam, zeros12[j - 1].lam
             closed = ((-1.0) ** (3 + j) * 2.0 * math.sqrt(lam_k * lam_j)
@@ -70,7 +70,6 @@ def k2_shot(ctx):
 class TestShootingK2:
     def test_trapped_found_and_small(self, k2_shot):
         res = k2_shot["result"]
-        assert res.trapped
         assert abs(res.initials[0]) < 50.0 * reduced.TRAP_CEILING * 0.01 ** 2
         assert res.max_v2 <= res.ceiling ** 2
 
@@ -104,6 +103,10 @@ class TestShootingK2:
         assert payload["k"] == 2
         assert payload["exit_s"] is None
         assert payload["found_initials"] == list(res.initials)
+        # the terms of the certificate: the default horizon and s_max
+        ev = k2_shot["evaluator"]
+        assert payload["horizon"] == payload["s_max"] == ev.horizon
+        assert ev.horizon == reduced.default_shoot_horizon(2)
         assert payload["evaluations"] == res.evaluations
         # identical serialization on repeat: fixed-step, no randomness
         assert res.to_json() == res.to_json()
@@ -116,9 +119,7 @@ class TestShootingK3:
         grid = RadialGrid(512)
         ev = reduced.TrapEvaluator(3, 0.02, grid, ds=6e-5)
         assert ev.s_max == pytest.approx(reduced.default_shoot_horizon(3))
-        res = reduced.shoot_trapped(3, 0.02, grid=grid, evaluator=ev,
-                                    tol=1e-12)
-        assert res.trapped
+        res = reduced.shoot_trapped(ev)
         assert ev.evaluations == res.evaluations <= 8
         assert res.max_v2 <= res.ceiling ** 2
         # both lower coefficients sit at the quadratically forced scale
@@ -140,29 +141,39 @@ class TestShootingK3:
         with pytest.raises(ValueError):
             reduced.TrapEvaluator(1, 0.01, grid)
 
+    def test_ceiling_above_four_tol(self):
+        # ln(ceiling / (4 tol)) / growth is the horizon; it must be positive
+        grid = RadialGrid(512)
+        for ceiling in (1e-8, 4e-6):
+            with pytest.raises(ValueError, match="ceiling"):
+                reduced.TrapEvaluator(2, 0.02, grid, ceiling=ceiling,
+                                      tol=1e-6)
+
 
 class TestShootingFailure:
     def test_no_trapped_data_with_tiny_ceiling(self):
-        # an absurd ceiling makes every trajectory exit, so the bracket
-        # narrows to the tolerance without ever trapping
+        # an absurd ceiling makes every trajectory exit, so the Newton steps
+        # shrink below the evaluator's tol without ever trapping
         grid = RadialGrid(512)
         ev = reduced.TrapEvaluator(2, 0.02, grid, s_max=0.2, ceiling=1e-8)
-        with pytest.raises(NoTrappedData):
-            reduced.shoot_trapped(2, 0.02, grid=grid, evaluator=ev,
-                                  ceiling=1e-8, tol=1e-6)
+        with pytest.raises(NoTrappedData, match="below tol = 1e-12"):
+            reduced.shoot_trapped(ev)
 
 
 class TestShootingHorizon:
     def test_long_run_reads_v_at_the_default_horizon(self):
         # runs to s_max = 2 end at the norm floor at different s; the search
         # reads V at the default horizon, not at each run's last record
-        res = reduced.shoot_trapped(2, 0.01, s_max=2.0)
-        assert res.trapped
+        ev = reduced.TrapEvaluator(2, 0.01, RadialGrid(512), s_max=2.0)
+        res = reduced.shoot_trapped(ev)
+        assert res.certificate.exit_s is None
         assert res.evaluations <= 6
+        assert (res.horizon, res.s_max) == (ev.horizon, 2.0)
 
     def test_zero_driving_mode_needs_one_evaluation(self):
-        res = reduced.shoot_trapped(2, 0.0)
-        assert res.trapped
+        res = reduced.shoot_trapped(
+            reduced.TrapEvaluator(2, 0.0, RadialGrid(512)))
+        assert res.certificate.exit_s is None
         assert res.initials == (0.0,)
         assert res.evaluations == 1
         assert res.iterations == 0
@@ -171,10 +182,15 @@ class TestShootingHorizon:
 class _StubEvaluator:
     """Exit map without a PDE: V(s_F) = f(x); data traps iff |f(x)| < trap_below."""
 
-    horizon = 0.5
+    grid = RadialGrid(512)
+    horizon = s_max = 0.5
+    ceiling = 1.0
 
-    def __init__(self, f, trap_below=1e-3):
+    def __init__(self, f, k=2, trap_below=1e-3, b_k0=0.01, tol=1e-12):
         self.f = f
+        self.k = k
+        self.b_k0 = b_k0
+        self.tol = tol
         self.trap_below = trap_below
         self.evaluations = 0
 
@@ -188,12 +204,11 @@ class _StubEvaluator:
 
 class TestShootingStubs:
     def _shoot(self, k, f):
-        ev = _StubEvaluator(f)
-        return reduced.shoot_trapped(k, 0.01, evaluator=ev, tol=1e-12), ev
+        ev = _StubEvaluator(f, k)
+        return reduced.shoot_trapped(ev), ev
 
     def test_affine_map_secant_lands_in_one_step(self):
         res, ev = self._shoot(2, lambda x: 2.5e11 * (x - 3e-6))
-        assert res.trapped
         assert ev.evaluations == 3
         assert res.iterations == 1
         assert abs(res.initials[0] - 3e-6) < 1e-14
@@ -202,7 +217,6 @@ class TestShootingStubs:
         A = np.array([[2.0e11, 3.0e10], [-1.0e10, 5.0e11]])
         root = np.array([2e-6, -7e-6])
         res, ev = self._shoot(3, lambda x: A @ (x - root))
-        assert res.trapped
         assert ev.evaluations == 4
         assert np.allclose(res.initials, root, rtol=0, atol=1e-14)
 
@@ -224,8 +238,29 @@ class TestShootingStubs:
         # reaches it is shorter than tol
         ev = _StubEvaluator(lambda x: 2.5e11 * (x - 3e-6), trap_below=0.0)
         with pytest.raises(NoTrappedData, match="below tol"):
-            reduced.shoot_trapped(2, 0.01, evaluator=ev, tol=1e-12)
+            reduced.shoot_trapped(ev)
         assert ev.evaluations == 4
+
+    def test_result_records_the_evaluators_terms(self):
+        ev = _StubEvaluator(lambda x: 2.5e11 * (x - 3e-6), tol=1e-9)
+        ev.ceiling, ev.horizon, ev.s_max = 0.25, 0.3, 0.4
+        res = reduced.shoot_trapped(ev)
+        assert (res.ceiling, res.tol) == (0.25, 1e-9)
+        assert (res.horizon, res.s_max) == (0.3, 0.4)
+        payload = json.loads(res.to_json())
+        assert (payload["ceiling"], payload["tol"]) == (0.25, 1e-9)
+        assert (payload["horizon"], payload["s_max"]) == (0.3, 0.4)
+
+    def test_horizon_too_short_to_certify(self):
+        # every datum traps: x = 0 and the first probe cannot be told apart
+        ev = _StubEvaluator(lambda x: np.zeros(1))
+        with pytest.raises(NoTrappedData, match="s_max = 0.5"):
+            reduced.shoot_trapped(ev)
+        assert ev.evaluations == 2
+        # with b_k(0) = 0 the zero datum is the trapped point itself
+        ev = _StubEvaluator(lambda x: np.zeros(1), b_k0=0.0)
+        res = reduced.shoot_trapped(ev)
+        assert res.initials == (0.0,) and ev.evaluations == 1
 
     def test_family_reuses_the_certifying_evaluation(self, monkeypatch):
         # the verification family takes its trapped run from the search

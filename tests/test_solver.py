@@ -13,8 +13,8 @@ from stefanlab.weighted import GridFunction, RadialGrid, WeightParam
 W0 = WeightParam(0.0)
 
 
-def eta_profile(grid, j, amp, zeros):
-    vals = amp * bessel.eta(j, grid, zeros).values
+def eta_profile(grid, j, amp):
+    vals = amp * bessel.eta(j, grid).values
     vals[-1] = 0.0
     return GridFunction(grid, vals)
 
@@ -29,25 +29,25 @@ class TestStepBasics:
         assert nxt.lam == 1.0
         assert nxt.t == pytest.approx(1e-4)
 
-    def test_dirichlet_preserved_exactly(self, grid512, zeros12):
-        state = solver.make_state(eta_profile(grid512, 1, 0.01, zeros12))
+    def test_dirichlet_preserved_exactly(self, grid512):
+        state = solver.make_state(eta_profile(grid512, 1, 0.01))
         nxt = solver.Stepper(grid512, 1e-4).advance(state)
         assert nxt.v.values[-1] == 0.0
 
-    def test_boundary_blowup_guard(self, grid512, zeros12):
-        state = solver.make_state(eta_profile(grid512, 1, 0.9, zeros12))
+    def test_boundary_blowup_guard(self, grid512):
+        state = solver.make_state(eta_profile(grid512, 1, 0.9))
         assert abs(state.a) > 1.0
         with pytest.raises(BoundaryBlowup):
             solver.Stepper(grid512, 1e-4).advance(state)
 
-    def test_nonpositive_radius_guard(self, grid512, zeros12):
-        state = solver.make_state(eta_profile(grid512, 1, 0.01, zeros12))
+    def test_nonpositive_radius_guard(self, grid512):
+        state = solver.make_state(eta_profile(grid512, 1, 0.01))
         state.lam = 0.0
         with pytest.raises(NonPositiveRadius):
             solver.Stepper(grid512, 1e-4).advance(state)
 
-    def test_radius_update_multiplicative(self, grid512, zeros12):
-        state = solver.make_state(eta_profile(grid512, 1, 0.01, zeros12))
+    def test_radius_update_multiplicative(self, grid512):
+        state = solver.make_state(eta_profile(grid512, 1, 0.01))
         nxt = solver.Stepper(grid512, 1e-4).advance(state)
         assert nxt.lam > 0.0
         # freezing direction: a > 0 for a negative slope profile? a is the
@@ -63,7 +63,7 @@ class TestDiffusionDecay:
         # delta e^{-lam_1 s} to the scheme's accuracy
         stepper = solver.Stepper(grid512, 1e-4)
         delta = 1e-3
-        v = delta * bessel.eta(1, grid512, zeros12).values
+        v = delta * bessel.eta(1, grid512).values
         v[-1] = 0.0
         nsteps = 2000
         vi = v[:512]
@@ -89,22 +89,22 @@ class TestRun:
         v0 = GridFunction(grid512, np.zeros(513))
         assert solver.mass(solver.make_state(v0)) == pytest.approx(math.pi)
 
-    def test_melting_and_freezing_direction(self, grid512, zeros12):
+    def test_melting_and_freezing_direction(self, grid512):
         # ground-mode data: positive coefficient melts, negative freezes
         for amp, growing in ((0.01, True), (-0.01, False)):
-            ts = solver.run(eta_profile(grid512, 1, amp, zeros12),
+            ts = solver.run(eta_profile(grid512, 1, amp),
                             ds=4e-4, s_max=0.3)
             assert (ts.lam[-1] > ts.lam[0]) == growing
 
-    def test_records_monotone(self, grid512, zeros12):
-        ts = solver.run(eta_profile(grid512, 1, 0.01, zeros12),
+    def test_records_monotone(self, grid512):
+        ts = solver.run(eta_profile(grid512, 1, 0.01),
                         ds=4e-4, s_max=0.2)
         assert np.all(np.diff(ts.s) > 0)
         assert np.all(np.diff(ts.t) > 0)
 
-    def test_mass_tolerance_enforced(self, grid512, zeros12):
+    def test_mass_tolerance_enforced(self, grid512):
         with pytest.raises(ConservationError):
-            solver.run(eta_profile(grid512, 1, 0.01, zeros12),
+            solver.run(eta_profile(grid512, 1, 0.01),
                        ds=4e-4, s_max=0.5, mass_tol=1e-14)
 
     def test_taylor_sign_propagates(self, ctx):
@@ -122,11 +122,11 @@ class TestRun:
 
 
 class TestDiscreteMaximumPrinciple:
-    def test_sign_preservation_under_dmp_step(self, zeros12):
+    def test_sign_preservation_under_dmp_step(self):
         grid = RadialGrid(128)
         ds = solver.dmp_step_limit(grid, safety=0.8)
         stepper = solver.Stepper(grid, ds)
-        vals = 0.01 * bessel.eta(1, grid, zeros12).values
+        vals = 0.01 * bessel.eta(1, grid).values
         vals[-1] = 0.0
         state = solver.make_state(GridFunction(grid, vals))
         for _ in range(400):
@@ -135,12 +135,12 @@ class TestDiscreteMaximumPrinciple:
 
 
 class TestConvergence:
-    def test_radius_convergence_order(self, zeros12):
+    def test_radius_convergence_order(self):
         # halving h and ds together: second order in both by construction
         outs = []
         for n, ds in ((128, 3.2e-3), (256, 1.6e-3), (512, 8e-4)):
             grid = RadialGrid(n)
-            v0 = eta_profile(grid, 1, -0.01, zeros12)
+            v0 = eta_profile(grid, 1, -0.01)
             # the coarse levels carry an O(h^2) mass drift of their own
             ts = solver.run(v0, ds=ds, s_max=1.0, record_ds=0.1,
                             mass_tol=1e-3)
@@ -149,20 +149,20 @@ class TestConvergence:
         order = math.log2(d1 / d2)
         assert order >= 1.8
 
-    def test_time_reconstruction_two_cadences(self, grid512, zeros12):
+    def test_time_reconstruction_two_cadences(self, grid512):
         from stefanlab.asymptotics import time_reconstruction_check
 
         defects = []
         for rec in (8e-3, 4e-3):
-            ts = solver.run(eta_profile(grid512, 1, -0.01, zeros12),
+            ts = solver.run(eta_profile(grid512, 1, -0.01),
                             ds=4e-4, s_max=0.8, record_ds=rec)
             defects.append(time_reconstruction_check(ts))
         # trapezoid-in-s error model: quartering with the halved cadence
         assert defects[1] <= defects[0] / 3.0
 
 
-def test_csv_header(tmp_path, grid512, zeros12):
-    ts = solver.run(eta_profile(grid512, 1, 0.01, zeros12),
+def test_csv_header(tmp_path, grid512):
+    ts = solver.run(eta_profile(grid512, 1, 0.01),
                     ds=4e-4, s_max=0.05)
     path = tmp_path / "ts.csv"
     ts.to_csv(path)

@@ -14,7 +14,7 @@ W0 = WeightParam(0.0)
 class TestAssembly:
     def test_eigenrelation_on_eta(self, grid1024, zeros12):
         op = spectrum.assemble_hb(grid1024, W0)
-        e1 = bessel.eta(1, grid1024, zeros12)
+        e1 = bessel.eta(1, grid1024)
         out = op.apply(e1.values)
         resid = out[:-1] - zeros12[0].lam * e1.values[:-1]
         # flux form is O(h^2) pointwise on smooth eigenfunctions
@@ -55,25 +55,25 @@ class TestEigenpairs:
     def test_unperturbed_vectors_match_eta(self, grid1024, zeros12):
         pairs = spectrum.eigenpairs(grid1024, W0, 3)
         for k, pair in enumerate(pairs, start=1):
-            ek = bessel.eta(k, grid1024, zeros12)
+            ek = bessel.eta(k, grid1024)
             diff = GridFunction(grid1024, pair.psi.values - ek.values)
             assert norm_b(diff, W0) <= 200 * zeros12[k - 1].lam * grid1024.h ** 2
 
-    def test_normalization_sign_residual(self, ctx, grid1024, zeros12):
+    def test_normalization_sign_residual(self, ctx, grid1024):
         for b in (0.0, 0.02, -0.02):
             for k, pair in enumerate(ctx.eigen(1024, b, 3), start=1):
                 w = WeightParam(b)
                 assert abs(norm_b(pair.psi, w) - 1.0) <= 1e-12
-                ek = bessel.eta(k, grid1024, zeros12)
+                ek = bessel.eta(k, grid1024)
                 assert inner_b(pair.psi, ek, w) > 0.0
                 assert pair.residual <= 1e-8
 
-    def test_eta_projection_near_one(self, ctx, grid1024, zeros12):
+    def test_eta_projection_near_one(self, ctx, grid1024):
         # <psi_{b,k}, eta_k>_b = 1 + O(|b|)
         for b in (0.01, -0.02):
             w = WeightParam(b)
             for k, pair in enumerate(ctx.eigen(1024, b, 3), start=1):
-                ek = bessel.eta(k, grid1024, zeros12)
+                ek = bessel.eta(k, grid1024)
                 assert abs(inner_b(pair.psi, ek, w) - 1.0) <= 5 * abs(b)
 
     def test_ground_state_positive(self, ctx):
@@ -87,7 +87,7 @@ class TestEigenpairs:
             u = spectrum.random_dirichlet(grid1024, rng)
             assert lam1 <= spectrum.rayleigh_quotient(u, w) + 1e-9
 
-    def test_grid_convergence_order(self, zeros12):
+    def test_grid_convergence_order(self):
         lams = [spectrum.eigenpairs(RadialGrid(n), W0, 2)[1].lam
                 for n in (512, 1024, 2048)]
         d1, d2 = abs(lams[0] - lams[1]), abs(lams[1] - lams[2])
@@ -138,7 +138,7 @@ class TestPerturbationSweep:
                 lm = ctx.eigen(1024, -b, k)[k - 1].lam
                 assert abs(lp + lm - 2 * lam0) <= 5 * b ** 2
 
-    def test_projection_coefficients_first_order(self, grid1024, zeros12):
+    def test_projection_coefficients_first_order(self, grid1024):
         rep = spectrum.perturbation_sweep(grid1024, 2, (0.005, 0.01, 0.02))
         for b in rep.b_values:
             got = rep.mu_hat[b]
@@ -162,7 +162,7 @@ class TestSpectralGap:
         assert val >= zeros12[1].lam - 0.1
 
     def test_sharpness_witness(self, grid1024, zeros12):
-        e2 = bessel.eta(2, grid1024, zeros12)
+        e2 = bessel.eta(2, grid1024)
         q = spectrum.rayleigh_quotient(e2, W0)
         assert abs(q - zeros12[1].lam) <= 0.05
 

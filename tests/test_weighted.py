@@ -60,8 +60,8 @@ class TestInnerProduct:
         z = GridFunction(grid512, np.zeros(513))
         assert inner_b(z, z, W0) == 0.0
 
-    def test_eta_normalized(self, grid1024, zeros12):
-        e = bessel.eta(1, grid1024, zeros12)
+    def test_eta_normalized(self, grid1024):
+        e = bessel.eta(1, grid1024)
         assert abs(inner_b(e, e, W0) - 1.0) <= 1e-8
 
     def test_polynomial_exact_value(self, grid512):
@@ -101,7 +101,7 @@ class TestScalingOperator:
         assert (y * deriv_values(np.cos(y), grid512.h))[0] == 0.0
 
     def test_eta_boundary_value(self, grid1024, zeros12):
-        e = bessel.eta(1, grid1024, zeros12)
+        e = bessel.eta(1, grid1024)
         val = (grid1024.y * deriv_values(e.values, grid1024.h))[-1]
         assert abs(val + math.sqrt(2 * zeros12[0].lam)) < 1e-6
 
@@ -120,7 +120,7 @@ class TestOperatorCompatibility:
         scale = math.sqrt(float(np.sum(m * f * f) * np.sum(m * g * g)))
         assert abs(left - right) <= 1e-12 * max(scale, 1.0) * 100
 
-    def test_simpson_self_adjointness_smooth(self, grid1024, zeros12, rng):
+    def test_simpson_self_adjointness_smooth(self, grid1024, rng):
         w = WeightParam(0.03)
         op = spectrum.assemble_hb(grid1024, w)
         f = spectrum.random_dirichlet(grid1024, rng, modes=8)
@@ -136,7 +136,7 @@ class TestOperatorCompatibility:
         # lam_{k+1} - C|b|; the measured C is reported, sanity-capped here
         k = 2
         lam_next = zeros12[k].lam
-        etas = [bessel.eta(j, grid1024, zeros12)
+        etas = [bessel.eta(j, grid1024)
                 for j in range(1, k + 1)]
         measured_c = 0.0
         for b in (-0.05, -0.02, 0.02, 0.05):
