@@ -7,7 +7,8 @@ bessel
 weighted
     Radial grid, Gaussian drift weight, weighted inner products and norms.
 spectrum
-    Divergence-form drifted Laplacian, eigenpairs, perturbation sweeps.
+    Divergence-form drifted Laplacian, its eigenbasis and weighted
+    projection, perturbation sweeps, gap checks.
 solver
     IMEX time stepping of the renormalized moving-boundary flow.
 modulation

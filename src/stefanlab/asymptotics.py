@@ -160,17 +160,19 @@ def write_verdict_json(path, verdict_dict: dict):
         fh.write(json.dumps(verdict_dict, sort_keys=True, indent=2) + "\n")
 
 
-def decay_plot(path, ts: TimeSeries, fit: FitResult):
-    """Log-linear plot of |lam(t) - lam_inf| with the fitted line."""
-    d = np.abs(ts.lam - fit.lambda_inf)
+def decay_plot(path, ts: TimeSeries, verdict_dict: dict):
+    """Log-linear plot of |lam(t) - lam_inf| with the line fitted by
+    :func:`verdict`."""
+    d = np.abs(ts.lam - verdict_dict["lambda_inf_predicted"])
     mask = d > 0
     t = ts.t[mask]
     logd = np.log10(d[mask])
-    t0, t1 = fit.window
+    t0, t1 = verdict_dict["fit_window"]
+    rate = verdict_dict["rate_fitted"]
     in_win = (t >= t0) & (t <= t1)
     fit_line = np.where(
         in_win,
-        (np.log10(math.e) * (-fit.rate_fitted) * (t - t0)) + logd[in_win][0]
+        (np.log10(math.e) * (-rate) * (t - t0)) + logd[in_win][0]
         if np.any(in_win) else np.nan,
         np.nan,
     )
@@ -178,5 +180,5 @@ def decay_plot(path, ts: TimeSeries, fit: FitResult):
         path, t,
         [("measured", logd, "#1f77b4"), ("fitted", fit_line, "#d62728")],
         xlabel="t", ylabel="log10 |lambda - lambda_inf|",
-        title=f"rate fit: {fit.rate_fitted:.4f} vs {fit.rate_predicted:.4f}",
+        title=f"rate fit: {rate:.4f} vs {verdict_dict['rate_predicted']:.4f}",
     )

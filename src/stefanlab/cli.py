@@ -14,9 +14,11 @@ Exit codes: 0 success, 1 configuration error, 2 verification failure,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
+import warnings
 
 from . import asymptotics, bessel, modulation, reduced, solver, spectrum, verify
 from .config import (MODES, ScenarioConfig, load_config, serialize_config,
@@ -86,15 +88,14 @@ def cmd_spectrum(cfg: ScenarioConfig) -> int:
     grid = RadialGrid(cfg.grid_n)
     zeros = bessel.j0_zeros(8)
     bessel.zeros_to_csv(_outpath(cfg, "eigen_table.csv"), zeros)
-    pairs = spectrum.eigenpairs(grid, WeightParam(cfg.b0), 8)
+    basis = spectrum.eigenpairs(grid, WeightParam(cfg.b0), 8)
     with open(_outpath(cfg, "eigen_table_drift.csv"), "w", newline="") as fh:
-        import csv as _csv
-
-        wr = _csv.writer(fh)
+        wr = csv.writer(fh)
         wr.writerow(["k", "b", "lambda_bk", "boundary_slope", "residual"])
-        for p in pairs:
-            wr.writerow([p.index, repr(p.b), repr(p.lam),
-                         repr(p.boundary_slope), repr(p.residual)])
+        for j in range(8):
+            wr.writerow([j + 1, repr(basis.b), repr(float(basis.lams[j])),
+                         repr(float(basis.boundary_slopes[j])),
+                         repr(float(basis.residuals[j]))])
     reports = [spectrum.perturbation_sweep(grid, k, cfg.b_values)
                for k in (1, 2, 3)]
     spectrum.sweep_to_csv(_outpath(cfg, "perturbation_sweep.csv"), reports)
@@ -112,10 +113,7 @@ def cmd_spectrum(cfg: ScenarioConfig) -> int:
                     - (1.0 if i == j else 0.0))
                 for i in range(8) for j in range(8))
     checks["orthonormality_1e-8"] = ortho <= 1e-8
-    # the k = 8 identity needs the finer quadrature (Simpson error ~ h^4 r_k^4)
-    fine = grid if grid.n >= 2048 else RadialGrid(2048)
-    scaling = max(abs(bessel.scaling_coefficient(kk, kk, fine) + 1.0)
-                  for kk in range(1, 9))
+    scaling = bessel.scaling_identity_defect(grid)
     checks["scaling_identity_1e-8"] = scaling <= 1e-8
     checks["sweep_slope_near_minus_one"] = all(
         -1.1 <= r.slope <= -0.9 for r in reports)
@@ -135,7 +133,7 @@ def cmd_spectrum(cfg: ScenarioConfig) -> int:
         "gap_floors": gap_checks,
         "sweeps": {r.k: {"slope": r.slope, "residual_order": r.residual_order}
                    for r in reports},
-        "eigenvalues_b": {p.index: p.lam for p in pairs},
+        "eigenvalues_b": {j + 1: float(lam) for j, lam in enumerate(basis.lams)},
     }
     with open(_outpath(cfg, "spectrum_report.json"), "w") as fh:
         fh.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
@@ -171,8 +169,7 @@ def cmd_run(cfg: ScenarioConfig) -> int:
                                   rate_tol=cfg.effective_rate_tol(),
                                   radius_tol=cfg.radius_tol)
     asymptotics.write_verdict_json(_outpath(cfg, "verdict.json"), verdict)
-    fit = asymptotics.fit_rate(series, verdict["lambda_inf_predicted"], cfg.k)
-    asymptotics.decay_plot(_outpath(cfg, "decay.svg"), series, fit)
+    asymptotics.decay_plot(_outpath(cfg, "decay.svg"), series, verdict)
     print(f"run: {verdict['regime']}, rate {verdict['rate_fitted']:.4f} vs "
           f"{verdict['rate_predicted']:.4f} "
           f"(rel {verdict['rate_rel_error']:.3%}), radius defect "
@@ -211,32 +208,47 @@ def cmd_verify_all(cfg: ScenarioConfig) -> int:
     return 0 if n_pass == len(results) else 2
 
 
+def _drift_warning_once():
+    """Show the first drift-range warning of :class:`WeightParam` and ignore
+    the rest: one run solves bases at many b next to each other."""
+    show = warnings.showwarning
+
+    def show_first(message, category, *args, **kwargs):
+        show(message, category, *args, **kwargs)
+        if str(message).startswith("drift parameter"):
+            warnings.filterwarnings("ignore", message="drift parameter")
+
+    warnings.showwarning = show_first
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        cfg = _config_from_args(args)
-        if args.dump_config:
-            print(serialize_config(cfg), end="")
-            return 0
-        handler = {
-            "spectrum": cmd_spectrum,
-            "run": cmd_run,
-            "shoot": cmd_shoot,
-            "verify-all": cmd_verify_all,
-        }[cfg.mode]
-        return handler(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except (BoundaryBlowup, NonPositiveRadius) as exc:
-        print(f"dynamics guard: {exc}", file=sys.stderr)
-        return 3
-    except (NoTrappedData, InsufficientDecay) as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 2
-    except StefanLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        _drift_warning_once()
+        try:
+            cfg = _config_from_args(args)
+            if args.dump_config:
+                print(serialize_config(cfg), end="")
+                return 0
+            handler = {
+                "spectrum": cmd_spectrum,
+                "run": cmd_run,
+                "shoot": cmd_shoot,
+                "verify-all": cmd_verify_all,
+            }[cfg.mode]
+            return handler(cfg)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 1
+        except (BoundaryBlowup, NonPositiveRadius) as exc:
+            print(f"dynamics guard: {exc}", file=sys.stderr)
+            return 3
+        except (NoTrappedData, InsufficientDecay) as exc:
+            print(f"verification failure: {exc}", file=sys.stderr)
+            return 2
+        except StefanLabError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -27,16 +27,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import bessel, spectrum
-from .errors import InsufficientHistory, NonConvergence, SingularGram
+from .errors import InsufficientHistory, NonConvergence
 from .solver import TimeSeries
+from .spectrum import Basis
 from .weighted import GridFunction, RadialGrid, WeightParam, inner_b
 
 #: default amplitude of the adiabatic basis schedule for k > 1
 ADIABATIC_AMPLITUDE = 0.02
 #: below this the basis is frozen at b = 0 (eigenpairs are numerically static)
 B_FREEZE = 1e-9
-#: Gram conditioning cap
-GRAM_COND_CAP = 1e8
 
 
 def gap_exponent(k: int) -> float:
@@ -61,27 +60,6 @@ def frozen_b(b: float) -> float:
 
 
 @dataclass
-class Basis:
-    """Eigenbasis of H_b used for one decomposition: values, eigenvalues,
-    and the operator it was solved from (None once dropped from a cache)."""
-
-    b: float
-    psis: np.ndarray          # (n+1, k) columns are psi_{b,j}
-    lams: np.ndarray          # (k,)
-    grid: RadialGrid
-    operator: spectrum.DriftOperator | None = None
-
-    @classmethod
-    def solve(cls, grid: RadialGrid, b: float, k: int) -> "Basis":
-        w = WeightParam(b)
-        op = spectrum.assemble_hb(grid, w)
-        pairs = spectrum.eigenpairs(grid, w, k, operator=op)
-        psis = np.column_stack([p.psi.values for p in pairs])
-        lams = np.array([p.lam for p in pairs])
-        return cls(b=b, psis=psis, lams=lams, grid=grid, operator=op)
-
-
-@dataclass
 class ModulationState:
     """Decomposition snapshot at one record time."""
 
@@ -94,24 +72,13 @@ class ModulationState:
 
 def decompose(v: GridFunction, s: float, basis: Basis) -> ModulationState:
     """Split v into the k modes of ``basis`` plus a remainder eps weighted-
-    orthogonal to them, in the weight of the basis parameter b.
-
-    Solves the k x k Gram system for the coefficients; raises
-    :class:`SingularGram` when the basis conditioning exceeds 1e8 (a sign
-    that the parameter b is outside its range).  The state keeps the energy
-    of eps, not eps.  Trap variables whose growth factor overflows are +-inf
-    (0 for a zero coefficient).
+    orthogonal to them, in the weight of the basis parameter b
+    (:meth:`Basis.split`, which raises :class:`SingularGram` on a singular
+    basis).  The state keeps the energy of eps, not eps.  Trap variables
+    whose growth factor overflows are +-inf (0 for a zero coefficient).
     """
     k = basis.psis.shape[1]
-    w = WeightParam(basis.b)
-    wv = v.grid.simpson * w.rho(v.grid.y) * v.grid.y
-    gram = basis.psis.T @ (wv[:, None] * basis.psis)
-    if np.linalg.cond(gram) > GRAM_COND_CAP:
-        raise SingularGram(f"Gram conditioning {np.linalg.cond(gram):.2e}")
-    rhs = basis.psis.T @ (wv * v.values)
-    coeffs = np.linalg.solve(gram, rhs)
-    eps_vals = v.values - basis.psis @ coeffs
-    eps_vals[-1] = 0.0
+    coeffs, eps_vals = basis.split(v.values)
     eps = GridFunction(v.grid, eps_vals)
     V = coeffs[: k - 1]
     if k > 1:
@@ -121,7 +88,8 @@ def decompose(v: GridFunction, s: float, basis: Basis) -> ModulationState:
         except OverflowError:
             V = np.where(V == 0.0, V, np.copysign(math.inf, V))
     return ModulationState(s=s, b=basis.b, coeffs=coeffs,
-                           energy=energy_of(eps, w, basis.operator), V=V)
+                           energy=energy_of(eps, WeightParam(basis.b),
+                                            basis.operator), V=V)
 
 
 def energy_of(eps: GridFunction, w: WeightParam,

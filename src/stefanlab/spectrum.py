@@ -14,6 +14,8 @@ finite-volume cell of width h/2.
 Eigenpairs come from the symmetrized tridiagonal matrix (LAPACK bisection
 plus inverse iteration); eigenvectors are mapped back, Simpson-normalized in
 the weighted norm, and sign-fixed against the unperturbed eigenfunctions.
+They are returned as one :class:`Basis`, whose weighted Gram projection
+serves both the mode decomposition and the spectral gap check.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from . import bessel
-from .errors import NonConvergence
+from .errors import NonConvergence, SingularGram
 from .weighted import (GridFunction, RadialGrid, WeightParam, deriv, end_slope,
-                       inner_b, norm_b)
+                       inner_b, right_stencils)
 
 #: largest number of eigenpairs `eigenpairs` computes
 MAX_EIGENPAIRS = 12
@@ -67,8 +69,7 @@ class DriftOperator:
         out[1:n] = -(flux[1:] - flux[:-1]) / m[1:]
         # boundary value from one-sided derivatives:
         # H_b v (1) = -(v'' + v') + b v'  at y = 1
-        c1 = np.array([3.0, -16.0, 36.0, -48.0, 25.0]) / (12.0 * h)
-        c2 = np.array([11.0, -56.0, 114.0, -104.0, 35.0]) / (12.0 * h * h)
+        c1, c2 = right_stencils(h)
         vp = c1 @ v[-5:]
         vpp = c2 @ v[-5:]
         out[n] = -(vpp + vp) + self.w.b * vp
@@ -92,27 +93,68 @@ def assemble_hb(grid: RadialGrid, w: WeightParam) -> DriftOperator:
                          node_mass=m, half_flux=half_flux)
 
 
-@dataclass
-class EigenPair:
-    """Discrete eigenpair of H_b.
+#: largest Gram conditioning a :meth:`Basis.split` accepts
+GRAM_COND_CAP = 1e8
 
-    ``psi`` is Simpson-normalized to unit weighted norm with the sign fixed
-    so its projection on the unperturbed eigenfunction of the same index is
-    positive; ``boundary_slope`` is the 4-point one-sided derivative at y = 1
-    and ``residual`` the discrete weighted norm of H_b psi - lam psi.
+
+@dataclass
+class Basis:
+    """The first k eigenpairs of H_b, one column per mode.
+
+    Column j of ``psis`` is psi_{b,j+1}, Simpson-normalized to unit weighted
+    norm with the sign fixed so its projection on eta_{j+1} is positive;
+    ``boundary_slopes`` are the columns' 4-point one-sided derivatives at
+    y = 1 and ``residuals`` the discrete weighted norms of H_b psi - lam psi.
+    ``operator`` is the H_b they were solved from when the caller keeps it:
+    set by :meth:`solve`, whose bases decompose profiles, and None from a
+    bare :func:`eigenpairs` call or once dropped from a cache.
     """
 
-    index: int
     b: float
-    lam: float
-    psi: GridFunction
-    boundary_slope: float
-    residual: float
+    psis: np.ndarray              # (n+1, k), C-contiguous
+    lams: np.ndarray              # (k,)
+    boundary_slopes: np.ndarray   # (k,)
+    residuals: np.ndarray         # (k,)
+    grid: RadialGrid
+    operator: DriftOperator | None = None
+
+    @classmethod
+    def solve(cls, grid: RadialGrid, b: float, k: int) -> "Basis":
+        """The first k eigenpairs of H_b at parameter b, keeping the
+        assembled H_b for the energies of the profiles split on them."""
+        w = WeightParam(b)
+        return eigenpairs(grid, w, k, operator=assemble_hb(grid, w))
+
+    def split(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Coefficients c and remainder r of values = psis @ c + r, with r
+        weighted-orthogonal to every column in the weight at ``b`` and
+        pinned to 0 at y = 1.
+
+        Solves the k x k Gram system; raises :class:`SingularGram` when its
+        conditioning exceeds ``GRAM_COND_CAP`` (a sign that b is outside its
+        range).
+        """
+        grid = self.grid
+        wv = grid.simpson * WeightParam(self.b).rho(grid.y) * grid.y
+        gram = self.psis.T @ (wv[:, None] * self.psis)
+        if np.linalg.cond(gram) > GRAM_COND_CAP:
+            raise SingularGram(f"Gram conditioning {np.linalg.cond(gram):.2e}")
+        coeffs = np.linalg.solve(gram, self.psis.T @ (wv * values))
+        rest = values - self.psis @ coeffs
+        rest[-1] = 0.0
+        return coeffs, rest
+
+
+def _row_inner(grid: RadialGrid, f: np.ndarray, g: np.ndarray,
+               w: WeightParam) -> np.ndarray:
+    """inner_b of each row of f with the same row of g (the floats
+    :func:`inner_b` gives row by row)."""
+    return np.sum(grid.simpson * f * g * w.rho(grid.y) * grid.y, axis=-1)
 
 
 def eigenpairs(grid: RadialGrid, w: WeightParam, count: int,
-               operator: DriftOperator | None = None) -> list[EigenPair]:
-    """Smallest ``count`` eigenpairs of H_b on ``grid``.
+               operator: DriftOperator | None = None) -> Basis:
+    """Smallest ``count`` eigenpairs of H_b on ``grid``, as one basis.
 
     Requires count <= 12 and a grid of at least 512 intervals (coarser grids
     are fine for the low modes but are outside the accuracy contract).
@@ -122,61 +164,49 @@ def eigenpairs(grid: RadialGrid, w: WeightParam, count: int,
     if grid.n < 512:
         raise ValueError("eigenpairs requires a grid of at least 512 intervals")
     op = operator if operator is not None else assemble_hb(grid, w)
+    n = grid.n
+    # one row per mode: every reduction then runs along a contiguous row and
+    # gives the floats inner_b gives on that mode alone
+    rows = np.zeros((count, n + 1))
     try:
-        vals, vecs = eigh_tridiagonal(
+        rows[:, :n] = eigh_tridiagonal(
             op.diag, op.off, select="i", select_range=(0, count - 1)
-        )
+        )[1].T
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NonConvergence(f"tridiagonal eigensolver failed: {exc}") from exc
-    out = []
-    sqrt_m = np.sqrt(op.node_mass)
-    for k in range(1, count + 1):
-        full = np.zeros(grid.n + 1)
-        full[: grid.n] = vecs[:, k - 1] / sqrt_m
-        psi = GridFunction(grid, full)
-        nrm = norm_b(psi, w)
-        psi.values /= nrm
-        ek = GridFunction(grid, bessel.eta_samples(k, grid))
-        if inner_b(psi, ek, w) < 0.0:
-            psi.values *= -1.0
-        # Rayleigh polish in the matrix's own mass weights: the bisection
-        # eigenvalues carry an absolute error ~ ||T|| eps ~ 1e-9 otherwise
-        interior = psi.values[: grid.n]
-        hpsi = op.apply(psi.values)
-        lam = float(np.dot(op.node_mass * interior, hpsi[: grid.n])
-                    / np.dot(op.node_mass * interior, interior))
-        resid_full = hpsi - lam * psi.values
-        resid_full[-1] = 0.0  # residual measured on the Dirichlet subspace
-        resid = norm_b(GridFunction(grid, resid_full), w)
-        out.append(
-            EigenPair(
-                index=k,
-                b=w.b,
-                lam=lam,
-                psi=psi,
-                boundary_slope=end_slope(psi.values, grid.h),
-                residual=resid,
-            )
-        )
-    return out
+    rows[:, :n] /= np.sqrt(op.node_mass)
+    rows /= np.sqrt(np.maximum(_row_inner(grid, rows, rows, w), 0.0))[:, None]
+    for j, row in enumerate(rows, start=1):
+        if _row_inner(grid, row, bessel.eta_samples(j, grid), w) < 0.0:
+            row *= -1.0
+    # Rayleigh polish in the matrix's own mass weights: the bisection
+    # eigenvalues carry an absolute error ~ ||T|| eps ~ 1e-9 otherwise
+    resid = np.array([op.apply(r) for r in rows])
+    lams = np.array([np.dot(op.node_mass * r[:n], hr[:n])
+                     / np.dot(op.node_mass * r[:n], r[:n])
+                     for r, hr in zip(rows, resid)])
+    resid -= lams[:, None] * rows
+    resid[:, -1] = 0.0  # residual measured on the Dirichlet subspace
+    residuals = np.sqrt(np.maximum(_row_inner(grid, resid, resid, w), 0.0))
+    return Basis(
+        b=w.b,
+        psis=np.ascontiguousarray(rows.T),
+        lams=lams,
+        boundary_slopes=np.array([end_slope(r, grid.h) for r in rows]),
+        residuals=residuals,
+        grid=grid,
+        operator=operator,
+    )
 
 
 @dataclass
 class PerturbationReport:
-    """Measured drift-parameter response of the low spectrum.
+    """Measured drift-parameter response of mode k.
 
     ``slope`` is the least-squares d lam / d b over the sweep (the expansion
     predicts -1); ``residual_order`` the log-log order of
     |lam_b - (lam_0 - b)| against b with the same-grid b = 0 eigenvalue as
-    reference (predicts 2); ``mu_hat`` the measured coefficients of
-    psi_{b,k} on the lower unperturbed modes, against their first-order
-    model b <y eta_k', eta_j>_0 / (lam_k - lam_j).
-
-    The lower-mode coefficients are extracted by solving the weighted Gram
-    system over span{eta_1 .. eta_k} and normalizing by the eta_k
-    coefficient: the decomposition's remainder is weighted-orthogonal to
-    that span, whereas a bare weighted projection on eta_j would pick up an
-    O(b) contamination from <eta_k, eta_j>_b != 0.
+    reference (predicts 2).
     """
 
     k: int
@@ -184,10 +214,6 @@ class PerturbationReport:
     lam_values: np.ndarray
     slope: float
     residual_order: float
-    mu_hat: dict[float, np.ndarray]
-    mu_model: dict[float, np.ndarray]
-    mu_db_fd: np.ndarray
-    mu_db_model: np.ndarray
     boundary_slopes: np.ndarray
     residuals: np.ndarray
 
@@ -200,51 +226,18 @@ def perturbation_sweep(grid: RadialGrid, k: int, b_values) -> PerturbationReport
     bs = np.asarray(sorted(b_values), dtype=float)
     if len(bs) < 3 or np.any(bs == 0.0) or np.any(np.abs(bs) >= 0.05):
         raise ValueError("need >= 3 nonzero b values inside (-0.05, 0.05)")
-    base = eigenpairs(grid, WeightParam(0.0), k)
-    lam0 = base[k - 1].lam
-    etas = [GridFunction(grid, bessel.eta_samples(j, grid))
-            for j in range(1, k + 1)]
-    lam_ex = [z.lam for z in bessel.j0_zeros(k)]
-    gcoef = [bessel.scaling_coefficient(k, j, grid) for j in range(1, k)]
-
-    lam_vals, defects, slopes, residuals = [], [], [], []
-    mu_hat, mu_model = {}, {}
-    for b in bs:
-        w = WeightParam(b)
-        pair = eigenpairs(grid, w, k)[k - 1]
-        lam_vals.append(pair.lam)
-        defects.append(pair.lam - (lam0 - b))
-        slopes.append(pair.boundary_slope)
-        residuals.append(pair.residual)
-        if k > 1:
-            gram = np.array([
-                [inner_b(ei, ej, w) for ej in etas] for ei in etas
-            ])
-            rhs = np.array([inner_b(pair.psi, e, w) for e in etas])
-            coef = np.linalg.solve(gram, rhs)
-            mu_hat[b] = coef[: k - 1] / coef[k - 1]
-            mu_model[b] = np.array([
-                b * gcoef[j - 1] / (lam_ex[k - 1] - lam_ex[j - 1])
-                for j in range(1, k)
-            ])
-    lam_vals = np.asarray(lam_vals)
+    lam0 = eigenpairs(grid, WeightParam(0.0), k).lams[k - 1]
+    bases = [eigenpairs(grid, WeightParam(b), k) for b in bs]
+    lam_vals = np.array([basis.lams[k - 1] for basis in bases])
+    defects = lam_vals - (lam0 - bs)
     slope = float(np.polyfit(bs, lam_vals, 1)[0])
     order = float(np.polyfit(np.log(np.abs(bs)), np.log(np.abs(defects)), 1)[0])
-    # finite-difference estimate of d mu / d b between the two largest |b|
-    if k > 1:
-        b_hi, b_lo = bs[-1], bs[-2]
-        mu_db_fd = (mu_hat[b_hi] - mu_hat[b_lo]) / (b_hi - b_lo)
-        mu_db_model = np.array([
-            gcoef[j - 1] / (lam_ex[k - 1] - lam_ex[j - 1]) for j in range(1, k)
-        ])
-    else:
-        mu_db_fd = np.zeros(0)
-        mu_db_model = np.zeros(0)
     return PerturbationReport(
         k=k, b_values=bs, lam_values=lam_vals, slope=slope,
-        residual_order=order, mu_hat=mu_hat,
-        mu_model=mu_model, mu_db_fd=mu_db_fd, mu_db_model=mu_db_model,
-        boundary_slopes=np.asarray(slopes), residuals=np.asarray(residuals),
+        residual_order=order,
+        boundary_slopes=np.array([basis.boundary_slopes[k - 1]
+                                  for basis in bases]),
+        residuals=np.array([basis.residuals[k - 1] for basis in bases]),
     )
 
 
@@ -281,21 +274,13 @@ def spectral_gap_check(grid: RadialGrid, w: WeightParam, k: int,
     """
     if k > 8:
         raise ValueError("gap check supports k <= 8")
-    pairs = eigenpairs(grid, w, k)
+    basis = eigenpairs(grid, w, k)
     rng = np.random.default_rng(seed)
-    gram = np.array([
-        [inner_b(pairs[i].psi, pairs[j].psi, w) for j in range(k)]
-        for i in range(k)
-    ])
     best = math.inf
     for _ in range(samples):
         f = random_dirichlet(grid, rng, modes=modes)
-        rhs = np.array([inner_b(f, pairs[j].psi, w) for j in range(k)])
-        coef = np.linalg.solve(gram, rhs)
-        vals = f.values - sum(c * p.psi.values for c, p in zip(coef, pairs))
-        vals[-1] = 0.0
-        u = GridFunction(grid, vals)
-        best = min(best, rayleigh_quotient(u, w))
+        _, rest = basis.split(f.values)
+        best = min(best, rayleigh_quotient(GridFunction(grid, rest), w))
     return float(best)
 
 

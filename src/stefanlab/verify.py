@@ -63,7 +63,7 @@ class VerificationContext:
     def grid(self, n: int) -> RadialGrid:
         return self._get(("grid", n), lambda: RadialGrid(n))
 
-    def eigen(self, n: int, b: float, kmax: int):
+    def eigen(self, n: int, b: float, kmax: int) -> spectrum.Basis:
         def build():
             return spectrum.eigenpairs(self.grid(n), WeightParam(b), kmax)
         return self._get(("eigen", n, round(b, 12), kmax), build)
@@ -158,9 +158,9 @@ def criterion_1(ctx: VerificationContext) -> CriterionResult:
 
 
 def _defect_order(ctx, n: int, k: int, bs) -> tuple[np.ndarray, float]:
-    lam0 = ctx.eigen(n, 0.0, k)[k - 1].lam
+    lam0 = ctx.eigen(n, 0.0, k).lams[k - 1]
     defects = np.array([
-        ctx.eigen(n, b, k)[k - 1].lam - (lam0 - b) for b in bs
+        ctx.eigen(n, b, k).lams[k - 1] - (lam0 - b) for b in bs
     ])
     order = float(np.polyfit(np.log(bs), np.log(np.abs(defects)), 1)[0])
     return defects, order
@@ -200,8 +200,8 @@ def criterion_3(ctx: VerificationContext) -> CriterionResult:
     for k in (1, 2, 3):
         target = zeros[k - 1].boundary_slope
         for b in (-0.02, -0.01, -0.005, 0.005, 0.01, 0.02):
-            pair = ctx.eigen(1024, b, k)[k - 1]
-            defect = abs(pair.boundary_slope - target)
+            slope = ctx.eigen(1024, b, k).boundary_slopes[k - 1]
+            defect = abs(slope - target)
             worst_ratio = max(worst_ratio, defect / abs(b))
             rel_consts.append(defect / (abs(b) * abs(target)))
     ok = worst_ratio <= 0.5
@@ -218,11 +218,7 @@ def criterion_3(ctx: VerificationContext) -> CriterionResult:
 
 def criterion_4(ctx: VerificationContext) -> CriterionResult:
     t0 = time.perf_counter()
-    # Simpson's h^4 r_k^4 error floor for the k = 8 oscillatory integrand
-    # sits at ~1.3e-8 on 1024 intervals; the tolerance needs the finer grid
-    grid = ctx.grid(2048)
-    worst = max(abs(bessel.scaling_coefficient(k, k, grid) + 1.0)
-                for k in range(1, 9))
+    worst = bessel.scaling_identity_defect(ctx.grid(2048))
     dt = time.perf_counter() - t0
     return CriterionResult(
         4, "scaling identity = -1 (k <= 8)", worst <= 1e-8,

@@ -11,6 +11,7 @@ not differentiation, dominates.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -120,15 +121,26 @@ def norm_b(f: GridFunction, w: WeightParam) -> float:
     return float(np.sqrt(max(inner_b(f, f, w), 0.0)))
 
 
+@functools.lru_cache(maxsize=None)
+def right_stencils(h: float) -> tuple[np.ndarray, np.ndarray]:
+    """One-sided 5-point stencils for v' (4th order) and v'' (3rd order) at
+    the right end, applied to the last five nodes with spacing h; read-only
+    and memoized per h."""
+    d1 = np.array([3.0, -16.0, 36.0, -48.0, 25.0]) / (12.0 * h)
+    d2 = np.array([11.0, -56.0, 114.0, -104.0, 35.0]) / (12.0 * h * h)
+    d1.flags.writeable = d2.flags.writeable = False
+    return d1, d2
+
+
 def deriv_values(v: np.ndarray, h: float) -> np.ndarray:
     """4th-order first derivative of nodal values with spacing h
     (5-point one-sided stencils at the ends)."""
     d = np.empty_like(v)
     d[2:-2] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * h)
-    c = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / (12.0 * h)
+    cr = right_stencils(h)[0]
+    c = -cr[::-1]
     d[0] = c @ v[:5]
     d[1] = c @ v[1:6]
-    cr = -c[::-1]
     d[-1] = cr @ v[-5:]
     d[-2] = cr @ v[-6:-1]
     return d

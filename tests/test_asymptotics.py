@@ -159,10 +159,9 @@ class TestRateParityCoherence:
 
 def test_decay_plot_svg(ctx, tmp_path):
     ts, u0i = ctx.k1_run(-1)
-    lam_inf = asymptotics.predicted_terminal_radius(u0i)
-    fit = asymptotics.fit_rate(ts, lam_inf, 1)
+    verdict = asymptotics.verdict(ts, 1, -0.01, u0i)
     path = tmp_path / "decay.svg"
-    asymptotics.decay_plot(path, ts, fit)
+    asymptotics.decay_plot(path, ts, verdict)
     text = path.read_text()
     assert text.startswith("<svg")
     assert "polyline" in text

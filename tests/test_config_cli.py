@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stefanlab
 from stefanlab import cli, reduced
 from stefanlab.config import (MODES, ScenarioConfig, parse_config,
                               serialize_config, with_overrides)
@@ -343,6 +348,22 @@ class TestCliSpectrum:
 
 
 class TestCliRun:
+    def test_drift_warning_printed_once(self, tmp_path):
+        # the self-consistent b of this run sits just above the soft cap
+        # |b| = 0.05 for several records, each solving its own bases
+        src = str(Path(stefanlab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "stefanlab.cli", "--mode", "run", "--k",
+             "1", "--grid", "512", "--b0", "0.05", "--smax", "0.05",
+             "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, check=False)
+        warned = [line for line in proc.stderr.splitlines()
+                  if "UserWarning: drift parameter |b|=" in line]
+        assert len(warned) == 1
+        assert "Traceback" not in proc.stderr
+
     def test_k1_run_pass(self, tmp_path):
         out = tmp_path / "run"
         code = cli.main(["--mode", "run", "--k", "1", "--b0", "-0.01",

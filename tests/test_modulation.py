@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -57,11 +58,10 @@ class TestDecompose:
 
     def test_singular_gram_detected(self, grid512):
         basis = modulation.Basis.solve(grid512, 0.01, 1)
-        dup = modulation.Basis(
-            b=0.01,
+        dup = replace(
+            basis,
             psis=np.column_stack([basis.psis[:, 0], basis.psis[:, 0]]),
             lams=np.array([basis.lams[0], basis.lams[0]]),
-            grid=grid512,
         )
         v = GridFunction(grid512, basis.psis[:, 0].copy())
         with pytest.raises(SingularGram):
@@ -286,8 +286,7 @@ class TestK1BasisReuse:
             v = GridFunction(series.grid, series.snapshots[i])
             b1, basis, n = modulation.self_consistent_b1(v, initial=b1)
             solves += n
-            bare = modulation.Basis(b=basis.b, psis=basis.psis,
-                                    lams=basis.lams, grid=basis.grid)
+            bare = replace(basis, operator=None)
             states.append(modulation.decompose(v, float(s), bare))
         return states, solves
 

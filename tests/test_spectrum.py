@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from stefanlab import bessel, spectrum
-from stefanlab.weighted import GridFunction, RadialGrid, WeightParam, inner_b, norm_b
+from stefanlab.weighted import (GridFunction, RadialGrid, WeightParam,
+                                end_slope, inner_b, norm_b)
 
 W0 = WeightParam(0.0)
 
@@ -45,50 +47,53 @@ class TestAssembly:
 
 class TestEigenpairs:
     def test_unperturbed_ground_eigenvalue(self, grid1024, zeros12):
-        pair = spectrum.eigenpairs(grid1024, W0, 1)[0]
-        assert abs(pair.lam - zeros12[0].lam) <= 1e-5
+        basis = spectrum.eigenpairs(grid1024, W0, 1)
+        assert abs(basis.lams[0] - zeros12[0].lam) <= 1e-5
 
     def test_drift_shifts_eigenvalue_linearly(self, grid1024, zeros12, ctx):
-        pair = ctx.eigen(1024, 0.01, 1)[0]
-        assert abs(pair.lam - (zeros12[0].lam - 0.01)) <= 1e-4
+        lam = ctx.eigen(1024, 0.01, 1).lams[0]
+        assert abs(lam - (zeros12[0].lam - 0.01)) <= 1e-4
 
     def test_unperturbed_vectors_match_eta(self, grid1024, zeros12):
-        pairs = spectrum.eigenpairs(grid1024, W0, 3)
-        for k, pair in enumerate(pairs, start=1):
+        basis = spectrum.eigenpairs(grid1024, W0, 3)
+        for k, psi in enumerate(basis.psis.T, start=1):
             ek = bessel.eta(k, grid1024)
-            diff = GridFunction(grid1024, pair.psi.values - ek.values)
+            diff = GridFunction(grid1024, psi - ek.values)
             assert norm_b(diff, W0) <= 200 * zeros12[k - 1].lam * grid1024.h ** 2
 
     def test_normalization_sign_residual(self, ctx, grid1024):
         for b in (0.0, 0.02, -0.02):
-            for k, pair in enumerate(ctx.eigen(1024, b, 3), start=1):
-                w = WeightParam(b)
-                assert abs(norm_b(pair.psi, w) - 1.0) <= 1e-12
+            w = WeightParam(b)
+            basis = ctx.eigen(1024, b, 3)
+            for k, col in enumerate(basis.psis.T, start=1):
+                psi = GridFunction(grid1024, col)
+                assert abs(norm_b(psi, w) - 1.0) <= 1e-12
                 ek = bessel.eta(k, grid1024)
-                assert inner_b(pair.psi, ek, w) > 0.0
-                assert pair.residual <= 1e-8
+                assert inner_b(psi, ek, w) > 0.0
+                assert basis.residuals[k - 1] <= 1e-8
 
     def test_eta_projection_near_one(self, ctx, grid1024):
         # <psi_{b,k}, eta_k>_b = 1 + O(|b|)
         for b in (0.01, -0.02):
             w = WeightParam(b)
-            for k, pair in enumerate(ctx.eigen(1024, b, 3), start=1):
+            for k, col in enumerate(ctx.eigen(1024, b, 3).psis.T, start=1):
                 ek = bessel.eta(k, grid1024)
-                assert abs(inner_b(pair.psi, ek, w) - 1.0) <= 5 * abs(b)
+                psi = GridFunction(grid1024, col)
+                assert abs(inner_b(psi, ek, w) - 1.0) <= 5 * abs(b)
 
     def test_ground_state_positive(self, ctx):
-        pair = ctx.eigen(1024, 0.02, 1)[0]
-        assert np.all(pair.psi.values[:-1] > 0.0)
+        basis = ctx.eigen(1024, 0.02, 1)
+        assert np.all(basis.psis[:-1, 0] > 0.0)
 
     def test_rayleigh_minimality(self, grid1024, ctx, rng):
         w = WeightParam(0.02)
-        lam1 = ctx.eigen(1024, 0.02, 1)[0].lam
+        lam1 = ctx.eigen(1024, 0.02, 1).lams[0]
         for _ in range(100):
             u = spectrum.random_dirichlet(grid1024, rng)
             assert lam1 <= spectrum.rayleigh_quotient(u, w) + 1e-9
 
     def test_grid_convergence_order(self):
-        lams = [spectrum.eigenpairs(RadialGrid(n), W0, 2)[1].lam
+        lams = [spectrum.eigenpairs(RadialGrid(n), W0, 2).lams[1]
                 for n in (512, 1024, 2048)]
         d1, d2 = abs(lams[0] - lams[1]), abs(lams[1] - lams[2])
         order = math.log2(d1 / d2)
@@ -110,9 +115,39 @@ class TestEigenpairs:
             with pytest.raises(ValueError):
                 gf.values *= -1.0
         after = spectrum.eigenpairs(grid512, w, 3)
-        for p, q in zip(before, after):
-            assert p.psi.values.tobytes() == q.psi.values.tobytes()
-            assert p.lam == q.lam and p.residual == q.residual
+        assert before.psis.tobytes() == after.psis.tobytes()
+        assert before.lams.tobytes() == after.lams.tobytes()
+        assert before.residuals.tobytes() == after.residuals.tobytes()
+
+    def test_columns_match_per_mode_post_processing(self, grid512):
+        # the mode-by-mode normalization, sign fix and Rayleigh polish on
+        # GridFunctions, as the bitwise reference for the batched rows
+        w = WeightParam(-0.0093)
+        op = spectrum.assemble_hb(grid512, w)
+        basis = spectrum.eigenpairs(grid512, w, 4, operator=op)
+        assert basis.operator is op
+        assert spectrum.eigenpairs(grid512, w, 4).operator is None
+        _, vecs = eigh_tridiagonal(op.diag, op.off, select="i",
+                                   select_range=(0, 3))
+        for j in range(4):
+            vals = np.zeros(513)
+            vals[:512] = vecs[:, j] / np.sqrt(op.node_mass)
+            psi = GridFunction(grid512, vals)
+            psi.values /= norm_b(psi, w)
+            if inner_b(psi, bessel.eta(j + 1, grid512), w) < 0.0:
+                psi.values *= -1.0
+            hpsi = op.apply(psi.values)
+            mv = op.node_mass * psi.values[:512]
+            lam = float(np.dot(mv, hpsi[:512]) / np.dot(mv, psi.values[:512]))
+            resid = hpsi - lam * psi.values
+            resid[-1] = 0.0
+            assert basis.psis[:, j].tobytes() == psi.values.tobytes()
+            assert basis.lams[j] == lam
+            assert basis.boundary_slopes[j] == end_slope(psi.values,
+                                                         grid512.h)
+            assert basis.residuals[j] == norm_b(GridFunction(grid512, resid),
+                                                w)
+        assert basis.psis.flags.c_contiguous
 
     def test_preconditions(self, grid512):
         with pytest.raises(ValueError):
@@ -132,22 +167,11 @@ class TestPerturbationSweep:
     def test_antisymmetry_in_b(self, ctx):
         # lam_{-b} + lam_{b} - 2 lam_0 = O(b^2)
         for k in (1, 2):
-            lam0 = ctx.eigen(1024, 0.0, k)[k - 1].lam
+            lam0 = ctx.eigen(1024, 0.0, k).lams[k - 1]
             for b in (0.01, 0.02):
-                lp = ctx.eigen(1024, b, k)[k - 1].lam
-                lm = ctx.eigen(1024, -b, k)[k - 1].lam
+                lp = ctx.eigen(1024, b, k).lams[k - 1]
+                lm = ctx.eigen(1024, -b, k).lams[k - 1]
                 assert abs(lp + lm - 2 * lam0) <= 5 * b ** 2
-
-    def test_projection_coefficients_first_order(self, grid1024):
-        rep = spectrum.perturbation_sweep(grid1024, 2, (0.005, 0.01, 0.02))
-        for b in rep.b_values:
-            got = rep.mu_hat[b]
-            model = rep.mu_model[b]
-            # O(b^2) agreement on top of the h^2 extraction floor
-            assert abs(got[0] - model[0]) <= 2.0 * b ** 2 + 1e-6
-        # finite-difference d mu / d b agrees with the first-order model
-        assert abs(rep.mu_db_fd[0] - rep.mu_db_model[0]) <= 0.05 * abs(
-            rep.mu_db_model[0]) + 0.01
 
     def test_rejects_bad_sweeps(self, grid1024):
         with pytest.raises(ValueError):
@@ -170,6 +194,24 @@ class TestSpectralGap:
         val = spectrum.spectral_gap_check(grid1024, WeightParam(0.02), 2,
                                           samples=16)
         assert val >= zeros12[2].lam - 0.5
+
+    def test_remainders_weighted_orthogonal(self, grid1024, monkeypatch):
+        # the profiles whose Rayleigh quotients the check minimizes
+        w = WeightParam(0.02)
+        seen = []
+        quotient = spectrum.rayleigh_quotient
+
+        def spy(u, weight):
+            seen.append(u)
+            return quotient(u, weight)
+
+        monkeypatch.setattr(spectrum, "rayleigh_quotient", spy)
+        spectrum.spectral_gap_check(grid1024, w, 2, samples=8)
+        basis = spectrum.eigenpairs(grid1024, w, 2)
+        assert len(seen) == 8
+        for u in seen:
+            for psi in basis.psis.T:
+                assert abs(inner_b(u, GridFunction(grid1024, psi), w)) <= 1e-12
 
     def test_seeded_determinism(self, grid512):
         a = spectrum.spectral_gap_check(grid512, WeightParam(0.01), 1,
