@@ -41,7 +41,8 @@ _RP = np.array([
     -2.49248344360967716204e14,
     9.70862251047306323952e15,
 ])
-_RQ = np.array([  # leading coefficient 1.0
+_RQ = np.array([  # monic
+    1.0,
     4.99563147152651017219e2,
     1.73785401676374683123e5,
     4.84409658339962045305e7,
@@ -80,7 +81,8 @@ _QP = np.array([
     -5.14105326766599330220e1,
     -6.05014350600728481186e0,
 ])
-_QQ = np.array([  # leading coefficient 1.0
+_QQ = np.array([  # monic
+    1.0,
     6.43178256118178023184e1,
     8.56430025976980587198e2,
     3.88240183605401609683e3,
@@ -99,7 +101,8 @@ _RP1 = np.array([
     -7.27494245221818276015e13,
     3.68295732863852883286e15,
 ])
-_RQ1 = np.array([  # leading coefficient 1.0
+_RQ1 = np.array([  # monic
+    1.0,
     6.20836478118054335476e2,
     2.56987256757748830383e5,
     8.35146791431949253037e7,
@@ -137,7 +140,8 @@ _QP1 = np.array([
     2.11688757100572135698e2,
     2.52070205858023719784e1,
 ])
-_QQ1 = np.array([  # leading coefficient 1.0
+_QQ1 = np.array([  # monic
+    1.0,
     7.42373277035675149943e1,
     1.05644886038262816351e3,
     4.98641058337653607651e3,
@@ -146,20 +150,6 @@ _QQ1 = np.array([  # leading coefficient 1.0
     2.82619278517639096600e3,
     3.36093607810698293419e2,
 ])
-
-
-def _polevl(x, coef):
-    ans = np.full_like(x, coef[0])
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _p1evl(x, coef):
-    ans = x + coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
 
 
 def j0(x):
@@ -179,15 +169,15 @@ def j0(x):
         xs = xa[small]
         z = xs * xs
         tiny = xs < 1.0e-5
-        r = (z - _DR1) * (z - _DR2) * _polevl(z, _RP) / _p1evl(z, _RQ)
+        r = (z - _DR1) * (z - _DR2) * np.polyval(_RP, z) / np.polyval(_RQ, z)
         out[small] = np.where(tiny, 1.0 - 0.25 * z, r)
     large = ~small
     if np.any(large):
         xl = xa[large]
         w = 5.0 / xl
         q = w * w
-        p = _polevl(q, _PP) / _polevl(q, _PQ)
-        qq = _polevl(q, _QP) / _p1evl(q, _QQ)
+        p = np.polyval(_PP, q) / np.polyval(_PQ, q)
+        qq = np.polyval(_QP, q) / np.polyval(_QQ, q)
         xn = xl - _PIO4
         out[large] = _SQ2OPI * (p * np.cos(xn) - w * qq * np.sin(xn)) / np.sqrt(xl)
     return float(out[0]) if scalar else out
@@ -206,15 +196,15 @@ def j1(x):
     if np.any(small):
         xs = xa[small]
         z = xs * xs
-        w = _polevl(z, _RP1) / _p1evl(z, _RQ1)
+        w = np.polyval(_RP1, z) / np.polyval(_RQ1, z)
         out[small] = w * xs * (z - _Z1) * (z - _Z2)
     large = ~small
     if np.any(large):
         xl = xa[large]
         w = 5.0 / xl
         z = w * w
-        p = _polevl(z, _PP1) / _polevl(z, _PQ1)
-        q = _polevl(z, _QP1) / _p1evl(z, _QQ1)
+        p = np.polyval(_PP1, z) / np.polyval(_PQ1, z)
+        q = np.polyval(_QP1, z) / np.polyval(_QQ1, z)
         xn = xl - _THPIO4
         out[large] = _SQ2OPI * (p * np.cos(xn) - w * q * np.sin(xn)) / np.sqrt(xl)
     return float(out[0]) if scalar else out

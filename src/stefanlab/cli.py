@@ -73,8 +73,9 @@ def _config_from_args(args) -> ScenarioConfig:
         try:
             with open(args.shoot_file) as fh:
                 payload = json.load(fh)
-            overrides["lower_modes"] = tuple(payload["found_initials"])
-        except (OSError, KeyError, json.JSONDecodeError) as exc:
+            overrides["lower_modes"] = tuple(
+                float(x) for x in payload["found_initials"])
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad shoot file {args.shoot_file}: {exc}") from exc
     return with_overrides(cfg, **overrides)
 

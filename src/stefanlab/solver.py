@@ -39,32 +39,11 @@ RECORD_DS = 2e-3
 MASS_TOL = 1e-6
 
 
-@dataclass
-class SimState:
-    """Full renormalized state: clock s, physical time t, radius, slope, profile."""
-
-    s: float
-    t: float
-    lam: float
-    a: float
-    v: GridFunction
-
-
-def boundary_slope(v: GridFunction) -> float:
-    """4-point one-sided O(h^3) estimate of v_y at y = 1."""
-    return end_slope(v.values, v.grid.h)
-
-
-def make_state(v0: GridFunction, lam: float = 1.0) -> SimState:
-    return SimState(s=0.0, t=0.0, lam=lam, a=boundary_slope(v0), v=v0)
-
-
-def mass(state: SimState) -> float:
-    """Conserved quantity: heat content plus disk area,
-    2 pi lam^2 int v y dy + pi lam^2."""
-    grid = state.v.grid
-    integral = float(np.sum(grid.simpson * state.v.values * grid.y))
-    return 2.0 * np.pi * state.lam ** 2 * integral + np.pi * state.lam ** 2
+def mass(grid: RadialGrid, v: np.ndarray, lam: float) -> float:
+    """Conserved quantity of the nodal profile v at radius lam: heat content
+    plus disk area, 2 pi lam^2 int v y dy + pi lam^2."""
+    integral = float(np.sum(grid.simpson * v * grid.y))
+    return 2.0 * np.pi * lam ** 2 * integral + np.pi * lam ** 2
 
 
 def dmp_step_limit(grid: RadialGrid, safety: float = 1.0) -> float:
@@ -116,38 +95,36 @@ class Stepper:
         sol, info = self._gttrs(dl, dd, du, du2, ipiv, rhs)
         return sol
 
-    def advance(self, state: SimState) -> SimState:
-        """One IMEX step; raises on |a| > 1 or a non-positive radius."""
+    def advance(self, v: np.ndarray, lam: float,
+                a: float) -> tuple[np.ndarray, float, float]:
+        """One IMEX step of the nodal profile v (v[-1] = 0) at radius lam and
+        boundary slope a = end_slope(v); returns the next (v, lam, a).
+        Raises on a non-positive radius or |a| > 1."""
         ds = self.ds
-        n = self.grid.n
-        v = state.v.values
-        if state.lam <= 0.0:
-            raise NonPositiveRadius(f"lam = {state.lam}")
-        a0 = boundary_slope(state.v)
-        if abs(a0) > 1.0:
-            raise BoundaryBlowup(f"|a| = {abs(a0):.3g} > 1")
+        n, h = self.grid.n, self.grid.h
+        if lam <= 0.0:
+            raise NonPositiveRadius(f"lam = {lam}")
+        if abs(a) > 1.0:
+            raise BoundaryBlowup(f"|a| = {abs(a):.3g} > 1")
         vi = v[:n]
         base = vi - (ds / 2.0) * self._apply_neg_lap(vi)
-        y, h = self.grid.y[:n], self.grid.h
+        y = self.grid.y[:n]
         drift0 = y * deriv_values(v, h)[:n]
         # predictor: drift frozen at the start of the step
-        vstar = self._implicit_solve(base - ds * a0 * drift0)
-        vstar_full = np.concatenate([vstar, [0.0]])
-        a1 = end_slope(vstar_full, h)
-        drift1 = y * deriv_values(vstar_full, h)[:n]
+        vstar = np.zeros(n + 1)
+        vstar[:n] = self._implicit_solve(base - ds * a * drift0)
+        a1 = end_slope(vstar, h)
+        drift1 = y * deriv_values(vstar, h)[:n]
         # corrector: trapezoidal drift
-        vnew = self._implicit_solve(
-            base - (ds / 2.0) * (a0 * drift0 + a1 * drift1)
+        vnew = np.zeros(n + 1)
+        vnew[:n] = self._implicit_solve(
+            base - (ds / 2.0) * (a * drift0 + a1 * drift1)
         )
-        vfull = np.concatenate([vnew, [0.0]])
-        abar = 0.5 * (a0 + a1)
-        lam_new = state.lam * float(np.exp(-abar * ds))
+        abar = 0.5 * (a + a1)
+        lam_new = lam * float(np.exp(-abar * ds))
         if lam_new <= 0.0:
             raise NonPositiveRadius(f"lam = {lam_new}")
-        t_new = state.t + ds * 0.5 * (state.lam ** 2 + lam_new ** 2)
-        vgf = GridFunction(self.grid, vfull)
-        return SimState(s=state.s + ds, t=t_new, lam=lam_new,
-                        a=boundary_slope(vgf), v=vgf)
+        return vnew, lam_new, end_slope(vnew, h)
 
 
 @dataclass
@@ -182,50 +159,54 @@ def run(v0: GridFunction, ds: float, s_max: float,
     """Integrate the renormalized flow until s_max or the norm floor.
 
     The mass invariant is checked at every record; drifting past
-    ``mass_tol`` (relative) raises :class:`ConservationError`.
+    ``mass_tol`` (relative), or a non-finite state, raises
+    :class:`ConservationError`.
     """
     grid = v0.grid
     stepper = Stepper(grid, ds)
-    state = make_state(v0)
+    v, lam = v0.values, 1.0
+    s = t = 0.0
+    a = end_slope(v, grid.h)
     every = max(1, int(round(record_ds / ds)))
     sw, y = grid.simpson, grid.y
 
-    def vnorm(state):
-        return float(np.sqrt(np.sum(sw * state.v.values ** 2 * y)))
-
     rec = {k: [] for k in ("s", "t", "lam", "a", "mass", "vnorm")}
     snaps: list[np.ndarray] = []
-    m0 = mass(state)
+    m0 = mass(grid, v, lam)
 
-    def record(state):
-        rec["s"].append(state.s)
-        rec["t"].append(state.t)
-        rec["lam"].append(state.lam)
-        rec["a"].append(state.a)
-        m = mass(state)
+    def record(s, t, lam, a, v):
+        rec["s"].append(s)
+        rec["t"].append(t)
+        rec["lam"].append(lam)
+        rec["a"].append(a)
+        m = mass(grid, v, lam)
         rec["mass"].append(m)
-        rec["vnorm"].append(vnorm(state))
-        snaps.append(state.v.values.copy())
+        rec["vnorm"].append(float(np.sqrt(np.sum(sw * v ** 2 * y))))
+        snaps.append(v.copy())
         drift = abs(m - m0) / abs(m0)
-        if drift > mass_tol:
+        # a NaN or inf anywhere in the state makes the drift non-finite
+        if not drift <= mass_tol:
             raise ConservationError(
-                f"mass drift {drift:.3e} > {mass_tol:.3e} at s = {state.s:.4f}"
+                f"mass drift {drift:.3e} > {mass_tol:.3e} at s = {s:.4f}"
             )
 
-    record(state)
+    record(s, t, lam, a, v)
     reached_floor = False
     nsteps = 0
     max_steps = int(s_max / ds) + 2
-    while state.s < s_max - 0.5 * ds and nsteps < max_steps:
-        state = stepper.advance(state)
+    while s < s_max - 0.5 * ds and nsteps < max_steps:
+        lam_old = lam
+        v, lam, a = stepper.advance(v, lam, a)
+        s += ds
+        t += ds * 0.5 * (lam_old ** 2 + lam ** 2)
         nsteps += 1
         if nsteps % every == 0:
-            record(state)
+            record(s, t, lam, a, v)
             if rec["vnorm"][-1] < norm_floor:
                 reached_floor = True
                 break
-    if not reached_floor and rec["s"][-1] < state.s:
-        record(state)
+    if not reached_floor and rec["s"][-1] < s:
+        record(s, t, lam, a, v)
     return TimeSeries(
         grid=grid, s=np.asarray(rec["s"]), t=np.asarray(rec["t"]),
         lam=np.asarray(rec["lam"]), a=np.asarray(rec["a"]),

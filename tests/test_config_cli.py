@@ -265,6 +265,24 @@ class TestCliExitCodes:
         assert "config error:" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("payload", [
+        '{"found_initials": 5}',
+        '{"found_initials": "a"}',
+        '{"found_initials": [null]}',
+        '{"found_initials": ["x"]}',
+        '[1, 2]',
+    ])
+    def test_malformed_shoot_file_is_config_error(self, payload, tmp_path,
+                                                  capsys):
+        path = tmp_path / "shoot_k2.json"
+        path.write_text(payload)
+        code = cli.main(["--mode", "run", "--k", "2", "--grid", "512",
+                         "--shoot-file", str(path), "--dump-config"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "config error:" in err
+        assert "Traceback" not in err
+
     def test_shoot_reads_the_mass_tolerance(self, tmp_path, capsys):
         # the first record of the first search run drifts past 1e-12
         path = tmp_path / "shoot.cfg"

@@ -8,7 +8,8 @@ import pytest
 from stefanlab import bessel, solver
 from stefanlab.errors import (BoundaryBlowup, ConservationError,
                               NonPositiveRadius)
-from stefanlab.weighted import GridFunction, RadialGrid, WeightParam
+from stefanlab.weighted import (GridFunction, RadialGrid, WeightParam,
+                                end_slope)
 
 W0 = WeightParam(0.0)
 
@@ -19,42 +20,47 @@ def eta_profile(grid, j, amp):
     return GridFunction(grid, vals)
 
 
+def initial_state(v0):
+    """(v, lam, a) of a run's first step: unit radius, one-sided slope."""
+    return v0.values, 1.0, end_slope(v0.values, v0.grid.h)
+
+
 class TestStepBasics:
     def test_zero_solution_fixed_point(self, grid512):
         v0 = GridFunction(grid512, np.zeros(513))
-        state = solver.make_state(v0)
-        nxt = solver.Stepper(grid512, 1e-4).advance(state)
-        assert np.all(nxt.v.values == 0.0)
-        assert nxt.a == 0.0
-        assert nxt.lam == 1.0
-        assert nxt.t == pytest.approx(1e-4)
+        v, lam, a = solver.Stepper(grid512, 1e-4).advance(*initial_state(v0))
+        assert np.all(v == 0.0)
+        assert a == 0.0
+        assert lam == 1.0
+        # the clock of a one-step run advances by lam^2 ds
+        ts = solver.run(v0, ds=1e-4, s_max=1e-4)
+        assert ts.t[-1] == pytest.approx(1e-4)
 
     def test_dirichlet_preserved_exactly(self, grid512):
-        state = solver.make_state(eta_profile(grid512, 1, 0.01))
-        nxt = solver.Stepper(grid512, 1e-4).advance(state)
-        assert nxt.v.values[-1] == 0.0
+        state = initial_state(eta_profile(grid512, 1, 0.01))
+        v, _, _ = solver.Stepper(grid512, 1e-4).advance(*state)
+        assert v[-1] == 0.0
 
     def test_boundary_blowup_guard(self, grid512):
-        state = solver.make_state(eta_profile(grid512, 1, 0.9))
-        assert abs(state.a) > 1.0
+        v, lam, a = initial_state(eta_profile(grid512, 1, 0.9))
+        assert abs(a) > 1.0
         with pytest.raises(BoundaryBlowup):
-            solver.Stepper(grid512, 1e-4).advance(state)
+            solver.Stepper(grid512, 1e-4).advance(v, lam, a)
 
     def test_nonpositive_radius_guard(self, grid512):
-        state = solver.make_state(eta_profile(grid512, 1, 0.01))
-        state.lam = 0.0
+        v, _, a = initial_state(eta_profile(grid512, 1, 0.01))
         with pytest.raises(NonPositiveRadius):
-            solver.Stepper(grid512, 1e-4).advance(state)
+            solver.Stepper(grid512, 1e-4).advance(v, 0.0, a)
 
     def test_radius_update_multiplicative(self, grid512):
-        state = solver.make_state(eta_profile(grid512, 1, 0.01))
-        nxt = solver.Stepper(grid512, 1e-4).advance(state)
-        assert nxt.lam > 0.0
+        v, lam, a = initial_state(eta_profile(grid512, 1, 0.01))
+        _, lam_new, _ = solver.Stepper(grid512, 1e-4).advance(v, lam, a)
+        assert lam_new > 0.0
         # freezing direction: a > 0 for a negative slope profile? a is the
         # boundary slope of v; for +eta_1 data the slope is negative, so the
         # radius must grow (melting)
-        assert state.a < 0.0
-        assert nxt.lam > state.lam
+        assert a < 0.0
+        assert lam_new > lam
 
 
 class TestDiffusionDecay:
@@ -87,7 +93,7 @@ class TestRun:
 
     def test_mass_of_zero_state(self, grid512):
         v0 = GridFunction(grid512, np.zeros(513))
-        assert solver.mass(solver.make_state(v0)) == pytest.approx(math.pi)
+        assert solver.mass(grid512, v0.values, 1.0) == pytest.approx(math.pi)
 
     def test_melting_and_freezing_direction(self, grid512):
         # ground-mode data: positive coefficient melts, negative freezes
@@ -106,6 +112,24 @@ class TestRun:
         with pytest.raises(ConservationError):
             solver.run(eta_profile(grid512, 1, 0.01),
                        ds=4e-4, s_max=0.5, mass_tol=1e-14)
+
+    def test_nonfinite_state_is_typed(self, grid512, monkeypatch):
+        # one NaN from the tridiagonal solve, mid-run: the record that
+        # follows raises the typed guard and names the clock
+        solve = solver.Stepper._implicit_solve
+        calls = []
+
+        def solve_once_nan(self, rhs):
+            sol = solve(self, rhs)
+            calls.append(None)
+            if len(calls) == 20:
+                sol[7] = np.nan
+            return sol
+
+        monkeypatch.setattr(solver.Stepper, "_implicit_solve", solve_once_nan)
+        with pytest.raises(ConservationError,
+                           match=r"^mass drift nan > .* at s = 0\.0040$"):
+            solver.run(eta_profile(grid512, 1, 0.01), ds=4e-4, s_max=0.02)
 
     def test_taylor_sign_propagates(self, ctx):
         # the boundary slope keeps one sign while the solution is resolved
@@ -128,10 +152,10 @@ class TestDiscreteMaximumPrinciple:
         stepper = solver.Stepper(grid, ds)
         vals = 0.01 * bessel.eta(1, grid).values
         vals[-1] = 0.0
-        state = solver.make_state(GridFunction(grid, vals))
+        state = initial_state(GridFunction(grid, vals))
         for _ in range(400):
-            state = stepper.advance(state)
-        assert np.min(state.v.values) >= -1e-15
+            state = stepper.advance(*state)
+        assert np.min(state[0]) >= -1e-15
 
 
 class TestConvergence:
