@@ -73,8 +73,11 @@ def _config_from_args(args) -> ScenarioConfig:
         try:
             with open(args.shoot_file) as fh:
                 payload = json.load(fh)
-            overrides["lower_modes"] = tuple(
-                float(x) for x in payload["found_initials"])
+            vals = payload["found_initials"]
+            if not isinstance(vals, list) or any(
+                    isinstance(x, bool) for x in vals):
+                raise TypeError("found_initials must be a list of numbers")
+            overrides["lower_modes"] = tuple(float(x) for x in vals)
         except (OSError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad shoot file {args.shoot_file}: {exc}") from exc
     return with_overrides(cfg, **overrides)

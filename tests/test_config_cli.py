@@ -271,6 +271,8 @@ class TestCliExitCodes:
         '{"found_initials": [null]}',
         '{"found_initials": ["x"]}',
         '[1, 2]',
+        '{"found_initials": "0"}',
+        '{"found_initials": [false]}',
     ])
     def test_malformed_shoot_file_is_config_error(self, payload, tmp_path,
                                                   capsys):
