@@ -110,7 +110,9 @@ def self_consistent_b1(v: GridFunction, tol: float = 1e-12,
     from ``initial`` (default 0), stopped at the first iterate with
     |F(b) - b| < tol; raises :class:`NonConvergence` after ``max_iter``
     iterations.  A ``basis`` already solved at an iterate's parameter is used
-    instead of a new eigensolve.  Returns ``(b, basis, solves)``: that
+    instead of a new eigensolve; otherwise the current basis warm-starts
+    the solve at the new iterate (see :func:`spectrum.eigenpairs`), and only
+    a solve without one is cold.  Returns ``(b, basis, solves)``: that
     iterate, its basis (solved at ``frozen_b(b)``) and the number of
     eigensolves performed.
     """
@@ -120,7 +122,7 @@ def self_consistent_b1(v: GridFunction, tol: float = 1e-12,
     for _ in range(max_iter):
         bb = frozen_b(b)
         if basis is None or basis.b != bb:
-            basis = Basis.solve(grid, bb, 1)
+            basis = Basis.solve(grid, bb, 1, start=basis)
             solves += 1
         w = WeightParam(bb)
         psi = GridFunction(grid, basis.psis[:, 0])
@@ -234,7 +236,9 @@ def track_run(series: TimeSeries, k: int,
 
     Every record is decomposed on the basis solved at exactly its parameter
     b.  For k = 1, b is the self-consistent ground coefficient, warm-started
-    from the previous record's b and basis.  For k > 1, b is the adiabatic
+    from the previous record's b and basis, so the first record's first
+    eigensolve is the only cold one unless a warm result fails its checks.
+    For k > 1, b is the adiabatic
     schedule's value at the record, and its basis comes from
     ``basis_cache`` (see :func:`scheduled_basis`), which can be shared
     across runs of the same family.

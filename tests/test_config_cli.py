@@ -457,3 +457,15 @@ class TestCliVerifyQuick:
         assert by_number[3] is False
         assert all(v for n, v in by_number.items() if n != 3)
         assert "criterion  3" in captured
+
+    def test_reports_differ_only_in_seconds(self, tmp_path):
+        payloads = []
+        for name in ("first", "second"):
+            cli.main(["--mode", "verify-all", "--quick", "--json",
+                      "--out", str(tmp_path / name)])
+            payload = json.loads(
+                (tmp_path / name / "verification.json").read_text())
+            for entry in payload:
+                assert entry.pop("seconds") >= 0.0
+            payloads.append(payload)
+        assert payloads[0] == payloads[1]

@@ -1,5 +1,6 @@
 """Drifted-Laplacian assembly, eigenpairs, sweeps, and gap checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -154,6 +155,55 @@ class TestEigenpairs:
             spectrum.eigenpairs(grid512, W0, 13)
         with pytest.raises(ValueError):
             spectrum.eigenpairs(RadialGrid(256), W0, 1)
+        start = spectrum.eigenpairs(grid512, W0, 2)
+        with pytest.raises(ValueError):
+            spectrum.eigenpairs(grid512, W0, 1, start=start)
+
+
+def counted_eigh(monkeypatch) -> list:
+    """Count the cold LAPACK solves from here on."""
+    calls = []
+    eigh = spectrum.eigh_tridiagonal
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "eigh_tridiagonal", counted)
+    return calls
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("n", [512, 1024, 2048])
+    @pytest.mark.parametrize("b", [0.01, -0.0093, 0.05])
+    def test_matches_cold_solve(self, n, b, monkeypatch):
+        # started from the basis one k = 1 record cadence (~1.2%) away;
+        # measured: psi within 1.3e-11, lam within 3.1e-16 relative, the
+        # residual within 3.4x the cold one (both <= 1e-8)
+        grid = RadialGrid(n)
+        cold = spectrum.Basis.solve(grid, b, 1)
+        start = spectrum.Basis.solve(grid, 0.988 * b, 1)
+        calls = counted_eigh(monkeypatch)
+        warm = spectrum.Basis.solve(grid, b, 1, start=start)
+        assert not calls
+        assert np.max(np.abs(warm.psis - cold.psis)) <= 1e-10
+        assert abs(warm.lams[0] - cold.lams[0]) <= 1e-14 * cold.lams[0]
+        assert warm.residuals[0] <= 5.0 * cold.residuals[0]
+        assert warm.operator is not None and warm.b == b
+
+    def test_wrong_start_falls_back_to_cold_solve(self, grid512,
+                                                  monkeypatch):
+        # eta_2 as the start of pair 1 converges to pair 2
+        w = WeightParam(0.01)
+        cold = spectrum.eigenpairs(grid512, w, 1)
+        wrong = dataclasses.replace(
+            cold, psis=bessel.eta_samples(2, grid512)[:, None].copy())
+        calls = counted_eigh(monkeypatch)
+        got = spectrum.eigenpairs(grid512, w, 1, start=wrong)
+        assert len(calls) == 1
+        for field in ("psis", "lams", "boundary_slopes", "residuals"):
+            assert (getattr(got, field).tobytes()
+                    == getattr(cold, field).tobytes())
 
 
 class TestPerturbationSweep:
