@@ -5,7 +5,7 @@ Subpackages
 bessel
     J0 machinery, its zeros, and the radial Dirichlet eigenbasis.
 weighted
-    Radial grid, Gaussian drift weight, weighted inner products and norms.
+    Radial grid, Gaussian drift weight, weighted inner product.
 spectrum
     Divergence-form drifted Laplacian, its eigenbasis and weighted
     projection, perturbation sweeps, gap checks.
@@ -28,14 +28,14 @@ from .errors import (BoundaryBlowup, ConfigError, ConservationError,
                      NonConvergence, NonPositiveRadius, NoTrappedData,
                      PoleCrossing, RunNotConverged, SingularGram,
                      StefanLabError, ZeroInitialMode)
-from .weighted import GridFunction, RadialGrid, WeightParam
+from .weighted import RadialGrid, WeightParam
 
 __version__ = "0.1.0"
 
 __all__ = [
     "asymptotics", "bessel", "config", "modulation", "reduced", "solver",
     "spectrum", "verify", "weighted",
-    "GridFunction", "RadialGrid", "WeightParam",
+    "RadialGrid", "WeightParam",
     "StefanLabError", "NonConvergence", "GridMismatch", "BoundaryBlowup",
     "NonPositiveRadius", "ConservationError", "SingularGram",
     "InsufficientHistory", "PoleCrossing", "NoTrappedData",

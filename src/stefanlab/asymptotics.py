@@ -21,7 +21,7 @@ import numpy as np
 from . import bessel, svgplot
 from .errors import InsufficientDecay, RunNotConverged, ZeroInitialMode
 from .solver import TimeSeries
-from .weighted import GridFunction
+from .weighted import RadialGrid
 
 #: leading fraction of usable records excluded from the fit window
 FIT_SKIP_FRACTION = 0.3
@@ -29,10 +29,10 @@ FIT_SKIP_FRACTION = 0.3
 FIT_FLOOR_FACTOR = 10.0
 
 
-def u0_disk_integral(v0: GridFunction) -> float:
-    """Initial heat content 2 pi int_0^1 v0 y dy (unit initial radius)."""
-    grid = v0.grid
-    return float(2.0 * np.pi * np.sum(grid.simpson * v0.values * grid.y))
+def u0_disk_integral(grid: RadialGrid, v0: np.ndarray) -> float:
+    """Initial heat content 2 pi int_0^1 v0 y dy of a profile on ``grid``
+    (unit initial radius)."""
+    return float(2.0 * np.pi * np.sum(grid.simpson * v0 * grid.y))
 
 
 def predicted_terminal_radius(u0_integral: float) -> float:

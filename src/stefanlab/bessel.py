@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergence
-from .weighted import GridFunction, RadialGrid
+from .weighted import RadialGrid
 
 _SQ2OPI = 7.9788456080286535587989e-1  # sqrt(2/pi)
 _PIO4 = 7.85398163397448309616e-1
@@ -290,33 +290,32 @@ def j0_zeros(count: int) -> tuple[BesselZero, ...]:
     return tuple(_zero(j) for j in range(1, count + 1))
 
 
-def eta(j: int, grid: RadialGrid) -> GridFunction:
+def eta(j: int, grid: RadialGrid) -> np.ndarray:
     """Sample eta_j(y) = sqrt(2) J0(y r_j) / |J0'(r_j)| on ``grid``; the
     boundary sample is pinned to exactly 0.  Raises ``ValueError`` for j
     outside [1, 64], as :func:`j0_zeros` does."""
     z = j0_zeros(j)[-1]
     vals = math.sqrt(2.0) * j0(grid.y * z.r) / abs(j1(z.r))
     vals[-1] = 0.0
-    return GridFunction(grid, vals)
+    return vals
 
 
 @functools.lru_cache(maxsize=None)
 def eta_samples(j: int, grid: RadialGrid) -> np.ndarray:
-    """Samples of eta_j on ``grid`` (the floats of ``eta(j, grid).values``),
+    """Samples of eta_j on ``grid`` (the floats of ``eta(j, grid)``),
     memoized per (j, grid.n).
 
     The array is backed by an immutable buffer, so neither it nor any view
     of it can be made writeable.
     """
-    return np.frombuffer(eta(j, grid).values.tobytes(), dtype=float)
+    return np.frombuffer(eta(j, grid).tobytes(), dtype=float)
 
 
-def eta_deriv(j: int, grid: RadialGrid) -> GridFunction:
+def eta_deriv(j: int, grid: RadialGrid) -> np.ndarray:
     """Analytic derivative of eta_j: sqrt(2) r_j J0'(y r_j) / |J0'(r_j)|;
     j in [1, 64] as for :func:`eta`."""
     z = j0_zeros(j)[-1]
-    vals = math.sqrt(2.0) * z.r * j0_prime(grid.y * z.r) / abs(j1(z.r))
-    return GridFunction(grid, vals, dirichlet=False)
+    return math.sqrt(2.0) * z.r * j0_prime(grid.y * z.r) / abs(j1(z.r))
 
 
 def scaling_coefficient(k: int, j: int, grid: RadialGrid) -> float:
@@ -325,10 +324,8 @@ def scaling_coefficient(k: int, j: int, grid: RadialGrid) -> float:
     Equals -1 for j = k; for j != k it feeds the coupling coefficients of the
     reduced mode system.
     """
-    ek_d = eta_deriv(k, grid)
-    ej = eta(j, grid)
-    w = grid.simpson
-    return float(np.sum(w * grid.y * ek_d.values * ej.values * grid.y))
+    return float(np.sum(grid.simpson * grid.y * eta_deriv(k, grid)
+                        * eta(j, grid) * grid.y))
 
 
 def scaling_identity_defect(grid: RadialGrid) -> float:

@@ -69,18 +69,26 @@ def _config_from_args(args) -> ScenarioConfig:
                 float(x) for x in args.lower.split(","))
         except ValueError as exc:
             raise ConfigError(f"bad --lower list: {exc}") from exc
-    if args.shoot_file is not None:
-        try:
-            with open(args.shoot_file) as fh:
-                payload = json.load(fh)
-            vals = payload["found_initials"]
-            if not isinstance(vals, list) or any(
-                    isinstance(x, bool) for x in vals):
-                raise TypeError("found_initials must be a list of numbers")
-            overrides["lower_modes"] = tuple(float(x) for x in vals)
-        except (OSError, KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad shoot file {args.shoot_file}: {exc}") from exc
-    return with_overrides(cfg, **overrides)
+    cfg = with_overrides(cfg, **overrides)
+    if args.shoot_file is None:
+        return cfg
+    try:
+        with open(args.shoot_file) as fh:
+            payload = json.load(fh)
+        vals = payload["found_initials"]
+        if not isinstance(vals, list) or any(
+                isinstance(x, bool) for x in vals):
+            raise TypeError("found_initials must be a list of numbers")
+        lower = tuple(float(x) for x in vals)
+        shot = (payload["k"], float(payload["b_k0"]))
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad shoot file {args.shoot_file}: {exc}") from exc
+    # trapped initials belong to the (k, b_k0) they were shot for
+    if shot != (cfg.k, cfg.b0):
+        raise ConfigError(
+            f"shoot file {args.shoot_file} is for k = {shot[0]!r}, "
+            f"b_k0 = {shot[1]!r}, not k = {cfg.k}, b0 = {cfg.b0!r}")
+    return with_overrides(cfg, lower_modes=lower)
 
 
 def _outpath(cfg: ScenarioConfig, name: str) -> str:
@@ -113,7 +121,7 @@ def cmd_spectrum(cfg: ScenarioConfig) -> int:
     quad = grid if grid.n >= 1024 else RadialGrid(1024)
     w0 = WeightParam(0.0)
     etas = [bessel.eta(j, quad) for j in range(1, 9)]
-    ortho = max(abs(inner_b(etas[i], etas[j], w0)
+    ortho = max(abs(inner_b(quad, etas[i], etas[j], w0)
                     - (1.0 if i == j else 0.0))
                 for i in range(8) for j in range(8))
     checks["orthonormality_1e-8"] = ortho <= 1e-8
@@ -163,8 +171,8 @@ def cmd_run(cfg: ScenarioConfig) -> int:
     ds = cfg.ds if cfg.ds is not None else solver.default_ds(grid, cfg.k)
     s_max = (cfg.s_max if cfg.s_max is not None
              else solver.default_s_max(cfg.k))
-    u0i = asymptotics.u0_disk_integral(v0)
-    series = solver.run(v0, ds=ds, s_max=s_max,
+    u0i = asymptotics.u0_disk_integral(grid, v0)
+    series = solver.run(grid, v0, ds=ds, s_max=s_max,
                         record_ds=cfg.record_ds, mass_tol=cfg.mass_tol)
     series.to_csv(_outpath(cfg, "timeseries.csv"))
     track = modulation.track_run(series, cfg.k, amplitude=cfg.amplitude)

@@ -77,6 +77,11 @@ class ScenarioConfig:
             if not (isinstance(val, (int, float)) and math.isfinite(val)
                     and val > 0):
                 raise ConfigError(f"{name} must be finite and > 0, got {val!r}")
+        # the run counts its steps per record as record_ds / ds
+        if self.ds is not None and not math.isfinite(self.record_ds / self.ds):
+            raise ConfigError(
+                f"record_ds / ds must be finite; got record_ds = "
+                f"{self.record_ds!r}, ds = {self.ds!r}")
         # the adiabatic schedule starts at b = amplitude
         if self.amplitude >= B_CAP:
             raise ConfigError(f"amplitude must be < {B_CAP}, got {self.amplitude!r}")

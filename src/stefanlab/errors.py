@@ -10,7 +10,7 @@ class NonConvergence(StefanLabError):
 
 
 class GridMismatch(StefanLabError):
-    """Two grid functions live on different grids."""
+    """A profile does not match its grid."""
 
 
 class BoundaryBlowup(StefanLabError):

@@ -30,7 +30,7 @@ from . import bessel, spectrum
 from .errors import InsufficientHistory, NonConvergence
 from .solver import TimeSeries
 from .spectrum import Basis
-from .weighted import GridFunction, RadialGrid, WeightParam, inner_b
+from .weighted import RadialGrid, WeightParam, inner_b
 
 #: default amplitude of the adiabatic basis schedule for k > 1
 ADIABATIC_AMPLITUDE = 0.02
@@ -70,16 +70,15 @@ class ModulationState:
     V: np.ndarray
 
 
-def decompose(v: GridFunction, s: float, basis: Basis) -> ModulationState:
-    """Split v into the k modes of ``basis`` plus a remainder eps weighted-
-    orthogonal to them, in the weight of the basis parameter b
+def decompose(v: np.ndarray, s: float, basis: Basis) -> ModulationState:
+    """Split the profile v into the k modes of ``basis`` plus a remainder eps
+    weighted-orthogonal to them, in the weight of the basis parameter b
     (:meth:`Basis.split`, which raises :class:`SingularGram` on a singular
     basis).  The state keeps the energy of eps, not eps.  Trap variables
     whose growth factor overflows are +-inf (0 for a zero coefficient).
     """
     k = basis.psis.shape[1]
-    coeffs, eps_vals = basis.split(v.values)
-    eps = GridFunction(v.grid, eps_vals)
+    coeffs, eps = basis.split(v)
     V = coeffs[: k - 1]
     if k > 1:
         growth = (bessel.j0_zeros(k)[k - 1].lam + gap_exponent(k)) * s
@@ -87,24 +86,25 @@ def decompose(v: GridFunction, s: float, basis: Basis) -> ModulationState:
             V = V * math.exp(growth)
         except OverflowError:
             V = np.where(V == 0.0, V, np.copysign(math.inf, V))
-    return ModulationState(s=s, b=basis.b, coeffs=coeffs,
-                           energy=energy_of(eps, WeightParam(basis.b),
-                                            basis.operator), V=V)
+    energy = energy_of(basis.grid, eps, WeightParam(basis.b), basis.operator)
+    return ModulationState(s=s, b=basis.b, coeffs=coeffs, energy=energy, V=V)
 
 
-def energy_of(eps: GridFunction, w: WeightParam,
+def energy_of(grid: RadialGrid, eps: np.ndarray, w: WeightParam,
               operator: spectrum.DriftOperator | None = None) -> float:
-    """Second-order energy ||H_b eps||^2 in the weighted norm."""
-    op = operator if operator is not None else spectrum.assemble_hb(eps.grid, w)
-    e2 = op.apply(eps.values)
-    gf = GridFunction(eps.grid, e2, dirichlet=False)
-    return inner_b(gf, gf, w)
+    """Second-order energy ||H_b eps||^2 in the weighted norm of a profile
+    on ``grid``."""
+    op = operator if operator is not None else spectrum.assemble_hb(grid, w)
+    e2 = op.apply(eps)
+    return inner_b(grid, e2, e2, w)
 
 
-def self_consistent_b1(v: GridFunction, tol: float = 1e-12,
-                       max_iter: int = 50, initial: float | None = None,
+def self_consistent_b1(grid: RadialGrid, v: np.ndarray,
+                       tol: float = 1e-12, max_iter: int = 50,
+                       initial: float | None = None,
                        basis: Basis | None = None):
-    """Ground-mode coefficient with the basis parameter equal to itself.
+    """Ground-mode coefficient of the profile v on ``grid``, with the basis
+    parameter equal to itself.
 
     Fixed-point iteration b <- F(b) = <v, psi_{b,1}>_b / <psi_{b,1}, psi_{b,1}>_b
     from ``initial`` (default 0), stopped at the first iterate with
@@ -116,7 +116,6 @@ def self_consistent_b1(v: GridFunction, tol: float = 1e-12,
     iterate, its basis (solved at ``frozen_b(b)``) and the number of
     eigensolves performed.
     """
-    grid = v.grid
     b = 0.0 if initial is None else float(initial)
     solves = 0
     for _ in range(max_iter):
@@ -125,8 +124,8 @@ def self_consistent_b1(v: GridFunction, tol: float = 1e-12,
             basis = Basis.solve(grid, bb, 1, start=basis)
             solves += 1
         w = WeightParam(bb)
-        psi = GridFunction(grid, basis.psis[:, 0])
-        b_new = inner_b(v, psi, w) / inner_b(psi, psi, w)
+        psi = basis.psis[:, 0]
+        b_new = inner_b(grid, v, psi, w) / inner_b(grid, psi, psi, w)
         if abs(b_new - b) < tol:
             return b, basis, solves
         b = b_new
@@ -145,7 +144,7 @@ def scheduled_basis(cache: dict, grid: RadialGrid, k: int, s: float,
 
 
 def build_profile(grid: RadialGrid, k: int, coeffs,
-                  amplitude: float = ADIABATIC_AMPLITUDE) -> GridFunction:
+                  amplitude: float = ADIABATIC_AMPLITUDE) -> np.ndarray:
     """Initial data sum_j coeffs[j] psi_{b, j+1} of a k-mode run, with
     coeffs = (b_1(0), .., b_k(0)).  The basis parameter b is the ground
     coefficient itself for k = 1 and the adiabatic schedule's b(0), as
@@ -155,7 +154,7 @@ def build_profile(grid: RadialGrid, k: int, coeffs,
          else frozen_b(adiabatic_b(0.0, k, amplitude)))
     vals = Basis.solve(grid, b, k).psis @ coeffs
     vals[-1] = 0.0
-    return GridFunction(grid, vals)
+    return vals
 
 
 def modulation_residual(states: list[ModulationState], dt_s: float,
@@ -249,10 +248,10 @@ def track_run(series: TimeSeries, k: int,
     states: list[ModulationState] = []
     n_solves = 0
     b, basis = None, None
-    for s, snapshot in zip(map(float, series.s), series.snapshots):
-        v = GridFunction(grid, snapshot)
+    for s, v in zip(map(float, series.s), series.snapshots):
         if k == 1:
-            b, basis, solves = self_consistent_b1(v, initial=b, basis=basis)
+            b, basis, solves = self_consistent_b1(grid, v, initial=b,
+                                                  basis=basis)
             n_solves += solves
         else:
             basis = scheduled_basis(cache, grid, k, s, amplitude)

@@ -199,7 +199,7 @@ class TrapEvaluator:
         lower = np.atleast_1d(np.asarray(lower, dtype=float))
         v0 = modulation.build_profile(self.grid, self.k, [*lower, self.b_k0],
                                       self.amplitude)
-        series = solver.run(v0, ds=self.ds, s_max=self.s_max,
+        series = solver.run(self.grid, v0, ds=self.ds, s_max=self.s_max,
                             record_ds=self.record_ds,
                             mass_tol=self.mass_tol,
                             norm_floor=SHOOT_NORM_FLOOR)

@@ -21,15 +21,16 @@ lam <- lam exp(-a_bar ds), which keeps lam > 0 structurally.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import get_lapack_funcs
 
 from . import bessel, spectrum
-from .errors import BoundaryBlowup, ConservationError, NonPositiveRadius
-from .weighted import (GridFunction, RadialGrid, WeightParam, deriv_values,
-                       end_slope)
+from .errors import (BoundaryBlowup, ConservationError, GridMismatch,
+                     NonPositiveRadius)
+from .weighted import RadialGrid, WeightParam, deriv_values, end_slope
 
 #: stop a run once the solution norm falls below this floor
 NORM_FLOOR = 1e-12
@@ -153,18 +154,27 @@ class TimeSeries:
                               self.a[i], self.mass[i], self.vnorm[i])])
 
 
-def run(v0: GridFunction, ds: float, s_max: float,
+def run(grid: RadialGrid, v0: np.ndarray, ds: float, s_max: float,
         record_ds: float = RECORD_DS, mass_tol: float = MASS_TOL,
         norm_floor: float = NORM_FLOOR) -> TimeSeries:
-    """Integrate the renormalized flow until s_max or the norm floor.
+    """Integrate the renormalized flow of the profile v0 on ``grid`` from
+    unit radius until s_max or the norm floor; an s_max whose step count
+    overflows is no bound.
 
-    The mass invariant is checked at every record; drifting past
-    ``mass_tol`` (relative), or a non-finite state, raises
+    A v0 without one sample per node raises :class:`GridMismatch`, one
+    that does not vanish at y = 1 ``ValueError``.  The mass invariant is
+    checked at every record; drifting past ``mass_tol`` (relative), or a
+    non-finite state (v0 included, at s = 0), raises
     :class:`ConservationError`.
     """
-    grid = v0.grid
+    v = np.asarray(v0, dtype=float)
+    if v.shape != (grid.n + 1,):
+        raise GridMismatch(f"profile of shape {v.shape} on {grid} "
+                           f"({grid.n + 1} nodes)")
+    if v[-1] != 0.0:
+        raise ValueError(f"profile must vanish at y = 1, got {v[-1]:g}")
     stepper = Stepper(grid, ds)
-    v, lam = v0.values, 1.0
+    lam = 1.0
     s = t = 0.0
     a = end_slope(v, grid.h)
     every = max(1, int(round(record_ds / ds)))
@@ -193,7 +203,8 @@ def run(v0: GridFunction, ds: float, s_max: float,
     record(s, t, lam, a, v)
     reached_floor = False
     nsteps = 0
-    max_steps = int(s_max / ds) + 2
+    steps = s_max / ds
+    max_steps = int(steps) + 2 if math.isfinite(steps) else math.inf
     while s < s_max - 0.5 * ds and nsteps < max_steps:
         lam_old = lam
         v, lam, a = stepper.advance(v, lam, a)

@@ -42,7 +42,7 @@ from scipy.linalg.lapack import dgtsv
 
 from . import bessel
 from .errors import NonConvergence, SingularGram
-from .weighted import (GridFunction, RadialGrid, WeightParam, deriv, end_slope,
+from .weighted import (RadialGrid, WeightParam, deriv_values, end_slope,
                        inner_b, right_stencils)
 
 #: largest number of eigenpairs `eigenpairs` computes
@@ -185,13 +185,6 @@ class Basis:
         return coeffs, rest
 
 
-def _row_inner(grid: RadialGrid, f: np.ndarray, g: np.ndarray,
-               w: WeightParam) -> np.ndarray:
-    """inner_b of each row of f with the same row of g (the floats
-    :func:`inner_b` gives row by row)."""
-    return np.sum(grid.simpson * f * g * w.rho(grid.y) * grid.y, axis=-1)
-
-
 def eigenpairs(grid: RadialGrid, w: WeightParam, count: int,
                operator: DriftOperator | None = None,
                start: Basis | None = None) -> Basis:
@@ -258,8 +251,8 @@ def _post_process(grid: RadialGrid, w: WeightParam, op: DriftOperator,
     rows = np.zeros((len(vecs), n + 1))
     rows[:, :n] = vecs
     rows[:, :n] /= np.sqrt(op.node_mass)
-    rows /= np.sqrt(np.maximum(_row_inner(grid, rows, rows, w), 0.0))[:, None]
-    proj = np.array([_row_inner(grid, row, bessel.eta_samples(j, grid), w)
+    rows /= np.sqrt(np.maximum(inner_b(grid, rows, rows, w), 0.0))[:, None]
+    proj = np.array([inner_b(grid, row, bessel.eta_samples(j, grid), w)
                      for j, row in enumerate(rows, start=1)])
     rows[proj < 0.0] *= -1.0
     # Rayleigh polish in the matrix's own mass weights: the bisection
@@ -270,7 +263,7 @@ def _post_process(grid: RadialGrid, w: WeightParam, op: DriftOperator,
                      for r, hr in zip(rows, resid)])
     resid -= lams[:, None] * rows
     resid[:, -1] = 0.0  # residual measured on the Dirichlet subspace
-    residuals = np.sqrt(np.maximum(_row_inner(grid, resid, resid, w), 0.0))
+    residuals = np.sqrt(np.maximum(inner_b(grid, resid, resid, w), 0.0))
     basis = Basis(
         b=w.b,
         psis=np.ascontiguousarray(rows.T),
@@ -344,14 +337,15 @@ def perturbation_sweep(grid: RadialGrid, k: int, b_values) -> PerturbationReport
     )
 
 
-def rayleigh_quotient(f: GridFunction, w: WeightParam) -> float:
-    """||f'||^2_{L2_b} / ||f||^2_{L2_b}."""
-    df = deriv(f)
-    return inner_b(df, df, w) / inner_b(f, f, w)
+def rayleigh_quotient(grid: RadialGrid, f: np.ndarray,
+                      w: WeightParam) -> float:
+    """||f'||^2_{L2_b} / ||f||^2_{L2_b} of a profile on ``grid``."""
+    df = deriv_values(f, grid.h)
+    return inner_b(grid, df, df, w) / inner_b(grid, f, f, w)
 
 
 def random_dirichlet(grid: RadialGrid, rng: np.random.Generator,
-                     modes: int = 16) -> GridFunction:
+                     modes: int = 16) -> np.ndarray:
     """Random smooth Dirichlet profile: Gaussian mix of the first few modes.
 
     White nodal noise would make every Rayleigh quotient enormous and the
@@ -364,7 +358,7 @@ def random_dirichlet(grid: RadialGrid, rng: np.random.Generator,
     for j in range(1, modes + 1):
         vals += coeffs[j - 1] * bessel.eta_samples(j, grid)
     vals[-1] = 0.0
-    return GridFunction(grid, vals)
+    return vals
 
 
 def spectral_gap_check(grid: RadialGrid, w: WeightParam, k: int,
@@ -381,9 +375,8 @@ def spectral_gap_check(grid: RadialGrid, w: WeightParam, k: int,
     rng = np.random.default_rng(seed)
     best = math.inf
     for _ in range(samples):
-        f = random_dirichlet(grid, rng, modes=modes)
-        _, rest = basis.split(f.values)
-        best = min(best, rayleigh_quotient(GridFunction(grid, rest), w))
+        _, rest = basis.split(random_dirichlet(grid, rng, modes=modes))
+        best = min(best, rayleigh_quotient(grid, rest, w))
     return float(best)
 
 

@@ -73,8 +73,8 @@ class VerificationContext:
         def build():
             grid = self.grid(n)
             v0 = modulation.build_profile(grid, 1, [sign * K1_B0])
-            u0i = asymptotics.u0_disk_integral(v0)
-            ts = solver.run(v0, ds=solver.default_ds(grid, 1),
+            u0i = asymptotics.u0_disk_integral(grid, v0)
+            ts = solver.run(grid, v0, ds=solver.default_ds(grid, 1),
                             s_max=solver.default_s_max(1))
             return ts, u0i
         return self._get(("k1_run", sign, n), build)
@@ -93,8 +93,9 @@ class VerificationContext:
             result = reduced.shoot_trapped(ev)
             v0 = modulation.build_profile(ev.grid, 2,
                                           [*result.initials, ev.b_k0])
-            u0i = asymptotics.u0_disk_integral(v0)
-            fit_ts = solver.run(v0, ds=ev.ds, s_max=solver.default_s_max(2))
+            u0i = asymptotics.u0_disk_integral(ev.grid, v0)
+            fit_ts = solver.run(ev.grid, v0, ds=ev.ds,
+                                s_max=solver.default_s_max(2))
             return {
                 "evaluator": ev,
                 "result": result,

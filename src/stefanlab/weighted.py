@@ -1,8 +1,9 @@
 """Gaussian-weighted radial geometry on the unit disk.
 
 Carries the uniform radial grid, the drift weight rho_b(y) = exp(-b y^2 / 2),
-the weighted inner product <f, g>_b = int_0^1 f g rho_b y dy and its L2
-norm, the 4th-order derivative stencils and the one-sided boundary slope.
+the weighted inner product <f, g>_b = int_0^1 f g rho_b y dy, the 4th-order
+derivative stencils and the one-sided boundary slope.  A profile is the
+array of its samples at the grid nodes.
 
 All quadrature is composite Simpson on the grid nodes (O(h^4) on smooth
 integrands); derivatives use 4th-order stencils so that quadrature error,
@@ -16,8 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import GridMismatch
 
 #: hard cap on the drift parameter accepted by library entry points
 B_CAP = 0.2
@@ -80,45 +79,13 @@ class WeightParam:
         return np.exp(-0.5 * self.b * np.asarray(y) ** 2)
 
 
-@dataclass
-class GridFunction:
-    """Sampled radial profile on a :class:`RadialGrid`.
-
-    Dirichlet-tagged functions must vanish exactly at y = 1.
-    """
-
-    grid: RadialGrid
-    values: np.ndarray
-    dirichlet: bool = True
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.n + 1,):
-            raise ValueError(
-                f"values shape {self.values.shape} does not match grid "
-                f"({self.grid.n + 1} nodes)"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("grid function has non-finite values")
-        if self.dirichlet and self.values[-1] != 0.0:
-            raise ValueError("Dirichlet-tagged function must vanish at y=1")
-
-
-def _check_same_grid(f: GridFunction, g: GridFunction):
-    if f.grid != g.grid:
-        raise GridMismatch(f"{f.grid} vs {g.grid}")
-
-
-def inner_b(f: GridFunction, g: GridFunction, w: WeightParam) -> float:
-    """Simpson approximation of int_0^1 f g rho_b y dy."""
-    _check_same_grid(f, g)
-    grid = f.grid
-    return float(np.sum(grid.simpson * f.values * g.values * w.rho(grid.y) * grid.y))
-
-
-def norm_b(f: GridFunction, w: WeightParam) -> float:
-    """Weighted L2 norm."""
-    return float(np.sqrt(max(inner_b(f, f, w), 0.0)))
+def inner_b(grid: RadialGrid, f: np.ndarray, g: np.ndarray,
+            w: WeightParam) -> float | np.ndarray:
+    """Simpson approximation of int_0^1 f g rho_b y dy for nodal samples on
+    ``grid``, summed over the last axis: a float for profiles, one value per
+    row for stacks of them (row by row the same floats)."""
+    out = np.sum(grid.simpson * f * g * w.rho(grid.y) * grid.y, axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 @functools.lru_cache(maxsize=None)
@@ -144,12 +111,6 @@ def deriv_values(v: np.ndarray, h: float) -> np.ndarray:
     d[-1] = cr @ v[-5:]
     d[-2] = cr @ v[-6:-1]
     return d
-
-
-def deriv(f: GridFunction) -> GridFunction:
-    """4th-order first derivative of a grid function."""
-    return GridFunction(f.grid, deriv_values(f.values, f.grid.h),
-                        dirichlet=False)
 
 
 def end_slope(values: np.ndarray, h: float) -> float:

@@ -65,7 +65,7 @@ class _AffineEvaluator:
 def test_observers_read_real_return_values(tracer):
     grid = RadialGrid(512)
     v0 = modulation.build_profile(grid, 1, [0.01])
-    series = solver.run(v0, ds=solver.default_ds(grid, 1), s_max=0.01)
+    series = solver.run(grid, v0, ds=solver.default_ds(grid, 1), s_max=0.01)
     trapped = reduced.TrapEvaluator(2, 0.01, grid, s_max=0.01).evaluate([0.0])
     # a ceiling below V(0) makes the run exit at its first record
     exited = reduced.TrapEvaluator(2, 0.01, grid, s_max=0.01,

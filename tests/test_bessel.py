@@ -159,11 +159,11 @@ class TestZeros:
 class TestEigenfunctions:
     def test_dirichlet_pin(self, grid1024):
         e1 = bessel.eta(1, grid1024)
-        assert e1.values[-1] == 0.0
+        assert e1[-1] == 0.0
 
     def test_normalization(self, grid1024):
         e1 = bessel.eta(1, grid1024)
-        assert abs(inner_b(e1, e1, W0) - 1.0) < 1e-8
+        assert abs(inner_b(grid1024, e1, e1, W0) - 1.0) < 1e-8
 
     def test_boundary_slope_analytic(self, zeros12):
         assert abs(zeros12[0].boundary_slope + math.sqrt(2 * LAM1)) < 1e-12
@@ -180,7 +180,8 @@ class TestEigenfunctions:
         etas = [bessel.eta(j, grid1024)
                 for j in range(1, 9)]
         worst = max(
-            abs(inner_b(etas[i], etas[j], W0) - (1.0 if i == j else 0.0))
+            abs(inner_b(grid1024, etas[i], etas[j], W0)
+                - (1.0 if i == j else 0.0))
             for i in range(8) for j in range(8)
         )
         assert worst <= 1e-8
@@ -188,7 +189,7 @@ class TestEigenfunctions:
     def test_cached_samples_match_eta(self, grid1024):
         for j in (1, 5, 12):
             cached = bessel.eta_samples(j, grid1024)
-            fresh = bessel.eta(j, grid1024).values
+            fresh = bessel.eta(j, grid1024)
             assert cached.tobytes() == fresh.tobytes()
 
     def test_sign_alternation(self, grid1024, zeros12):
@@ -197,7 +198,7 @@ class TestEigenfunctions:
             slope = zeros12[j - 1].boundary_slope
             assert math.copysign(1.0, slope) == (-1.0) ** j
             # the sampled profile agrees with the analytic slope near y = 1
-            fd = (grid1024.y * deriv_values(e.values, grid1024.h))[-1]
+            fd = (grid1024.y * deriv_values(e, grid1024.h))[-1]
             assert abs(fd - slope) < 1e-5
 
     def test_ode_residual_second_order(self, zeros12):
@@ -206,7 +207,7 @@ class TestEigenfunctions:
         for n in (256, 512):
             grid = RadialGrid(n)
             h = grid.h
-            v = bessel.eta(3, grid).values
+            v = bessel.eta(3, grid)
             y = grid.y
             d1 = (v[2:] - v[:-2]) / (2 * h)
             d2 = (v[2:] - 2 * v[1:-1] + v[:-2]) / h ** 2

@@ -247,6 +247,8 @@ class TestCliExitCodes:
         (None, ["--k", "13", "--lower", ",".join(["1e-5"] * 12)]),
         ("mode = spectrum\nb_values = 0.01, 0.01, 0.01\n", []),
         (None, ["--smax", "0.001", "--out", ""]),
+        # record_ds / ds overflows a float
+        (None, ["--grid", "512", "--ds", "1e-320", "--smax", "0.01"]),
         ("[shoot]\namplitude = 0.5\n", ["--mode", "shoot", "--k", "2"]),
         ("[shoot]\namplitude = 0.5\n", ["--k", "2", "--lower", "0.0001"]),
         ("[shoot]\ntol = 0.5\n",
@@ -284,6 +286,22 @@ class TestCliExitCodes:
         assert code == 1
         assert "config error:" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("k, b0", [(2, -0.01), (3, 0.01)])
+    def test_shoot_file_for_another_scenario(self, k, b0, tmp_path,
+                                             capsys, monkeypatch):
+        # trapped initials of k = 2, b0 = 0.01 fit no other (k, b0)
+        path = tmp_path / "shoot_k2.json"
+        path.write_text('{"k": 2, "b_k0": 0.01, "found_initials": [-6e-6]}')
+        monkeypatch.setattr(cli, "cmd_run", lambda cfg: pytest.fail("ran"))
+        code = cli.main(["--mode", "run", "--k", str(k), "--b0", str(b0),
+                         "--grid", "512", "--shoot-file", str(path),
+                         "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "config error:" in err
+        assert f"k = 2, b_k0 = 0.01, not k = {k}, b0 = {b0}" in err
+        assert not (tmp_path / "out").exists()
 
     def test_shoot_reads_the_mass_tolerance(self, tmp_path, capsys):
         # the first record of the first search run drifts past 1e-12

@@ -9,52 +9,56 @@ import pytest
 
 from stefanlab import bessel, modulation, reduced, solver, spectrum
 from stefanlab.errors import InsufficientHistory, NonConvergence, SingularGram
-from stefanlab.weighted import (GridFunction, WeightParam, inner_b,
-                                norm_b)
+from stefanlab.weighted import WeightParam, inner_b
 
 W0 = WeightParam(0.0)
 
 
 def remainder(v, basis, ms):
     """eps = v - Psi c of a decomposition, pinned at y = 1."""
-    vals = v.values - basis.psis @ ms.coeffs
-    vals[-1] = 0.0
-    return GridFunction(v.grid, vals)
+    eps = v - basis.psis @ ms.coeffs
+    eps[-1] = 0.0
+    return eps
+
+
+def norm(grid, f, w):
+    """Weighted L2 norm of a profile."""
+    return math.sqrt(inner_b(grid, f, f, w))
 
 
 class TestDecompose:
     def test_pure_mode_recovered(self, grid512):
         w = WeightParam(0.01)
         basis = modulation.Basis.solve(grid512, 0.01, 1)
-        v = GridFunction(grid512, basis.psis[:, 0].copy())
+        v = basis.psis[:, 0].copy()
         ms = modulation.decompose(v, 0.0, basis)
         assert abs(ms.coeffs[0] - 1.0) < 1e-12
-        assert norm_b(remainder(v, basis, ms), w) < 1e-12
+        assert norm(grid512, remainder(v, basis, ms), w) < 1e-12
 
     def test_two_mode_combination(self, grid512):
         w = WeightParam(0.01)
         basis = modulation.Basis.solve(grid512, 0.01, 2)
-        v = GridFunction(grid512, basis.psis @ np.array([2.0, 3.0]))
+        v = basis.psis @ np.array([2.0, 3.0])
         ms = modulation.decompose(v, 0.0, basis)
         assert np.allclose(ms.coeffs, [2.0, 3.0], atol=1e-10)
-        assert norm_b(remainder(v, basis, ms), w) < 1e-10
+        assert norm(grid512, remainder(v, basis, ms), w) < 1e-10
 
     def test_orthogonal_mode_goes_to_remainder(self, grid512):
         v = bessel.eta(3, grid512)
         basis = modulation.Basis.solve(grid512, 0.0, 2)
         ms = modulation.decompose(v, 0.0, basis)
         assert np.max(np.abs(ms.coeffs)) < 1e-6
-        assert abs(norm_b(remainder(v, basis, ms), W0) - 1.0) < 1e-4
+        assert abs(norm(grid512, remainder(v, basis, ms), W0) - 1.0) < 1e-4
 
     def test_orthogonality_invariant(self, grid512, rng):
         w = WeightParam(0.015)
         basis = modulation.Basis.solve(grid512, w.b, 2)
-        psis = [GridFunction(grid512, psi) for psi in basis.psis.T]
         for _ in range(4):
             f = spectrum.random_dirichlet(grid512, rng, modes=10)
             eps = remainder(f, basis, modulation.decompose(f, 0.0, basis))
-            defect = max(abs(inner_b(eps, psi, w)) for psi in psis)
-            assert defect <= 1e-10 * (1.0 + norm_b(eps, w))
+            defect = max(abs(inner_b(grid512, eps, psi, w))
+                         for psi in basis.psis.T)
+            assert defect <= 1e-10 * (1.0 + norm(grid512, eps, w))
 
     def test_singular_gram_detected(self, grid512):
         basis = modulation.Basis.solve(grid512, 0.01, 1)
@@ -63,7 +67,7 @@ class TestDecompose:
             psis=np.column_stack([basis.psis[:, 0], basis.psis[:, 0]]),
             lams=np.array([basis.lams[0], basis.lams[0]]),
         )
-        v = GridFunction(grid512, basis.psis[:, 0].copy())
+        v = basis.psis[:, 0].copy()
         with pytest.raises(SingularGram):
             modulation.decompose(v, 0.0, dup)
 
@@ -80,8 +84,8 @@ class TestDecompose:
             gram = basis.psis.T @ (wv[:, None] * basis.psis)
             for _ in range(3):
                 f = spectrum.random_dirichlet(grid512, rng, modes=10)
-                coeffs, _ = basis.split(f.values)
-                want = np.linalg.solve(gram, basis.psis.T @ (wv * f.values))
+                coeffs, _ = basis.split(f)
+                want = np.linalg.solve(gram, basis.psis.T @ (wv * f))
                 assert coeffs.tobytes() == want.tobytes()
             # no SVD for the 1 x 1 Gram, one for the 2 x 2 one
             assert len(conds) == k - 1
@@ -90,7 +94,7 @@ class TestDecompose:
         # e^{(lam_2 + gap_2) s} overflows a float at s = 30
         v = modulation.build_profile(grid512, 2, [-1e-3, 0.01], 0.01)
         basis = modulation.Basis.solve(grid512, 0.01, 2)
-        zero = GridFunction(grid512, np.zeros(513))
+        zero = np.zeros(513)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ms = modulation.decompose(v, 30.0, basis)
@@ -101,56 +105,53 @@ class TestDecompose:
 
 class TestSelfConsistentB1:
     def test_zero_input(self, grid512):
-        v = GridFunction(grid512, np.zeros(513))
-        b, basis, solves = modulation.self_consistent_b1(v)
+        b, basis, solves = modulation.self_consistent_b1(grid512,
+                                                         np.zeros(513))
         assert b == 0.0 and basis.b == 0.0 and solves == 1
 
     def test_constructed_fixed_point(self, grid512):
         target = 0.01
         basis = modulation.Basis.solve(grid512, target, 1)
-        v = GridFunction(grid512, target * basis.psis[:, 0])
-        got, basis, _ = modulation.self_consistent_b1(v)
+        v = target * basis.psis[:, 0]
+        got, basis, _ = modulation.self_consistent_b1(grid512, v)
         assert abs(got - target) < 1e-10
         assert basis.b == got
 
     def test_contraction_of_increments(self, grid512):
         # replicate the iteration and watch |increment| decrease
         amp = 0.03
-        vals = amp * bessel.eta(1, grid512).values
-        vals[-1] = 0.0
-        v = GridFunction(grid512, vals)
+        v = amp * bessel.eta(1, grid512)
+        v[-1] = 0.0
         b = 0.0
         increments = []
         for _ in range(6):
             basis = modulation.Basis.solve(grid512, b, 1)
             w = WeightParam(b)
-            psi = GridFunction(grid512, basis.psis[:, 0])
-            b_new = inner_b(v, psi, w) / inner_b(psi, psi, w)
+            psi = basis.psis[:, 0]
+            b_new = (inner_b(grid512, v, psi, w)
+                     / inner_b(grid512, psi, psi, w))
             increments.append(abs(b_new - b))
             b = b_new
         nontrivial = [x for x in increments if x > 1e-14]
         assert all(x2 < x1 for x1, x2 in zip(nontrivial, nontrivial[1:]))
 
     def test_nonconvergence_cap(self, grid512):
-        vals = 0.02 * bessel.eta(1, grid512).values
-        vals[-1] = 0.0
-        v = GridFunction(grid512, vals)
+        v = 0.02 * bessel.eta(1, grid512)
+        v[-1] = 0.0
         with pytest.raises(NonConvergence):
-            modulation.self_consistent_b1(v, max_iter=1)
+            modulation.self_consistent_b1(grid512, v, max_iter=1)
 
 
 class TestEnergy:
     def test_zero_remainder(self, grid512):
-        z = GridFunction(grid512, np.zeros(513))
-        assert modulation.energy_of(z, W0) == 0.0
+        assert modulation.energy_of(grid512, np.zeros(513), W0) == 0.0
 
     def test_eigenmode_energy(self, grid1024, zeros12):
         # H_0 eta_2 = lam_2 eta_2, so E = delta^2 lam_2^2 (normalized mode)
         delta = 1e-3
-        vals = delta * bessel.eta(2, grid1024).values
-        vals[-1] = 0.0
-        e = GridFunction(grid1024, vals)
-        got = modulation.energy_of(e, W0)
+        e = delta * bessel.eta(2, grid1024)
+        e[-1] = 0.0
+        got = modulation.energy_of(grid1024, e, W0)
         expect = delta ** 2 * zeros12[1].lam ** 2
         assert abs(got - expect) / expect < 1e-3
 
@@ -217,7 +218,8 @@ class TestModulationResidual:
         # (5 steps), so the run closes with a record one step later; the
         # record before it has no centred difference at the cadence
         v0 = modulation.build_profile(grid512, 1, [-0.01])
-        ts = solver.run(v0, ds=solver.default_ds(grid512, 1), s_max=0.1)
+        ts = solver.run(grid512, v0, ds=solver.default_ds(grid512, 1),
+                        s_max=0.1)
         cadence = ts.s[1] - ts.s[0]
         assert ts.s[-1] - ts.s[-2] < 0.5 * cadence
         res = modulation.track_run(ts, 1).residuals
@@ -293,8 +295,8 @@ class TestK1BasisReuse:
         # run to the norm floor at a coarse record cadence: records on both
         # sides of B_FREEZE are part of the run
         v0 = modulation.build_profile(grid512, 1, [-0.01])
-        ts = solver.run(v0, ds=solver.default_ds(grid512, 1), s_max=6.0,
-                        record_ds=1e-2)
+        ts = solver.run(grid512, v0, ds=solver.default_ds(grid512, 1),
+                        s_max=6.0, record_ds=1e-2)
         assert ts.reached_floor
         return ts
 
@@ -308,8 +310,9 @@ class TestK1BasisReuse:
                 cold(grid, w, count, operator=operator))
         states, solves, b1 = [], 0, None
         for i, s in enumerate(series.s):
-            v = GridFunction(series.grid, series.snapshots[i])
-            b1, basis, n = modulation.self_consistent_b1(v, initial=b1)
+            v = series.snapshots[i]
+            b1, basis, n = modulation.self_consistent_b1(series.grid, v,
+                                                         initial=b1)
             solves += n
             bare = replace(basis, operator=None)
             states.append(modulation.decompose(v, float(s), bare))
@@ -371,14 +374,14 @@ class TestExactBasis:
     @pytest.fixture(scope="class")
     def k1_series(self, grid512):
         v0 = modulation.build_profile(grid512, 1, [0.01])
-        return solver.run(v0, ds=solver.default_ds(grid512, 1), s_max=0.1,
-                          record_ds=1e-2)
+        return solver.run(grid512, v0, ds=solver.default_ds(grid512, 1),
+                          s_max=0.1, record_ds=1e-2)
 
     @pytest.fixture(scope="class")
     def k2_series(self, grid512):
         v0 = modulation.build_profile(grid512, 2, [1e-5, 0.01])
-        return solver.run(v0, ds=solver.default_ds(grid512, 2), s_max=0.05,
-                          record_ds=2e-3)
+        return solver.run(grid512, v0, ds=solver.default_ds(grid512, 2),
+                          s_max=0.05, record_ds=2e-3)
 
     @staticmethod
     def decomposed(monkeypatch, series, k, **kwargs):
@@ -447,4 +450,4 @@ class TestProfileBuilder:
             basis = modulation.Basis.solve(grid512, b, k)
             ms = modulation.decompose(v, 0.0, basis)
             assert np.allclose(ms.coeffs, coeffs, atol=1e-12)
-            assert v.values[-1] == 0.0
+            assert v[-1] == 0.0

@@ -7,53 +7,53 @@ import pytest
 
 from stefanlab import bessel, solver
 from stefanlab.errors import (BoundaryBlowup, ConservationError,
-                              NonPositiveRadius)
-from stefanlab.weighted import (GridFunction, RadialGrid, WeightParam,
-                                end_slope)
+                              GridMismatch, NonPositiveRadius)
+from stefanlab.weighted import RadialGrid, WeightParam, end_slope
 
 W0 = WeightParam(0.0)
 
 
 def eta_profile(grid, j, amp):
-    vals = amp * bessel.eta(j, grid).values
+    vals = amp * bessel.eta(j, grid)
     vals[-1] = 0.0
-    return GridFunction(grid, vals)
+    return vals
 
 
-def initial_state(v0):
+def initial_state(grid, v0):
     """(v, lam, a) of a run's first step: unit radius, one-sided slope."""
-    return v0.values, 1.0, end_slope(v0.values, v0.grid.h)
+    return v0, 1.0, end_slope(v0, grid.h)
 
 
 class TestStepBasics:
     def test_zero_solution_fixed_point(self, grid512):
-        v0 = GridFunction(grid512, np.zeros(513))
-        v, lam, a = solver.Stepper(grid512, 1e-4).advance(*initial_state(v0))
+        v0 = np.zeros(513)
+        v, lam, a = solver.Stepper(grid512, 1e-4).advance(
+            *initial_state(grid512, v0))
         assert np.all(v == 0.0)
         assert a == 0.0
         assert lam == 1.0
         # the clock of a one-step run advances by lam^2 ds
-        ts = solver.run(v0, ds=1e-4, s_max=1e-4)
+        ts = solver.run(grid512, v0, ds=1e-4, s_max=1e-4)
         assert ts.t[-1] == pytest.approx(1e-4)
 
     def test_dirichlet_preserved_exactly(self, grid512):
-        state = initial_state(eta_profile(grid512, 1, 0.01))
+        state = initial_state(grid512, eta_profile(grid512, 1, 0.01))
         v, _, _ = solver.Stepper(grid512, 1e-4).advance(*state)
         assert v[-1] == 0.0
 
     def test_boundary_blowup_guard(self, grid512):
-        v, lam, a = initial_state(eta_profile(grid512, 1, 0.9))
+        v, lam, a = initial_state(grid512, eta_profile(grid512, 1, 0.9))
         assert abs(a) > 1.0
         with pytest.raises(BoundaryBlowup):
             solver.Stepper(grid512, 1e-4).advance(v, lam, a)
 
     def test_nonpositive_radius_guard(self, grid512):
-        v, _, a = initial_state(eta_profile(grid512, 1, 0.01))
+        v, _, a = initial_state(grid512, eta_profile(grid512, 1, 0.01))
         with pytest.raises(NonPositiveRadius):
             solver.Stepper(grid512, 1e-4).advance(v, 0.0, a)
 
     def test_radius_update_multiplicative(self, grid512):
-        v, lam, a = initial_state(eta_profile(grid512, 1, 0.01))
+        v, lam, a = initial_state(grid512, eta_profile(grid512, 1, 0.01))
         _, lam_new, _ = solver.Stepper(grid512, 1e-4).advance(v, lam, a)
         assert lam_new > 0.0
         # freezing direction: a > 0 for a negative slope profile? a is the
@@ -69,7 +69,7 @@ class TestDiffusionDecay:
         # delta e^{-lam_1 s} to the scheme's accuracy
         stepper = solver.Stepper(grid512, 1e-4)
         delta = 1e-3
-        v = delta * bessel.eta(1, grid512).values
+        v = delta * bessel.eta(1, grid512)
         v[-1] = 0.0
         nsteps = 2000
         vi = v[:512]
@@ -85,32 +85,31 @@ class TestDiffusionDecay:
 
 class TestRun:
     def test_zero_data_trivial_run(self, grid512):
-        v0 = GridFunction(grid512, np.zeros(513))
-        ts = solver.run(v0, ds=1e-4, s_max=0.01)
+        ts = solver.run(grid512, np.zeros(513), ds=1e-4, s_max=0.01)
         assert np.all(ts.lam == 1.0)
         assert np.allclose(ts.mass, math.pi)
         assert ts.reached_floor
 
     def test_mass_of_zero_state(self, grid512):
-        v0 = GridFunction(grid512, np.zeros(513))
-        assert solver.mass(grid512, v0.values, 1.0) == pytest.approx(math.pi)
+        assert solver.mass(grid512, np.zeros(513), 1.0) == pytest.approx(
+            math.pi)
 
     def test_melting_and_freezing_direction(self, grid512):
         # ground-mode data: positive coefficient melts, negative freezes
         for amp, growing in ((0.01, True), (-0.01, False)):
-            ts = solver.run(eta_profile(grid512, 1, amp),
+            ts = solver.run(grid512, eta_profile(grid512, 1, amp),
                             ds=4e-4, s_max=0.3)
             assert (ts.lam[-1] > ts.lam[0]) == growing
 
     def test_records_monotone(self, grid512):
-        ts = solver.run(eta_profile(grid512, 1, 0.01),
+        ts = solver.run(grid512, eta_profile(grid512, 1, 0.01),
                         ds=4e-4, s_max=0.2)
         assert np.all(np.diff(ts.s) > 0)
         assert np.all(np.diff(ts.t) > 0)
 
     def test_mass_tolerance_enforced(self, grid512):
         with pytest.raises(ConservationError):
-            solver.run(eta_profile(grid512, 1, 0.01),
+            solver.run(grid512, eta_profile(grid512, 1, 0.01),
                        ds=4e-4, s_max=0.5, mass_tol=1e-14)
 
     def test_nonfinite_state_is_typed(self, grid512, monkeypatch):
@@ -129,7 +128,36 @@ class TestRun:
         monkeypatch.setattr(solver.Stepper, "_implicit_solve", solve_once_nan)
         with pytest.raises(ConservationError,
                            match=r"^mass drift nan > .* at s = 0\.0040$"):
-            solver.run(eta_profile(grid512, 1, 0.01), ds=4e-4, s_max=0.02)
+            solver.run(grid512, eta_profile(grid512, 1, 0.01), ds=4e-4,
+                       s_max=0.02)
+
+    def test_profile_checked_at_entry(self, grid512):
+        # a profile handed in by a library caller: one sample per node,
+        # pinned to 0 at y = 1
+        for bad in (np.zeros(512), np.zeros(1025), np.zeros((2, 513))):
+            with pytest.raises(GridMismatch, match="513 nodes"):
+                solver.run(grid512, bad, ds=4e-4, s_max=0.01)
+        v0 = eta_profile(grid512, 1, 0.01)
+        v0[-1] = 1e-300
+        with pytest.raises(ValueError, match="vanish at y = 1"):
+            solver.run(grid512, v0, ds=4e-4, s_max=0.01)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_profile_is_typed(self, grid512, bad):
+        # the record guard at s = 0 trips before any step is taken
+        v0 = eta_profile(grid512, 1, 0.01)
+        v0[100] = bad
+        with pytest.raises(ConservationError, match=r"at s = 0\.0000$"):
+            solver.run(grid512, v0, ds=4e-4, s_max=0.02)
+
+    def test_overflowing_horizon_is_no_bound(self, grid512):
+        # s_max / ds overflows a float: the run stops at the norm floor
+        # as it does under the default horizon
+        v0 = eta_profile(grid512, 1, 0.01)
+        ts = solver.run(grid512, v0, ds=solver.default_ds(grid512, 1),
+                        s_max=1e308)
+        assert ts.reached_floor
+        assert ts.s[-1] < 6.0
 
     def test_taylor_sign_propagates(self, ctx):
         # the boundary slope keeps one sign while the solution is resolved
@@ -150,9 +178,9 @@ class TestDiscreteMaximumPrinciple:
         grid = RadialGrid(128)
         ds = solver.dmp_step_limit(grid, safety=0.8)
         stepper = solver.Stepper(grid, ds)
-        vals = 0.01 * bessel.eta(1, grid).values
+        vals = 0.01 * bessel.eta(1, grid)
         vals[-1] = 0.0
-        state = initial_state(GridFunction(grid, vals))
+        state = initial_state(grid, vals)
         for _ in range(400):
             state = stepper.advance(*state)
         assert np.min(state[0]) >= -1e-15
@@ -166,7 +194,7 @@ class TestConvergence:
             grid = RadialGrid(n)
             v0 = eta_profile(grid, 1, -0.01)
             # the coarse levels carry an O(h^2) mass drift of their own
-            ts = solver.run(v0, ds=ds, s_max=1.0, record_ds=0.1,
+            ts = solver.run(grid, v0, ds=ds, s_max=1.0, record_ds=0.1,
                             mass_tol=1e-3)
             outs.append(ts.lam[-1])
         d1, d2 = abs(outs[0] - outs[1]), abs(outs[1] - outs[2])
@@ -178,7 +206,7 @@ class TestConvergence:
 
         defects = []
         for rec in (8e-3, 4e-3):
-            ts = solver.run(eta_profile(grid512, 1, -0.01),
+            ts = solver.run(grid512, eta_profile(grid512, 1, -0.01),
                             ds=4e-4, s_max=0.8, record_ds=rec)
             defects.append(time_reconstruction_check(ts))
         # trapezoid-in-s error model: quartering with the halved cadence
@@ -186,7 +214,7 @@ class TestConvergence:
 
 
 def test_csv_header(tmp_path, grid512):
-    ts = solver.run(eta_profile(grid512, 1, 0.01),
+    ts = solver.run(grid512, eta_profile(grid512, 1, 0.01),
                     ds=4e-4, s_max=0.05)
     path = tmp_path / "ts.csv"
     ts.to_csv(path)

@@ -8,8 +8,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from stefanlab import bessel, spectrum
-from stefanlab.weighted import (GridFunction, RadialGrid, WeightParam,
-                                end_slope, inner_b, norm_b)
+from stefanlab.weighted import RadialGrid, WeightParam, end_slope, inner_b
 
 W0 = WeightParam(0.0)
 
@@ -18,8 +17,8 @@ class TestAssembly:
     def test_eigenrelation_on_eta(self, grid1024, zeros12):
         op = spectrum.assemble_hb(grid1024, W0)
         e1 = bessel.eta(1, grid1024)
-        out = op.apply(e1.values)
-        resid = out[:-1] - zeros12[0].lam * e1.values[:-1]
+        out = op.apply(e1)
+        resid = out[:-1] - zeros12[0].lam * e1[:-1]
         # flux form is O(h^2) pointwise on smooth eigenfunctions
         assert np.max(np.abs(resid)) <= 50 * zeros12[0].lam * grid1024.h ** 2
 
@@ -58,29 +57,28 @@ class TestEigenpairs:
     def test_unperturbed_vectors_match_eta(self, grid1024, zeros12):
         basis = spectrum.eigenpairs(grid1024, W0, 3)
         for k, psi in enumerate(basis.psis.T, start=1):
-            ek = bessel.eta(k, grid1024)
-            diff = GridFunction(grid1024, psi - ek.values)
-            assert norm_b(diff, W0) <= 200 * zeros12[k - 1].lam * grid1024.h ** 2
+            diff = psi - bessel.eta(k, grid1024)
+            assert (math.sqrt(inner_b(grid1024, diff, diff, W0))
+                    <= 200 * zeros12[k - 1].lam * grid1024.h ** 2)
 
     def test_normalization_sign_residual(self, ctx, grid1024):
         for b in (0.0, 0.02, -0.02):
             w = WeightParam(b)
             basis = ctx.eigen(1024, b, 3)
-            for k, col in enumerate(basis.psis.T, start=1):
-                psi = GridFunction(grid1024, col)
-                assert abs(norm_b(psi, w) - 1.0) <= 1e-12
+            for k, psi in enumerate(basis.psis.T, start=1):
+                assert abs(math.sqrt(inner_b(grid1024, psi, psi, w))
+                           - 1.0) <= 1e-12
                 ek = bessel.eta(k, grid1024)
-                assert inner_b(psi, ek, w) > 0.0
+                assert inner_b(grid1024, psi, ek, w) > 0.0
                 assert basis.residuals[k - 1] <= 1e-8
 
     def test_eta_projection_near_one(self, ctx, grid1024):
         # <psi_{b,k}, eta_k>_b = 1 + O(|b|)
         for b in (0.01, -0.02):
             w = WeightParam(b)
-            for k, col in enumerate(ctx.eigen(1024, b, 3).psis.T, start=1):
+            for k, psi in enumerate(ctx.eigen(1024, b, 3).psis.T, start=1):
                 ek = bessel.eta(k, grid1024)
-                psi = GridFunction(grid1024, col)
-                assert abs(inner_b(psi, ek, w) - 1.0) <= 5 * abs(b)
+                assert abs(inner_b(grid1024, psi, ek, w) - 1.0) <= 5 * abs(b)
 
     def test_ground_state_positive(self, ctx):
         basis = ctx.eigen(1024, 0.02, 1)
@@ -91,7 +89,7 @@ class TestEigenpairs:
         lam1 = ctx.eigen(1024, 0.02, 1).lams[0]
         for _ in range(100):
             u = spectrum.random_dirichlet(grid1024, rng)
-            assert lam1 <= spectrum.rayleigh_quotient(u, w) + 1e-9
+            assert lam1 <= spectrum.rayleigh_quotient(grid1024, u, w) + 1e-9
 
     def test_grid_convergence_order(self):
         lams = [spectrum.eigenpairs(RadialGrid(n), W0, 2).lams[1]
@@ -112,9 +110,8 @@ class TestEigenpairs:
             view = ref[:]
             with pytest.raises(ValueError):
                 view.flags.writeable = True
-            gf = GridFunction(grid512, ref)
             with pytest.raises(ValueError):
-                gf.values *= -1.0
+                ref *= -1.0
         after = spectrum.eigenpairs(grid512, w, 3)
         assert before.psis.tobytes() == after.psis.tobytes()
         assert before.lams.tobytes() == after.lams.tobytes()
@@ -122,7 +119,7 @@ class TestEigenpairs:
 
     def test_columns_match_per_mode_post_processing(self, grid512):
         # the mode-by-mode normalization, sign fix and Rayleigh polish on
-        # GridFunctions, as the bitwise reference for the batched rows
+        # single profiles, as the bitwise reference for the batched rows
         w = WeightParam(-0.0093)
         op = spectrum.assemble_hb(grid512, w)
         basis = spectrum.eigenpairs(grid512, w, 4, operator=op)
@@ -131,23 +128,21 @@ class TestEigenpairs:
         _, vecs = eigh_tridiagonal(op.diag, op.off, select="i",
                                    select_range=(0, 3))
         for j in range(4):
-            vals = np.zeros(513)
-            vals[:512] = vecs[:, j] / np.sqrt(op.node_mass)
-            psi = GridFunction(grid512, vals)
-            psi.values /= norm_b(psi, w)
-            if inner_b(psi, bessel.eta(j + 1, grid512), w) < 0.0:
-                psi.values *= -1.0
-            hpsi = op.apply(psi.values)
-            mv = op.node_mass * psi.values[:512]
-            lam = float(np.dot(mv, hpsi[:512]) / np.dot(mv, psi.values[:512]))
-            resid = hpsi - lam * psi.values
+            psi = np.zeros(513)
+            psi[:512] = vecs[:, j] / np.sqrt(op.node_mass)
+            psi /= np.sqrt(max(inner_b(grid512, psi, psi, w), 0.0))
+            if inner_b(grid512, psi, bessel.eta(j + 1, grid512), w) < 0.0:
+                psi *= -1.0
+            hpsi = op.apply(psi)
+            mv = op.node_mass * psi[:512]
+            lam = float(np.dot(mv, hpsi[:512]) / np.dot(mv, psi[:512]))
+            resid = hpsi - lam * psi
             resid[-1] = 0.0
-            assert basis.psis[:, j].tobytes() == psi.values.tobytes()
+            assert basis.psis[:, j].tobytes() == psi.tobytes()
             assert basis.lams[j] == lam
-            assert basis.boundary_slopes[j] == end_slope(psi.values,
-                                                         grid512.h)
-            assert basis.residuals[j] == norm_b(GridFunction(grid512, resid),
-                                                w)
+            assert basis.boundary_slopes[j] == end_slope(psi, grid512.h)
+            assert basis.residuals[j] == np.sqrt(
+                max(inner_b(grid512, resid, resid, w), 0.0))
         assert basis.psis.flags.c_contiguous
 
     def test_preconditions(self, grid512):
@@ -237,7 +232,7 @@ class TestSpectralGap:
 
     def test_sharpness_witness(self, grid1024, zeros12):
         e2 = bessel.eta(2, grid1024)
-        q = spectrum.rayleigh_quotient(e2, W0)
+        q = spectrum.rayleigh_quotient(grid1024, e2, W0)
         assert abs(q - zeros12[1].lam) <= 0.05
 
     def test_drifted_gap_above_budget(self, grid1024, zeros12):
@@ -251,9 +246,9 @@ class TestSpectralGap:
         seen = []
         quotient = spectrum.rayleigh_quotient
 
-        def spy(u, weight):
+        def spy(grid, u, weight):
             seen.append(u)
-            return quotient(u, weight)
+            return quotient(grid, u, weight)
 
         monkeypatch.setattr(spectrum, "rayleigh_quotient", spy)
         spectrum.spectral_gap_check(grid1024, w, 2, samples=8)
@@ -261,7 +256,7 @@ class TestSpectralGap:
         assert len(seen) == 8
         for u in seen:
             for psi in basis.psis.T:
-                assert abs(inner_b(u, GridFunction(grid1024, psi), w)) <= 1e-12
+                assert abs(inner_b(grid1024, u, psi, w)) <= 1e-12
 
     def test_seeded_determinism(self, grid512):
         a = spectrum.spectral_gap_check(grid512, WeightParam(0.01), 1,
