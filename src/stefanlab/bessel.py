@@ -238,40 +238,16 @@ def _mcmahon_guess(j: int) -> float:
     return beta + 1.0 / b8 - 124.0 / (3.0 * b8**3) + 120928.0 / (15.0 * b8**5)
 
 
-def _bisect_zero(j: int) -> float:
-    lo = (j - 0.75) * math.pi
-    hi = (j + 0.25) * math.pi
-    flo = j0(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = j0(mid)
-        if flo * fm <= 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-        if hi - lo < 1e-15:
-            break
-    return 0.5 * (lo + hi)
-
-
 @functools.lru_cache(maxsize=None)
 def _zero(j: int) -> BesselZero:
     """The j-th zero, Newton-refined from its McMahon guess (memoized)."""
     x = _mcmahon_guess(j)
-    lo, hi = (j - 0.75) * math.pi, (j + 0.25) * math.pi
-    converged = False
     for _ in range(100):
-        f = j0(x)
-        fp = j0_prime(x)
-        dx = f / fp
-        x_new = x - dx
-        if not lo < x_new < hi:
-            x_new = _bisect_zero(j)
-        if abs(x_new - x) <= 1e-15 * x:
-            x = x_new
-            converged = True
-            break
+        x_new = x - j0(x) / j0_prime(x)
+        converged = abs(x_new - x) <= 1e-15 * x
         x = x_new
+        if converged:
+            break
     if not converged and abs(j0(x)) > 1e-12:
         raise NonConvergence(f"Newton failed for J0 zero #{j}")
     return BesselZero(index=j, r=x, lam=x * x)
@@ -280,10 +256,10 @@ def _zero(j: int) -> BesselZero:
 def j0_zeros(count: int) -> tuple[BesselZero, ...]:
     """First ``count`` positive zeros of J0, Newton-refined from McMahon guesses.
 
-    Falls back to bisection on [(j - 3/4) pi, (j + 1/4) pi] if Newton leaves
-    its bracket, and raises :class:`NonConvergence` after 100 iterations
-    (which would signal a defective j0).  Each zero is computed once per
-    process; the result is an immutable tuple of frozen records.
+    For every accepted j the guess lies close enough that Newton converges
+    in at most 4 steps; :class:`NonConvergence` after 100 iterations would
+    signal a defective j0.  Each zero is computed once per process; the
+    result is an immutable tuple of frozen records.
     """
     if not 1 <= count <= 64:
         raise ValueError("count must be in [1, 64]")

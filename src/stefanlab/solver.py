@@ -162,7 +162,9 @@ def run(grid: RadialGrid, v0: np.ndarray, ds: float, s_max: float,
     overflows is no bound.
 
     A v0 without one sample per node raises :class:`GridMismatch`, one
-    that does not vanish at y = 1 ``ValueError``.  The mass invariant is
+    that does not vanish at y = 1 ``ValueError``, as does a ``ds`` for
+    which ``record_ds / ds`` is not finite (NaN, or so small that it
+    overflows).  The mass invariant is
     checked at every record; drifting past ``mass_tol`` (relative), or a
     non-finite state (v0 included, at s = 0), raises
     :class:`ConservationError`.
@@ -174,10 +176,14 @@ def run(grid: RadialGrid, v0: np.ndarray, ds: float, s_max: float,
     if v[-1] != 0.0:
         raise ValueError(f"profile must vanish at y = 1, got {v[-1]:g}")
     stepper = Stepper(grid, ds)
+    per_record = record_ds / ds
+    if not math.isfinite(per_record):
+        raise ValueError(f"record_ds / ds is not finite: record_ds = "
+                         f"{record_ds:g}, ds = {ds:g}")
     lam = 1.0
     s = t = 0.0
     a = end_slope(v, grid.h)
-    every = max(1, int(round(record_ds / ds)))
+    every = max(1, int(round(per_record)))
     sw, y = grid.simpson, grid.y
 
     rec = {k: [] for k in ("s", "t", "lam", "a", "mass", "vnorm")}

@@ -300,14 +300,15 @@ class PerturbationReport:
     """Measured drift-parameter response of mode k.
 
     ``slope`` is the least-squares d lam / d b over the sweep (the expansion
-    predicts -1); ``residual_order`` the log-log order of
-    |lam_b - (lam_0 - b)| against b with the same-grid b = 0 eigenvalue as
-    reference (predicts 2).
+    predicts -1); ``defects`` are lam_b - (lam_0 - b) with the same-grid
+    b = 0 eigenvalue as reference, and ``residual_order`` their log-log
+    order against b (predicts 2).
     """
 
     k: int
     b_values: np.ndarray
     lam_values: np.ndarray
+    defects: np.ndarray
     slope: float
     residual_order: float
     boundary_slopes: np.ndarray
@@ -329,7 +330,7 @@ def perturbation_sweep(grid: RadialGrid, k: int, b_values) -> PerturbationReport
     slope = float(np.polyfit(bs, lam_vals, 1)[0])
     order = float(np.polyfit(np.log(np.abs(bs)), np.log(np.abs(defects)), 1)[0])
     return PerturbationReport(
-        k=k, b_values=bs, lam_values=lam_vals, slope=slope,
+        k=k, b_values=bs, lam_values=lam_vals, defects=defects, slope=slope,
         residual_order=order,
         boundary_slopes=np.array([basis.boundary_slopes[k - 1]
                                   for basis in bases]),

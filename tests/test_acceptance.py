@@ -2,7 +2,8 @@
 
 Each test drives the corresponding criterion of :mod:`stefanlab.verify` at
 its stated tolerance against the shared session context, prints the
-criterion line, and asserts the outcome.
+criterion line, and asserts the outcome.  One more test checks that a
+criterion's time budget counts into its verdict.
 
 Criterion 3 is marked as a strict expected failure: the unit-norm
 eigenpair's boundary slope obeys an exact first-order law with constant
@@ -11,6 +12,8 @@ stated 0.5 ceiling cannot be met by any correct implementation.  The
 criterion still runs and reports the measured constants; if it ever starts
 passing, something changed and the strict marker will flag it.
 """
+
+import itertools
 
 import pytest
 
@@ -70,3 +73,13 @@ def test_criterion_10_energy_bootstrap(ctx):
 
 def test_criterion_11_oracle_equivalence(ctx):
     _check(verify.criterion_11(ctx))
+
+
+def test_time_budget_counts_into_the_verdict(ctx, monkeypatch):
+    # criterion 1 appears to take 2 s against its 1 s budget
+    ticks = itertools.chain([0.0], itertools.repeat(2.0))
+    monkeypatch.setattr(verify.time, "perf_counter", lambda: next(ticks))
+    result = verify.criterion_1(ctx)
+    assert result.passed is False
+    assert result.details.endswith(", time budget 1s")
+    assert result.seconds == 2.0

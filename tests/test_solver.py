@@ -142,6 +142,14 @@ class TestRun:
         with pytest.raises(ValueError, match="vanish at y = 1"):
             solver.run(grid512, v0, ds=4e-4, s_max=0.01)
 
+    @pytest.mark.parametrize("ds", [1e-320, np.nan])
+    def test_nonfinite_record_cadence_is_typed(self, grid512, ds):
+        # record_ds / ds overflows or is NaN: rejected before the first step
+        with pytest.raises(ValueError, match=r"record_ds / ds is not finite"
+                                             r": record_ds = 0\.002, ds = "):
+            solver.run(grid512, eta_profile(grid512, 1, 0.01), ds=ds,
+                       s_max=0.01)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_profile_is_typed(self, grid512, bad):
         # the record guard at s = 0 trips before any step is taken

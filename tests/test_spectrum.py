@@ -50,8 +50,8 @@ class TestEigenpairs:
         basis = spectrum.eigenpairs(grid1024, W0, 1)
         assert abs(basis.lams[0] - zeros12[0].lam) <= 1e-5
 
-    def test_drift_shifts_eigenvalue_linearly(self, grid1024, zeros12, ctx):
-        lam = ctx.eigen(1024, 0.01, 1).lams[0]
+    def test_drift_shifts_eigenvalue_linearly(self, grid1024, zeros12):
+        lam = spectrum.eigenpairs(grid1024, WeightParam(0.01), 1).lams[0]
         assert abs(lam - (zeros12[0].lam - 0.01)) <= 1e-4
 
     def test_unperturbed_vectors_match_eta(self, grid1024, zeros12):
@@ -61,10 +61,10 @@ class TestEigenpairs:
             assert (math.sqrt(inner_b(grid1024, diff, diff, W0))
                     <= 200 * zeros12[k - 1].lam * grid1024.h ** 2)
 
-    def test_normalization_sign_residual(self, ctx, grid1024):
+    def test_normalization_sign_residual(self, grid1024):
         for b in (0.0, 0.02, -0.02):
             w = WeightParam(b)
-            basis = ctx.eigen(1024, b, 3)
+            basis = spectrum.eigenpairs(grid1024, w, 3)
             for k, psi in enumerate(basis.psis.T, start=1):
                 assert abs(math.sqrt(inner_b(grid1024, psi, psi, w))
                            - 1.0) <= 1e-12
@@ -72,21 +72,22 @@ class TestEigenpairs:
                 assert inner_b(grid1024, psi, ek, w) > 0.0
                 assert basis.residuals[k - 1] <= 1e-8
 
-    def test_eta_projection_near_one(self, ctx, grid1024):
+    def test_eta_projection_near_one(self, grid1024):
         # <psi_{b,k}, eta_k>_b = 1 + O(|b|)
         for b in (0.01, -0.02):
             w = WeightParam(b)
-            for k, psi in enumerate(ctx.eigen(1024, b, 3).psis.T, start=1):
+            for k, psi in enumerate(spectrum.eigenpairs(grid1024, w, 3).psis.T,
+                                    start=1):
                 ek = bessel.eta(k, grid1024)
                 assert abs(inner_b(grid1024, psi, ek, w) - 1.0) <= 5 * abs(b)
 
-    def test_ground_state_positive(self, ctx):
-        basis = ctx.eigen(1024, 0.02, 1)
+    def test_ground_state_positive(self, grid1024):
+        basis = spectrum.eigenpairs(grid1024, WeightParam(0.02), 1)
         assert np.all(basis.psis[:-1, 0] > 0.0)
 
-    def test_rayleigh_minimality(self, grid1024, ctx, rng):
+    def test_rayleigh_minimality(self, grid1024, rng):
         w = WeightParam(0.02)
-        lam1 = ctx.eigen(1024, 0.02, 1).lams[0]
+        lam1 = spectrum.eigenpairs(grid1024, w, 1).lams[0]
         for _ in range(100):
             u = spectrum.random_dirichlet(grid1024, rng)
             assert lam1 <= spectrum.rayleigh_quotient(grid1024, u, w) + 1e-9
@@ -208,14 +209,19 @@ class TestPerturbationSweep:
                                               (0.005, 0.01, 0.02))
             assert -1.1 <= rep.slope <= -0.9
             assert rep.residual_order >= 1.8
+            lam0 = spectrum.eigenpairs(grid1024, W0, k).lams[k - 1]
+            assert (rep.defects.tobytes()
+                    == (rep.lam_values - (lam0 - rep.b_values)).tobytes())
 
-    def test_antisymmetry_in_b(self, ctx):
+    def test_antisymmetry_in_b(self, grid1024):
         # lam_{-b} + lam_{b} - 2 lam_0 = O(b^2)
+        def lam(b, k):
+            return spectrum.eigenpairs(grid1024, WeightParam(b), k).lams[k - 1]
+
         for k in (1, 2):
-            lam0 = ctx.eigen(1024, 0.0, k).lams[k - 1]
+            lam0 = lam(0.0, k)
             for b in (0.01, 0.02):
-                lp = ctx.eigen(1024, b, k).lams[k - 1]
-                lm = ctx.eigen(1024, -b, k).lams[k - 1]
+                lp, lm = lam(b, k), lam(-b, k)
                 assert abs(lp + lm - 2 * lam0) <= 5 * b ** 2
 
     def test_rejects_bad_sweeps(self, grid1024):
