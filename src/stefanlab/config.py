@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from .errors import ConfigError
 from .modulation import ADIABATIC_AMPLITUDE
 from .reduced import SHOOT_TOL, TRAP_CEILING
-from .solver import MASS_TOL, RECORD_DS
+from .solver import MASS_TOL, MAX_STEPS_PER_RECORD, RECORD_DS
 from .spectrum import MAX_EIGENPAIRS
 from .weighted import B_CAP
 
@@ -77,11 +77,13 @@ class ScenarioConfig:
             if not (isinstance(val, (int, float)) and math.isfinite(val)
                     and val > 0):
                 raise ConfigError(f"{name} must be finite and > 0, got {val!r}")
-        # the run counts its steps per record as record_ds / ds
-        if self.ds is not None and not math.isfinite(self.record_ds / self.ds):
+        # the run takes record_ds / ds steps per record (inf on overflow)
+        if (self.ds is not None
+                and not self.record_ds / self.ds <= MAX_STEPS_PER_RECORD):
             raise ConfigError(
-                f"record_ds / ds must be finite; got record_ds = "
-                f"{self.record_ds!r}, ds = {self.ds!r}")
+                f"record_ds / ds must be at most {MAX_STEPS_PER_RECORD:g} "
+                f"steps per record; got record_ds = {self.record_ds!r}, "
+                f"ds = {self.ds!r}")
         # the adiabatic schedule starts at b = amplitude
         if self.amplitude >= B_CAP:
             raise ConfigError(f"amplitude must be < {B_CAP}, got {self.amplitude!r}")

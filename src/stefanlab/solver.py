@@ -9,14 +9,24 @@ ds/dt = 1 / lam^2, becomes
 so the interface radius follows lam_s = -a lam and the physical time is
 recovered from dt/ds = lam^2.
 
-Time stepping is IMEX: diffusion by Crank-Nicolson (tridiagonal solve,
-factored once per run), the drift term a Lambda v explicit with the boundary
-slope a taken from a 4-point one-sided stencil.  A single corrector pass
-re-evaluates the drift at the predicted end state and applies it
-trapezoidally; without it the scheme is first order in ds through the drift
-coupling and cannot meet the mass-conservation budget at practical step
-sizes.  The radius update is the exponential integrator
-lam <- lam exp(-a_bar ds), which keeps lam > 0 structurally.
+Time stepping is IMEX: diffusion by Crank-Nicolson, the drift term
+a Lambda v explicit with the boundary slope a taken from a 4-point one-sided
+stencil.  A single corrector pass re-evaluates the drift at the predicted
+end state and applies it trapezoidally; without it the scheme is first
+order in ds through the drift coupling and cannot meet the
+mass-conservation budget at practical step sizes.  The radius update is the
+exponential integrator lam <- lam exp(-a_bar ds), which keeps lam > 0
+structurally.
+
+With L = -Delta on the interior nodes (H_b at b = 0) and M = I + ds/2 L, a
+Crank-Nicolson step under an explicit forcing f is
+M^-1 ((I - ds/2 L) v + f) = 2 M^-1 (v + f/2) - v, so no product with L is
+formed.  M = D^-1 A for the node masses D, where A = D + ds/2 K and K = D L
+is the symmetric flux-form stiffness: A is symmetric positive definite and
+tridiagonal, factored LDL^T once per run (``dpttrf``) and solved twice per
+step (``dpttrs``).  The drift y v' on the interior nodes is one banded
+operator read off ``weighted.deriv_values``: the centred 5-point row scaled
+by y on rows 2..n-2, the one-sided rows 1 and n-1, and 0 on row 0 (y = 0).
 """
 
 from __future__ import annotations
@@ -25,7 +35,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import get_lapack_funcs
+from scipy.linalg import block_diag
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from . import bessel, spectrum
 from .errors import (BoundaryBlowup, ConservationError, GridMismatch,
@@ -38,6 +49,9 @@ NORM_FLOOR = 1e-12
 RECORD_DS = 2e-3
 #: default bound on the relative mass drift
 MASS_TOL = 1e-6
+#: most steps between two records (record_ds / ds); a smaller ds is
+#: rejected, since the state is checked only at the records
+MAX_STEPS_PER_RECORD = 1e6
 
 
 def mass(grid: RadialGrid, v: np.ndarray, lam: float) -> float:
@@ -58,43 +72,45 @@ class Stepper:
     """IMEX Crank-Nicolson stepper with a fixed step on a fixed grid."""
 
     def __init__(self, grid: RadialGrid, ds: float):
-        if ds <= 0:
+        if not ds > 0:
             raise ValueError("ds must be positive")
         self.grid = grid
         self.ds = ds
         n, h = grid.n, grid.h
-        # unsymmetrized tridiagonal of -Delta on interior nodes: H_b at b = 0,
-        # where the weight is exactly 1.0, so fluxes and masses are unscaled
+        # at b = 0 the weight is exactly 1.0, so fluxes and masses are unscaled
         op = spectrum.assemble_hb(grid, WeightParam(0.0))
-        wf, m = op.half_flux, op.node_mass
-        diag = op.diag
-        sub = np.empty(n)
-        sub[0] = 0.0
-        sub[1:] = -wf[: n - 1] / (h * m[1:])
-        sup = np.empty(n)
-        sup[: n - 1] = -wf[: n - 1] / (h * m[: n - 1])
-        sup[n - 1] = 0.0
-        self._diag, self._sub, self._sup = diag, sub, sup
-        dl = (ds / 2.0) * sub[1:]
-        dd = 1.0 + (ds / 2.0) * diag
-        du = (ds / 2.0) * sup[:-1]
-        gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (dd,))
-        self._gttrs = gttrs
-        res = gttrf(dl, dd, du)
-        if res[-1] != 0:
+        *self._ldl, info = dpttrf(
+            op.node_mass * (1.0 + (ds / 2.0) * op.diag),
+            (-ds / (2.0 * h)) * op.half_flux[: n - 1])
+        if info != 0:
             raise RuntimeError("tridiagonal factorization failed")
-        self._fact = res[:5]
+        self._mass2 = 2.0 * op.node_mass
+        # at h = 1/12 (12 h = 1 exactly) the rows hold the stencils' integer
+        # weights, so the interior sums are those of deriv_values
+        rows = deriv_values(np.eye(10), 1.0 / 12.0)
+        self._centred = rows[4, 2:7]
+        scale = grid.y / (12.0 * h)
+        self._y_mid = scale[2: n - 1]
+        self._end_nodes = np.r_[1:6, n - 5:n]
+        self._end_rows = block_diag(scale[1] * rows[1, 1:6],
+                                    scale[n - 1] * rows[8, 4:9])
+        self._d0, self._d1, self._g, self._rhs = np.zeros((4, n))
+        self._vstar = np.zeros(n + 1)
 
-    def _apply_neg_lap(self, vi: np.ndarray) -> np.ndarray:
-        out = self._diag * vi
-        out[1:] += self._sub[1:] * vi[:-1]
-        out[:-1] += self._sup[:-1] * vi[1:]
+    def _drift(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """y v' on the interior nodes into ``out``; out[0] is left as is."""
+        n = self.grid.n
+        np.multiply(self._y_mid, np.correlate(v, self._centred),
+                    out=out[2: n - 1])
+        np.matmul(self._end_rows, v[self._end_nodes], out=out[1:: n - 2])
         return out
 
-    def _implicit_solve(self, rhs: np.ndarray) -> np.ndarray:
-        dl, dd, du, du2, ipiv = self._fact
-        sol, info = self._gttrs(dl, dd, du, du2, ipiv, rhs)
-        return sol
+    def _crank_nicolson(self, vi: np.ndarray, g: np.ndarray,
+                        out: np.ndarray) -> np.ndarray:
+        """2 M^-1 g - vi into ``out``: the step from vi given g = vi + f/2."""
+        sol, _ = dpttrs(*self._ldl, np.multiply(self._mass2, g, out=self._rhs),
+                        overwrite_b=1)
+        return np.subtract(sol, vi, out=out)
 
     def advance(self, v: np.ndarray, lam: float,
                 a: float) -> tuple[np.ndarray, float, float]:
@@ -108,21 +124,19 @@ class Stepper:
         if abs(a) > 1.0:
             raise BoundaryBlowup(f"|a| = {abs(a):.3g} > 1")
         vi = v[:n]
-        base = vi - (ds / 2.0) * self._apply_neg_lap(vi)
-        y = self.grid.y[:n]
-        drift0 = y * deriv_values(v, h)[:n]
-        # predictor: drift frozen at the start of the step
-        vstar = np.zeros(n + 1)
-        vstar[:n] = self._implicit_solve(base - ds * a * drift0)
-        a1 = end_slope(vstar, h)
-        drift1 = y * deriv_values(vstar, h)[:n]
-        # corrector: trapezoidal drift
+        d0 = self._drift(v, self._d0)
+        # predictor: drift frozen at the start of the step, f = -ds a d0
+        g = np.multiply(d0, -0.5 * ds * a, out=self._g)
+        g += vi
+        self._crank_nicolson(vi, g, self._vstar[:n])
+        a1 = end_slope(self._vstar, h)
+        # corrector: trapezoidal drift, f = -ds/2 (a d0 + a1 d1)
+        np.multiply(d0, -0.25 * ds * a, out=g)
+        g += (-0.25 * ds * a1) * self._drift(self._vstar, self._d1)
+        g += vi
         vnew = np.zeros(n + 1)
-        vnew[:n] = self._implicit_solve(
-            base - (ds / 2.0) * (a * drift0 + a1 * drift1)
-        )
-        abar = 0.5 * (a + a1)
-        lam_new = lam * float(np.exp(-abar * ds))
+        self._crank_nicolson(vi, g, vnew[:n])
+        lam_new = lam * float(np.exp(-0.5 * (a + a1) * ds))
         if lam_new <= 0.0:
             raise NonPositiveRadius(f"lam = {lam_new}")
         return vnew, lam_new, end_slope(vnew, h)
@@ -164,7 +178,7 @@ def run(grid: RadialGrid, v0: np.ndarray, ds: float, s_max: float,
     A v0 without one sample per node raises :class:`GridMismatch`, one
     that does not vanish at y = 1 ``ValueError``, as does a ``ds`` for
     which ``record_ds / ds`` is not finite (NaN, or so small that it
-    overflows).  The mass invariant is
+    overflows) or exceeds ``MAX_STEPS_PER_RECORD``.  The mass invariant is
     checked at every record; drifting past ``mass_tol`` (relative), or a
     non-finite state (v0 included, at s = 0), raises
     :class:`ConservationError`.
@@ -175,11 +189,15 @@ def run(grid: RadialGrid, v0: np.ndarray, ds: float, s_max: float,
                            f"({grid.n + 1} nodes)")
     if v[-1] != 0.0:
         raise ValueError(f"profile must vanish at y = 1, got {v[-1]:g}")
-    stepper = Stepper(grid, ds)
     per_record = record_ds / ds
     if not math.isfinite(per_record):
         raise ValueError(f"record_ds / ds is not finite: record_ds = "
                          f"{record_ds:g}, ds = {ds:g}")
+    if per_record > MAX_STEPS_PER_RECORD:
+        raise ValueError(f"record_ds / ds = {per_record:.3g} exceeds "
+                         f"{MAX_STEPS_PER_RECORD:g} steps per record: "
+                         f"record_ds = {record_ds:g}, ds = {ds:g}")
+    stepper = Stepper(grid, ds)
     lam = 1.0
     s = t = 0.0
     a = end_slope(v, grid.h)

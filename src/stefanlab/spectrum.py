@@ -124,8 +124,7 @@ class Basis:
 
     Column j of ``psis`` is psi_{b,j+1}, Simpson-normalized to unit weighted
     norm with the sign fixed so its projection on eta_{j+1} is positive;
-    ``boundary_slopes`` are the columns' 4-point one-sided derivatives at
-    y = 1 and ``residuals`` the discrete weighted norms of H_b psi - lam psi.
+    ``residuals`` are the discrete weighted norms of H_b psi - lam psi.
     ``operator`` is the H_b they were solved from when the caller keeps it:
     set by :meth:`solve`, whose bases decompose profiles, and None from a
     bare :func:`eigenpairs` call or once dropped from a cache.
@@ -134,7 +133,6 @@ class Basis:
     b: float
     psis: np.ndarray              # (n+1, k), C-contiguous
     lams: np.ndarray              # (k,)
-    boundary_slopes: np.ndarray   # (k,)
     residuals: np.ndarray         # (k,)
     grid: RadialGrid
     operator: DriftOperator | None = None
@@ -148,6 +146,12 @@ class Basis:
         w = WeightParam(b)
         return eigenpairs(grid, w, k, operator=assemble_hb(grid, w),
                           start=start)
+
+    @functools.cached_property
+    def boundary_slopes(self) -> np.ndarray:
+        """The columns' 4-point one-sided derivatives at y = 1, formed on
+        first use (tracking never reads them)."""
+        return np.array([end_slope(psi, self.grid.h) for psi in self.psis.T])
 
     def _weights(self) -> np.ndarray:
         """Quadrature weights of the weighted inner product at ``b``."""
@@ -202,12 +206,15 @@ def eigenpairs(grid: RadialGrid, w: WeightParam, count: int,
     if grid.n < 512:
         raise ValueError("eigenpairs requires a grid of at least 512 intervals")
     op = operator if operator is not None else assemble_hb(grid, w)
+    # the similarity between nodal values and the symmetrized matrix
+    root_mass = np.sqrt(op.node_mass)
     if start is not None:
         if start.psis.shape != (grid.n + 1, count):
             raise ValueError("start basis does not match the grid and count")
-        vecs = _inverse_iteration(op, start.psis[: grid.n].T)
+        vecs = _inverse_iteration(op, start.psis[: grid.n].T * root_mass)
         if vecs is not None:
-            basis, proj = _post_process(grid, w, op, vecs, operator)
+            basis, proj = _post_process(grid, w, op, vecs, root_mass,
+                                        operator)
             if _warm_pairs_hold(basis, proj):
                 return basis
     try:
@@ -216,17 +223,16 @@ def eigenpairs(grid: RadialGrid, w: WeightParam, count: int,
         )[1].T
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NonConvergence(f"tridiagonal eigensolver failed: {exc}") from exc
-    return _post_process(grid, w, op, vecs, operator)[0]
+    return _post_process(grid, w, op, vecs, root_mass, operator)[0]
 
 
 def _inverse_iteration(op: DriftOperator,
-                       starts: np.ndarray) -> np.ndarray | None:
+                       vecs: np.ndarray) -> np.ndarray | None:
     """Unit eigenvectors of the symmetrized tridiagonal T, one row per row
-    of ``starts`` (nodal samples at the interior nodes), after
-    ``WARM_STEPS`` solves of (T - mu) x_new = x with mu the Rayleigh
-    quotient of x; None when a solve reports a singular pivot."""
+    of the start vectors ``vecs`` (in the symmetrized frame; iterated in
+    place), after ``WARM_STEPS`` solves of (T - mu) x_new = x with mu the
+    Rayleigh quotient of x; None when a solve reports a singular pivot."""
     d, e = op.diag, op.off
-    vecs = starts * np.sqrt(op.node_mass)
     for x in vecs:
         x /= np.linalg.norm(x)
         for _ in range(WARM_STEPS):
@@ -241,16 +247,18 @@ def _inverse_iteration(op: DriftOperator,
 
 
 def _post_process(grid: RadialGrid, w: WeightParam, op: DriftOperator,
-                  vecs: np.ndarray, operator: DriftOperator | None
+                  vecs: np.ndarray, root_mass: np.ndarray,
+                  operator: DriftOperator | None
                   ) -> tuple[Basis, np.ndarray]:
     """Basis from eigenvectors of the symmetrized matrix (one row each),
-    and each vector's projection on its eta_j before the sign fix."""
+    mapped back through ``root_mass`` = sqrt(op.node_mass), and each
+    vector's projection on its eta_j before the sign fix."""
     n = grid.n
     # one row per mode: every reduction then runs along a contiguous row and
     # gives the floats inner_b gives on that mode alone
     rows = np.zeros((len(vecs), n + 1))
     rows[:, :n] = vecs
-    rows[:, :n] /= np.sqrt(op.node_mass)
+    rows[:, :n] /= root_mass
     rows /= np.sqrt(np.maximum(inner_b(grid, rows, rows, w), 0.0))[:, None]
     proj = np.array([inner_b(grid, row, bessel.eta_samples(j, grid), w)
                      for j, row in enumerate(rows, start=1)])
@@ -268,7 +276,6 @@ def _post_process(grid: RadialGrid, w: WeightParam, op: DriftOperator,
         b=w.b,
         psis=np.ascontiguousarray(rows.T),
         lams=lams,
-        boundary_slopes=np.array([end_slope(r, grid.h) for r in rows]),
         residuals=residuals,
         grid=grid,
         operator=operator,

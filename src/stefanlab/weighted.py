@@ -79,12 +79,21 @@ class WeightParam:
         return np.exp(-0.5 * self.b * np.asarray(y) ** 2)
 
 
+@functools.lru_cache(maxsize=8)
+def _nodal_rho(grid: RadialGrid, w: WeightParam) -> np.ndarray:
+    """rho_b at the nodes of ``grid``; read-only and memoized, so the norms,
+    projections and residuals of one basis evaluate the exponential once."""
+    rho = w.rho(grid.y)
+    rho.flags.writeable = False
+    return rho
+
+
 def inner_b(grid: RadialGrid, f: np.ndarray, g: np.ndarray,
             w: WeightParam) -> float | np.ndarray:
     """Simpson approximation of int_0^1 f g rho_b y dy for nodal samples on
     ``grid``, summed over the last axis: a float for profiles, one value per
     row for stacks of them (row by row the same floats)."""
-    out = np.sum(grid.simpson * f * g * w.rho(grid.y) * grid.y, axis=-1)
+    out = np.sum(grid.simpson * f * g * _nodal_rho(grid, w) * grid.y, axis=-1)
     return float(out) if out.ndim == 0 else out
 
 

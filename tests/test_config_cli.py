@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stefanlab
-from stefanlab import cli, reduced
+from stefanlab import cli, reduced, solver
 from stefanlab.config import (MODES, ScenarioConfig, parse_config,
                               serialize_config, with_overrides)
 from stefanlab.errors import ConfigError, NoTrappedData
@@ -131,11 +132,15 @@ def _configs(draw):
     k = draw(st.sampled_from((2, 3)) if mode == "shoot"
              else st.integers(1, 12))
     ceiling = draw(_positive())
+    record_ds = draw(_positive())
+    # a valid ds takes at most MAX_STEPS_PER_RECORD steps per record
+    min_ds = max(1e-12, 2.0 * record_ds / solver.MAX_STEPS_PER_RECORD)
     return dict(
         mode=mode, k=k, b0=draw(_small(0.05)),
         grid_n=2 * draw(st.integers(256, 2048)),
-        ds=draw(st.none() | _positive()), s_max=draw(st.none() | _positive()),
-        record_ds=draw(_positive()), seed=draw(st.integers(0, 2 ** 63)),
+        ds=draw(st.none() | st.floats(min_ds, 10.0)),
+        s_max=draw(st.none() | _positive()),
+        record_ds=record_ds, seed=draw(st.integers(0, 2 ** 63)),
         quick=draw(st.booleans()), json_output=draw(st.booleans()),
         out_dir=draw(st.text("abcXYZ019_-./", min_size=1, max_size=12)),
         b_values=tuple(draw(st.lists(
@@ -249,6 +254,8 @@ class TestCliExitCodes:
         (None, ["--smax", "0.001", "--out", ""]),
         # record_ds / ds overflows a float
         (None, ["--grid", "512", "--ds", "1e-320", "--smax", "0.01"]),
+        # record_ds / ds = 2e197 steps per record: finite, but never recorded
+        (None, ["--grid", "512", "--ds", "1e-200", "--smax", "0.01"]),
         ("[shoot]\namplitude = 0.5\n", ["--mode", "shoot", "--k", "2"]),
         ("[shoot]\namplitude = 0.5\n", ["--k", "2", "--lower", "0.0001"]),
         ("[shoot]\ntol = 0.5\n",
@@ -261,7 +268,10 @@ class TestCliExitCodes:
             path = tmp_path / "scenario.cfg"
             path.write_text(config)
             argv = ["--config", str(path)] + argv
+        start = time.perf_counter()
         code = cli.main(argv)
+        # rejected at validation, before any step or solve
+        assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
         assert code == 1
         assert "config error:" in err

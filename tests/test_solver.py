@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from stefanlab import bessel, solver
+from stefanlab import bessel, solver, spectrum
 from stefanlab.errors import (BoundaryBlowup, ConservationError,
                               GridMismatch, NonPositiveRadius)
-from stefanlab.weighted import RadialGrid, WeightParam, end_slope
+from stefanlab.weighted import RadialGrid, WeightParam, deriv_values, end_slope
 
 W0 = WeightParam(0.0)
 
@@ -22,6 +22,37 @@ def eta_profile(grid, j, amp):
 def initial_state(grid, v0):
     """(v, lam, a) of a run's first step: unit radius, one-sided slope."""
     return v0, 1.0, end_slope(v0, grid.h)
+
+
+def dense_stepper(grid, ds):
+    """The IMEX step written out densely: (I + ds/2 L) u = (I - ds/2 L) v + f
+    with L = -Delta on the interior nodes, column by column from H_0, and
+    the drift y v' from deriv_values."""
+    n, h = grid.n, grid.h
+    op = spectrum.assemble_hb(grid, W0)
+    lap = np.array([op.apply(e)[:n] for e in np.eye(n + 1)[:n]]).T
+    implicit = np.eye(n) + (ds / 2.0) * lap
+    explicit = np.eye(n) - (ds / 2.0) * lap
+
+    def drift(u):
+        return grid.y[:n] * deriv_values(u, h)[:n]
+
+    def step(v, lam, a):
+        def crank_nicolson(f):
+            out = np.zeros(n + 1)
+            out[:n] = np.linalg.solve(implicit, explicit @ v[:n] + f)
+            return out
+
+        vstar = crank_nicolson(-ds * a * drift(v))
+        a1 = end_slope(vstar, h)
+        vnew = crank_nicolson(-(ds / 2.0) * (a * drift(v) + a1 * drift(vstar)))
+        return vnew, lam * math.exp(-0.5 * (a + a1) * ds), end_slope(vnew, h)
+
+    return step
+
+
+def rel_error(x, ref):
+    return float(np.max(np.abs(np.asarray(x) - ref)) / np.max(np.abs(ref)))
 
 
 class TestStepBasics:
@@ -63,6 +94,40 @@ class TestStepBasics:
         assert lam_new > lam
 
 
+class TestAgainstDenseReference:
+    @pytest.mark.parametrize("n", [64, 512])
+    @pytest.mark.parametrize("profile", ["eta1", "random"])
+    def test_fifty_steps_match(self, n, profile):
+        # the banded drift and the LDL^T solve reorder sums only: 50 steps
+        # stay within round-off of the dense solve of the same scheme
+        grid = RadialGrid(n)
+        if profile == "eta1":
+            v0 = eta_profile(grid, 1, 0.01)
+        else:
+            v0 = 0.01 * spectrum.random_dirichlet(
+                grid, np.random.default_rng(n))
+        ds = solver.default_ds(grid, 1)
+        stepper = solver.Stepper(grid, ds)
+        dense = dense_stepper(grid, ds)
+        state = ref = initial_state(grid, v0)
+        for _ in range(50):
+            state = stepper.advance(*state)
+            ref = dense(*ref)
+        assert state[0][-1] == 0.0
+        assert rel_error(state[0], ref[0]) <= 1e-12
+        assert rel_error(state[1:], np.array(ref[1:])) <= 1e-12
+
+    @pytest.mark.parametrize("n", [64, 512])
+    def test_banded_drift_is_y_times_deriv_values(self, n):
+        grid = RadialGrid(n)
+        stepper = solver.Stepper(grid, solver.default_ds(grid, 1))
+        rng = np.random.default_rng(7)
+        for v in (bessel.eta(1, grid), bessel.eta(12, grid),
+                  spectrum.random_dirichlet(grid, rng)):
+            ref = grid.y[:n] * deriv_values(v, grid.h)[:n]
+            assert rel_error(stepper._drift(v, np.zeros(n)), ref) <= 1e-14
+
+
 class TestDiffusionDecay:
     def test_eigen_decay_with_frozen_drift(self, grid512, zeros12):
         # pure Crank-Nicolson half (drift frozen at zero): || v(s) || tracks
@@ -74,8 +139,8 @@ class TestDiffusionDecay:
         nsteps = 2000
         vi = v[:512]
         for _ in range(nsteps):
-            vi = stepper._implicit_solve(
-                vi - (stepper.ds / 2.0) * stepper._apply_neg_lap(vi))
+            # no forcing: g = vi + f/2 is vi itself
+            vi = stepper._crank_nicolson(vi, vi, np.empty(512))
         s = nsteps * 1e-4
         norm = math.sqrt(float(
             np.sum(grid512.simpson[:512] * vi ** 2 * grid512.y[:512])))
@@ -115,17 +180,17 @@ class TestRun:
     def test_nonfinite_state_is_typed(self, grid512, monkeypatch):
         # one NaN from the tridiagonal solve, mid-run: the record that
         # follows raises the typed guard and names the clock
-        solve = solver.Stepper._implicit_solve
+        solve = solver.Stepper._crank_nicolson
         calls = []
 
-        def solve_once_nan(self, rhs):
-            sol = solve(self, rhs)
+        def solve_once_nan(self, vi, g, out):
+            sol = solve(self, vi, g, out)
             calls.append(None)
             if len(calls) == 20:
                 sol[7] = np.nan
             return sol
 
-        monkeypatch.setattr(solver.Stepper, "_implicit_solve", solve_once_nan)
+        monkeypatch.setattr(solver.Stepper, "_crank_nicolson", solve_once_nan)
         with pytest.raises(ConservationError,
                            match=r"^mass drift nan > .* at s = 0\.0040$"):
             solver.run(grid512, eta_profile(grid512, 1, 0.01), ds=4e-4,
@@ -148,6 +213,16 @@ class TestRun:
         with pytest.raises(ValueError, match=r"record_ds / ds is not finite"
                                              r": record_ds = 0\.002, ds = "):
             solver.run(grid512, eta_profile(grid512, 1, 0.01), ds=ds,
+                       s_max=0.01)
+
+    def test_tiny_step_is_rejected_before_stepping(self, grid512):
+        # finite but astronomically many steps per record: the run would
+        # never reach its first record
+        with pytest.raises(ValueError, match=r"record_ds / ds = 2e\+197 "
+                                             r"exceeds 1e\+06 steps per record"
+                                             r": record_ds = 0\.002, "
+                                             r"ds = 1e-200$"):
+            solver.run(grid512, eta_profile(grid512, 1, 0.01), ds=1e-200,
                        s_max=0.01)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
