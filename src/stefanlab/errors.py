@@ -38,7 +38,10 @@ class PoleCrossing(StefanLabError):
 
 
 class NoTrappedData(StefanLabError):
-    """Shooting exhausted its bracket without finding trapped initial data."""
+    """The trap search stopped without certifying trapped initial data: a
+    horizon too short to tell trapped from untrapped data, a singular
+    Jacobian, non-finite trap variables, a step below tol or too many
+    steps."""
 
 
 class RunNotConverged(StefanLabError):

@@ -10,7 +10,9 @@ iteration; for k > 1 it rides a fixed adiabatic schedule
     b(s) = A e^{-lam_k s} / (s + 1),
 
 whose bases are memoized per scheduled b, since the schedule does not
-depend on the data.
+depend on the data.  Either way a basis is warm-started from the previous
+one (see :func:`spectrum.eigenpairs`), so a run's first eigensolve is its
+only cold one unless a warm result fails its checks.
 
 Tracked per record: the coefficients b_j, the second-order energy
 E = ||H_b eps||^2 (weighted) of the remainder, the rescaled trap variables
@@ -133,13 +135,20 @@ def self_consistent_b1(grid: RadialGrid, v: np.ndarray,
 
 
 def scheduled_basis(cache: dict, grid: RadialGrid, k: int, s: float,
-                    amplitude: float) -> Basis:
+                    amplitude: float, start: Basis | None = None) -> Basis:
     """Basis at the adiabatic schedule's parameter for s, memoized in
     ``cache`` (one per grid and k) by that parameter and kept without its
-    operator, so that a cache shared by many runs stays small."""
+    operator, so that a cache shared by many runs stays small.
+
+    On a miss the solve is warm-started from ``start`` (see
+    :func:`spectrum.eigenpairs`), the basis of the run's previous record;
+    without one it is cold.  Every run starts at s = 0 on the same
+    schedule, so an entry's start is the same whichever run solved it.
+    """
     b = frozen_b(adiabatic_b(s, k, amplitude))
     if b not in cache:
-        cache[b] = replace(Basis.solve(grid, b, k), operator=None)
+        cache[b] = replace(Basis.solve(grid, b, k, start=start),
+                           operator=None)
     return cache[b]
 
 
@@ -235,12 +244,12 @@ def track_run(series: TimeSeries, k: int,
 
     Every record is decomposed on the basis solved at exactly its parameter
     b.  For k = 1, b is the self-consistent ground coefficient, warm-started
-    from the previous record's b and basis, so the first record's first
-    eigensolve is the only cold one unless a warm result fails its checks.
-    For k > 1, b is the adiabatic
+    from the previous record's b and basis.  For k > 1, b is the adiabatic
     schedule's value at the record, and its basis comes from
     ``basis_cache`` (see :func:`scheduled_basis`), which can be shared
-    across runs of the same family.
+    across runs of the same family; a miss is warm-started from the
+    previous record's basis.  Either way the first record's first
+    eigensolve is the only cold one unless a warm result fails its checks.
     """
     grid = series.grid
     cache = basis_cache if basis_cache is not None else {}
@@ -254,7 +263,8 @@ def track_run(series: TimeSeries, k: int,
                                                   basis=basis)
             n_solves += solves
         else:
-            basis = scheduled_basis(cache, grid, k, s, amplitude)
+            basis = scheduled_basis(cache, grid, k, s, amplitude,
+                                    start=basis)
         states.append(decompose(v, s, basis))
     n_solves += len(cache) - n_cached
 

@@ -13,9 +13,12 @@ with coupling coefficients g_jk = <y eta_k', eta_j>_0 from quadrature.
 
 For k > 1 the lower modes are exponentially unstable against the rescaled
 trap variables V.  Trapped initial data for the full PDE evolution is the
-root of the lower-mode data's map to V at a fixed horizon, found by Newton
-steps on a finite-difference Jacobian with Broyden updates (the secant
-method for k = 2) and certified by a run whose V never reaches the ceiling.
+root of the lower-mode data's map to V at a fixed horizon, searched in the
+mode law's own coordinates u_j = e^{lam_j s_F} b_j(s_F) of the lower modes
+(:func:`mode_law_model`), where the map is affine to the forcing's order:
+Newton steps from the linear law's Jacobian with Broyden updates (the
+secant method for k = 2), certified by a run whose V never reaches the
+ceiling.
 """
 
 from __future__ import annotations
@@ -98,6 +101,28 @@ def riccati_exact(p: RiccatiParams, s):
     return float(out[0]) if scalar else out
 
 
+def mode_law_model(k: int, horizon: float) -> tuple[np.ndarray, np.ndarray]:
+    """Linear-law Jacobian diagonal and Riccati curvatures of the lower
+    modes j = 1..k-1 of a k-mode run at the horizon s_F.
+
+    Mode j alone obeys the quadratic law of :func:`riccati_exact` with
+    sigma_j = (-1)^{j+1}, under which u_j = e^{lam_j s_F} b_j(s_F) equals
+    x_j / (1 + q_j x_j) for the datum x_j = b_j(0), with
+    q_j = sigma_j (sqrt(2 lam_j) / lam_j) (1 - e^{-lam_j s_F}); the inverse
+    is x_j = u_j / (1 - q_j u_j).  Since V_j = b_j e^{(lam_k + gap_k) s},
+    dV_j(s_F) / du_j = e^{(lam_k + gap_k - lam_j) s_F}, the returned
+    ``slopes`` (ceiling / (4 tol) for j = 1 at the default horizon).
+    Returns ``(slopes, q)``.
+    """
+    zeros = bessel.j0_zeros(k)
+    lam = np.array([z.lam for z in zeros[: k - 1]])
+    growth = zeros[k - 1].lam + modulation.gap_exponent(k) - lam
+    slopes = np.exp(growth * horizon)
+    sigma = (-1.0) ** np.arange(k - 1)
+    q = sigma * (np.sqrt(2.0 * lam) / lam) * (1.0 - np.exp(-lam * horizon))
+    return slopes, q
+
+
 def coupling_coefficients(k: int, grid: RadialGrid) -> np.ndarray:
     """Quadrature couplings g_jk = <y eta_k', eta_j>_0 for j = 1..k-1."""
     return np.array([bessel.scaling_coefficient(k, j, grid)
@@ -107,7 +132,8 @@ def coupling_coefficients(k: int, grid: RadialGrid) -> np.ndarray:
 @dataclass
 class ShootingResult:
     """Trapped datum found by the search, the terms of its certificate (the
-    evaluator's ceiling, tol, horizon and s_max) and the evaluation that
+    evaluator's ceiling, tol, horizon and s_max), the search's final
+    Jacobian dV_i(s_F) / dx_j at the datum and the evaluation that
     certified it (not serialized)."""
 
     k: int
@@ -120,6 +146,7 @@ class ShootingResult:
     s_max: float
     iterations: int
     evaluations: int
+    jacobian: np.ndarray      # (k - 1, k - 1)
     certificate: TrapEvaluation
 
     def to_json(self, path=None) -> str:
@@ -135,6 +162,7 @@ class ShootingResult:
             "s_max": self.s_max,
             "iterations": self.iterations,
             "evaluations": self.evaluations,
+            "jacobian": self.jacobian.tolist(),
         }
         text = json.dumps(payload, sort_keys=True, indent=2)
         if path is not None:
@@ -223,27 +251,25 @@ def shoot_trapped(evaluator: TrapEvaluator) -> ShootingResult:
     setting read from ``evaluator``.
 
     The trapped datum is the root of F(x) = V(s_F), the trap variables at
-    the evaluator's horizon s_F of the run from lower-mode data x; F is
-    affine in x to a relative curvature of ~1e-5 over the probe width.
-    From x = 0, k - 1 coordinate probes at eight times the forced-response
-    scale give a finite-difference Jacobian J; then x <- x - J^{-1} F with
-    Broyden's update of J after each step (the secant method for k = 2).
-    The search stops at the first evaluation that stays below the ceiling
-    up to s_max or the norm floor, the trap certificate.  When x = 0 traps
-    although b_k(0) != 0 forces it off the trapped point, the first probe is
-    evaluated too; if it also traps, s_max is too short to tell trapped
-    from untrapped data and the search raises :class:`NoTrappedData`.  It
-    also raises after a step shorter than the evaluator's ``tol`` that does
-    not trap, after ``MAX_UPDATES`` steps, on a singular J or a non-finite
-    F.  Each evaluation is reported on stderr.
+    the evaluator's horizon s_F of the run from lower-mode data x.  F bends
+    as the lower modes' own quadratic law does, so the search runs in that
+    law's coordinates u (see :func:`mode_law_model`), where F is affine up
+    to the forcing: from u = 0, Newton steps u <- u - J^{-1} F from the
+    linear law's diagonal J, with Broyden's update of J after each step
+    (the secant method for k = 2); each u is evaluated at
+    x = u / (1 - q u).  The search stops at the first evaluation that stays
+    below the ceiling up to s_max or the norm floor, the trap certificate.
+    When x = 0 traps although b_k(0) != 0 forces it off the trapped point,
+    a probe x_1 at eight times the forced-response scale is evaluated too;
+    if it also traps, s_max is too short to tell trapped from untrapped
+    data and the search raises :class:`NoTrappedData`.  It also raises
+    after a step shorter than the evaluator's ``tol`` that does not trap,
+    after ``MAX_UPDATES`` steps, on a singular J or a non-finite F.  Each
+    evaluation is reported on stderr.  The result's ``jacobian`` is the J
+    of the last step, mapped to dV / dx at the datum.
     """
     k, b_k0, tol = evaluator.k, evaluator.b_k0, evaluator.tol
-    lam = np.array([z.lam for z in bessel.j0_zeros(k)])
-    c_k = math.sqrt(2.0 * lam[k - 1])
-    g = coupling_coefficients(k, evaluator.grid)
-    # forced-response scale of the lower coefficients sets the probe widths
-    scale = np.abs(c_k * b_k0 ** 2 * g / (2.0 * lam[k - 1] - lam[: k - 1]))
-    widths = 8.0 * np.maximum(scale, 1e-8)
+    slopes, q = mode_law_model(k, evaluator.horizon)
     first = evaluator.evaluations
 
     def evaluate(x):
@@ -266,34 +292,36 @@ def shoot_trapped(evaluator: TrapEvaluator) -> ShootingResult:
                               tol=tol, horizon=evaluator.horizon,
                               s_max=evaluator.s_max, iterations=updates,
                               evaluations=evaluator.evaluations - first,
+                              jacobian=J / (1.0 + q * x) ** 2,
                               certificate=ev)
 
-    x = np.zeros(k - 1)
-    probes = x + np.diag(widths)
-    ev = evaluate(x)
+    u = np.zeros(k - 1)
+    J = np.diag(slopes)
+    ev = evaluate(u)
     if ev.exit_s is None:
-        if b_k0 != 0.0 and evaluate(probes[0]).exit_s is None:
-            raise NoTrappedData(
-                f"x = 0 and the probe x_1 = {widths[0]:.3g} both trap up to "
-                f"s_max = {evaluator.s_max:.4g} (horizon "
-                f"{evaluator.horizon:.4g}): too short to certify a trap")
-        return trapped(x, ev, 0)
+        if b_k0 != 0.0:
+            # forced-response scale of the lower coefficients
+            lam = np.array([z.lam for z in bessel.j0_zeros(k)])
+            c_k = math.sqrt(2.0 * lam[k - 1])
+            g = coupling_coefficients(k, evaluator.grid)
+            width = 8.0 * max(abs(c_k * b_k0 ** 2 * g[0]
+                                  / (2.0 * lam[k - 1] - lam[0])), 1e-8)
+            if evaluate(np.eye(k - 1)[0] * width).exit_s is None:
+                raise NoTrappedData(
+                    f"x = 0 and the probe x_1 = {width:.3g} both trap up to "
+                    f"s_max = {evaluator.s_max:.4g} (horizon "
+                    f"{evaluator.horizon:.4g}): too short to certify a trap")
+        return trapped(u, ev, 0)
     F = ev.horizon_V
-    rows = []
-    for point in probes:
-        ev = evaluate(point)
-        if ev.exit_s is None:
-            return trapped(point, ev, 0)
-        rows.append(ev.horizon_V)
-    J = (np.array(rows) - F).T / widths
     for updates in range(1, MAX_UPDATES + 1):
-        try:
-            step = -np.linalg.solve(J, F)
-        except np.linalg.LinAlgError:
-            step = np.full(k - 1, np.nan)
-        if not np.all(np.isfinite(step)):
+        # a rank-deficient J (after an update along a direction V ignores)
+        # is singular to working precision, seldom exactly
+        if not (np.all(np.isfinite(J))
+                and np.linalg.cond(J) < 1.0 / np.finfo(float).eps):
             raise NoTrappedData(f"singular Jacobian of V(s_F): {J.tolist()}")
-        x = x + step
+        step = -np.linalg.solve(J, F)
+        u = u + step
+        x = u / (1.0 - q * u)
         ev = evaluate(x)
         if ev.exit_s is None:
             return trapped(x, ev, updates)

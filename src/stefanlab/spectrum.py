@@ -18,9 +18,10 @@ They are returned as one :class:`Basis`, whose weighted Gram projection
 serves both the mode decomposition and the spectral gap check.
 
 Given a start basis (k = 1 tracking passes the one solved at the previous
-iterate of b), the vectors come instead from two steps of Rayleigh-quotient
-inverse iteration on the symmetrized matrix, one LAPACK ``gtsv`` each,
-followed by the same post-processing.  A warm result is kept only when it
+iterate of b, k > 1 tracking the previous record's scheduled basis), the
+vectors come instead from two steps of Rayleigh-quotient inverse iteration
+on the symmetrized matrix, one LAPACK ``gtsv`` each, followed by the same
+post-processing.  A warm result is kept only when it
 proves it is the right pair: every solve succeeded, each polished
 eigenvalue lies strictly between the midpoints to its neighbouring
 unperturbed Bessel eigenvalues (0 below the first), each vector projects

@@ -128,18 +128,23 @@ def _criterion(number: int, name: str, budget: float | None = None):
 # ---------------------------------------------------------------------------
 # criterion 1: spectral table vs independent series-bisection oracle
 
+#: pi to 50 significant digits, for the decimal oracle
+_PI = "3.1415926535897932384626433832795028841971693993751"
+
 
 def _oracle_zero_series_bisection(j: int, dps: int = 25) -> float:
-    """High-precision J0 zero: bisection on the power series (mpmath)."""
-    import mpmath as mp
+    """High-precision J0 zero: bisection on the power series, in ``dps``
+    significant decimal digits."""
+    import decimal      # only this oracle needs it; kept off the import path
 
-    with mp.workdps(dps):
-        cutoff = mp.mpf(10) ** (-dps - 5)
+    D = decimal.Decimal
+    with decimal.localcontext(decimal.Context(prec=dps)):
+        cutoff = D(10) ** (-dps - 5)
 
         def series(x):
             q = x * x / 4
-            term = mp.mpf(1)
-            s = mp.mpf(1)
+            term = D(1)
+            s = D(1)
             m = 0
             while True:
                 m += 1
@@ -148,10 +153,11 @@ def _oracle_zero_series_bisection(j: int, dps: int = 25) -> float:
                 if abs(term) < cutoff * max(1, abs(s)):
                     return s
 
-        lo = (j - mp.mpf(3) / 4) * mp.pi
-        hi = (j + mp.mpf(1) / 4) * mp.pi
+        pi = D(_PI)
+        lo = (j - D(3) / 4) * pi
+        hi = (j + D(1) / 4) * pi
         flo = series(lo)
-        while hi - lo > mp.mpf(1e-12):
+        while hi - lo > D("1e-12"):
             mid = (lo + hi) / 2
             fm = series(mid)
             if flo * fm <= 0:
@@ -367,27 +373,26 @@ def criterion_10(ctx: VerificationContext):
 
 def _rk4_mode_law(lam: float, sigma: float, b0: float, s_grid: np.ndarray,
                   ds: float) -> np.ndarray:
-    c = math.sqrt(2.0 * lam)
-
-    def f(b):
-        return -lam * b - sigma * c * b * b
-
-    out = np.empty_like(s_grid)
-    out[0] = b0
-    b = b0
-    s = 0.0
-    idx = 1
-    n_total = int(round(s_grid[-1] / ds))
+    """Classical RK4 for b' = -lam b - sigma sqrt(2 lam) b^2 from b0 at the
+    step ds, sampled on the uniform grid ``s_grid`` from 0 (whose spacing
+    is a whole number of steps)."""
+    sc = sigma * math.sqrt(2.0 * lam)
+    half = 0.5 * ds
+    sixth = ds / 6.0
     per = int(round((s_grid[1] - s_grid[0]) / ds))
-    for i in range(n_total):
-        k1 = f(b)
-        k2 = f(b + 0.5 * ds * k1)
-        k3 = f(b + 0.5 * ds * k2)
-        k4 = f(b + ds * k3)
-        b += (ds / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if (i + 1) % per == 0:
-            out[idx] = b
-            idx += 1
+    out = np.empty_like(s_grid)
+    out[0] = b = b0
+    for idx in range(1, len(s_grid)):
+        for _ in range(per):
+            k1 = -lam * b - sc * b * b
+            y = b + half * k1
+            k2 = -lam * y - sc * y * y
+            y = b + half * k2
+            k3 = -lam * y - sc * y * y
+            y = b + ds * k3
+            k4 = -lam * y - sc * y * y
+            b += sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[idx] = b
     return out
 
 

@@ -45,18 +45,22 @@ def test_targets_are_functions(tracer):
 
 
 class _AffineEvaluator:
-    """Exit map without a PDE: V(s_F) = 2.5e11 (x - 3e-6), trapped near
-    x = 3e-6."""
+    """Exit map without a PDE: V(s_F) = J_11 (u - 3e-6), affine in the
+    search's mode-law coordinate u = x / (1 + q x) with the linear law's
+    slope J_11, so the search traps after one Newton step."""
 
     k, b_k0, grid = 2, 0.01, RadialGrid(512)
-    ceiling, tol, horizon, s_max = 1.0, 1e-12, 0.5, 0.5
+    ceiling, tol = 1.0, 1e-12
+    horizon = s_max = reduced.default_shoot_horizon(2)
+    slopes, q = reduced.mode_law_model(2, horizon)
 
     def __init__(self):
         self.evaluations = 0
 
     def evaluate(self, x):
         self.evaluations += 1
-        v = 2.5e11 * (np.asarray(x) - 3e-6)
+        x = np.asarray(x)
+        v = self.slopes * (x / (1.0 + self.q * x) - 3e-6)
         return reduced.TrapEvaluation(
             exit_s=None if abs(v[0]) < 1e-3 else 0.1, horizon_V=v,
             max_v2=1.0, track=None)

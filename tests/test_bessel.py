@@ -13,7 +13,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from stefanlab import bessel
+from stefanlab import bessel, verify
 from stefanlab.weighted import RadialGrid, WeightParam, deriv_values, inner_b
 
 W0 = WeightParam(0.0)
@@ -111,6 +111,44 @@ def oracle_zero(j, width=1e-13):
             else:
                 lo = mid
         return float((lo + hi) / 2)
+
+
+
+def mp_criterion_oracle(j, dps=25):
+    """Criterion 1's oracle as it was written in mpmath: the same series
+    bisection at ``dps`` digits, cut at 10^(-dps-5), stopped at 1e-12."""
+    with mp.workdps(dps):
+        cutoff = mp.mpf(10) ** (-dps - 5)
+
+        def series(x):
+            q = x * x / 4
+            term = mp.mpf(1)
+            s = mp.mpf(1)
+            m = 0
+            while True:
+                m += 1
+                term *= -q / (m * m)
+                s += term
+                if abs(term) < cutoff * max(1, abs(s)):
+                    return s
+
+        lo = (j - mp.mpf(3) / 4) * mp.pi
+        hi = (j + mp.mpf(1) / 4) * mp.pi
+        flo = series(lo)
+        while hi - lo > mp.mpf(1e-12):
+            mid = (lo + hi) / 2
+            fm = series(mid)
+            if flo * fm <= 0:
+                hi = mid
+            else:
+                lo, flo = mid, fm
+        return float((lo + hi) / 2)
+
+
+def test_criterion_oracle_in_decimal_matches_mpmath():
+    # criterion 1 bisects in the standard library's decimal arithmetic
+    for j in range(1, 9):
+        assert verify._oracle_zero_series_bisection(j) == mp_criterion_oracle(j)
 
 
 class TestZeros:

@@ -414,12 +414,37 @@ class TestExactBasis:
             assert bs == [modulation.adiabatic_b(s, 2) for s, _ in seen]
 
     def test_k2_bases_are_fresh_solves(self, k2_series, monkeypatch):
+        # the first record's basis is a cold solve, each later one the
+        # solve warm-started from the previous record's basis, which stays
+        # within round-off of the cold solve
         _, seen = self.decomposed(monkeypatch, k2_series, 2)
+        grid = k2_series.grid
+        previous = None
         for _, basis in seen:
-            fresh = modulation.Basis.solve(k2_series.grid, basis.b, 2)
+            fresh = modulation.Basis.solve(grid, basis.b, 2, start=previous)
             assert basis.psis.tobytes() == fresh.psis.tobytes()
             assert basis.lams.tobytes() == fresh.lams.tobytes()
             assert basis.operator is None
+            cold = modulation.Basis.solve(grid, basis.b, 2)
+            assert np.max(np.abs(basis.psis - cold.psis)) <= 1e-10
+            assert np.all(np.abs(basis.lams - cold.lams)
+                          <= 1e-14 * np.abs(cold.lams))
+            previous = basis
+
+    def test_k2_track_makes_one_cold_eigensolve(self, k2_series,
+                                                monkeypatch):
+        # only the first record's basis comes from the cold LAPACK solve
+        cold = []
+        solve = spectrum.eigh_tridiagonal
+
+        def counted(*args, **kwargs):
+            cold.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(spectrum, "eigh_tridiagonal", counted)
+        track = modulation.track_run(k2_series, 2, basis_cache={})
+        assert len(cold) == 1
+        assert track.n_basis_refreshes == len(k2_series.s) > 1
 
     def test_shared_cache_solves_each_b_once(self, k2_series, monkeypatch):
         calls = []

@@ -28,6 +28,53 @@ class TestRiccatiExact:
         exact = reduced.riccati_exact(p, s_grid)
         assert np.max(np.abs(rk4 - exact)) < 1e-10
 
+    def test_mode_law_model_is_each_lower_modes_own_law(self):
+        # u_j = e^{lam_j s_F} b_j(s_F) under mode j's law is x / (1 + q_j x),
+        # and at the default horizon J_11 = ceiling / (4 tol)
+        horizon = reduced.default_shoot_horizon(3)
+        slopes, q = reduced.mode_law_model(3, horizon)
+        assert abs(slopes[0] / 2.5e11 - 1.0) < 1e-12
+        for j in (1, 2):
+            for x in (1e-3, -2e-3):
+                p = reduced.RiccatiParams.for_mode(j, x)
+                u = math.exp(p.lam_k * horizon) * reduced.riccati_exact(
+                    p, horizon)
+                assert abs(u - x / (1.0 + q[j - 1] * x)) < 1e-13 * abs(x)
+
+    def test_rk4_oracle_matches_its_stage_function_form(self):
+        # criterion 11's inlined RK4 loop repeats, bit for bit, the loop
+        # that called a stage function and sampled by a step count modulo
+        def rk4_stage_function(lam, sigma, b0, s_grid, ds):
+            c = math.sqrt(2.0 * lam)
+
+            def f(b):
+                return -lam * b - sigma * c * b * b
+
+            out = np.empty_like(s_grid)
+            out[0] = b0
+            b = b0
+            idx = 1
+            n_total = int(round(s_grid[-1] / ds))
+            per = int(round((s_grid[1] - s_grid[0]) / ds))
+            for i in range(n_total):
+                k1 = f(b)
+                k2 = f(b + 0.5 * ds * k1)
+                k3 = f(b + 0.5 * ds * k2)
+                k4 = f(b + ds * k3)
+                b += (ds / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                if (i + 1) % per == 0:
+                    out[idx] = b
+                    idx += 1
+            return out
+
+        s_grid = np.linspace(0.0, 5.0, 51)
+        for k in (1, 2, 3, 4):
+            for b0 in (0.05, -0.05, 0.01, -0.01):
+                p = reduced.RiccatiParams.for_mode(k, b0)
+                args = (p.lam_k, p.sigma, b0, s_grid, 1e-4)
+                assert (verify._rk4_mode_law(*args).tobytes()
+                        == rk4_stage_function(*args).tobytes())
+
     def test_normalized_limit_constant(self):
         # e^{lam s} b(s) approaches 1 / (1/b0 + sigma c / lam)
         p = reduced.RiccatiParams.for_mode(2, 0.01)
@@ -88,12 +135,19 @@ class TestShootingK2:
             assert out.exit_s is not None
 
     def test_search_cost_and_centre(self, k2_shot):
-        # two secant steps from the base point and one probe land at the
-        # root of V_1(s_F), the centre of the trapped window
+        # the model step from the base point and one secant step land at
+        # the root of V_1(s_F), the centre of the trapped window
         res = k2_shot["result"]
-        assert res.evaluations <= 6
-        assert res.iterations <= res.evaluations - 2
+        assert res.evaluations == 3 and res.iterations == res.evaluations - 1
         assert abs(k2_shot["result"].certificate.horizon_V[0]) < 1e-3
+
+    def test_jacobian_is_the_linear_law(self, k2_shot):
+        # at the default horizon the linear law's slope is ceiling / (4 tol)
+        res = k2_shot["result"]
+        assert res.jacobian.shape == (1, 1)
+        assert abs(res.jacobian[0, 0] / 2.5e11 - 1.0) < 0.01
+        payload = json.loads(res.to_json())
+        assert payload["jacobian"] == res.jacobian.tolist()
 
     def test_json_record(self, k2_shot, tmp_path):
         res = k2_shot["result"]
@@ -120,7 +174,7 @@ class TestShootingK3:
         ev = reduced.TrapEvaluator(3, 0.02, grid, ds=6e-5)
         assert ev.s_max == pytest.approx(reduced.default_shoot_horizon(3))
         res = reduced.shoot_trapped(ev)
-        assert ev.evaluations == res.evaluations <= 8
+        assert ev.evaluations == res.evaluations <= 5
         assert res.max_v2 <= res.ceiling ** 2
         # both lower coefficients sit at the quadratically forced scale
         assert all(abs(x) < 1e-2 for x in res.initials)
@@ -204,29 +258,61 @@ class _StubEvaluator:
 
 class TestShootingStubs:
     def _shoot(self, k, f):
+        # at the default horizon the linear law's slope J_11 is
+        # ceiling / (4 tol) = 2.5e11, the slope of the maps below
         ev = _StubEvaluator(f, k)
+        ev.horizon = ev.s_max = reduced.default_shoot_horizon(k)
         return reduced.shoot_trapped(ev), ev
 
+    @pytest.mark.parametrize("k, root", [(2, [3e-6]), (3, [3e-6, -5e-6])])
+    def test_map_affine_in_mode_law_coordinates_traps_on_model_step(
+            self, k, root):
+        # V = slopes (u - root) with u = x / (1 + q x): the search's own
+        # model, so its first step lands on the root
+        slopes, q = reduced.mode_law_model(k, reduced.default_shoot_horizon(k))
+        res, ev = self._shoot(k, lambda x: slopes * (x / (1.0 + q * x)
+                                                     - np.array(root)))
+        assert ev.evaluations == 2 and res.iterations == 1
+        assert np.allclose(res.initials, np.array(root) / (1.0 - q * root),
+                           rtol=1e-12, atol=0)
+        # the model J, untouched by an update, mapped to dV/dx = J du/dx
+        assert np.allclose(res.jacobian,
+                           np.diag(slopes * (1.0 - q * np.array(root)) ** 2),
+                           rtol=1e-12, atol=0)
+
     def test_affine_map_secant_lands_in_one_step(self):
+        # affine in x, the map bends in u at the Riccati curvature: the
+        # model step lands 5e-12 past the root, the secant step on it
         res, ev = self._shoot(2, lambda x: 2.5e11 * (x - 3e-6))
         assert ev.evaluations == 3
-        assert res.iterations == 1
+        assert res.iterations == 2
         assert abs(res.initials[0] - 3e-6) < 1e-14
 
     def test_affine_map_broyden_k3(self):
+        # A's second column is ~6000 times the linear law's slope there
         A = np.array([[2.0e11, 3.0e10], [-1.0e10, 5.0e11]])
         root = np.array([2e-6, -7e-6])
         res, ev = self._shoot(3, lambda x: A @ (x - root))
-        assert ev.evaluations == 4
+        assert ev.evaluations == 7
         assert np.allclose(res.initials, root, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("k, f", [
         (2, lambda x: np.array([3.0])),
-        (3, lambda x: np.array([1.0, 1.0]) * (x[0] + x[1] + 1.0)),
+        (3, lambda x: np.array([1.0, 2.0])),
     ])
     def test_v_independent_of_data_is_no_trapped_data(self, k, f):
+        # the first Broyden update leaves J singular (exactly for k = 2,
+        # to working precision for k = 3)
         with pytest.raises(NoTrappedData, match="singular"):
             self._shoot(k, f)
+
+    def test_rank_one_map_traps_on_its_root_line(self):
+        # V depends on the data only through x_1 + x_2, so every datum on
+        # the line x_1 + x_2 = -1 is trapped; the search reaches one
+        f = lambda x: np.array([1.0, 1.0]) * (x[0] + x[1] + 1.0)
+        res, ev = self._shoot(3, f)
+        assert ev.evaluations == 6 and res.iterations == 5
+        assert abs(sum(res.initials) + 1.0) < 1e-3
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_v_is_no_trapped_data(self, bad):
@@ -237,6 +323,7 @@ class TestShootingStubs:
         # the root itself does not trap, so the step after the one that
         # reaches it is shorter than tol
         ev = _StubEvaluator(lambda x: 2.5e11 * (x - 3e-6), trap_below=0.0)
+        ev.horizon = ev.s_max = reduced.default_shoot_horizon(2)
         with pytest.raises(NoTrappedData, match="below tol"):
             reduced.shoot_trapped(ev)
         assert ev.evaluations == 4
