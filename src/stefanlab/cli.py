@@ -166,8 +166,9 @@ def cmd_run(cfg: ScenarioConfig) -> int:
             "--lower/--shoot-file)"
         )
     grid = RadialGrid(cfg.grid_n)
+    schedule: dict = {}   # k > 1: the profile's b(0) basis is the track's
     v0 = modulation.build_profile(grid, cfg.k, [*cfg.lower_modes, cfg.b0],
-                                  cfg.amplitude)
+                                  cfg.amplitude, schedule)
     ds = cfg.ds if cfg.ds is not None else solver.default_ds(grid, cfg.k)
     s_max = (cfg.s_max if cfg.s_max is not None
              else solver.default_s_max(cfg.k))
@@ -175,7 +176,8 @@ def cmd_run(cfg: ScenarioConfig) -> int:
     series = solver.run(grid, v0, ds=ds, s_max=s_max,
                         record_ds=cfg.record_ds, mass_tol=cfg.mass_tol)
     series.to_csv(_outpath(cfg, "timeseries.csv"))
-    track = modulation.track_run(series, cfg.k, amplitude=cfg.amplitude)
+    track = modulation.track_run(series, cfg.k, amplitude=cfg.amplitude,
+                                 basis_cache=schedule)
     track.to_csv(_outpath(cfg, "modulation.csv"))
     verdict = asymptotics.verdict(series, cfg.k, cfg.b0, u0i,
                                   rate_tol=cfg.effective_rate_tol(),

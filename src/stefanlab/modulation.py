@@ -153,15 +153,20 @@ def scheduled_basis(cache: dict, grid: RadialGrid, k: int, s: float,
 
 
 def build_profile(grid: RadialGrid, k: int, coeffs,
-                  amplitude: float = ADIABATIC_AMPLITUDE) -> np.ndarray:
+                  amplitude: float = ADIABATIC_AMPLITUDE,
+                  cache: dict | None = None) -> np.ndarray:
     """Initial data sum_j coeffs[j] psi_{b, j+1} of a k-mode run, with
     coeffs = (b_1(0), .., b_k(0)).  The basis parameter b is the ground
     coefficient itself for k = 1 and the adiabatic schedule's b(0), as
-    tracked, for k > 1."""
+    tracked, for k > 1, whose basis is read from (or solved cold into) the
+    schedule ``cache`` of :func:`scheduled_basis` when one is given."""
     coeffs = np.asarray(coeffs, dtype=float)
-    b = (float(coeffs[0]) if k == 1
-         else frozen_b(adiabatic_b(0.0, k, amplitude)))
-    vals = Basis.solve(grid, b, k).psis @ coeffs
+    if k == 1:
+        basis = Basis.solve(grid, float(coeffs[0]), 1)
+    else:
+        basis = scheduled_basis({} if cache is None else cache, grid, k,
+                                0.0, amplitude)
+    vals = basis.psis @ coeffs
     vals[-1] = 0.0
     return vals
 

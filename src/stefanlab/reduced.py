@@ -192,9 +192,9 @@ class TrapEvaluator:
     the ceiling, plus V at the ``horizon`` min(s_max, default_shoot_horizon):
     the first record with s >= horizon - ds/2 (NaN if the run stopped short
     of it).  ``tol`` is the search's step tolerance; ``ceiling > 4 tol``
-    keeps the horizon positive.  The bases of the adiabatic schedule are
-    solved once and shared across evaluations in ``basis_cache`` (the
-    schedule is data-independent).
+    keeps the horizon positive.  The bases of the adiabatic schedule, the
+    profiles' b(0) basis included, are solved once and shared across
+    evaluations in ``basis_cache`` (the schedule is data-independent).
     """
 
     def __init__(self, k: int, b_k0: float, grid: RadialGrid,
@@ -226,7 +226,7 @@ class TrapEvaluator:
     def evaluate(self, lower) -> TrapEvaluation:
         lower = np.atleast_1d(np.asarray(lower, dtype=float))
         v0 = modulation.build_profile(self.grid, self.k, [*lower, self.b_k0],
-                                      self.amplitude)
+                                      self.amplitude, self.basis_cache)
         series = solver.run(self.grid, v0, ds=self.ds, s_max=self.s_max,
                             record_ds=self.record_ds,
                             mass_tol=self.mass_tol,
@@ -257,8 +257,11 @@ def shoot_trapped(evaluator: TrapEvaluator) -> ShootingResult:
     to the forcing: from u = 0, Newton steps u <- u - J^{-1} F from the
     linear law's diagonal J, with Broyden's update of J after each step
     (the secant method for k = 2); each u is evaluated at
-    x = u / (1 - q u).  The search stops at the first evaluation that stays
-    below the ceiling up to s_max or the norm floor, the trap certificate.
+    x = u / (1 - q u), and a step that would take some q_j u_j past 1/2
+    (half-way to that map's pole, beyond which x changes sign) is
+    shortened to end there.  The search stops at the first evaluation that
+    stays below the ceiling up to s_max or the norm floor, the trap
+    certificate.
     When x = 0 traps although b_k(0) != 0 forces it off the trapped point,
     a probe x_1 at eight times the forced-response scale is evaluated too;
     if it also traps, s_max is too short to tell trapped from untrapped
@@ -320,6 +323,10 @@ def shoot_trapped(evaluator: TrapEvaluator) -> ShootingResult:
                 and np.linalg.cond(J) < 1.0 / np.finfo(float).eps):
             raise NoTrappedData(f"singular Jacobian of V(s_F): {J.tolist()}")
         step = -np.linalg.solve(J, F)
+        # keep every q_j u_j <= 1/2, half-way to the pole of x(u)
+        rise, room = q * step, 0.5 - q * u
+        if np.any(rise > room):
+            step *= np.min(room[rise > room] / rise[rise > room])
         u = u + step
         x = u / (1.0 - q * u)
         ev = evaluate(x)

@@ -24,9 +24,10 @@ M^-1 ((I - ds/2 L) v + f) = 2 M^-1 (v + f/2) - v, so no product with L is
 formed.  M = D^-1 A for the node masses D, where A = D + ds/2 K and K = D L
 is the symmetric flux-form stiffness: A is symmetric positive definite and
 tridiagonal, factored LDL^T once per run (``dpttrf``) and solved twice per
-step (``dpttrs``).  The drift y v' on the interior nodes is one banded
-operator read off ``weighted.deriv_values``: the centred 5-point row scaled
-by y on rows 2..n-2, the one-sided rows 1 and n-1, and 0 on row 0 (y = 0).
+step (``dpttrs``), scipy's LAPACK wrappers as :mod:`stefanlab.lapack` binds
+them.  The drift y v' on the interior nodes is one banded operator read off
+``weighted.deriv_values``: the centred 5-point row scaled by y on rows
+2..n-2, the one-sided rows 1 and n-1, and 0 on row 0 (y = 0).
 """
 
 from __future__ import annotations
@@ -35,12 +36,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import block_diag
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from . import bessel, spectrum
 from .errors import (BoundaryBlowup, ConservationError, GridMismatch,
                      NonPositiveRadius)
+from .lapack import dpttrf, dpttrs
 from .weighted import RadialGrid, WeightParam, deriv_values, end_slope
 
 #: stop a run once the solution norm falls below this floor
@@ -92,8 +92,9 @@ class Stepper:
         scale = grid.y / (12.0 * h)
         self._y_mid = scale[2: n - 1]
         self._end_nodes = np.r_[1:6, n - 5:n]
-        self._end_rows = block_diag(scale[1] * rows[1, 1:6],
-                                    scale[n - 1] * rows[8, 4:9])
+        self._end_rows = np.zeros((2, 10))
+        self._end_rows[0, :5] = scale[1] * rows[1, 1:6]
+        self._end_rows[1, 5:] = scale[n - 1] * rows[8, 4:9]
         self._d0, self._d1, self._g, self._rhs = np.zeros((4, n))
         self._vstar = np.zeros(n + 1)
 

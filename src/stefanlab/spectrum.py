@@ -12,8 +12,11 @@ its second derivative) with a Neumann mirror, realized here as a zero-flux
 finite-volume cell of width h/2.
 
 Eigenpairs come from the symmetrized tridiagonal matrix (LAPACK bisection
-plus inverse iteration); eigenvectors are mapped back, Simpson-normalized in
-the weighted norm, and sign-fixed against the unperturbed eigenfunctions.
+plus inverse iteration, ``dstebz``/``dstein`` as scipy's
+``eigh_tridiagonal`` calls them, bound by :mod:`stefanlab.lapack` without
+the ``scipy.linalg`` import); eigenvectors are mapped back,
+Simpson-normalized in the weighted norm, and sign-fixed against the
+unperturbed eigenfunctions.
 They are returned as one :class:`Basis`, whose weighted Gram projection
 serves both the mode decomposition and the spectral gap check.
 
@@ -38,11 +41,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgtsv
 
 from . import bessel
 from .errors import NonConvergence, SingularGram
+from .lapack import dgtsv, lowest_eigh_tridiagonal
 from .weighted import (RadialGrid, WeightParam, deriv_values, end_slope,
                        inner_b, right_stencils)
 
@@ -219,9 +221,7 @@ def eigenpairs(grid: RadialGrid, w: WeightParam, count: int,
             if _warm_pairs_hold(basis, proj):
                 return basis
     try:
-        vecs = eigh_tridiagonal(
-            op.diag, op.off, select="i", select_range=(0, count - 1)
-        )[1].T
+        vecs = lowest_eigh_tridiagonal(op.diag, op.off, count).T
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NonConvergence(f"tridiagonal eigensolver failed: {exc}") from exc
     return _post_process(grid, w, op, vecs, root_mass, operator)[0]

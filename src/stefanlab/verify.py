@@ -88,7 +88,8 @@ class VerificationContext:
             ev = reduced.TrapEvaluator(2, sign * K2_B0, RadialGrid(512))
             result = reduced.shoot_trapped(ev)
             v0 = modulation.build_profile(ev.grid, 2,
-                                          [*result.initials, ev.b_k0])
+                                          [*result.initials, ev.b_k0],
+                                          cache=ev.basis_cache)
             u0i = asymptotics.u0_disk_integral(ev.grid, v0)
             fit_ts = solver.run(ev.grid, v0, ds=ev.ds,
                                 s_max=solver.default_s_max(2))

@@ -338,13 +338,13 @@ class TestK1BasisReuse:
         # only the first record's first solve has no start basis; a warm
         # result that failed its checks would add a cold solve
         calls = []
-        eigh = spectrum.eigh_tridiagonal
+        eigh = spectrum.lowest_eigh_tridiagonal
 
         def counted(*args, **kwargs):
             calls.append(1)
             return eigh(*args, **kwargs)
 
-        monkeypatch.setattr(spectrum, "eigh_tridiagonal", counted)
+        monkeypatch.setattr(spectrum, "lowest_eigh_tridiagonal", counted)
         track = modulation.track_run(series, 1)
         assert len(calls) <= 2 < track.n_basis_refreshes
 
@@ -435,13 +435,13 @@ class TestExactBasis:
                                                 monkeypatch):
         # only the first record's basis comes from the cold LAPACK solve
         cold = []
-        solve = spectrum.eigh_tridiagonal
+        solve = spectrum.lowest_eigh_tridiagonal
 
         def counted(*args, **kwargs):
             cold.append(1)
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(spectrum, "eigh_tridiagonal", counted)
+        monkeypatch.setattr(spectrum, "lowest_eigh_tridiagonal", counted)
         track = modulation.track_run(k2_series, 2, basis_cache={})
         assert len(cold) == 1
         assert track.n_basis_refreshes == len(k2_series.s) > 1
@@ -476,3 +476,42 @@ class TestProfileBuilder:
             ms = modulation.decompose(v, 0.0, basis)
             assert np.allclose(ms.coeffs, coeffs, atol=1e-12)
             assert v[-1] == 0.0
+
+    def test_scheduled_profile_reads_the_schedule_cache(self, grid512,
+                                                        monkeypatch):
+        # the b(0) entry of the schedule is its cold solve, so the cached
+        # basis builds the same bytes as a solve of its own
+        coeffs = [0.003, 0.01]
+        alone = modulation.build_profile(grid512, 2, coeffs)
+        cache = {}
+        cached = modulation.build_profile(grid512, 2, coeffs, cache=cache)
+        assert cached.tobytes() == alone.tobytes()
+        assert list(cache) == [modulation.adiabatic_b(0.0, 2)]
+        calls = []
+        solve = spectrum.eigenpairs
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(spectrum, "eigenpairs", counted)
+        again = modulation.build_profile(grid512, 2, [0.001, 0.01],
+                                         cache=cache)
+        assert not calls and again.tobytes() != cached.tobytes()
+
+    def test_trap_evaluations_make_one_cold_eigensolve(self, grid512,
+                                                       monkeypatch):
+        # the profiles of every evaluation and the tracks of their runs
+        # share the evaluator's schedule, whose only cold solve is b(0)
+        cold = []
+        solve = spectrum.lowest_eigh_tridiagonal
+
+        def counted(*args, **kwargs):
+            cold.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(spectrum, "lowest_eigh_tridiagonal", counted)
+        ev = reduced.TrapEvaluator(2, 0.01, grid512, s_max=0.02)
+        for lower in ([0.0], [1e-6], [-1e-6]):
+            ev.evaluate(lower)
+        assert len(cold) == 1 and ev.evaluations == 3

@@ -338,6 +338,20 @@ class TestShootingStubs:
         assert (payload["ceiling"], payload["tol"]) == (0.25, 1e-9)
         assert (payload["horizon"], payload["s_max"]) == (0.3, 0.4)
 
+    def test_step_stops_short_of_the_pole_of_the_data_map(self):
+        # at horizon 0.3 the linear law's slope is 1.05e4, so the model's
+        # first step u = 71.5 lies far past the pole 1/q_1 = 2.06 of
+        # x = u / (1 - q u); shortened to q_1 u = 1/2, it stays on x > 0
+        xs = []
+        ev = _StubEvaluator(lambda x: xs.append(float(x[0]))
+                            or 2.5e11 * (x - 3e-6), tol=1e-9)
+        ev.ceiling, ev.horizon, ev.s_max = 0.25, 0.3, 0.4
+        res = reduced.shoot_trapped(ev)
+        _, q = reduced.mode_law_model(2, 0.3)
+        assert min(xs) >= 0.0 and ev.evaluations <= 6
+        assert xs[1] == pytest.approx(1.0 / q[0], rel=1e-12)
+        assert abs(res.initials[0] - 3e-6) < 1e-12
+
     def test_horizon_too_short_to_certify(self):
         # every datum traps: x = 0 and the first probe cannot be told apart
         ev = _StubEvaluator(lambda x: np.zeros(1))

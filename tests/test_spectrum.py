@@ -159,13 +159,13 @@ class TestEigenpairs:
 def counted_eigh(monkeypatch) -> list:
     """Count the cold LAPACK solves from here on."""
     calls = []
-    eigh = spectrum.eigh_tridiagonal
+    eigh = spectrum.lowest_eigh_tridiagonal
 
     def counted(*args, **kwargs):
         calls.append(1)
         return eigh(*args, **kwargs)
 
-    monkeypatch.setattr(spectrum, "eigh_tridiagonal", counted)
+    monkeypatch.setattr(spectrum, "lowest_eigh_tridiagonal", counted)
     return calls
 
 
