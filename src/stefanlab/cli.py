@@ -173,11 +173,10 @@ def cmd_run(cfg: ScenarioConfig) -> int:
     s_max = (cfg.s_max if cfg.s_max is not None
              else solver.default_s_max(cfg.k))
     u0i = asymptotics.u0_disk_integral(grid, v0)
-    series = solver.run(grid, v0, ds=ds, s_max=s_max,
-                        record_ds=cfg.record_ds, mass_tol=cfg.mass_tol)
+    series, track = modulation.track_run(
+        grid, v0, cfg.k, ds=ds, s_max=s_max, amplitude=cfg.amplitude,
+        basis_cache=schedule, record_ds=cfg.record_ds, mass_tol=cfg.mass_tol)
     series.to_csv(_outpath(cfg, "timeseries.csv"))
-    track = modulation.track_run(series, cfg.k, amplitude=cfg.amplitude,
-                                 basis_cache=schedule)
     track.to_csv(_outpath(cfg, "modulation.csv"))
     verdict = asymptotics.verdict(series, cfg.k, cfg.b0, u0i,
                                   rate_tol=cfg.effective_rate_tol(),

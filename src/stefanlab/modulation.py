@@ -14,10 +14,11 @@ depend on the data.  Either way a basis is warm-started from the previous
 one (see :func:`spectrum.eigenpairs`), so a run's first eigensolve is its
 only cold one unless a warm result fails its checks.
 
-Tracked per record: the coefficients b_j, the second-order energy
-E = ||H_b eps||^2 (weighted) of the remainder, the rescaled trap variables
-V_j = b_j e^{(lam_k + gap_k) s}, and the leading-order mode-equation
-residuals.  The remainder itself is not kept.
+Tracked at each record as the run takes it (:func:`track_run`): the
+coefficients b_j, the second-order energy E = ||H_b eps||^2 (weighted) of
+the remainder, the rescaled trap variables V_j = b_j e^{(lam_k + gap_k) s},
+and the leading-order mode-equation residuals.  Neither the remainder nor
+the profile is kept.
 """
 
 from __future__ import annotations
@@ -28,9 +29,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import bessel, spectrum
+from . import bessel, solver, spectrum
 from .errors import InsufficientHistory, NonConvergence
-from .solver import TimeSeries
 from .spectrum import Basis
 from .weighted import RadialGrid, WeightParam, inner_b
 
@@ -63,7 +63,7 @@ def frozen_b(b: float) -> float:
 
 @dataclass
 class ModulationState:
-    """Decomposition snapshot at one record time."""
+    """Decomposition of the profile at one record."""
 
     s: float
     b: float
@@ -242,10 +242,13 @@ class TrackResult:
                 wr.writerow([repr(float(x)) for x in row])
 
 
-def track_run(series: TimeSeries, k: int,
-              amplitude: float = ADIABATIC_AMPLITUDE,
-              basis_cache: dict | None = None) -> TrackResult:
-    """Decompose every snapshot of a completed run.
+def track_run(grid: RadialGrid, v0: np.ndarray, k: int, ds: float,
+              s_max: float, amplitude: float = ADIABATIC_AMPLITUDE,
+              basis_cache: dict | None = None,
+              **run_options) -> tuple[solver.TimeSeries, TrackResult]:
+    """Run the flow of the profile v0 on ``grid`` with :func:`solver.run`
+    (``ds``, ``s_max`` and ``run_options`` are its arguments) and decompose
+    each record as the run takes it; returns ``(series, track)``.
 
     Every record is decomposed on the basis solved at exactly its parameter
     b.  For k = 1, b is the self-consistent ground coefficient, warm-started
@@ -256,13 +259,14 @@ def track_run(series: TimeSeries, k: int,
     previous record's basis.  Either way the first record's first
     eigensolve is the only cold one unless a warm result fails its checks.
     """
-    grid = series.grid
     cache = basis_cache if basis_cache is not None else {}
     n_cached = len(cache)
     states: list[ModulationState] = []
     n_solves = 0
     b, basis = None, None
-    for s, v in zip(map(float, series.s), series.snapshots):
+
+    def observe(s, v):
+        nonlocal b, basis, n_solves
         if k == 1:
             b, basis, solves = self_consistent_b1(grid, v, initial=b,
                                                   basis=basis)
@@ -271,6 +275,8 @@ def track_run(series: TimeSeries, k: int,
             basis = scheduled_basis(cache, grid, k, s, amplitude,
                                     start=basis)
         states.append(decompose(v, s, basis))
+
+    series = solver.run(grid, v0, ds, s_max, observe=observe, **run_options)
     n_solves += len(cache) - n_cached
 
     if len(states) >= 3:
@@ -278,5 +284,5 @@ def track_run(series: TimeSeries, k: int,
             states, float(series.s[1] - series.s[0]), grid)
     else:
         residuals = np.full((len(states), k), np.nan)
-    return TrackResult(k=k, states=states, residuals=residuals,
-                       n_basis_refreshes=n_solves)
+    return series, TrackResult(k=k, states=states, residuals=residuals,
+                               n_basis_refreshes=n_solves)

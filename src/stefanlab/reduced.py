@@ -188,13 +188,14 @@ class TrapEvaluator:
     Builds v0 = sum_j b_j(0) psi_{b(0), j}, runs the renormalized flow to
     ``s_max`` (or ``SHOOT_NORM_FLOOR``) at the step ``ds`` and the record
     cadence ``record_ds`` under the mass guard ``mass_tol``, tracks the trap
-    variables V_j, and reports the first record where sum_j V_j^2 crosses
-    the ceiling, plus V at the ``horizon`` min(s_max, default_shoot_horizon):
-    the first record with s >= horizon - ds/2 (NaN if the run stopped short
-    of it).  ``tol`` is the search's step tolerance; ``ceiling > 4 tol``
-    keeps the horizon positive.  The bases of the adiabatic schedule, the
-    profiles' b(0) basis included, are solved once and shared across
-    evaluations in ``basis_cache`` (the schedule is data-independent).
+    variables V_j as it runs (:func:`modulation.track_run`), and reports
+    the first record where sum_j V_j^2 crosses the ceiling, plus V at the
+    ``horizon`` min(s_max, default_shoot_horizon): the first record with
+    s >= horizon - ds/2 (NaN if the run stopped short of it).  ``tol`` is
+    the search's step tolerance; ``ceiling > 4 tol`` keeps the horizon
+    positive.  The bases of the adiabatic schedule, the profiles' b(0)
+    basis included, are solved once and shared across evaluations in
+    ``basis_cache`` (the schedule is data-independent).
     """
 
     def __init__(self, k: int, b_k0: float, grid: RadialGrid,
@@ -227,13 +228,11 @@ class TrapEvaluator:
         lower = np.atleast_1d(np.asarray(lower, dtype=float))
         v0 = modulation.build_profile(self.grid, self.k, [*lower, self.b_k0],
                                       self.amplitude, self.basis_cache)
-        series = solver.run(self.grid, v0, ds=self.ds, s_max=self.s_max,
-                            record_ds=self.record_ds,
-                            mass_tol=self.mass_tol,
-                            norm_floor=SHOOT_NORM_FLOOR)
-        track = modulation.track_run(series, self.k,
-                                     amplitude=self.amplitude,
-                                     basis_cache=self.basis_cache)
+        series, track = modulation.track_run(
+            self.grid, v0, self.k, ds=self.ds, s_max=self.s_max,
+            amplitude=self.amplitude, basis_cache=self.basis_cache,
+            record_ds=self.record_ds, mass_tol=self.mass_tol,
+            norm_floor=SHOOT_NORM_FLOOR)
         self.evaluations += 1
         at = np.nonzero(series.s >= self.horizon - 0.5 * self.ds)[0]
         horizon_V = (track.states[at[0]].V.copy() if len(at)

@@ -33,7 +33,7 @@ them.  The drift y v' on the interior nodes is one banded operator read off
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -145,16 +145,14 @@ class Stepper:
 
 @dataclass
 class TimeSeries:
-    """Sampled run records plus profile snapshots at the record cadence."""
+    """Sampled run records at the record cadence; no profile is kept."""
 
-    grid: RadialGrid
     s: np.ndarray
     t: np.ndarray
     lam: np.ndarray
     a: np.ndarray
     mass: np.ndarray
     vnorm: np.ndarray
-    snapshots: list[np.ndarray] = field(repr=False, default_factory=list)
     reached_floor: bool = False
 
     def to_csv(self, path):
@@ -171,7 +169,7 @@ class TimeSeries:
 
 def run(grid: RadialGrid, v0: np.ndarray, ds: float, s_max: float,
         record_ds: float = RECORD_DS, mass_tol: float = MASS_TOL,
-        norm_floor: float = NORM_FLOOR) -> TimeSeries:
+        norm_floor: float = NORM_FLOOR, observe=None) -> TimeSeries:
     """Integrate the renormalized flow of the profile v0 on ``grid`` from
     unit radius until s_max or the norm floor; an s_max whose step count
     overflows is no bound.
@@ -182,7 +180,9 @@ def run(grid: RadialGrid, v0: np.ndarray, ds: float, s_max: float,
     overflows) or exceeds ``MAX_STEPS_PER_RECORD``.  The mass invariant is
     checked at every record; drifting past ``mass_tol`` (relative), or a
     non-finite state (v0 included, at s = 0), raises
-    :class:`ConservationError`.
+    :class:`ConservationError`.  ``observe(s, v)`` is called with the
+    profile of each record once that record has passed the guard; v is
+    the run's state, not a copy, and must not be written to.
     """
     v = np.asarray(v0, dtype=float)
     if v.shape != (grid.n + 1,):
@@ -205,25 +205,22 @@ def run(grid: RadialGrid, v0: np.ndarray, ds: float, s_max: float,
     every = max(1, int(round(per_record)))
     sw, y = grid.simpson, grid.y
 
-    rec = {k: [] for k in ("s", "t", "lam", "a", "mass", "vnorm")}
-    snaps: list[np.ndarray] = []
+    rows: list[tuple] = []    # (s, t, lam, a, mass, vnorm) per record
     m0 = mass(grid, v, lam)
 
     def record(s, t, lam, a, v):
-        rec["s"].append(s)
-        rec["t"].append(t)
-        rec["lam"].append(lam)
-        rec["a"].append(a)
         m = mass(grid, v, lam)
-        rec["mass"].append(m)
-        rec["vnorm"].append(float(np.sqrt(np.sum(sw * v ** 2 * y))))
-        snaps.append(v.copy())
+        vnorm = float(np.sqrt(np.sum(sw * v ** 2 * y)))
+        rows.append((s, t, lam, a, m, vnorm))
         drift = abs(m - m0) / abs(m0)
         # a NaN or inf anywhere in the state makes the drift non-finite
         if not drift <= mass_tol:
             raise ConservationError(
                 f"mass drift {drift:.3e} > {mass_tol:.3e} at s = {s:.4f}"
             )
+        if observe is not None:
+            observe(s, v)
+        return vnorm
 
     record(s, t, lam, a, v)
     reached_floor = False
@@ -236,19 +233,13 @@ def run(grid: RadialGrid, v0: np.ndarray, ds: float, s_max: float,
         s += ds
         t += ds * 0.5 * (lam_old ** 2 + lam ** 2)
         nsteps += 1
-        if nsteps % every == 0:
-            record(s, t, lam, a, v)
-            if rec["vnorm"][-1] < norm_floor:
-                reached_floor = True
-                break
-    if not reached_floor and rec["s"][-1] < s:
+        if nsteps % every == 0 and record(s, t, lam, a, v) < norm_floor:
+            reached_floor = True
+            break
+    if not reached_floor and rows[-1][0] < s:
         record(s, t, lam, a, v)
-    return TimeSeries(
-        grid=grid, s=np.asarray(rec["s"]), t=np.asarray(rec["t"]),
-        lam=np.asarray(rec["lam"]), a=np.asarray(rec["a"]),
-        mass=np.asarray(rec["mass"]), vnorm=np.asarray(rec["vnorm"]),
-        snapshots=snaps, reached_floor=reached_floor,
-    )
+    # the columns of the records are the series' fields, in order
+    return TimeSeries(*np.array(rows).T.copy(), reached_floor=reached_floor)
 
 
 def default_ds(grid: RadialGrid, k: int = 1) -> float:

@@ -65,21 +65,25 @@ class VerificationContext:
             self._cache[key] = builder()
         return self._cache[key]
 
-    def k1_run(self, sign: int, n: int = 1024):
+    def _k1(self, sign: int, n: int):
+        """(series, u0 disk integral, track) of the k = 1 run from
+        sign * K1_B0 on n intervals; only the n = 1024 runs are tracked."""
         def build():
             grid = RadialGrid(n)
             v0 = modulation.build_profile(grid, 1, [sign * K1_B0])
             u0i = asymptotics.u0_disk_integral(grid, v0)
-            ts = solver.run(grid, v0, ds=solver.default_ds(grid, 1),
-                            s_max=solver.default_s_max(1))
-            return ts, u0i
-        return self._get(("k1_run", sign, n), build)
+            ds, s_max = solver.default_ds(grid, 1), solver.default_s_max(1)
+            if n != 1024:
+                return solver.run(grid, v0, ds, s_max), u0i, None
+            ts, track = modulation.track_run(grid, v0, 1, ds, s_max)
+            return ts, u0i, track
+        return self._get(("k1", sign, n), build)
+
+    def k1_run(self, sign: int, n: int = 1024):
+        return self._k1(sign, n)[:2]
 
     def k1_track(self, sign: int):
-        def build():
-            ts, _ = self.k1_run(sign)
-            return modulation.track_run(ts, 1)
-        return self._get(("k1_track", sign), build)
+        return self._k1(sign, 1024)[2]
 
     def k2_family(self, sign: int = 1):
         """Shoot for trapped data and build the fit run at the same

@@ -9,7 +9,6 @@ from stefanlab import asymptotics
 from stefanlab.errors import (InsufficientDecay, RunNotConverged,
                               ZeroInitialMode)
 from stefanlab.solver import TimeSeries
-from stefanlab.weighted import RadialGrid
 
 
 def synthetic_series(rate=3.0, lam_inf=0.9, amp=0.1, n=1000, dt=5e-3,
@@ -17,11 +16,10 @@ def synthetic_series(rate=3.0, lam_inf=0.9, amp=0.1, n=1000, dt=5e-3,
     # keep the decay well above float quantization of lam_inf + d
     t = np.arange(n) * dt
     lam = lam_inf + amp * np.exp(-rate * t)
-    grid = RadialGrid(64)
     return TimeSeries(
-        grid=grid, s=t.copy(), t=t, lam=lam, a=np.zeros(n),
+        s=t.copy(), t=t, lam=lam, a=np.zeros(n),
         mass=np.full(n, math.pi), vnorm=np.full(n, 1e-13),
-        snapshots=[], reached_floor=floored,
+        reached_floor=floored,
     )
 
 

@@ -218,11 +218,11 @@ class TestModulationResidual:
         # (5 steps), so the run closes with a record one step later; the
         # record before it has no centred difference at the cadence
         v0 = modulation.build_profile(grid512, 1, [-0.01])
-        ts = solver.run(grid512, v0, ds=solver.default_ds(grid512, 1),
-                        s_max=0.1)
+        ts, track = modulation.track_run(
+            grid512, v0, 1, ds=solver.default_ds(grid512, 1), s_max=0.1)
         cadence = ts.s[1] - ts.s[0]
         assert ts.s[-1] - ts.s[-2] < 0.5 * cadence
-        res = modulation.track_run(ts, 1).residuals
+        res = track.residuals
         assert res.shape == (len(ts.s), 1)
         assert np.all(np.isnan(res[[0, -2, -1]]))
         assert np.all(np.isfinite(res[1:-2]))
@@ -286,22 +286,46 @@ class TestTrackRun:
         assert head.split(",")[:4] == ["s", "b", "b_1", "E"]
 
 
+def observed_profiles(run):
+    """(s, copy of v) of each record of the run that ``track_run(**run)``
+    makes, from an observer of :func:`solver.run`, with the series."""
+    profiles = []
+    series = solver.run(run["grid"], run["v0"], run["ds"], run["s_max"],
+                        record_ds=run["record_ds"],
+                        observe=lambda s, v: profiles.append((s, v.copy())))
+    return profiles, series
+
+
+def k1_run(grid, b0=0.01, **steps):
+    """track_run arguments of a k = 1 run from b_1(0) = b0."""
+    return dict(grid=grid, v0=modulation.build_profile(grid, 1, [b0]), k=1,
+                ds=solver.default_ds(grid, 1), **steps)
+
+
+def k2_run(grid, **steps):
+    """track_run arguments of a k = 2 run from (b_1, b_2)(0) = (1e-5, 0.01)."""
+    return dict(grid=grid, v0=modulation.build_profile(grid, 2, [1e-5, 0.01]),
+                k=2, ds=solver.default_ds(grid, 2), **steps)
+
+
 class TestK1BasisReuse:
     """k = 1 tracking reuses the previous record's basis and operator; the
     reference loop solves every basis and assembles every H_b afresh."""
 
     @pytest.fixture(scope="class")
-    def series(self, grid512):
+    def run(self, grid512):
         # run to the norm floor at a coarse record cadence: records on both
         # sides of B_FREEZE are part of the run
-        v0 = modulation.build_profile(grid512, 1, [-0.01])
-        ts = solver.run(grid512, v0, ds=solver.default_ds(grid512, 1),
-                        s_max=6.0, record_ds=1e-2)
-        assert ts.reached_floor
-        return ts
+        return k1_run(grid512, -0.01, s_max=6.0, record_ds=1e-2)
+
+    @pytest.fixture(scope="class")
+    def profiles(self, run):
+        profiles, series = observed_profiles(run)
+        assert series.reached_floor
+        return profiles
 
     @staticmethod
-    def fresh_states(series, monkeypatch):
+    def fresh_states(grid, profiles, monkeypatch):
         # every eigensolve cold: the LAPACK path, without a start basis
         cold = spectrum.eigenpairs
         monkeypatch.setattr(
@@ -309,23 +333,22 @@ class TestK1BasisReuse:
             lambda grid, w, count, operator=None, start=None:
                 cold(grid, w, count, operator=operator))
         states, solves, b1 = [], 0, None
-        for i, s in enumerate(series.s):
-            v = series.snapshots[i]
-            b1, basis, n = modulation.self_consistent_b1(series.grid, v,
-                                                         initial=b1)
+        for s, v in profiles:
+            b1, basis, n = modulation.self_consistent_b1(grid, v, initial=b1)
             solves += n
             bare = replace(basis, operator=None)
-            states.append(modulation.decompose(v, float(s), bare))
+            states.append(modulation.decompose(v, s, bare))
         monkeypatch.undo()
         return states, solves
 
-    def test_close_to_fresh_solves(self, series, monkeypatch):
+    def test_close_to_fresh_solves(self, run, profiles, monkeypatch):
         # warm-started bases differ from cold ones at round-off: b and the
         # coefficients by <= 1.1e-15 relative; E = ||H_b eps||^2 by <= 1e-6
         # relative where it is above ~1e-21, while at s = 0, where eps is
         # round-off, E itself is ~1e-24
-        track = modulation.track_run(series, 1)
-        ref, ref_solves = self.fresh_states(series, monkeypatch)
+        series, track = modulation.track_run(**run)
+        ref, ref_solves = self.fresh_states(run["grid"], profiles,
+                                            monkeypatch)
         assert len(track.states) == len(ref) == len(series.s)
         for got, want in zip(track.states, ref):
             assert abs(got.b - want.b) <= 1e-14 * abs(want.b)
@@ -334,7 +357,7 @@ class TestK1BasisReuse:
                                                      + 1e-21)
         assert track.n_basis_refreshes < ref_solves
 
-    def test_at_most_two_cold_eigensolves(self, series, monkeypatch):
+    def test_at_most_two_cold_eigensolves(self, run, monkeypatch):
         # only the first record's first solve has no start basis; a warm
         # result that failed its checks would add a cold solve
         calls = []
@@ -345,16 +368,16 @@ class TestK1BasisReuse:
             return eigh(*args, **kwargs)
 
         monkeypatch.setattr(spectrum, "lowest_eigh_tridiagonal", counted)
-        track = modulation.track_run(series, 1)
+        _, track = modulation.track_run(**run)
         assert len(calls) <= 2 < track.n_basis_refreshes
 
-    def test_repeatable_bytes(self, series, tmp_path):
+    def test_repeatable_bytes(self, run, tmp_path):
         paths = [tmp_path / "first.csv", tmp_path / "second.csv"]
         for path in paths:
-            modulation.track_run(series, 1).to_csv(path)
+            modulation.track_run(**run)[1].to_csv(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_refresh_count_is_eigensolve_count(self, series, monkeypatch):
+    def test_refresh_count_is_eigensolve_count(self, run, monkeypatch):
         calls = []
         solve = spectrum.eigenpairs
 
@@ -363,7 +386,7 @@ class TestK1BasisReuse:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(spectrum, "eigenpairs", counted)
-        track = modulation.track_run(series, 1)
+        _, track = modulation.track_run(**run)
         assert track.n_basis_refreshes == len(calls)
         assert len(calls) <= 2 * len(track.states)
 
@@ -372,19 +395,15 @@ class TestExactBasis:
     """Each record is decomposed on the basis solved at exactly its b."""
 
     @pytest.fixture(scope="class")
-    def k1_series(self, grid512):
-        v0 = modulation.build_profile(grid512, 1, [0.01])
-        return solver.run(grid512, v0, ds=solver.default_ds(grid512, 1),
-                          s_max=0.1, record_ds=1e-2)
+    def k1(self, grid512):
+        return k1_run(grid512, s_max=0.1, record_ds=1e-2)
 
     @pytest.fixture(scope="class")
-    def k2_series(self, grid512):
-        v0 = modulation.build_profile(grid512, 2, [1e-5, 0.01])
-        return solver.run(grid512, v0, ds=solver.default_ds(grid512, 2),
-                          s_max=0.05, record_ds=2e-3)
+    def k2(self, grid512):
+        return k2_run(grid512, s_max=0.05, record_ds=2e-3)
 
     @staticmethod
-    def decomposed(monkeypatch, series, k, **kwargs):
+    def decomposed(monkeypatch, run, **kwargs):
         seen = []
         decompose = modulation.decompose
 
@@ -393,15 +412,15 @@ class TestExactBasis:
             return decompose(v, s, basis)
 
         monkeypatch.setattr(modulation, "decompose", spy)
-        track = modulation.track_run(series, k, **kwargs)
+        series, track = modulation.track_run(**run, **kwargs)
         monkeypatch.undo()
-        return track, seen
+        return series, track, seen
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_basis_parameter_is_decomposed_parameter(self, k, request,
                                                      monkeypatch):
-        series = request.getfixturevalue(f"k{k}_series")
-        track, seen = self.decomposed(monkeypatch, series, k)
+        run = request.getfixturevalue(f"k{k}")
+        series, track, seen = self.decomposed(monkeypatch, run)
         assert len(seen) == len(series.s)
         bs = [basis.b for _, basis in seen]
         assert all(abs(b) >= modulation.B_FREEZE for b in bs)
@@ -413,12 +432,12 @@ class TestExactBasis:
         else:
             assert bs == [modulation.adiabatic_b(s, 2) for s, _ in seen]
 
-    def test_k2_bases_are_fresh_solves(self, k2_series, monkeypatch):
+    def test_k2_bases_are_fresh_solves(self, k2, monkeypatch):
         # the first record's basis is a cold solve, each later one the
         # solve warm-started from the previous record's basis, which stays
         # within round-off of the cold solve
-        _, seen = self.decomposed(monkeypatch, k2_series, 2)
-        grid = k2_series.grid
+        _, _, seen = self.decomposed(monkeypatch, k2)
+        grid = k2["grid"]
         previous = None
         for _, basis in seen:
             fresh = modulation.Basis.solve(grid, basis.b, 2, start=previous)
@@ -431,8 +450,7 @@ class TestExactBasis:
                           <= 1e-14 * np.abs(cold.lams))
             previous = basis
 
-    def test_k2_track_makes_one_cold_eigensolve(self, k2_series,
-                                                monkeypatch):
+    def test_k2_track_makes_one_cold_eigensolve(self, k2, monkeypatch):
         # only the first record's basis comes from the cold LAPACK solve
         cold = []
         solve = spectrum.lowest_eigh_tridiagonal
@@ -442,11 +460,11 @@ class TestExactBasis:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(spectrum, "lowest_eigh_tridiagonal", counted)
-        track = modulation.track_run(k2_series, 2, basis_cache={})
+        series, track = modulation.track_run(**k2, basis_cache={})
         assert len(cold) == 1
-        assert track.n_basis_refreshes == len(k2_series.s) > 1
+        assert track.n_basis_refreshes == len(series.s) > 1
 
-    def test_shared_cache_solves_each_b_once(self, k2_series, monkeypatch):
+    def test_shared_cache_solves_each_b_once(self, k2, monkeypatch):
         calls = []
         solve = spectrum.eigenpairs
 
@@ -456,14 +474,55 @@ class TestExactBasis:
 
         monkeypatch.setattr(spectrum, "eigenpairs", counted)
         cache = {}
-        first = modulation.track_run(k2_series, 2, basis_cache=cache)
+        _, first = modulation.track_run(**k2, basis_cache=cache)
         assert first.n_basis_refreshes == len(calls) == len(cache)
         assert len(cache) == len({st.b for st in first.states})
         del calls[:]
-        second = modulation.track_run(k2_series, 2, basis_cache=cache)
+        _, second = modulation.track_run(**k2, basis_cache=cache)
         assert second.n_basis_refreshes == 0 and not calls
         for a, b in zip(first.states, second.states):
             assert a.coeffs.tobytes() == b.coeffs.tobytes()
+
+
+class TestStreamedTrack:
+    """Decomposing each record inside the run gives the floats of the
+    two-pass loop that decomposes a completed run's copied profiles."""
+
+    @staticmethod
+    def two_pass(grid, k, profiles):
+        cache = {}
+        states, solves = [], 0
+        b, basis = None, None
+        for s, v in profiles:
+            if k == 1:
+                b, basis, n = modulation.self_consistent_b1(
+                    grid, v, initial=b, basis=basis)
+                solves += n
+            else:
+                basis = modulation.scheduled_basis(
+                    cache, grid, k, s, modulation.ADIABATIC_AMPLITUDE,
+                    start=basis)
+            states.append(modulation.decompose(v, s, basis))
+        residuals = modulation.modulation_residual(
+            states, profiles[1][0] - profiles[0][0], grid)
+        return states, residuals, solves + len(cache)
+
+    @pytest.mark.parametrize("make_run", [k1_run, k2_run])
+    def test_bitwise_equal_to_two_pass(self, grid512, make_run):
+        run = make_run(grid512, s_max=0.3, record_ds=1e-2)
+        series, track = modulation.track_run(**run)
+        profiles, again = observed_profiles(run)
+        assert again.s.tobytes() == series.s.tobytes()
+        states, residuals, solves = self.two_pass(grid512, run["k"],
+                                                  profiles)
+        assert len(track.states) == len(states) == len(series.s) > 3
+        for got, want in zip(track.states, states):
+            assert (got.s, got.b, got.energy) == (want.s, want.b,
+                                                  want.energy)
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+            assert got.V.tobytes() == want.V.tobytes()
+        assert track.residuals.tobytes() == residuals.tobytes()
+        assert track.n_basis_refreshes == solves
 
 
 class TestProfileBuilder:

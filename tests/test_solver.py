@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from stefanlab import bessel, solver, spectrum
+from stefanlab import bessel, modulation, solver, spectrum, verify
 from stefanlab.errors import (BoundaryBlowup, ConservationError,
                               GridMismatch, NonPositiveRadius)
 from stefanlab.weighted import RadialGrid, WeightParam, deriv_values, end_slope
@@ -250,10 +250,47 @@ class TestRun:
             a_live = ts.a[live]
             assert np.all(np.sign(a_live) == np.sign(a_live[0]))
 
-    def test_positivity_on_melting_run(self, ctx):
-        ts, _ = ctx.k1_run(+1)
-        worst = min(np.min(s) for s in ts.snapshots)
-        assert worst >= -1e-10
+    def test_positivity_on_melting_run(self, ctx, grid1024):
+        # the criteria's n = 1024, b0 = +0.01 run, its profiles observed
+        v0 = modulation.build_profile(grid1024, 1, [verify.K1_B0])
+        lows = []
+        ts = solver.run(grid1024, v0, ds=solver.default_ds(grid1024, 1),
+                        s_max=solver.default_s_max(1),
+                        observe=lambda s, v: lows.append(np.min(v)))
+        assert ts.lam.tobytes() == ctx.k1_run(+1)[0].lam.tobytes()
+        assert len(lows) == len(ts.s)
+        assert min(lows) >= -1e-10
+
+
+class TestObserver:
+    """``run(..., observe=f)`` hands f each record's profile, once the
+    record has passed the mass guard."""
+
+    def test_called_once_per_record_in_order(self, grid512):
+        seen = []
+
+        def observe(s, v):
+            seen.append((s, float(np.sqrt(np.sum(
+                grid512.simpson * v ** 2 * grid512.y)))))
+
+        # s_max off the cadence: the run closes with an extra record
+        ts = solver.run(grid512, eta_profile(grid512, 1, 0.01), ds=4e-4,
+                        s_max=0.021, observe=observe)
+        assert len(seen) == len(ts.s) == 12
+        assert [s for s, _ in seen] == list(ts.s)
+        # the weighted norm of the observed profile is the recorded one
+        assert np.array([n for _, n in seen]).tobytes() == ts.vnorm.tobytes()
+
+    def test_guard_trips_before_observation(self, grid512):
+        seen = []
+        with pytest.raises(ConservationError) as err:
+            solver.run(grid512, eta_profile(grid512, 1, 0.01), ds=4e-4,
+                       s_max=0.5, mass_tol=1e-14,
+                       observe=lambda s, v: seen.append(s))
+        # the failing record is the one after the last observed
+        failed = float(str(err.value).rpartition("s = ")[2])
+        assert seen and failed == pytest.approx(seen[-1] + solver.RECORD_DS,
+                                                abs=1e-4)
 
 
 class TestDiscreteMaximumPrinciple:
