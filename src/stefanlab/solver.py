@@ -9,25 +9,37 @@ ds/dt = 1 / lam^2, becomes
 so the interface radius follows lam_s = -a lam and the physical time is
 recovered from dt/ds = lam^2.
 
-Time stepping is IMEX: diffusion by Crank-Nicolson, the drift term
-a Lambda v explicit with the boundary slope a taken from a 4-point one-sided
-stencil.  A single corrector pass re-evaluates the drift at the predicted
-end state and applies it trapezoidally; without it the scheme is first
-order in ds through the drift coupling and cannot meet the
-mass-conservation budget at practical step sizes.  The radius update is the
-exponential integrator lam <- lam exp(-a_bar ds), which keeps lam > 0
-structurally.
+Time stepping is the IMEX ARS(2,2,2) scheme of Ascher, Ruuth & Spiteri
+(Appl. Numer. Math. 25, 1997): diffusion by its L-stable, stiffly accurate
+two-stage SDIRK half with gamma = 1 - 1/sqrt(2), the drift term a Lambda v
+explicit with weights (delta, 1 - delta, 0), delta = 1 - 1/(2 gamma), and
+the boundary slope a taken from a 4-point one-sided stencil.  Writing
+d(v) for y v' and L = -Delta on the interior nodes (H_b at b = 0), a step
+from v with slope a is
 
-With L = -Delta on the interior nodes (H_b at b = 0) and M = I + ds/2 L, a
-Crank-Nicolson step under an explicit forcing f is
-M^-1 ((I - ds/2 L) v + f) = 2 M^-1 (v + f/2) - v, so no product with L is
-formed.  M = D^-1 A for the node masses D, where A = D + ds/2 K and K = D L
-is the symmetric flux-form stiffness: A is symmetric positive definite and
-tridiagonal, factored LDL^T once per run (``dpttrf``) and solved twice per
-step (``dpttrs``), scipy's LAPACK wrappers as :mod:`stefanlab.lapack` binds
-them.  The drift y v' on the interior nodes is one banded operator read off
-``weighted.deriv_values``: the centred 5-point row scaled by y on rows
-2..n-2, the one-sided rows 1 and n-1, and 0 on row 0 (y = 0).
+    r2 = v - gamma ds a d(v),             U2 = (I + gamma ds L)^-1 r2,
+    r3 = v - (1 - gamma)/gamma (r2 - U2)
+           - ds (delta a d(v) + (1 - delta) a2 d(U2)),
+    v_new = (I + gamma ds L)^-1 r3,
+
+with a2 = end_slope(U2); r2 - U2 is gamma ds L U2, so no product with L
+is formed.  Stiff modes are damped like 1/(ds lam_max) rather than kept at
+|R| ~ 1 as Crank-Nicolson keeps them, so the step is set by accuracy.  The
+radius update is the exponential integrator
+lam <- lam exp(-ds ((1 - gamma) a2 + gamma a_new)) on the diffusion's
+weights (0, 1 - gamma, gamma): the mass balance pairs the diffusion's
+boundary flux with the disc-area term, and on the drift's weights
+(delta, 1 - delta, 0) the mass drift's time error is ~50x larger.  The
+exponential keeps lam > 0 structurally.
+
+I + gamma ds L = D^-1 A for the node masses D, where A = D + gamma ds K and
+K = D L is the symmetric flux-form stiffness: A is symmetric positive
+definite and tridiagonal, factored LDL^T once per run (``dpttrf``) and
+solved once per stage, twice per step (``dpttrs``), scipy's LAPACK
+wrappers as :mod:`stefanlab.lapack` binds them.  The drift y v' on the
+interior nodes is one banded operator read off ``weighted.deriv_values``:
+the centred 5-point row scaled by y on rows 2..n-2, the one-sided rows 1
+and n-1, and 0 on row 0 (y = 0).
 """
 
 from __future__ import annotations
@@ -61,15 +73,13 @@ def mass(grid: RadialGrid, v: np.ndarray, lam: float) -> float:
     return 2.0 * np.pi * lam ** 2 * integral + np.pi * lam ** 2
 
 
-def dmp_step_limit(grid: RadialGrid, safety: float = 1.0) -> float:
-    """Step bound 0.5 h^2 under which the scheme obeys a discrete maximum
-    principle (sign preservation).  Production runs use far larger steps;
-    positivity then holds for smooth data but is no longer guaranteed."""
-    return 0.5 * grid.h ** 2 * safety
+#: the ARS(2,2,2) diagonal weight and the drift's first-stage weight
+GAMMA = 1.0 - 1.0 / math.sqrt(2.0)
+DELTA = 1.0 - 1.0 / (2.0 * GAMMA)
 
 
 class Stepper:
-    """IMEX Crank-Nicolson stepper with a fixed step on a fixed grid."""
+    """IMEX ARS(2,2,2) stepper with a fixed step on a fixed grid."""
 
     def __init__(self, grid: RadialGrid, ds: float):
         if not ds > 0:
@@ -79,12 +89,12 @@ class Stepper:
         n, h = grid.n, grid.h
         # at b = 0 the weight is exactly 1.0, so fluxes and masses are unscaled
         op = spectrum.assemble_hb(grid, WeightParam(0.0))
-        *self._ldl, info = dpttrf(
-            op.node_mass * (1.0 + (ds / 2.0) * op.diag),
-            (-ds / (2.0 * h)) * op.half_flux[: n - 1])
+        gds = GAMMA * ds
+        *self._ldl, info = dpttrf(op.node_mass * (1.0 + gds * op.diag),
+                                  (-gds / h) * op.half_flux[: n - 1])
         if info != 0:
             raise RuntimeError("tridiagonal factorization failed")
-        self._mass2 = 2.0 * op.node_mass
+        self._mass = op.node_mass
         # at h = 1/12 (12 h = 1 exactly) the rows hold the stencils' integer
         # weights, so the interior sums are those of deriv_values
         rows = deriv_values(np.eye(10), 1.0 / 12.0)
@@ -95,8 +105,8 @@ class Stepper:
         self._end_rows = np.zeros((2, 10))
         self._end_rows[0, :5] = scale[1] * rows[1, 1:6]
         self._end_rows[1, 5:] = scale[n - 1] * rows[8, 4:9]
-        self._d0, self._d1, self._g, self._rhs = np.zeros((4, n))
-        self._vstar = np.zeros(n + 1)
+        self._d0, self._d1, self._r = np.zeros((3, n))
+        self._u2 = np.zeros(n + 1)
 
     def _drift(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
         """y v' on the interior nodes into ``out``; out[0] is left as is."""
@@ -106,12 +116,13 @@ class Stepper:
         np.matmul(self._end_rows, v[self._end_nodes], out=out[1:: n - 2])
         return out
 
-    def _crank_nicolson(self, vi: np.ndarray, g: np.ndarray,
-                        out: np.ndarray) -> np.ndarray:
-        """2 M^-1 g - vi into ``out``: the step from vi given g = vi + f/2."""
-        sol, _ = dpttrs(*self._ldl, np.multiply(self._mass2, g, out=self._rhs),
+    def _stage(self, r: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """(I + gamma ds L)^-1 r = A^-1 D r into the contiguous ``out``:
+        LAPACK solves a contiguous float64 right-hand side in place, so the
+        returned array is ``out``."""
+        sol, _ = dpttrs(*self._ldl, np.multiply(self._mass, r, out=out),
                         overwrite_b=1)
-        return np.subtract(sol, vi, out=out)
+        return sol
 
     def advance(self, v: np.ndarray, lam: float,
                 a: float) -> tuple[np.ndarray, float, float]:
@@ -126,21 +137,27 @@ class Stepper:
             raise BoundaryBlowup(f"|a| = {abs(a):.3g} > 1")
         vi = v[:n]
         d0 = self._drift(v, self._d0)
-        # predictor: drift frozen at the start of the step, f = -ds a d0
-        g = np.multiply(d0, -0.5 * ds * a, out=self._g)
-        g += vi
-        self._crank_nicolson(vi, g, self._vstar[:n])
-        a1 = end_slope(self._vstar, h)
-        # corrector: trapezoidal drift, f = -ds/2 (a d0 + a1 d1)
-        np.multiply(d0, -0.25 * ds * a, out=g)
-        g += (-0.25 * ds * a1) * self._drift(self._vstar, self._d1)
-        g += vi
+        # first implicit stage: r2 = v - gamma ds a d(v)
+        r = np.multiply(d0, -GAMMA * ds * a, out=self._r)
+        r += vi
+        u2 = self._u2
+        self._stage(r, u2[:n])
+        a2 = end_slope(u2, h)
+        # second stage: r3 = v - (1 - gamma)/gamma (r2 - U2)
+        #                      - ds (delta a d(v) + (1 - delta) a2 d(U2))
+        r -= u2[:n]
+        r *= (GAMMA - 1.0) / GAMMA
+        r += vi
+        r += np.multiply(d0, -DELTA * ds * a, out=d0)
+        d1 = self._drift(u2, self._d1)
+        r += np.multiply(d1, (DELTA - 1.0) * ds * a2, out=d1)
         vnew = np.zeros(n + 1)
-        self._crank_nicolson(vi, g, vnew[:n])
-        lam_new = lam * float(np.exp(-0.5 * (a + a1) * ds))
+        self._stage(r, vnew[:n])
+        a_new = end_slope(vnew, h)
+        lam_new = lam * math.exp(-ds * ((1.0 - GAMMA) * a2 + GAMMA * a_new))
         if lam_new <= 0.0:
             raise NonPositiveRadius(f"lam = {lam_new}")
-        return vnew, lam_new, end_slope(vnew, h)
+        return vnew, lam_new, a_new
 
 
 @dataclass
@@ -243,10 +260,10 @@ def run(grid: RadialGrid, v0: np.ndarray, ds: float, s_max: float,
 
 
 def default_ds(grid: RadialGrid, k: int = 1) -> float:
-    """Step-size default: 0.2 h scaled down with the mode's decay rate."""
+    """Step-size default: h scaled down with the mode's decay rate."""
     lam_k = bessel.j0_zeros(k)[k - 1].lam
     lam_1 = bessel.j0_zeros(1)[0].lam
-    return 0.2 * grid.h * (lam_1 / lam_k)
+    return grid.h * (lam_1 / lam_k)
 
 
 def default_s_max(k: int) -> float:

@@ -214,12 +214,13 @@ class TestModulationResidual:
         assert np.max(ratio[sel]) < 200.0
 
     def test_off_cadence_closing_record(self, grid512):
-        # s_max = 0.1 falls one step after the last record at the cadence
-        # (5 steps), so the run closes with a record one step later; the
-        # record before it has no centred difference at the cadence
+        # at ds = 0.2 h, s_max = 0.1 falls one step after the last record
+        # at the cadence (5 steps), so the run closes with a record one step
+        # later; the record before it has no centred difference at the
+        # cadence
         v0 = modulation.build_profile(grid512, 1, [-0.01])
         ts, track = modulation.track_run(
-            grid512, v0, 1, ds=solver.default_ds(grid512, 1), s_max=0.1)
+            grid512, v0, 1, ds=0.2 * grid512.h, s_max=0.1)
         cadence = ts.s[1] - ts.s[0]
         assert ts.s[-1] - ts.s[-2] < 0.5 * cadence
         res = track.residuals

@@ -25,30 +25,44 @@ def initial_state(grid, v0):
 
 
 def dense_stepper(grid, ds):
-    """The IMEX step written out densely: (I + ds/2 L) u = (I - ds/2 L) v + f
-    with L = -Delta on the interior nodes, column by column from H_0, and
-    the drift y v' from deriv_values."""
+    """The IMEX ARS(2,2,2) step written out densely: each stage solves
+    (I + gamma ds L) u = r with L = -Delta on the interior nodes, column by
+    column from H_0, and the drift y v' from deriv_values."""
     n, h = grid.n, grid.h
+    g, dl = solver.GAMMA, solver.DELTA
     op = spectrum.assemble_hb(grid, W0)
     lap = np.array([op.apply(e)[:n] for e in np.eye(n + 1)[:n]]).T
-    implicit = np.eye(n) + (ds / 2.0) * lap
-    explicit = np.eye(n) - (ds / 2.0) * lap
+    implicit = np.eye(n) + g * ds * lap
 
     def drift(u):
         return grid.y[:n] * deriv_values(u, h)[:n]
 
-    def step(v, lam, a):
-        def crank_nicolson(f):
-            out = np.zeros(n + 1)
-            out[:n] = np.linalg.solve(implicit, explicit @ v[:n] + f)
-            return out
+    def stage(r):
+        out = np.zeros(n + 1)
+        out[:n] = np.linalg.solve(implicit, r)
+        return out
 
-        vstar = crank_nicolson(-ds * a * drift(v))
-        a1 = end_slope(vstar, h)
-        vnew = crank_nicolson(-(ds / 2.0) * (a * drift(v) + a1 * drift(vstar)))
-        return vnew, lam * math.exp(-0.5 * (a + a1) * ds), end_slope(vnew, h)
+    def step(v, lam, a):
+        u2 = stage(v[:n] - g * ds * a * drift(v))
+        a2 = end_slope(u2, h)
+        vnew = stage(v[:n] - (1.0 - g) * ds * (lap @ u2[:n])
+                     - ds * (dl * a * drift(v) + (1.0 - dl) * a2 * drift(u2)))
+        a_new = end_slope(vnew, h)
+        return (vnew, lam * math.exp(-ds * ((1.0 - g) * a2 + g * a_new)),
+                a_new)
 
     return step
+
+
+def diffusion_step(stepper, v):
+    """One ARS(2,2,2) step of v with the drift switched off: the two
+    stages of ``Stepper.advance`` at a = a2 = 0."""
+    n = stepper.grid.n
+    u2 = stepper._stage(v[:n], np.zeros(n))
+    g = solver.GAMMA
+    out = np.zeros(n + 1)
+    stepper._stage(v[:n] - ((1.0 - g) / g) * (v[:n] - u2), out[:n])
+    return out
 
 
 def rel_error(x, ref):
@@ -130,22 +144,34 @@ class TestAgainstDenseReference:
 
 class TestDiffusionDecay:
     def test_eigen_decay_with_frozen_drift(self, grid512, zeros12):
-        # pure Crank-Nicolson half (drift frozen at zero): || v(s) || tracks
+        # the implicit half alone (drift frozen at zero): || v(s) || tracks
         # delta e^{-lam_1 s} to the scheme's accuracy
         stepper = solver.Stepper(grid512, 1e-4)
         delta = 1e-3
         v = delta * bessel.eta(1, grid512)
         v[-1] = 0.0
         nsteps = 2000
-        vi = v[:512]
         for _ in range(nsteps):
-            # no forcing: g = vi + f/2 is vi itself
-            vi = stepper._crank_nicolson(vi, vi, np.empty(512))
+            v = diffusion_step(stepper, v)
         s = nsteps * 1e-4
-        norm = math.sqrt(float(
-            np.sum(grid512.simpson[:512] * vi ** 2 * grid512.y[:512])))
+        norm = math.sqrt(float(np.sum(grid512.simpson * v ** 2 * grid512.y)))
         expect = delta * math.exp(-zeros12[0].lam * s)
         assert abs(norm - expect) / expect < 1e-4
+
+    def test_stiffest_mode_damped(self, grid512):
+        # L-stability: one zero-drift step at the default ds damps the
+        # stiffest grid mode, which Crank-Nicolson keeps at |R| ~ 1
+        n = grid512.n
+        op = spectrum.assemble_hb(grid512, W0)
+        sym = np.diag(op.diag) + np.diag(op.off, 1) + np.diag(op.off, -1)
+        mu, vecs = np.linalg.eigh(sym)
+        v = np.zeros(n + 1)
+        # D^-1/2 maps the symmetric form's eigenvector to one of L
+        v[:n] = vecs[:, -1] / np.sqrt(op.node_mass)
+        stepper = solver.Stepper(grid512, solver.default_ds(grid512, 1))
+        ratio = np.linalg.norm(diffusion_step(stepper, v)) / np.linalg.norm(v)
+        assert mu[-1] * stepper.ds > 1e3
+        assert ratio <= 1e-2
 
 
 class TestRun:
@@ -180,17 +206,17 @@ class TestRun:
     def test_nonfinite_state_is_typed(self, grid512, monkeypatch):
         # one NaN from the tridiagonal solve, mid-run: the record that
         # follows raises the typed guard and names the clock
-        solve = solver.Stepper._crank_nicolson
+        solve = solver.Stepper._stage
         calls = []
 
-        def solve_once_nan(self, vi, g, out):
-            sol = solve(self, vi, g, out)
+        def solve_once_nan(self, r, out):
+            sol = solve(self, r, out)
             calls.append(None)
             if len(calls) == 20:
                 sol[7] = np.nan
             return sol
 
-        monkeypatch.setattr(solver.Stepper, "_crank_nicolson", solve_once_nan)
+        monkeypatch.setattr(solver.Stepper, "_stage", solve_once_nan)
         with pytest.raises(ConservationError,
                            match=r"^mass drift nan > .* at s = 0\.0040$"):
             solver.run(grid512, eta_profile(grid512, 1, 0.01), ds=4e-4,
@@ -296,7 +322,7 @@ class TestObserver:
 class TestDiscreteMaximumPrinciple:
     def test_sign_preservation_under_dmp_step(self):
         grid = RadialGrid(128)
-        ds = solver.dmp_step_limit(grid, safety=0.8)
+        ds = 0.4 * grid.h ** 2
         stepper = solver.Stepper(grid, ds)
         vals = 0.01 * bessel.eta(1, grid)
         vals[-1] = 0.0
@@ -320,6 +346,15 @@ class TestConvergence:
         d1, d2 = abs(outs[0] - outs[1]), abs(outs[1] - outs[2])
         order = math.log2(d1 / d2)
         assert order >= 1.8
+
+    def test_mass_coupling_second_order(self, ctx):
+        # the k = 1 mass drift at the default ds falls ~4x per grid
+        # doubling: the radius update on the implicit weights keeps the
+        # coupled step second order
+        for sign in (+1, -1):
+            d512, d1024 = (verify._drift(ctx.k1_run(sign, n)[0])
+                           for n in (512, 1024))
+            assert d512 / d1024 >= 3.0
 
     def test_time_reconstruction_two_cadences(self, grid512):
         from stefanlab.asymptotics import time_reconstruction_check
