@@ -152,69 +152,56 @@ _QQ1 = np.array([  # monic
 ])
 
 
+def _evaluate(x, name, small, pp, pq, qp, qq, phase):
+    """J0 or J1 at x >= 0: ``small`` on [0, 5], the Hankel form
+    sqrt(2/(pi x)) (P cos(x - phase) - (5/x) Q sin(x - phase)) beyond, with
+    P = pp/pq and Q = qp/qq rational in (5/x)^2.  A scalar input returns a
+    float."""
+    xa = np.asarray(x, dtype=float)
+    scalar = xa.ndim == 0
+    xa = np.atleast_1d(xa)
+    if np.any(xa < 0):
+        raise ValueError(f"{name} is defined here for x >= 0")
+    out = np.empty_like(xa)
+    lo = xa <= 5.0
+    if np.any(lo):
+        out[lo] = small(xa[lo])
+    hi = ~lo
+    if np.any(hi):
+        xl = xa[hi]
+        w = 5.0 / xl
+        z = w * w
+        p = np.polyval(pp, z) / np.polyval(pq, z)
+        q = np.polyval(qp, z) / np.polyval(qq, z)
+        xn = xl - phase
+        out[hi] = _SQ2OPI * (p * np.cos(xn) - w * q * np.sin(xn)) / np.sqrt(xl)
+    return float(out[0]) if scalar else out
+
+
+def _j0_small(x):
+    z = x * x
+    r = (z - _DR1) * (z - _DR2) * np.polyval(_RP, z) / np.polyval(_RQ, z)
+    return np.where(x < 1.0e-5, 1.0 - 0.25 * z, r)
+
+
+def _j1_small(x):
+    z = x * x
+    return (np.polyval(_RP1, z) / np.polyval(_RQ1, z)
+            * x * (z - _Z1) * (z - _Z2))
+
+
 def j0(x):
     """Bessel function of the first kind of order zero, x >= 0.
 
     Accepts scalars or arrays; a scalar input returns a float.
     """
-    xa = np.asarray(x, dtype=float)
-    scalar = xa.ndim == 0
-    xa = np.atleast_1d(xa)
-    if np.any(xa < 0):
-        raise ValueError("j0 is defined here for x >= 0")
-    out = np.empty_like(xa)
-
-    small = xa <= 5.0
-    if np.any(small):
-        xs = xa[small]
-        z = xs * xs
-        tiny = xs < 1.0e-5
-        r = (z - _DR1) * (z - _DR2) * np.polyval(_RP, z) / np.polyval(_RQ, z)
-        out[small] = np.where(tiny, 1.0 - 0.25 * z, r)
-    large = ~small
-    if np.any(large):
-        xl = xa[large]
-        w = 5.0 / xl
-        q = w * w
-        p = np.polyval(_PP, q) / np.polyval(_PQ, q)
-        qq = np.polyval(_QP, q) / np.polyval(_QQ, q)
-        xn = xl - _PIO4
-        out[large] = _SQ2OPI * (p * np.cos(xn) - w * qq * np.sin(xn)) / np.sqrt(xl)
-    return float(out[0]) if scalar else out
+    return _evaluate(x, "j0", _j0_small, _PP, _PQ, _QP, _QQ, _PIO4)
 
 
 def j1(x):
-    """Bessel function of the first kind of order one, x >= 0."""
-    xa = np.asarray(x, dtype=float)
-    scalar = xa.ndim == 0
-    xa = np.atleast_1d(xa)
-    if np.any(xa < 0):
-        raise ValueError("j1 is defined here for x >= 0")
-    out = np.empty_like(xa)
-
-    small = xa <= 5.0
-    if np.any(small):
-        xs = xa[small]
-        z = xs * xs
-        w = np.polyval(_RP1, z) / np.polyval(_RQ1, z)
-        out[small] = w * xs * (z - _Z1) * (z - _Z2)
-    large = ~small
-    if np.any(large):
-        xl = xa[large]
-        w = 5.0 / xl
-        z = w * w
-        p = np.polyval(_PP1, z) / np.polyval(_PQ1, z)
-        q = np.polyval(_QP1, z) / np.polyval(_QQ1, z)
-        xn = xl - _THPIO4
-        out[large] = _SQ2OPI * (p * np.cos(xn) - w * q * np.sin(xn)) / np.sqrt(xl)
-    return float(out[0]) if scalar else out
-
-
-def j0_prime(x):
-    """d/dx J0(x) = -J1(x)."""
-    xa = np.asarray(x, dtype=float)
-    res = -j1(xa)
-    return float(res) if xa.ndim == 0 else res
+    """Bessel function of the first kind of order one, x >= 0; its
+    derivative J0' = -J1 serves the zeros' Newton steps and eta's slope."""
+    return _evaluate(x, "j1", _j1_small, _PP1, _PQ1, _QP1, _QQ1, _THPIO4)
 
 
 @dataclass(frozen=True)
@@ -227,7 +214,9 @@ class BesselZero:
 
     @property
     def boundary_slope(self) -> float:
-        """Analytic slope (-1)^j sqrt(2 lam_j) of eta_j at y = 1."""
+        """Analytic slope (-1)^j sqrt(2 lam_j) of eta_j at y = 1, the one
+        source of the mode laws' quadratic coefficients: mode j's own law
+        is b' = -lam_j b + slope_j b^2 (see :mod:`stefanlab.reduced`)."""
         return (-1.0) ** self.index * math.sqrt(2.0 * self.lam)
 
 
@@ -243,7 +232,7 @@ def _zero(j: int) -> BesselZero:
     """The j-th zero, Newton-refined from its McMahon guess (memoized)."""
     x = _mcmahon_guess(j)
     for _ in range(100):
-        x_new = x - j0(x) / j0_prime(x)
+        x_new = x + j0(x) / j1(x)
         converged = abs(x_new - x) <= 1e-15 * x
         x = x_new
         if converged:
@@ -288,10 +277,10 @@ def eta_samples(j: int, grid: RadialGrid) -> np.ndarray:
 
 
 def eta_deriv(j: int, grid: RadialGrid) -> np.ndarray:
-    """Analytic derivative of eta_j: sqrt(2) r_j J0'(y r_j) / |J0'(r_j)|;
-    j in [1, 64] as for :func:`eta`."""
+    """Analytic derivative of eta_j: sqrt(2) r_j J0'(y r_j) / |J0'(r_j)|
+    with J0' = -J1; j in [1, 64] as for :func:`eta`."""
     z = j0_zeros(j)[-1]
-    return math.sqrt(2.0) * z.r * j0_prime(grid.y * z.r) / abs(j1(z.r))
+    return -math.sqrt(2.0) * z.r * j1(grid.y * z.r) / abs(j1(z.r))
 
 
 def scaling_coefficient(k: int, j: int, grid: RadialGrid) -> float:

@@ -40,13 +40,14 @@ ADIABATIC_AMPLITUDE = 0.02
 B_FREEZE = 1e-9
 
 
-def gap_exponent(k: int) -> float:
-    """Trap-variable exponent shift: a quarter of the gap to the next-lower
-    eigenvalue (any value in the open half-gap works; the midpoint is used)."""
-    if k < 2:
-        return 0.0
+def trap_rate(k: int) -> float:
+    """Growth rate lam_k + gap_k of the trap variables V_j = b_j e^{rate s}
+    of a k-mode run: gap_k is a quarter of the gap to the next-lower
+    eigenvalue (any value in the open half-gap works; the midpoint is
+    used), and 0 for k = 1."""
     zeros = bessel.j0_zeros(k)
-    return 0.25 * (zeros[k - 1].lam - zeros[k - 2].lam)
+    lam = zeros[k - 1].lam
+    return lam + 0.25 * (lam - zeros[k - 2].lam) if k > 1 else lam
 
 
 def adiabatic_b(s: float, k: int,
@@ -83,7 +84,7 @@ def decompose(v: np.ndarray, s: float, basis: Basis) -> ModulationState:
     coeffs, eps = basis.split(v)
     V = coeffs[: k - 1]
     if k > 1:
-        growth = (bessel.j0_zeros(k)[k - 1].lam + gap_exponent(k)) * s
+        growth = trap_rate(k) * s
         try:
             V = V * math.exp(growth)
         except OverflowError:
@@ -179,9 +180,9 @@ def modulation_residual(states: list[ModulationState], dt_s: float,
     Needs at least 3 states recorded at the cadence ``dt_s``.  A row is NaN
     where the state's neighbours are not one cadence away on each side: the
     first and last states, and the one before a closing record taken between
-    cadence points.  For the ground mode the residual is
-    |(b_1)_s + lam_1 b_1 + sqrt(2 lam_1) b_1^2|; for k > 1 each lower mode
-    includes the forced quadratic term with its coupling coefficient.  The
+    cadence points.  Mode k's residual is |(b_k)_s + lam_k b_k - c b_k^2|,
+    c = :attr:`bessel.BesselZero.boundary_slope` of zero k; for k > 1 each
+    lower mode j includes the forcing c b_k^2 g_jk instead.  The
     residuals are reported, not asserted: the implicit constants of the
     remainder bounds are unknown.  The coupling coefficients are
     integrated on ``grid``.
@@ -190,7 +191,9 @@ def modulation_residual(states: list[ModulationState], dt_s: float,
         raise InsufficientHistory("need >= 3 states for centered differences")
     B = np.vstack([st.coeffs for st in states])
     k = B.shape[1]
-    lam = np.array([z.lam for z in bessel.j0_zeros(k)])
+    zeros = bessel.j0_zeros(k)
+    lam = np.array([z.lam for z in zeros])
+    slope = zeros[k - 1].boundary_slope
     gcoef = np.array([bessel.scaling_coefficient(k, j, grid)
                       for j in range(1, k)])
     s_arr = np.array([st.s for st in states])
@@ -198,13 +201,11 @@ def modulation_residual(states: list[ModulationState], dt_s: float,
     Bm = B[1:-1]
     res = np.full(B.shape, np.nan)
     mid = res[1:-1]
-    c_k = math.sqrt(2.0 * lam[k - 1])
     mid[:, k - 1] = np.abs(dB[:, k - 1] + lam[k - 1] * Bm[:, k - 1]
-                           + (-1.0) ** (k + 1) * c_k * Bm[:, k - 1] ** 2)
+                           - slope * Bm[:, k - 1] ** 2)
     for j in range(1, k):
         mid[:, j - 1] = np.abs(dB[:, j - 1] + lam[j - 1] * Bm[:, j - 1]
-                               + (-1.0) ** k * c_k * Bm[:, k - 1] ** 2
-                               * gcoef[j - 1])
+                               + slope * Bm[:, k - 1] ** 2 * gcoef[j - 1])
     # an off-cadence record is at least one step short of the cadence, far
     # beyond the round-off of the summed steps between records
     mid[np.abs(s_arr[2:] - s_arr[:-2] - 2.0 * dt_s) > 1e-6 * dt_s] = np.nan

@@ -56,8 +56,7 @@ def default_shoot_horizon(k: int, tol: float = SHOOT_TOL,
     s = ln(ceiling / (4 tol)) / growth.  The trap search reads V there;
     beyond it a datum found to within the tolerance cannot certify a trap.
     """
-    zeros = bessel.j0_zeros(k)
-    growth = zeros[k - 1].lam + modulation.gap_exponent(k) - zeros[0].lam
+    growth = modulation.trap_rate(k) - bessel.j0_zeros(k)[0].lam
     return math.log(ceiling / (4.0 * tol)) / growth
 
 
@@ -108,19 +107,18 @@ def mode_law_model(k: int, horizon: float) -> tuple[np.ndarray, np.ndarray]:
     Mode j alone obeys the quadratic law of :func:`riccati_exact` with
     sigma_j = (-1)^{j+1}, under which u_j = e^{lam_j s_F} b_j(s_F) equals
     x_j / (1 + q_j x_j) for the datum x_j = b_j(0), with
-    q_j = sigma_j (sqrt(2 lam_j) / lam_j) (1 - e^{-lam_j s_F}); the inverse
-    is x_j = u_j / (1 - q_j u_j).  Since V_j = b_j e^{(lam_k + gap_k) s},
+    q_j = -(c_j / lam_j) (1 - e^{-lam_j s_F}) and c_j = -sigma_j sqrt(2 lam_j)
+    the boundary slope of eta_j; the inverse is x_j = u_j / (1 - q_j u_j).
+    Since V_j = b_j e^{(lam_k + gap_k) s} (:func:`modulation.trap_rate`),
     dV_j(s_F) / du_j = e^{(lam_k + gap_k - lam_j) s_F}, the returned
     ``slopes`` (ceiling / (4 tol) for j = 1 at the default horizon).
     Returns ``(slopes, q)``.
     """
-    zeros = bessel.j0_zeros(k)
-    lam = np.array([z.lam for z in zeros[: k - 1]])
-    growth = zeros[k - 1].lam + modulation.gap_exponent(k) - lam
-    slopes = np.exp(growth * horizon)
-    sigma = (-1.0) ** np.arange(k - 1)
-    q = sigma * (np.sqrt(2.0 * lam) / lam) * (1.0 - np.exp(-lam * horizon))
-    return slopes, q
+    lower = bessel.j0_zeros(k)[: k - 1]
+    lam = np.array([z.lam for z in lower])
+    c = np.array([z.boundary_slope for z in lower])
+    slopes = np.exp((modulation.trap_rate(k) - lam) * horizon)
+    return slopes, -(c / lam) * (1.0 - np.exp(-lam * horizon))
 
 
 def coupling_coefficients(k: int, grid: RadialGrid) -> np.ndarray:
@@ -303,11 +301,10 @@ def shoot_trapped(evaluator: TrapEvaluator) -> ShootingResult:
     if ev.exit_s is None:
         if b_k0 != 0.0:
             # forced-response scale of the lower coefficients
-            lam = np.array([z.lam for z in bessel.j0_zeros(k)])
-            c_k = math.sqrt(2.0 * lam[k - 1])
+            z = bessel.j0_zeros(k)
             g = coupling_coefficients(k, evaluator.grid)
-            width = 8.0 * max(abs(c_k * b_k0 ** 2 * g[0]
-                                  / (2.0 * lam[k - 1] - lam[0])), 1e-8)
+            width = 8.0 * max(abs(z[k - 1].boundary_slope * b_k0 ** 2 * g[0]
+                                  / (2.0 * z[k - 1].lam - z[0].lam)), 1e-8)
             if evaluate(np.eye(k - 1)[0] * width).exit_s is None:
                 raise NoTrappedData(
                     f"x = 0 and the probe x_1 = {width:.3g} both trap up to "

@@ -128,9 +128,8 @@ class Basis:
     Column j of ``psis`` is psi_{b,j+1}, Simpson-normalized to unit weighted
     norm with the sign fixed so its projection on eta_{j+1} is positive;
     ``residuals`` are the discrete weighted norms of H_b psi - lam psi.
-    ``operator`` is the H_b they were solved from when the caller keeps it:
-    set by :meth:`solve`, whose bases decompose profiles, and None from a
-    bare :func:`eigenpairs` call or once dropped from a cache.
+    ``operator`` is the H_b they were solved from, kept for the energies of
+    the profiles split on them; None once dropped from a cache.
     """
 
     b: float
@@ -143,12 +142,9 @@ class Basis:
     @classmethod
     def solve(cls, grid: RadialGrid, b: float, k: int,
               start: "Basis | None" = None) -> "Basis":
-        """The first k eigenpairs of H_b at parameter b, keeping the
-        assembled H_b for the energies of the profiles split on them;
-        ``start`` warm-starts the solve as in :func:`eigenpairs`."""
-        w = WeightParam(b)
-        return eigenpairs(grid, w, k, operator=assemble_hb(grid, w),
-                          start=start)
+        """:func:`eigenpairs` of H_b at parameter b, warm-started from
+        ``start`` when given."""
+        return eigenpairs(grid, WeightParam(b), k, start=start)
 
     @functools.cached_property
     def boundary_slopes(self) -> np.ndarray:
@@ -193,9 +189,9 @@ class Basis:
 
 
 def eigenpairs(grid: RadialGrid, w: WeightParam, count: int,
-               operator: DriftOperator | None = None,
                start: Basis | None = None) -> Basis:
-    """Smallest ``count`` eigenpairs of H_b on ``grid``, as one basis.
+    """Smallest ``count`` eigenpairs of H_b on ``grid``, as one basis that
+    carries the H_b it was solved from.
 
     Requires count <= 12 and a grid of at least 512 intervals (coarser grids
     are fine for the low modes but are outside the accuracy contract).
@@ -208,7 +204,7 @@ def eigenpairs(grid: RadialGrid, w: WeightParam, count: int,
         raise ValueError(f"count must be in [1, {MAX_EIGENPAIRS}]")
     if grid.n < 512:
         raise ValueError("eigenpairs requires a grid of at least 512 intervals")
-    op = operator if operator is not None else assemble_hb(grid, w)
+    op = assemble_hb(grid, w)
     # the similarity between nodal values and the symmetrized matrix
     root_mass = np.sqrt(op.node_mass)
     if start is not None:
@@ -216,15 +212,14 @@ def eigenpairs(grid: RadialGrid, w: WeightParam, count: int,
             raise ValueError("start basis does not match the grid and count")
         vecs = _inverse_iteration(op, start.psis[: grid.n].T * root_mass)
         if vecs is not None:
-            basis, proj = _post_process(grid, w, op, vecs, root_mass,
-                                        operator)
+            basis, proj = _post_process(grid, w, op, vecs, root_mass)
             if _warm_pairs_hold(basis, proj):
                 return basis
     try:
         vecs = lowest_eigh_tridiagonal(op.diag, op.off, count).T
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NonConvergence(f"tridiagonal eigensolver failed: {exc}") from exc
-    return _post_process(grid, w, op, vecs, root_mass, operator)[0]
+    return _post_process(grid, w, op, vecs, root_mass)[0]
 
 
 def _inverse_iteration(op: DriftOperator,
@@ -248,8 +243,7 @@ def _inverse_iteration(op: DriftOperator,
 
 
 def _post_process(grid: RadialGrid, w: WeightParam, op: DriftOperator,
-                  vecs: np.ndarray, root_mass: np.ndarray,
-                  operator: DriftOperator | None
+                  vecs: np.ndarray, root_mass: np.ndarray
                   ) -> tuple[Basis, np.ndarray]:
     """Basis from eigenvectors of the symmetrized matrix (one row each),
     mapped back through ``root_mass`` = sqrt(op.node_mass), and each
@@ -273,15 +267,8 @@ def _post_process(grid: RadialGrid, w: WeightParam, op: DriftOperator,
     resid -= lams[:, None] * rows
     resid[:, -1] = 0.0  # residual measured on the Dirichlet subspace
     residuals = np.sqrt(np.maximum(inner_b(grid, resid, resid, w), 0.0))
-    basis = Basis(
-        b=w.b,
-        psis=np.ascontiguousarray(rows.T),
-        lams=lams,
-        residuals=residuals,
-        grid=grid,
-        operator=operator,
-    )
-    return basis, proj
+    return Basis(b=w.b, psis=np.ascontiguousarray(rows.T), lams=lams,
+                 residuals=residuals, grid=grid, operator=op), proj
 
 
 @functools.lru_cache(maxsize=None)

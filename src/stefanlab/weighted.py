@@ -7,7 +7,9 @@ array of its samples at the grid nodes.
 
 All quadrature is composite Simpson on the grid nodes (O(h^4) on smooth
 integrands); derivatives use 4th-order stencils so that quadrature error,
-not differentiation, dominates.
+not differentiation, dominates.  The stencils serve derivatives only: the
+scheme is second order in h, because H_b's flux form is (lam_1's relative
+error is -2.156e-6, -5.391e-7, -1.348e-7 at n = 512, 1024, 2048).
 """
 
 from __future__ import annotations

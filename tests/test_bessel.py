@@ -64,12 +64,14 @@ class TestJ0:
 
 
 class TestJ0Prime:
+    """J0' = -J1, the derivative the zeros' Newton steps and eta_deriv use."""
+
     def test_at_zero(self):
-        assert bessel.j0_prime(0.0) == 0.0
+        assert -bessel.j1(0.0) == 0.0
 
     def test_equals_minus_j1(self):
         for x in (0.3, 2.0, 5.0, 11.0, 30.0):
-            assert abs(bessel.j0_prime(x) + mp_j1(x)) <= 1e-13
+            assert abs(-bessel.j1(x) + mp_j1(x)) <= 1e-13
 
     def test_richardson_difference_oracle(self):
         # central differences of j0 with one Richardson step
@@ -78,13 +80,13 @@ class TestJ0Prime:
             d1 = (bessel.j0(x + h) - bessel.j0(x - h)) / (2 * h)
             d2 = (bessel.j0(x + h / 2) - bessel.j0(x - h / 2)) / h
             richardson = (4 * d2 - d1) / 3
-        assert abs(bessel.j0_prime(x) - richardson) < 1e-10
-        assert abs(bessel.j0_prime(x) + 0.519147) < 1e-6
+        assert abs(-bessel.j1(x) - richardson) < 1e-10
+        assert abs(-bessel.j1(x) + 0.519147) < 1e-6
 
     def test_small_x_series(self):
         # J0'(x) = -x/2 + x^3/16 - ...
         for x in (1e-4, 1e-3):
-            assert abs(bessel.j0_prime(x) + x / 2) <= x ** 3
+            assert abs(-bessel.j1(x) + x / 2) <= x ** 3
 
 
 def oracle_zero(j, width=1e-13):

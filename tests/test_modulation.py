@@ -164,9 +164,9 @@ class TestAdiabaticSchedule:
         assert b1 == pytest.approx(
             0.02 * math.exp(-zeros12[1].lam * 0.1) / 1.1)
 
-    def test_gap_exponent_in_open_interval(self, zeros12):
+    def test_trap_rate_gap_in_open_interval(self, zeros12):
         for k in (2, 3, 4):
-            g = modulation.gap_exponent(k)
+            g = modulation.trap_rate(k) - zeros12[k - 1].lam
             half_gap = 0.5 * (zeros12[k - 1].lam - zeros12[k - 2].lam)
             assert 0.0 < g < half_gap
 
@@ -331,8 +331,7 @@ class TestK1BasisReuse:
         cold = spectrum.eigenpairs
         monkeypatch.setattr(
             spectrum, "eigenpairs",
-            lambda grid, w, count, operator=None, start=None:
-                cold(grid, w, count, operator=operator))
+            lambda grid, w, count, start=None: cold(grid, w, count))
         states, solves, b1 = [], 0, None
         for s, v in profiles:
             b1, basis, n = modulation.self_consistent_b1(grid, v, initial=b1)
@@ -575,3 +574,30 @@ class TestProfileBuilder:
         for lower in ([0.0], [1e-6], [-1e-6]):
             ev.evaluate(lower)
         assert len(cold) == 1 and ev.evaluations == 3
+
+
+def test_one_source_per_spectral_quantity(grid512):
+    # the mode laws read their quadratic coefficient -sigma_k sqrt(2 lam_k),
+    # sigma_k = (-1)^{k+1}, off BesselZero.boundary_slope: sign flips and
+    # IEEE square roots are exact, so the identity holds bitwise
+    zeros = bessel.j0_zeros(12)
+    for k in range(1, 13):
+        assert zeros[k - 1].boundary_slope == (
+            -((-1.0) ** (k + 1)) * math.sqrt(2.0 * zeros[k - 1].lam))
+    lam = np.array([z.lam for z in zeros[:2]])
+    _, q = reduced.mode_law_model(3, 0.7)
+    sigma = (-1.0) ** np.arange(2)
+    assert q.tobytes() == (sigma * (np.sqrt(2.0 * lam) / lam)
+                           * (1.0 - np.exp(-lam * 0.7))).tobytes()
+    # every eigenpairs basis carries the H_b it was solved from ...
+    w = WeightParam(0.0137)
+    op = spectrum.assemble_hb(grid512, w)
+    basis = spectrum.eigenpairs(grid512, w, 2)
+    for field in ("diag", "off", "node_mass", "half_flux"):
+        assert (getattr(basis.operator, field).tobytes()
+                == getattr(op, field).tobytes())
+    # ... and only the schedule cache drops it
+    cache: dict = {}
+    entry = modulation.scheduled_basis(cache, grid512, 2, 0.0,
+                                       modulation.ADIABATIC_AMPLITUDE)
+    assert cache[entry.b] is entry and entry.operator is None

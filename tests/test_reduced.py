@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -376,3 +377,19 @@ class TestShootingStubs:
         fam = verify.VerificationContext().k2_family(+1)
         assert fam["evaluator"].evaluations == fam["result"].evaluations == 3
         assert fam["result"].certificate.exit_s is None
+
+
+def test_readme_library_use():
+    # README's "Library use" block runs as written and its comments hold
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    ns: dict = {}
+    exec(compile(code, "README.md (Library use)", "exec"), ns)
+    fit = ns["fit"]
+    assert fit.rate_fitted == pytest.approx(5.85, rel=0.02)
+    assert fit.rate_predicted == pytest.approx(5.85, rel=0.02)
+    assert ns["zero"].boundary_slope == math.sqrt(2.0 * ns["zero"].lam)
+    assert ns["hv"].shape == ns["basis"].psis[:, 0].shape
+    assert ns["shot"].certificate.exit_s is None
+    assert ns["v0"][-1] == 0.0
