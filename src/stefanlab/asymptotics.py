@@ -12,13 +12,12 @@ the sign of the driving coefficient.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import bessel, svgplot
+from . import bessel, files
 from .errors import InsufficientDecay, RunNotConverged, ZeroInitialMode
 from .solver import TimeSeries
 from .weighted import RadialGrid
@@ -128,7 +127,7 @@ def verdict(ts: TimeSeries, k: int, b_k0: float, u0_integral: float,
     regime = classify_regime(k, b_k0)
     direction_ok = ((regime == "melting") == (predicted > 1.0)
                     and (regime == "melting") == (measured > 1.0))
-    out = {
+    return {
         "k": k,
         "b_k0": b_k0,
         "regime": regime,
@@ -152,12 +151,10 @@ def verdict(ts: TimeSeries, k: int, b_k0: float, u0_integral: float,
             and direction_ok
         ),
     }
-    return out
 
 
 def write_verdict_json(path, verdict_dict: dict):
-    with open(path, "w") as fh:
-        fh.write(json.dumps(verdict_dict, sort_keys=True, indent=2) + "\n")
+    files.write_json(path, verdict_dict)
 
 
 def decay_plot(path, ts: TimeSeries, verdict_dict: dict):
@@ -176,7 +173,7 @@ def decay_plot(path, ts: TimeSeries, verdict_dict: dict):
         if np.any(in_win) else np.nan,
         np.nan,
     )
-    svgplot.line_plot(
+    files.line_plot(
         path, t,
         [("measured", logd, "#1f77b4"), ("fitted", fit_line, "#d62728")],
         xlabel="t", ylabel="log10 |lambda - lambda_inf|",

@@ -17,7 +17,6 @@ relative contract away from the zeros.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from collections.abc import Sequence
@@ -25,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergence
+from . import files
+from .errors import ConfigError, NonConvergence
 from .weighted import RadialGrid
 
 _SQ2OPI = 7.9788456080286535587989e-1  # sqrt(2/pi)
@@ -161,7 +161,7 @@ def _evaluate(x, name, small, pp, pq, qp, qq, phase):
     scalar = xa.ndim == 0
     xa = np.atleast_1d(xa)
     if np.any(xa < 0):
-        raise ValueError(f"{name} is defined here for x >= 0")
+        raise ConfigError(f"{name} is defined here for x >= 0")
     out = np.empty_like(xa)
     lo = xa <= 5.0
     if np.any(lo):
@@ -251,14 +251,14 @@ def j0_zeros(count: int) -> tuple[BesselZero, ...]:
     result is an immutable tuple of frozen records.
     """
     if not 1 <= count <= 64:
-        raise ValueError("count must be in [1, 64]")
+        raise ConfigError("count must be in [1, 64]")
     return tuple(_zero(j) for j in range(1, count + 1))
 
 
 def eta(j: int, grid: RadialGrid) -> np.ndarray:
     """Sample eta_j(y) = sqrt(2) J0(y r_j) / |J0'(r_j)| on ``grid``; the
-    boundary sample is pinned to exactly 0.  Raises ``ValueError`` for j
-    outside [1, 64], as :func:`j0_zeros` does."""
+    boundary sample is pinned to exactly 0.  Raises :class:`ConfigError`
+    for j outside [1, 64], as :func:`j0_zeros` does."""
     z = j0_zeros(j)[-1]
     vals = math.sqrt(2.0) * j0(grid.y * z.r) / abs(j1(z.r))
     vals[-1] = 0.0
@@ -293,6 +293,11 @@ def scaling_coefficient(k: int, j: int, grid: RadialGrid) -> float:
                         * eta(j, grid) * grid.y))
 
 
+def coupling_coefficients(k: int, grid: RadialGrid) -> np.ndarray:
+    """Quadrature couplings g_jk = <y eta_k', eta_j>_0 for j = 1..k-1."""
+    return np.array([scaling_coefficient(k, j, grid) for j in range(1, k)])
+
+
 def scaling_identity_defect(grid: RadialGrid) -> float:
     """max over k <= 8 of |<y eta_k', eta_k>_0 + 1| on ``grid``, refined to
     2048 intervals when coarser: Simpson's h^4 r_k^4 error for the k = 8
@@ -303,9 +308,5 @@ def scaling_identity_defect(grid: RadialGrid) -> float:
 
 def zeros_to_csv(path, zeros: Sequence[BesselZero]):
     """Dump (j, r_j, lam_j, boundary_slope) rows for documentation tables."""
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["j", "r_j", "lambda_j", "boundary_slope"])
-        for z in zeros:
-            wr.writerow([z.index, repr(z.r), repr(z.lam),
-                         repr(z.boundary_slope)])
+    files.write_csv(path, ["j", "r_j", "lambda_j", "boundary_slope"],
+                    [[z.index, z.r, z.lam, z.boundary_slope] for z in zeros])

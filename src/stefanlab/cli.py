@@ -14,13 +14,14 @@ Exit codes: 0 success, 1 configuration error, 2 verification failure,
 from __future__ import annotations
 
 import argparse
-import csv
+import dataclasses
 import json
 import os
 import sys
 import warnings
 
-from . import asymptotics, bessel, modulation, reduced, solver, spectrum, verify
+from . import (asymptotics, bessel, files, modulation, reduced, solver,
+               spectrum, verify)
 from .config import (MODES, ScenarioConfig, load_config, serialize_config,
                      with_overrides)
 from .errors import (BoundaryBlowup, ConfigError, InsufficientDecay,
@@ -101,13 +102,10 @@ def cmd_spectrum(cfg: ScenarioConfig) -> int:
     zeros = bessel.j0_zeros(8)
     bessel.zeros_to_csv(_outpath(cfg, "eigen_table.csv"), zeros)
     basis = spectrum.eigenpairs(grid, WeightParam(cfg.b0), 8)
-    with open(_outpath(cfg, "eigen_table_drift.csv"), "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["k", "b", "lambda_bk", "boundary_slope", "residual"])
-        for j in range(8):
-            wr.writerow([j + 1, repr(basis.b), repr(float(basis.lams[j])),
-                         repr(float(basis.boundary_slopes[j])),
-                         repr(float(basis.residuals[j]))])
+    files.write_csv(_outpath(cfg, "eigen_table_drift.csv"),
+                    ["k", "b", "lambda_bk", "boundary_slope", "residual"],
+                    [[j + 1, basis.b, basis.lams[j], basis.boundary_slopes[j],
+                      basis.residuals[j]] for j in range(8)])
     reports = [spectrum.perturbation_sweep(grid, k, cfg.b_values)
                for k in (1, 2, 3)]
     spectrum.sweep_to_csv(_outpath(cfg, "perturbation_sweep.csv"), reports)
@@ -147,8 +145,7 @@ def cmd_spectrum(cfg: ScenarioConfig) -> int:
                    for r in reports},
         "eigenvalues_b": {j + 1: float(lam) for j, lam in enumerate(basis.lams)},
     }
-    with open(_outpath(cfg, "spectrum_report.json"), "w") as fh:
-        fh.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    files.write_json(_outpath(cfg, "spectrum_report.json"), summary)
     ok = all(checks.values())
     print(f"spectrum: {'all checks passed' if ok else 'CHECK FAILURES'} "
           f"(report in {cfg.out_dir})")
@@ -209,14 +206,10 @@ def cmd_verify_all(cfg: ScenarioConfig) -> int:
     n_pass = sum(r.passed for r in results)
     print(f"{n_pass}/{len(results)} criteria passed")
     if cfg.json_output:
-        payload = [
-            {"number": r.number, "name": r.name, "passed": r.passed,
-             "details": r.details, "seconds": round(r.seconds, 3)}
-            for r in results
-        ]
         path = _outpath(cfg, "verification.json")
-        with open(path, "w") as fh:
-            fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        files.write_json(path, [
+            {**dataclasses.asdict(r), "seconds": round(r.seconds, 3)}
+            for r in results])
         print(f"wrote {path}")
     return 0 if n_pass == len(results) else 2
 

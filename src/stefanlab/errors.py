@@ -56,5 +56,5 @@ class ZeroInitialMode(StefanLabError):
     """Regime classification needs a nonzero driving mode."""
 
 
-class ConfigError(StefanLabError):
-    """Malformed scenario configuration."""
+class ConfigError(StefanLabError, ValueError):
+    """Malformed configuration, or an argument a library function rejects."""

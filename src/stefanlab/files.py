@@ -1,10 +1,36 @@
-"""Minimal hand-rolled SVG line plots (no plotting dependency)."""
+"""Result files, one format each: CSV as csv-module rows (``\\r\\n`` ends)
+with Python ``int`` cells as is and every other cell ``repr(float(x))``, the
+shortest text that reads back to the same double; JSON as ``json.dumps(
+payload, sort_keys=True, indent=2)`` plus a final newline; hand-rolled SVG
+line plots (no plotting dependency)."""
 
 from __future__ import annotations
 
+import csv
+import json
 import math
 
 import numpy as np
+
+
+def write_csv(path, header, rows):
+    """Write ``header`` and ``rows`` as CSV in the format above."""
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(header)
+        wr.writerows([x if isinstance(x, int) else repr(float(x))
+                      for x in row] for row in rows)
+
+
+def write_json(path, payload) -> str:
+    """The JSON text of ``payload`` in the format above, written to ``path``
+    unless it is None."""
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    if path is not None:
+        with open(path, "w") as fh:
+            fh.write(text)
+    return text
+
 
 _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 70, 20, 20, 50

@@ -23,13 +23,12 @@ the profile is kept.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import bessel, solver, spectrum
+from . import bessel, files, solver, spectrum
 from .errors import InsufficientHistory, NonConvergence
 from .spectrum import Basis
 from .weighted import RadialGrid, WeightParam, inner_b
@@ -194,8 +193,7 @@ def modulation_residual(states: list[ModulationState], dt_s: float,
     zeros = bessel.j0_zeros(k)
     lam = np.array([z.lam for z in zeros])
     slope = zeros[k - 1].boundary_slope
-    gcoef = np.array([bessel.scaling_coefficient(k, j, grid)
-                      for j in range(1, k)])
+    gcoef = bessel.coupling_coefficients(k, grid)
     s_arr = np.array([st.s for st in states])
     dB = (B[2:] - B[:-2]) / (2.0 * dt_s)
     Bm = B[1:-1]
@@ -230,17 +228,12 @@ class TrackResult:
         return np.vstack([st.coeffs for st in self.states])
 
     def to_csv(self, path):
-        k = self.k
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            head = (["s", "b"] + [f"b_{j}" for j in range(1, k + 1)]
-                    + ["E"] + [f"V_{j}" for j in range(1, k)]
-                    + [f"residual_{j}" for j in range(1, k + 1)])
-            wr.writerow(head)
-            for st, res in zip(self.states, self.residuals):
-                row = ([st.s, st.b] + list(st.coeffs) + [st.energy]
-                       + list(st.V) + list(res))
-                wr.writerow([repr(float(x)) for x in row])
+        head = (["s", "b"] + [f"b_{j}" for j in range(1, self.k + 1)]
+                + ["E"] + [f"V_{j}" for j in range(1, self.k)]
+                + [f"residual_{j}" for j in range(1, self.k + 1)])
+        files.write_csv(path, head,
+                        ([st.s, st.b, *st.coeffs, st.energy, *st.V, *res]
+                         for st, res in zip(self.states, self.residuals)))
 
 
 def track_run(grid: RadialGrid, v0: np.ndarray, k: int, ds: float,

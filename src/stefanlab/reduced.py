@@ -23,15 +23,15 @@ ceiling.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import bessel, modulation, solver
-from .errors import NoTrappedData, PoleCrossing
+from . import bessel, files, modulation, solver
+from .bessel import coupling_coefficients
+from .errors import ConfigError, NoTrappedData, PoleCrossing
 from .weighted import RadialGrid
 
 #: default ceiling on the summed squared trap variables
@@ -72,7 +72,7 @@ class RiccatiParams:
     @classmethod
     def for_mode(cls, k: int, b0: float) -> "RiccatiParams":
         if abs(b0) > 0.05:
-            raise ValueError("|b0| <= 0.05 in the reduced regime")
+            raise ConfigError("|b0| <= 0.05 in the reduced regime")
         return cls(k=k, lam_k=bessel.j0_zeros(k)[k - 1].lam,
                    sigma=(-1.0) ** (k + 1), b0=b0)
 
@@ -121,12 +121,6 @@ def mode_law_model(k: int, horizon: float) -> tuple[np.ndarray, np.ndarray]:
     return slopes, -(c / lam) * (1.0 - np.exp(-lam * horizon))
 
 
-def coupling_coefficients(k: int, grid: RadialGrid) -> np.ndarray:
-    """Quadrature couplings g_jk = <y eta_k', eta_j>_0 for j = 1..k-1."""
-    return np.array([bessel.scaling_coefficient(k, j, grid)
-                     for j in range(1, k)])
-
-
 @dataclass
 class ShootingResult:
     """Trapped datum found by the search, the terms of its certificate (the
@@ -162,11 +156,8 @@ class ShootingResult:
             "evaluations": self.evaluations,
             "jacobian": self.jacobian.tolist(),
         }
-        text = json.dumps(payload, sort_keys=True, indent=2)
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
-        return text
+        # the text is returned without the file's final newline
+        return files.write_json(path, payload)[:-1]
 
 
 @dataclass
@@ -203,10 +194,10 @@ class TrapEvaluator:
                  record_ds: float = solver.RECORD_DS,
                  mass_tol: float = solver.MASS_TOL, tol: float = SHOOT_TOL):
         if k < 2 or k > 3:
-            raise ValueError("trap shooting supports k in {2, 3}")
+            raise ConfigError("trap shooting supports k in {2, 3}")
         if ceiling <= 4.0 * tol:
-            raise ValueError(f"ceiling > 4 tol keeps the horizon positive; "
-                             f"got ceiling = {ceiling!r}, tol = {tol!r}")
+            raise ConfigError(f"ceiling > 4 tol keeps the horizon positive; "
+                              f"got ceiling = {ceiling!r}, tol = {tol!r}")
         self.k = k
         self.b_k0 = b_k0
         self.grid = grid

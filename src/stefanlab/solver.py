@@ -49,9 +49,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bessel, spectrum
-from .errors import (BoundaryBlowup, ConservationError, GridMismatch,
-                     NonPositiveRadius)
+from . import bessel, files, spectrum
+from .errors import (BoundaryBlowup, ConfigError, ConservationError,
+                     GridMismatch, NonConvergence, NonPositiveRadius)
 from .lapack import dpttrf, dpttrs
 from .weighted import RadialGrid, WeightParam, deriv_values, end_slope
 
@@ -83,7 +83,7 @@ class Stepper:
 
     def __init__(self, grid: RadialGrid, ds: float):
         if not ds > 0:
-            raise ValueError("ds must be positive")
+            raise ConfigError("ds must be positive")
         self.grid = grid
         self.ds = ds
         n, h = grid.n, grid.h
@@ -93,7 +93,7 @@ class Stepper:
         *self._ldl, info = dpttrf(op.node_mass * (1.0 + gds * op.diag),
                                   (-gds / h) * op.half_flux[: n - 1])
         if info != 0:
-            raise RuntimeError("tridiagonal factorization failed")
+            raise NonConvergence("tridiagonal factorization failed")
         self._mass = op.node_mass
         # at h = 1/12 (12 h = 1 exactly) the rows hold the stencils' integer
         # weights, so the interior sums are those of deriv_values
@@ -173,15 +173,9 @@ class TimeSeries:
     reached_floor: bool = False
 
     def to_csv(self, path):
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["s", "t", "lambda", "a", "mass", "l2b_norm"])
-            for i in range(len(self.s)):
-                wr.writerow([repr(float(x)) for x in
-                             (self.s[i], self.t[i], self.lam[i],
-                              self.a[i], self.mass[i], self.vnorm[i])])
+        files.write_csv(path, ["s", "t", "lambda", "a", "mass", "l2b_norm"],
+                        zip(self.s, self.t, self.lam, self.a, self.mass,
+                            self.vnorm))
 
 
 def run(grid: RadialGrid, v0: np.ndarray, ds: float, s_max: float,
@@ -192,7 +186,7 @@ def run(grid: RadialGrid, v0: np.ndarray, ds: float, s_max: float,
     overflows is no bound.
 
     A v0 without one sample per node raises :class:`GridMismatch`, one
-    that does not vanish at y = 1 ``ValueError``, as does a ``ds`` for
+    that does not vanish at y = 1 :class:`ConfigError`, as does a ``ds`` for
     which ``record_ds / ds`` is not finite (NaN, or so small that it
     overflows) or exceeds ``MAX_STEPS_PER_RECORD``.  The mass invariant is
     checked at every record; drifting past ``mass_tol`` (relative), or a
@@ -209,15 +203,15 @@ def run(grid: RadialGrid, v0: np.ndarray, ds: float, s_max: float,
         raise GridMismatch(f"profile of shape {v.shape} on {grid} "
                            f"({grid.n + 1} nodes)")
     if v[-1] != 0.0:
-        raise ValueError(f"profile must vanish at y = 1, got {v[-1]:g}")
+        raise ConfigError(f"profile must vanish at y = 1, got {v[-1]:g}")
     per_record = record_ds / ds
     if not math.isfinite(per_record):
-        raise ValueError(f"record_ds / ds is not finite: record_ds = "
-                         f"{record_ds:g}, ds = {ds:g}")
+        raise ConfigError(f"record_ds / ds is not finite: record_ds = "
+                          f"{record_ds:g}, ds = {ds:g}")
     if per_record > MAX_STEPS_PER_RECORD:
-        raise ValueError(f"record_ds / ds = {per_record:.3g} exceeds "
-                         f"{MAX_STEPS_PER_RECORD:g} steps per record: "
-                         f"record_ds = {record_ds:g}, ds = {ds:g}")
+        raise ConfigError(f"record_ds / ds = {per_record:.3g} exceeds "
+                          f"{MAX_STEPS_PER_RECORD:g} steps per record: "
+                          f"record_ds = {record_ds:g}, ds = {ds:g}")
     stepper = Stepper(grid, ds)
     lam = 1.0
     s = t = 0.0

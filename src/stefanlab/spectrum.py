@@ -35,18 +35,17 @@ the cold LAPACK solve runs, and its basis is returned unchanged.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import bessel
-from .errors import NonConvergence, SingularGram
+from . import bessel, files
+from .errors import ConfigError, NonConvergence, SingularGram
 from .lapack import dgtsv, lowest_eigh_tridiagonal
 from .weighted import (RadialGrid, WeightParam, deriv_values, end_slope,
-                       inner_b, right_stencils)
+                       inner_b, nodal_rho, right_stencils)
 
 #: largest number of eigenpairs `eigenpairs` computes
 MAX_EIGENPAIRS = 12
@@ -105,7 +104,7 @@ def assemble_hb(grid: RadialGrid, w: WeightParam) -> DriftOperator:
     n, h = grid.n, grid.h
     yh = (np.arange(n) + 0.5) * h
     half_flux = yh * w.rho(yh)
-    mass = grid.y * w.rho(grid.y) * h
+    mass = grid.y * nodal_rho(grid, w) * h
     # origin cell [0, h/2]: int_0^{h/2} rho y dy, rho evaluated mid-cell
     mass[0] = (h * h / 8.0) * float(w.rho(np.array([h / 4.0]))[0])
     m = mass[:n]
@@ -155,7 +154,7 @@ class Basis:
     def _weights(self) -> np.ndarray:
         """Quadrature weights of the weighted inner product at ``b``."""
         grid = self.grid
-        return grid.simpson * WeightParam(self.b).rho(grid.y) * grid.y
+        return grid.simpson * nodal_rho(grid, WeightParam(self.b)) * grid.y
 
     @functools.cached_property
     def _gram(self) -> np.ndarray:
@@ -201,15 +200,15 @@ def eigenpairs(grid: RadialGrid, w: WeightParam, count: int,
     back to the cold LAPACK solve.
     """
     if not 1 <= count <= MAX_EIGENPAIRS:
-        raise ValueError(f"count must be in [1, {MAX_EIGENPAIRS}]")
+        raise ConfigError(f"count must be in [1, {MAX_EIGENPAIRS}]")
     if grid.n < 512:
-        raise ValueError("eigenpairs requires a grid of at least 512 intervals")
+        raise ConfigError("eigenpairs requires a grid of at least 512 intervals")
     op = assemble_hb(grid, w)
     # the similarity between nodal values and the symmetrized matrix
     root_mass = np.sqrt(op.node_mass)
     if start is not None:
         if start.psis.shape != (grid.n + 1, count):
-            raise ValueError("start basis does not match the grid and count")
+            raise ConfigError("start basis does not match the grid and count")
         vecs = _inverse_iteration(op, start.psis[: grid.n].T * root_mass)
         if vecs is not None:
             basis, proj = _post_process(grid, w, op, vecs, root_mass)
@@ -317,7 +316,7 @@ def perturbation_sweep(grid: RadialGrid, k: int, b_values) -> PerturbationReport
     """
     bs = np.asarray(sorted(b_values), dtype=float)
     if len(bs) < 3 or np.any(bs == 0.0) or np.any(np.abs(bs) >= 0.05):
-        raise ValueError("need >= 3 nonzero b values inside (-0.05, 0.05)")
+        raise ConfigError("need >= 3 nonzero b values inside (-0.05, 0.05)")
     lam0 = eigenpairs(grid, WeightParam(0.0), k).lams[k - 1]
     bases = [eigenpairs(grid, WeightParam(b), k) for b in bs]
     lam_vals = np.array([basis.lams[k - 1] for basis in bases])
@@ -348,7 +347,7 @@ def random_dirichlet(grid: RadialGrid, rng: np.random.Generator,
     gap check vacuous; a random low-mode combination actually probes it.
     """
     if not 1 <= modes <= 64:
-        raise ValueError("modes must be in [1, 64]")
+        raise ConfigError("modes must be in [1, 64]")
     coeffs = rng.standard_normal(modes) / np.arange(1, modes + 1)
     vals = np.zeros(grid.n + 1)
     for j in range(1, modes + 1):
@@ -366,7 +365,7 @@ def spectral_gap_check(grid: RadialGrid, w: WeightParam, k: int,
     The gap estimate predicts a value above lam_{k+1} - O(|b|).
     """
     if k > 8:
-        raise ValueError("gap check supports k <= 8")
+        raise ConfigError("gap check supports k <= 8")
     basis = eigenpairs(grid, w, k)
     rng = np.random.default_rng(seed)
     best = math.inf
@@ -378,13 +377,8 @@ def spectral_gap_check(grid: RadialGrid, w: WeightParam, k: int,
 
 def sweep_to_csv(path, reports: list[PerturbationReport]):
     """CSV rows (b, k, lambda_bk, boundary_slope, residual) per sweep point."""
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["b", "k", "lambda_bk", "boundary_slope", "residual"])
-        for rep in reports:
-            for i, b in enumerate(rep.b_values):
-                wr.writerow([
-                    repr(float(b)), rep.k, repr(float(rep.lam_values[i])),
-                    repr(float(rep.boundary_slopes[i])),
-                    repr(float(rep.residuals[i])),
-                ])
+    files.write_csv(
+        path, ["b", "k", "lambda_bk", "boundary_slope", "residual"],
+        [[b, rep.k, lam, slope, res] for rep in reports
+         for b, lam, slope, res in zip(rep.b_values, rep.lam_values,
+                                       rep.boundary_slopes, rep.residuals)])

@@ -12,9 +12,11 @@ Each criterion is a check returning (passed, details), declared once with
 (criteria 1, 2 and 8), returns a :class:`CriterionResult` and registers it
 in ``ALL_CRITERIA``.  Criteria 2 and 3 read the drift law from
 :func:`spectrum.perturbation_sweep`, the measurement ``--mode spectrum``
-reports.  ``run_all`` executes the suite (optionally a quick spectral-only
-subset) and is what the ``verify-all`` CLI mode drives; the acceptance
-tests call the criteria one by one.
+reports; criteria 6-8 read :func:`asymptotics.verdict` of their runs, the
+verdict ``--mode run`` writes, against their own bounds.  ``run_all``
+executes the suite (optionally a quick spectral-only subset) and is what
+the ``verify-all`` CLI mode drives; the acceptance tests call the criteria
+one by one.
 
 Criterion 3 (boundary-slope drift constant <= 0.5) is retained verbatim but
 is not attainable: a Rellich-type identity forces the unit-norm eigenpair's
@@ -84,6 +86,12 @@ class VerificationContext:
 
     def k1_track(self, sign: int):
         return self._k1(sign, 1024)[2]
+
+    def k1_verdict(self, sign: int) -> dict:
+        """:func:`asymptotics.verdict` of the n = 1024 run, the verdict
+        ``--mode run`` writes for it."""
+        return self._get(("k1_verdict", sign), lambda: asymptotics.verdict(
+            self.k1_run(sign)[0], 1, sign * K1_B0, self.k1_run(sign)[1]))
 
     def k2_family(self, sign: int = 1):
         """Shoot for trapped data and build the fit run at the same
@@ -262,11 +270,7 @@ def criterion_5(ctx: VerificationContext):
 
 @_criterion(6, "terminal radius")
 def criterion_6(ctx: VerificationContext):
-    errs = []
-    for sign in (+1, -1):
-        ts, u0i = ctx.k1_run(sign)
-        measured, predicted = asymptotics.terminal_radius(ts, u0i)
-        errs.append(abs(measured - predicted))
+    errs = [ctx.k1_verdict(sign)["radius_defect"] for sign in (+1, -1)]
     return max(errs) <= 1e-4, (f"|measured - predicted| = {errs[0]:.2e}, "
                                f"{errs[1]:.2e} (<= 1e-4)")
 
@@ -279,16 +283,12 @@ def criterion_7(ctx: VerificationContext):
     rows = []
     ok = True
     for sign in (+1, -1):
-        ts, u0i = ctx.k1_run(sign)
-        lam_inf = asymptotics.predicted_terminal_radius(u0i)
-        fit = asymptotics.fit_rate(ts, lam_inf, 1)
-        regime = asymptotics.classify_regime(1, sign * K1_B0)
-        direction_ok = (regime == "melting") == (lam_inf > 1.0)
-        ok = ok and fit.rate_rel_error <= 0.02 and fit.r_squared >= 0.999 \
-            and direction_ok
+        v = ctx.k1_verdict(sign)
+        ok = ok and v["rate_rel_error"] <= 0.02 and v["r_squared"] >= 0.999 \
+            and v["direction_consistent"]
         rows.append(f"b0={sign * K1_B0:+.3f}: rate rel err "
-                    f"{fit.rate_rel_error:.3%}, R2={fit.r_squared:.5f}, "
-                    f"{regime}")
+                    f"{v['rate_rel_error']:.3%}, R2={v['r_squared']:.5f}, "
+                    f"{v['regime']}")
     return ok, "; ".join(rows)
 
 
@@ -301,9 +301,8 @@ def criterion_8(ctx: VerificationContext):
     fam = ctx.k2_family(+1)
     res = fam["result"]
     ev = fam["evaluator"]
-    lam_inf = asymptotics.predicted_terminal_radius(fam["u0_integral"])
-    fit = asymptotics.fit_rate(fam["fit_ts"], lam_inf, 2)
-    ok = fit.rate_rel_error <= 0.03 and fit.r_squared >= 0.999
+    v = asymptotics.verdict(fam["fit_ts"], 2, ev.b_k0, fam["u0_integral"])
+    ok = v["rate_rel_error"] <= 0.03 and v["r_squared"] >= 0.999
     witness_exits = []
     for sgn in (+1, -1):
         pert = np.array(res.initials)
@@ -311,7 +310,7 @@ def criterion_8(ctx: VerificationContext):
         witness_exits.append(ev.evaluate(pert).exit_s)
     ok = ok and all(x is not None for x in witness_exits)
     return ok, (f"trapped b_1(0) = {res.initials[0]:+.3e}, rate rel err = "
-                f"{fit.rate_rel_error:.3%}, witness exits at s = "
+                f"{v['rate_rel_error']:.3%}, witness exits at s = "
                 f"{witness_exits[0]}, {witness_exits[1]}")
 
 

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
+
 #: hard cap on the drift parameter accepted by library entry points
 B_CAP = 0.2
 #: above this the perturbative expansions are no longer comfortably valid
@@ -36,7 +38,7 @@ class RadialGrid:
 
     def __init__(self, n: int):
         if n < 8 or n % 2 != 0:
-            raise ValueError(f"grid size must be even and >= 8, got {n}")
+            raise ConfigError(f"grid size must be even and >= 8, got {n}")
         self.n = int(n)
         self.h = 1.0 / self.n
         self.y = np.linspace(0.0, 1.0, self.n + 1)
@@ -67,7 +69,7 @@ class WeightParam:
 
     def __post_init__(self):
         if not np.isfinite(self.b) or abs(self.b) >= B_CAP:
-            raise ValueError(f"|b| must be < {B_CAP}, got {self.b}")
+            raise ConfigError(f"|b| must be < {B_CAP}, got {self.b}")
         if abs(self.b) > B_WARN:
             warnings.warn(
                 f"drift parameter |b|={float(abs(self.b))!r} > {B_WARN}; "
@@ -82,9 +84,10 @@ class WeightParam:
 
 
 @functools.lru_cache(maxsize=8)
-def _nodal_rho(grid: RadialGrid, w: WeightParam) -> np.ndarray:
-    """rho_b at the nodes of ``grid``; read-only and memoized, so the norms,
-    projections and residuals of one basis evaluate the exponential once."""
+def nodal_rho(grid: RadialGrid, w: WeightParam) -> np.ndarray:
+    """rho_b at the nodes of ``grid``; read-only and memoized, so the node
+    masses, norms, projections and residuals of one basis evaluate the
+    exponential once."""
     rho = w.rho(grid.y)
     rho.flags.writeable = False
     return rho
@@ -95,7 +98,7 @@ def inner_b(grid: RadialGrid, f: np.ndarray, g: np.ndarray,
     """Simpson approximation of int_0^1 f g rho_b y dy for nodal samples on
     ``grid``, summed over the last axis: a float for profiles, one value per
     row for stacks of them (row by row the same floats)."""
-    out = np.sum(grid.simpson * f * g * _nodal_rho(grid, w) * grid.y, axis=-1)
+    out = np.sum(grid.simpson * f * g * nodal_rho(grid, w) * grid.y, axis=-1)
     return float(out) if out.ndim == 0 else out
 
 
