@@ -163,16 +163,15 @@ def cmd_run(cfg: ScenarioConfig) -> int:
             "--lower/--shoot-file)"
         )
     grid = RadialGrid(cfg.grid_n)
-    schedule: dict = {}   # k > 1: the profile's b(0) basis is the track's
     v0 = modulation.build_profile(grid, cfg.k, [*cfg.lower_modes, cfg.b0],
-                                  cfg.amplitude, schedule)
+                                  cfg.amplitude)
     ds = cfg.ds if cfg.ds is not None else solver.default_ds(grid, cfg.k)
     s_max = (cfg.s_max if cfg.s_max is not None
              else solver.default_s_max(cfg.k))
     u0i = asymptotics.u0_disk_integral(grid, v0)
     series, track = modulation.track_run(
         grid, v0, cfg.k, ds=ds, s_max=s_max, amplitude=cfg.amplitude,
-        basis_cache=schedule, record_ds=cfg.record_ds, mass_tol=cfg.mass_tol)
+        record_ds=cfg.record_ds, mass_tol=cfg.mass_tol)
     series.to_csv(_outpath(cfg, "timeseries.csv"))
     track.to_csv(_outpath(cfg, "modulation.csv"))
     verdict = asymptotics.verdict(series, cfg.k, cfg.b0, u0i,
@@ -216,7 +215,7 @@ def cmd_verify_all(cfg: ScenarioConfig) -> int:
 
 def _drift_warning_once():
     """Show the first drift-range warning of :class:`WeightParam` and ignore
-    the rest: one run solves bases at many b next to each other."""
+    the rest: one run takes bases at many b next to each other."""
     show = warnings.showwarning
 
     def show_first(message, category, *args, **kwargs):

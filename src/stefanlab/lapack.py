@@ -41,7 +41,7 @@ def _load_flapack():
 
 
 _flapack = _load_flapack()
-dpttrf, dpttrs, dgtsv = _flapack.dpttrf, _flapack.dpttrs, _flapack.dgtsv
+dpttrf, dpttrs = _flapack.dpttrf, _flapack.dpttrs
 
 
 def lowest_eigh_tridiagonal(d: np.ndarray, e: np.ndarray,

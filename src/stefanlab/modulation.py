@@ -2,17 +2,15 @@
 
 A profile v(s) is split as v = sum_j b_j psi_{b,j} + eps with eps weighted-
 orthogonal to the first k eigenfunctions psi_{b,j} of the drifted Laplacian
-H_b, solved at exactly the parameter b the profile is decomposed at (frozen
-at b = 0 below B_FREEZE).  Only the choice of b depends on the regime: for
-the ground mode (k = 1) it is the coefficient itself, found by a fixed-point
-iteration; for k > 1 it rides a fixed adiabatic schedule
+H_b, taken at exactly the parameter b the profile is decomposed at.  Every
+such basis is the one of :func:`spectrum.basis_family` at b: the
+interpolant of 13 cold solves over |b| < 0.2, within 1.1e-11 of a cold
+solve in psi, so a record's basis depends on its b alone.  Only the choice
+of b depends on the regime: for the ground mode (k = 1) it is the
+coefficient itself, found by a fixed-point iteration; for k > 1 it rides a
+fixed adiabatic schedule
 
-    b(s) = A e^{-lam_k s} / (s + 1),
-
-whose bases are memoized per scheduled b, since the schedule does not
-depend on the data.  Either way a basis is warm-started from the previous
-one (see :func:`spectrum.eigenpairs`), so a run's first eigensolve is its
-only cold one unless a warm result fails its checks.
+    b(s) = A e^{-lam_k s} / (s + 1).
 
 Tracked at each record as the run takes it (:func:`track_run`): the
 coefficients b_j, the second-order energy E = ||H_b eps||^2 (weighted) of
@@ -24,7 +22,7 @@ the profile is kept.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,8 +33,6 @@ from .weighted import RadialGrid, WeightParam, inner_b
 
 #: default amplitude of the adiabatic basis schedule for k > 1
 ADIABATIC_AMPLITUDE = 0.02
-#: below this the basis is frozen at b = 0 (eigenpairs are numerically static)
-B_FREEZE = 1e-9
 
 
 def trap_rate(k: int) -> float:
@@ -54,11 +50,6 @@ def adiabatic_b(s: float, k: int,
     """Adiabatic basis parameter A e^{-lam_k s} / (s + 1)."""
     lam_k = bessel.j0_zeros(k)[k - 1].lam
     return amplitude * math.exp(-lam_k * s) / (s + 1.0)
-
-
-def frozen_b(b: float) -> float:
-    """Parameter a basis for b is solved at: 0 below B_FREEZE, else b."""
-    return 0.0 if abs(b) < B_FREEZE else b
 
 
 @dataclass
@@ -103,70 +94,38 @@ def energy_of(grid: RadialGrid, eps: np.ndarray, w: WeightParam,
 
 def self_consistent_b1(grid: RadialGrid, v: np.ndarray,
                        tol: float = 1e-12, max_iter: int = 50,
-                       initial: float | None = None,
-                       basis: Basis | None = None):
+                       initial: float | None = None) -> tuple[float, Basis]:
     """Ground-mode coefficient of the profile v on ``grid``, with the basis
     parameter equal to itself.
 
     Fixed-point iteration b <- F(b) = <v, psi_{b,1}>_b / <psi_{b,1}, psi_{b,1}>_b
-    from ``initial`` (default 0), stopped at the first iterate with
+    from ``initial`` (default 0) on the bases of
+    :func:`spectrum.basis_family`, stopped at the first iterate with
     |F(b) - b| < tol; raises :class:`NonConvergence` after ``max_iter``
-    iterations.  A ``basis`` already solved at an iterate's parameter is used
-    instead of a new eigensolve; otherwise the current basis warm-starts
-    the solve at the new iterate (see :func:`spectrum.eigenpairs`), and only
-    a solve without one is cold.  Returns ``(b, basis, solves)``: that
-    iterate, its basis (solved at ``frozen_b(b)``) and the number of
-    eigensolves performed.
+    iterations.  Returns ``(b, basis)``: that iterate and its basis.
     """
+    family = spectrum.basis_family(grid, 1)
     b = 0.0 if initial is None else float(initial)
-    solves = 0
     for _ in range(max_iter):
-        bb = frozen_b(b)
-        if basis is None or basis.b != bb:
-            basis = Basis.solve(grid, bb, 1, start=basis)
-            solves += 1
-        w = WeightParam(bb)
+        basis = family.at(b)
+        w = WeightParam(b)
         psi = basis.psis[:, 0]
         b_new = inner_b(grid, v, psi, w) / inner_b(grid, psi, psi, w)
         if abs(b_new - b) < tol:
-            return b, basis, solves
+            return b, basis
         b = b_new
     raise NonConvergence("self-consistent ground-mode parameter did not settle")
 
 
-def scheduled_basis(cache: dict, grid: RadialGrid, k: int, s: float,
-                    amplitude: float, start: Basis | None = None) -> Basis:
-    """Basis at the adiabatic schedule's parameter for s, memoized in
-    ``cache`` (one per grid and k) by that parameter and kept without its
-    operator, so that a cache shared by many runs stays small.
-
-    On a miss the solve is warm-started from ``start`` (see
-    :func:`spectrum.eigenpairs`), the basis of the run's previous record;
-    without one it is cold.  Every run starts at s = 0 on the same
-    schedule, so an entry's start is the same whichever run solved it.
-    """
-    b = frozen_b(adiabatic_b(s, k, amplitude))
-    if b not in cache:
-        cache[b] = replace(Basis.solve(grid, b, k, start=start),
-                           operator=None)
-    return cache[b]
-
-
 def build_profile(grid: RadialGrid, k: int, coeffs,
-                  amplitude: float = ADIABATIC_AMPLITUDE,
-                  cache: dict | None = None) -> np.ndarray:
+                  amplitude: float = ADIABATIC_AMPLITUDE) -> np.ndarray:
     """Initial data sum_j coeffs[j] psi_{b, j+1} of a k-mode run, with
-    coeffs = (b_1(0), .., b_k(0)).  The basis parameter b is the ground
-    coefficient itself for k = 1 and the adiabatic schedule's b(0), as
-    tracked, for k > 1, whose basis is read from (or solved cold into) the
-    schedule ``cache`` of :func:`scheduled_basis` when one is given."""
+    coeffs = (b_1(0), .., b_k(0)), on the basis of
+    :func:`spectrum.basis_family` at b: the ground coefficient itself for
+    k = 1 and the adiabatic schedule's b(0), as tracked, for k > 1."""
     coeffs = np.asarray(coeffs, dtype=float)
-    if k == 1:
-        basis = Basis.solve(grid, float(coeffs[0]), 1)
-    else:
-        basis = scheduled_basis({} if cache is None else cache, grid, k,
-                                0.0, amplitude)
-    vals = basis.psis @ coeffs
+    b = coeffs[0] if k == 1 else adiabatic_b(0.0, k, amplitude)
+    vals = spectrum.basis_family(grid, k).at(b).psis @ coeffs
     vals[-1] = 0.0
     return vals
 
@@ -215,14 +174,12 @@ class TrackResult:
     """Per-record decompositions of a run plus summary diagnostics.
 
     ``residuals`` holds the mode-law residuals of each state (see
-    :func:`modulation_residual`; all NaN for fewer than 3 states), and
-    ``n_basis_refreshes`` counts the eigensolves the tracking performed.
+    :func:`modulation_residual`; all NaN for fewer than 3 states).
     """
 
     k: int
     states: list[ModulationState]
     residuals: np.ndarray     # (n_states, k)
-    n_basis_refreshes: int
 
     def coeff_array(self) -> np.ndarray:
         return np.vstack([st.coeffs for st in self.states])
@@ -238,45 +195,32 @@ class TrackResult:
 
 def track_run(grid: RadialGrid, v0: np.ndarray, k: int, ds: float,
               s_max: float, amplitude: float = ADIABATIC_AMPLITUDE,
-              basis_cache: dict | None = None,
               **run_options) -> tuple[solver.TimeSeries, TrackResult]:
     """Run the flow of the profile v0 on ``grid`` with :func:`solver.run`
     (``ds``, ``s_max`` and ``run_options`` are its arguments) and decompose
     each record as the run takes it; returns ``(series, track)``.
 
-    Every record is decomposed on the basis solved at exactly its parameter
-    b.  For k = 1, b is the self-consistent ground coefficient, warm-started
-    from the previous record's b and basis.  For k > 1, b is the adiabatic
-    schedule's value at the record, and its basis comes from
-    ``basis_cache`` (see :func:`scheduled_basis`), which can be shared
-    across runs of the same family; a miss is warm-started from the
-    previous record's basis.  Either way the first record's first
-    eigensolve is the only cold one unless a warm result fails its checks.
+    Every record is decomposed on the basis of
+    :func:`spectrum.basis_family` at exactly its parameter b: for k = 1 the
+    self-consistent ground coefficient, iterated from the previous record's
+    b; for k > 1 the adiabatic schedule's value at the record.
     """
-    cache = basis_cache if basis_cache is not None else {}
-    n_cached = len(cache)
+    family = spectrum.basis_family(grid, k)
     states: list[ModulationState] = []
-    n_solves = 0
-    b, basis = None, None
+    b = None
 
     def observe(s, v):
-        nonlocal b, basis, n_solves
+        nonlocal b
         if k == 1:
-            b, basis, solves = self_consistent_b1(grid, v, initial=b,
-                                                  basis=basis)
-            n_solves += solves
+            b, basis = self_consistent_b1(grid, v, initial=b)
         else:
-            basis = scheduled_basis(cache, grid, k, s, amplitude,
-                                    start=basis)
+            basis = family.at(adiabatic_b(s, k, amplitude))
         states.append(decompose(v, s, basis))
 
     series = solver.run(grid, v0, ds, s_max, observe=observe, **run_options)
-    n_solves += len(cache) - n_cached
-
     if len(states) >= 3:
         residuals = modulation_residual(
             states, float(series.s[1] - series.s[0]), grid)
     else:
         residuals = np.full((len(states), k), np.nan)
-    return series, TrackResult(k=k, states=states, residuals=residuals,
-                               n_basis_refreshes=n_solves)
+    return series, TrackResult(k=k, states=states, residuals=residuals)

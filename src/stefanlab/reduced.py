@@ -182,9 +182,10 @@ class TrapEvaluator:
     ``horizon`` min(s_max, default_shoot_horizon): the first record with
     s >= horizon - ds/2 (NaN if the run stopped short of it).  ``tol`` is
     the search's step tolerance; ``ceiling > 4 tol`` keeps the horizon
-    positive.  The bases of the adiabatic schedule, the profiles' b(0)
-    basis included, are solved once and shared across evaluations in
-    ``basis_cache`` (the schedule is data-independent).
+    positive.  The profiles and the tracks of every evaluation take their
+    bases at the adiabatic schedule's b from the one interpolated family
+    of the grid and k (:func:`spectrum.basis_family`), whose 13 node solves
+    are the process's only eigensolves for it.
     """
 
     def __init__(self, k: int, b_k0: float, grid: RadialGrid,
@@ -210,18 +211,16 @@ class TrapEvaluator:
         self.amplitude = amplitude
         self.record_ds = record_ds
         self.mass_tol = mass_tol
-        self.basis_cache: dict = {}
         self.evaluations = 0
 
     def evaluate(self, lower) -> TrapEvaluation:
         lower = np.atleast_1d(np.asarray(lower, dtype=float))
         v0 = modulation.build_profile(self.grid, self.k, [*lower, self.b_k0],
-                                      self.amplitude, self.basis_cache)
+                                      self.amplitude)
         series, track = modulation.track_run(
             self.grid, v0, self.k, ds=self.ds, s_max=self.s_max,
-            amplitude=self.amplitude, basis_cache=self.basis_cache,
-            record_ds=self.record_ds, mass_tol=self.mass_tol,
-            norm_floor=SHOOT_NORM_FLOOR)
+            amplitude=self.amplitude, record_ds=self.record_ds,
+            mass_tol=self.mass_tol, norm_floor=SHOOT_NORM_FLOOR)
         self.evaluations += 1
         at = np.nonzero(series.s >= self.horizon - 0.5 * self.ds)[0]
         horizon_V = (track.states[at[0]].V.copy() if len(at)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stefanlab
-from stefanlab import cli, reduced, solver
+from stefanlab import cli, reduced, solver, spectrum
 from stefanlab.config import (MODES, ScenarioConfig, parse_config,
                               serialize_config, with_overrides)
 from stefanlab.errors import ConfigError, NoTrappedData
@@ -411,6 +412,19 @@ class TestCliRun:
                   if "UserWarning: drift parameter |b|=" in line]
         assert len(warned) == 1
         assert "Traceback" not in proc.stderr
+
+    def test_family_nodes_print_no_drift_warning(self, tmp_path, capsys):
+        # the nodes of a fresh basis family reach |b| = 0.1985; a run whose
+        # own b stays below 0.05 warns nothing
+        spectrum.basis_family.cache_clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["--mode", "run", "--k", "1", "--grid", "512",
+                             "--b0", "0.01", "--smax", "0.05",
+                             "--out", str(tmp_path)])
+        assert code == 2  # too short to reach the decay floor
+        assert not [w for w in caught if "drift parameter" in str(w.message)]
+        assert "drift parameter" not in capsys.readouterr().err
 
     def test_k1_run_pass(self, tmp_path):
         out = tmp_path / "run"

@@ -6,8 +6,6 @@ also a ``ValueError``; a failed factorization of the stepper's matrix
 raises :class:`NonConvergence`.  No example starts a PDE run.
 """
 
-import types
-
 import numpy as np
 import pytest
 
@@ -41,8 +39,7 @@ BAD_ARGUMENTS = {
         G512, _profile(0.0), ds=1e-200, s_max=0.01),
     "eigenpairs count": lambda: spectrum.eigenpairs(G512, W0, 0),
     "eigenpairs grid": lambda: spectrum.eigenpairs(RadialGrid(256), W0, 1),
-    "eigenpairs start": lambda: spectrum.eigenpairs(
-        G512, W0, 2, start=types.SimpleNamespace(psis=np.zeros((513, 1)))),
+    "family |b|": lambda: spectrum.basis_family(G512, 1).at(-0.2),
     "sweep b values": lambda: spectrum.perturbation_sweep(G512, 1, [0.01]),
     "random profile modes": lambda: spectrum.random_dirichlet(
         G512, np.random.default_rng(0), modes=0),

@@ -105,15 +105,14 @@ class TestDecompose:
 
 class TestSelfConsistentB1:
     def test_zero_input(self, grid512):
-        b, basis, solves = modulation.self_consistent_b1(grid512,
-                                                         np.zeros(513))
-        assert b == 0.0 and basis.b == 0.0 and solves == 1
+        b, basis = modulation.self_consistent_b1(grid512, np.zeros(513))
+        assert b == 0.0 and basis.b == 0.0
 
     def test_constructed_fixed_point(self, grid512):
         target = 0.01
         basis = modulation.Basis.solve(grid512, target, 1)
         v = target * basis.psis[:, 0]
-        got, basis, _ = modulation.self_consistent_b1(grid512, v)
+        got, basis = modulation.self_consistent_b1(grid512, v)
         assert abs(got - target) < 1e-10
         assert basis.b == got
 
@@ -309,14 +308,37 @@ def k2_run(grid, **steps):
                 k=2, ds=solver.default_ds(grid, 2), **steps)
 
 
+def counted(monkeypatch, module, name) -> list:
+    """Count the calls of ``module.name`` from here on."""
+    calls = []
+    fn = getattr(module, name)
+
+    def count(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, count)
+    return calls
+
+
+class ColdFamily:
+    """A family whose basis at b is the cold solve there."""
+
+    def __init__(self, grid, k):
+        self.grid, self.k = grid, k
+
+    def at(self, b):
+        return modulation.Basis.solve(self.grid, b, self.k)
+
+
 class TestK1BasisReuse:
-    """k = 1 tracking reuses the previous record's basis and operator; the
+    """k = 1 tracking reuses the family's node solves for every record; the
     reference loop solves every basis and assembles every H_b afresh."""
 
     @pytest.fixture(scope="class")
     def run(self, grid512):
-        # run to the norm floor at a coarse record cadence: records on both
-        # sides of B_FREEZE are part of the run
+        # run to the norm floor at a coarse record cadence: b_1 falls from
+        # 1e-2 to ~1e-12, across the family's whole range of scales
         return k1_run(grid512, -0.01, s_max=6.0, record_ds=1e-2)
 
     @pytest.fixture(scope="class")
@@ -327,49 +349,29 @@ class TestK1BasisReuse:
 
     @staticmethod
     def fresh_states(grid, profiles, monkeypatch):
-        # every eigensolve cold: the LAPACK path, without a start basis
-        cold = spectrum.eigenpairs
-        monkeypatch.setattr(
-            spectrum, "eigenpairs",
-            lambda grid, w, count, start=None: cold(grid, w, count))
-        states, solves, b1 = [], 0, None
+        # every basis a cold LAPACK solve at its b
+        monkeypatch.setattr(spectrum, "basis_family", ColdFamily)
+        states, b1 = [], None
         for s, v in profiles:
-            b1, basis, n = modulation.self_consistent_b1(grid, v, initial=b1)
-            solves += n
+            b1, basis = modulation.self_consistent_b1(grid, v, initial=b1)
             bare = replace(basis, operator=None)
             states.append(modulation.decompose(v, s, bare))
         monkeypatch.undo()
-        return states, solves
+        return states
 
     def test_close_to_fresh_solves(self, run, profiles, monkeypatch):
-        # warm-started bases differ from cold ones at round-off: b and the
+        # interpolated bases differ from cold ones at round-off: b and the
         # coefficients by <= 1.1e-15 relative; E = ||H_b eps||^2 by <= 1e-6
         # relative where it is above ~1e-21, while at s = 0, where eps is
         # round-off, E itself is ~1e-24
         series, track = modulation.track_run(**run)
-        ref, ref_solves = self.fresh_states(run["grid"], profiles,
-                                            monkeypatch)
+        ref = self.fresh_states(run["grid"], profiles, monkeypatch)
         assert len(track.states) == len(ref) == len(series.s)
         for got, want in zip(track.states, ref):
             assert abs(got.b - want.b) <= 1e-14 * abs(want.b)
             assert np.allclose(got.coeffs, want.coeffs, rtol=1e-14, atol=0.0)
             assert abs(got.energy - want.energy) <= (1e-6 * want.energy
                                                      + 1e-21)
-        assert track.n_basis_refreshes < ref_solves
-
-    def test_at_most_two_cold_eigensolves(self, run, monkeypatch):
-        # only the first record's first solve has no start basis; a warm
-        # result that failed its checks would add a cold solve
-        calls = []
-        eigh = spectrum.lowest_eigh_tridiagonal
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return eigh(*args, **kwargs)
-
-        monkeypatch.setattr(spectrum, "lowest_eigh_tridiagonal", counted)
-        _, track = modulation.track_run(**run)
-        assert len(calls) <= 2 < track.n_basis_refreshes
 
     def test_repeatable_bytes(self, run, tmp_path):
         paths = [tmp_path / "first.csv", tmp_path / "second.csv"]
@@ -377,22 +379,9 @@ class TestK1BasisReuse:
             modulation.track_run(**run)[1].to_csv(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_refresh_count_is_eigensolve_count(self, run, monkeypatch):
-        calls = []
-        solve = spectrum.eigenpairs
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(spectrum, "eigenpairs", counted)
-        _, track = modulation.track_run(**run)
-        assert track.n_basis_refreshes == len(calls)
-        assert len(calls) <= 2 * len(track.states)
-
 
 class TestExactBasis:
-    """Each record is decomposed on the basis solved at exactly its b."""
+    """Each record is decomposed on the family's basis at exactly its b."""
 
     @pytest.fixture(scope="class")
     def k1(self, grid512):
@@ -423,7 +412,6 @@ class TestExactBasis:
         series, track, seen = self.decomposed(monkeypatch, run)
         assert len(seen) == len(series.s)
         bs = [basis.b for _, basis in seen]
-        assert all(abs(b) >= modulation.B_FREEZE for b in bs)
         assert [st.b for st in track.states] == bs
         if k == 1:
             # the self-consistent parameter: b_1 of the decomposition
@@ -433,55 +421,33 @@ class TestExactBasis:
             assert bs == [modulation.adiabatic_b(s, 2) for s, _ in seen]
 
     def test_k2_bases_are_fresh_solves(self, k2, monkeypatch):
-        # the first record's basis is a cold solve, each later one the
-        # solve warm-started from the previous record's basis, which stays
-        # within round-off of the cold solve
+        # each record's basis is the family's at its b, whatever came
+        # before, and within the cold solver's noise of the cold solve
         _, _, seen = self.decomposed(monkeypatch, k2)
         grid = k2["grid"]
-        previous = None
         for _, basis in seen:
-            fresh = modulation.Basis.solve(grid, basis.b, 2, start=previous)
+            fresh = spectrum.basis_family(grid, 2).at(basis.b)
             assert basis.psis.tobytes() == fresh.psis.tobytes()
             assert basis.lams.tobytes() == fresh.lams.tobytes()
             assert basis.operator is None
             cold = modulation.Basis.solve(grid, basis.b, 2)
-            assert np.max(np.abs(basis.psis - cold.psis)) <= 1e-10
+            assert np.max(np.abs(basis.psis - cold.psis)) <= 5e-11
             assert np.all(np.abs(basis.lams - cold.lams)
-                          <= 1e-14 * np.abs(cold.lams))
-            previous = basis
+                          <= 2e-15 * np.abs(cold.lams))
 
-    def test_k2_track_makes_one_cold_eigensolve(self, k2, monkeypatch):
-        # only the first record's basis comes from the cold LAPACK solve
-        cold = []
-        solve = spectrum.lowest_eigh_tridiagonal
-
-        def counted(*args, **kwargs):
-            cold.append(1)
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(spectrum, "lowest_eigh_tridiagonal", counted)
-        series, track = modulation.track_run(**k2, basis_cache={})
-        assert len(cold) == 1
-        assert track.n_basis_refreshes == len(series.s) > 1
-
-    def test_shared_cache_solves_each_b_once(self, k2, monkeypatch):
-        calls = []
-        solve = spectrum.eigenpairs
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(spectrum, "eigenpairs", counted)
-        cache = {}
-        _, first = modulation.track_run(**k2, basis_cache=cache)
-        assert first.n_basis_refreshes == len(calls) == len(cache)
-        assert len(cache) == len({st.b for st in first.states})
-        del calls[:]
-        _, second = modulation.track_run(**k2, basis_cache=cache)
-        assert second.n_basis_refreshes == 0 and not calls
-        for a, b in zip(first.states, second.states):
-            assert a.coeffs.tobytes() == b.coeffs.tobytes()
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_family_nodes_are_the_only_eigensolves(self, k, request,
+                                                   monkeypatch):
+        # the profile and the track of the first run on a grid solve the
+        # family's nodes, and a second run solves nothing
+        run = request.getfixturevalue(f"k{k}")
+        spectrum.basis_family.cache_clear()
+        calls = counted(monkeypatch, spectrum, "eigenpairs")
+        modulation.build_profile(run["grid"], k, [1e-5, 0.01][-k:])
+        modulation.track_run(**run)
+        assert len(calls) == spectrum.FAMILY_NODES
+        modulation.track_run(**run)
+        assert len(calls) == spectrum.FAMILY_NODES
 
 
 class TestStreamedTrack:
@@ -490,22 +456,18 @@ class TestStreamedTrack:
 
     @staticmethod
     def two_pass(grid, k, profiles):
-        cache = {}
-        states, solves = [], 0
-        b, basis = None, None
+        states = []
+        b = None
         for s, v in profiles:
             if k == 1:
-                b, basis, n = modulation.self_consistent_b1(
-                    grid, v, initial=b, basis=basis)
-                solves += n
+                b, basis = modulation.self_consistent_b1(grid, v, initial=b)
             else:
-                basis = modulation.scheduled_basis(
-                    cache, grid, k, s, modulation.ADIABATIC_AMPLITUDE,
-                    start=basis)
+                basis = spectrum.basis_family(grid, k).at(
+                    modulation.adiabatic_b(s, k))
             states.append(modulation.decompose(v, s, basis))
         residuals = modulation.modulation_residual(
             states, profiles[1][0] - profiles[0][0], grid)
-        return states, residuals, solves + len(cache)
+        return states, residuals
 
     @pytest.mark.parametrize("make_run", [k1_run, k2_run])
     def test_bitwise_equal_to_two_pass(self, grid512, make_run):
@@ -513,8 +475,7 @@ class TestStreamedTrack:
         series, track = modulation.track_run(**run)
         profiles, again = observed_profiles(run)
         assert again.s.tobytes() == series.s.tobytes()
-        states, residuals, solves = self.two_pass(grid512, run["k"],
-                                                  profiles)
+        states, residuals = self.two_pass(grid512, run["k"], profiles)
         assert len(track.states) == len(states) == len(series.s) > 3
         for got, want in zip(track.states, states):
             assert (got.s, got.b, got.energy) == (want.s, want.b,
@@ -522,7 +483,6 @@ class TestStreamedTrack:
             assert got.coeffs.tobytes() == want.coeffs.tobytes()
             assert got.V.tobytes() == want.V.tobytes()
         assert track.residuals.tobytes() == residuals.tobytes()
-        assert track.n_basis_refreshes == solves
 
 
 class TestProfileBuilder:
@@ -536,44 +496,24 @@ class TestProfileBuilder:
             assert np.allclose(ms.coeffs, coeffs, atol=1e-12)
             assert v[-1] == 0.0
 
-    def test_scheduled_profile_reads_the_schedule_cache(self, grid512,
-                                                        monkeypatch):
-        # the b(0) entry of the schedule is its cold solve, so the cached
-        # basis builds the same bytes as a solve of its own
-        coeffs = [0.003, 0.01]
-        alone = modulation.build_profile(grid512, 2, coeffs)
-        cache = {}
-        cached = modulation.build_profile(grid512, 2, coeffs, cache=cache)
-        assert cached.tobytes() == alone.tobytes()
-        assert list(cache) == [modulation.adiabatic_b(0.0, 2)]
-        calls = []
-        solve = spectrum.eigenpairs
+    def test_profile_is_the_family_basis_at_b(self, grid512):
+        # k = 1 at its own coefficient, k = 2 at the schedule's b(0)
+        for k, coeffs, b in ((1, [0.01], 0.01), (2, [0.003, 0.01], 0.02)):
+            want = spectrum.basis_family(grid512, k).at(b).psis @ coeffs
+            want[-1] = 0.0
+            got = modulation.build_profile(grid512, k, coeffs)
+            assert got.tobytes() == want.tobytes()
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(spectrum, "eigenpairs", counted)
-        again = modulation.build_profile(grid512, 2, [0.001, 0.01],
-                                         cache=cache)
-        assert not calls and again.tobytes() != cached.tobytes()
-
-    def test_trap_evaluations_make_one_cold_eigensolve(self, grid512,
-                                                       monkeypatch):
+    def test_trap_evaluations_solve_only_the_family_nodes(self, grid512,
+                                                          monkeypatch):
         # the profiles of every evaluation and the tracks of their runs
-        # share the evaluator's schedule, whose only cold solve is b(0)
-        cold = []
-        solve = spectrum.lowest_eigh_tridiagonal
-
-        def counted(*args, **kwargs):
-            cold.append(1)
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(spectrum, "lowest_eigh_tridiagonal", counted)
+        # read one family, built by the first evaluation
+        spectrum.basis_family.cache_clear()
+        calls = counted(monkeypatch, spectrum, "eigenpairs")
         ev = reduced.TrapEvaluator(2, 0.01, grid512, s_max=0.02)
         for lower in ([0.0], [1e-6], [-1e-6]):
             ev.evaluate(lower)
-        assert len(cold) == 1 and ev.evaluations == 3
+        assert len(calls) == spectrum.FAMILY_NODES and ev.evaluations == 3
 
 
 def test_one_source_per_spectral_quantity(grid512):
@@ -596,8 +536,6 @@ def test_one_source_per_spectral_quantity(grid512):
     for field in ("diag", "off", "node_mass", "half_flux"):
         assert (getattr(basis.operator, field).tobytes()
                 == getattr(op, field).tobytes())
-    # ... and only the schedule cache drops it
-    cache: dict = {}
-    entry = modulation.scheduled_basis(cache, grid512, 2, 0.0,
-                                       modulation.ADIABATIC_AMPLITUDE)
-    assert cache[entry.b] is entry and entry.operator is None
+    # ... and a family's interpolated basis carries none: its energies
+    # assemble H_b at its own b
+    assert spectrum.basis_family(grid512, 2).at(w.b).operator is None

@@ -1,13 +1,14 @@
 """Drifted-Laplacian assembly, eigenpairs, sweeps, and gap checks."""
 
-import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from stefanlab import bessel, spectrum
+from stefanlab.errors import ConfigError
 from stefanlab.weighted import RadialGrid, WeightParam, end_slope, inner_b
 
 W0 = WeightParam(0.0)
@@ -152,55 +153,55 @@ class TestEigenpairs:
             spectrum.eigenpairs(grid512, W0, 13)
         with pytest.raises(ValueError):
             spectrum.eigenpairs(RadialGrid(256), W0, 1)
-        start = spectrum.eigenpairs(grid512, W0, 2)
-        with pytest.raises(ValueError):
-            spectrum.eigenpairs(grid512, W0, 1, start=start)
 
 
-def counted_eigh(monkeypatch) -> list:
-    """Count the cold LAPACK solves from here on."""
-    calls = []
-    eigh = spectrum.lowest_eigh_tridiagonal
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return eigh(*args, **kwargs)
-
-    monkeypatch.setattr(spectrum, "lowest_eigh_tridiagonal", counted)
-    return calls
+FAMILY_B = [-0.199, -0.0123, 0.0, 1e-9, 0.0102, 0.0449, 0.199]
 
 
-class TestWarmStart:
-    @pytest.mark.parametrize("n", [512, 1024, 2048])
-    @pytest.mark.parametrize("b", [0.01, -0.0093, 0.05])
-    def test_matches_cold_solve(self, n, b, monkeypatch):
-        # started from the basis one k = 1 record cadence (~1.2%) away;
-        # measured: psi within 1.3e-11, lam within 3.1e-16 relative, the
-        # residual within 3.4x the cold one (both <= 1e-8)
+class TestBasisFamily:
+    @pytest.mark.parametrize("n", [512, 1024])
+    @pytest.mark.parametrize("k", [1, 2, 12])
+    @pytest.mark.parametrize("b", FAMILY_B)
+    def test_matches_cold_solve(self, n, k, b):
+        # measured: psi within 1.1e-11, lam within 7.0e-16 relative, the
+        # cold solver's own noise floor
         grid = RadialGrid(n)
-        cold = spectrum.Basis.solve(grid, b, 1)
-        start = spectrum.Basis.solve(grid, 0.988 * b, 1)
-        calls = counted_eigh(monkeypatch)
-        warm = spectrum.Basis.solve(grid, b, 1, start=start)
-        assert not calls
-        assert np.max(np.abs(warm.psis - cold.psis)) <= 1e-10
-        assert abs(warm.lams[0] - cold.lams[0]) <= 1e-14 * cold.lams[0]
-        assert warm.residuals[0] <= 5.0 * cold.residuals[0]
-        assert warm.operator is not None and warm.b == b
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", message="drift parameter")
+            got = spectrum.basis_family(grid, k).at(b)
+            cold = spectrum.Basis.solve(grid, b, k)
+        assert got.b == b and got.operator is None
+        assert got.psis.shape == cold.psis.shape and got.psis.flags.c_contiguous
+        assert np.max(np.abs(got.psis - cold.psis)) <= 5e-11
+        assert np.all(np.abs(got.lams - cold.lams) <= 2e-15 * cold.lams)
 
-    def test_wrong_start_falls_back_to_cold_solve(self, grid512,
-                                                  monkeypatch):
-        # eta_2 as the start of pair 1 converges to pair 2
-        w = WeightParam(0.01)
-        cold = spectrum.eigenpairs(grid512, w, 1)
-        wrong = dataclasses.replace(
-            cold, psis=bessel.eta_samples(2, grid512)[:, None].copy())
-        calls = counted_eigh(monkeypatch)
-        got = spectrum.eigenpairs(grid512, w, 1, start=wrong)
-        assert len(calls) == 1
-        for field in ("psis", "lams", "boundary_slopes", "residuals"):
-            assert (getattr(got, field).tobytes()
-                    == getattr(cold, field).tobytes())
+    def test_node_returns_its_own_columns(self, grid512):
+        family = spectrum.basis_family(grid512, 2)
+        assert np.all(np.abs(family.nodes) < 0.2)
+        for j in (0, 6, 12):
+            b = family.nodes[j]
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", message="drift parameter")
+                got = family.at(b)
+                cold = spectrum.Basis.solve(grid512, b, 2)
+            assert got.psis.tobytes() == cold.psis.tobytes()
+            assert got.lams.tobytes() == cold.lams.tobytes()
+
+    @pytest.mark.parametrize("b", [0.2, -0.2, 0.25, math.inf, math.nan])
+    def test_outside_the_range_is_a_config_error(self, grid512, b):
+        with pytest.raises(ConfigError):
+            spectrum.basis_family(grid512, 1).at(b)
+
+    def test_same_bytes_whatever_came_before(self, grid512):
+        family = spectrum.basis_family(grid512, 2)
+        first = family.at(0.0123)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", message="drift parameter")
+            for b in (0.0449, -0.19, 1e-9, family.nodes[3], 0.0123):
+                family.at(b)
+        again = family.at(0.0123)
+        assert again.psis.tobytes() == first.psis.tobytes()
+        assert again.lams.tobytes() == first.lams.tobytes()
 
 
 class TestPerturbationSweep:
