@@ -102,15 +102,18 @@ def self_consistent_b1(grid: RadialGrid, v: np.ndarray,
     from ``initial`` (default 0) on the bases of
     :func:`spectrum.basis_family`, stopped at the first iterate with
     |F(b) - b| < tol; raises :class:`NonConvergence` after ``max_iter``
-    iterations.  Returns ``(b, basis)``: that iterate and its basis.
+    iterations.  F(b) is the basis's own projection coefficient
+    (:meth:`Basis.coefficients`, the one :meth:`Basis.split` and so
+    :func:`decompose` read), so each iterate costs the family's
+    interpolant, its weights and Gram, and two dot products; a first
+    iterate at the previous record's b reuses that record's basis.
+    Returns ``(b, basis)``: that iterate and its basis.
     """
     family = spectrum.basis_family(grid, 1)
     b = 0.0 if initial is None else float(initial)
     for _ in range(max_iter):
         basis = family.at(b)
-        w = WeightParam(b)
-        psi = basis.psis[:, 0]
-        b_new = inner_b(grid, v, psi, w) / inner_b(grid, psi, psi, w)
+        b_new = float(basis.coefficients(v)[0])
         if abs(b_new - b) < tol:
             return b, basis
         b = b_new

@@ -18,7 +18,8 @@ the ``scipy.linalg`` import); eigenvectors are mapped back,
 Simpson-normalized in the weighted norm, and sign-fixed against the
 unperturbed eigenfunctions.
 They are returned as one :class:`Basis`, whose weighted Gram projection
-serves both the mode decomposition and the spectral gap check.
+serves the k = 1 fixed point, the mode decomposition and the spectral gap
+check.
 
 Every basis a run tracks comes from one rule, :func:`basis_family`: the
 eigenpairs are analytic in b, so those at any |b| < 0.2 (the range
@@ -55,19 +56,33 @@ FAMILY_NODES = 13
 
 @dataclass
 class DriftOperator:
-    """Assembled tridiagonal form of H_b on a grid.
+    """Assembled flux form of H_b on a grid.
 
-    ``diag``/``off`` form the symmetric tridiagonal matrix after the diagonal
-    similarity with sqrt of the node masses; ``node_mass`` are the
-    finite-volume masses of the interior nodes (index 0 .. n-1).
+    ``node_mass`` are the finite-volume masses of the interior nodes
+    (index 0 .. n-1) and ``half_flux`` the weights y rho_b at the half
+    nodes; ``diag``/``off``, the symmetric tridiagonal matrix after the
+    diagonal similarity with sqrt of the node masses, are formed on first
+    read (eigensolves and the stepper's factorization read them,
+    :meth:`apply` does not).
     """
 
     grid: RadialGrid
     w: WeightParam
-    diag: np.ndarray
-    off: np.ndarray
     node_mass: np.ndarray
     half_flux: np.ndarray
+
+    @functools.cached_property
+    def diag(self) -> np.ndarray:
+        h, m, wf = self.grid.h, self.node_mass, self.half_flux
+        diag = np.empty(self.grid.n)
+        diag[0] = wf[0] / (h * m[0])
+        diag[1:] = (wf[:-1] + wf[1:]) / (h * m[1:])
+        return diag
+
+    @functools.cached_property
+    def off(self) -> np.ndarray:
+        h, m = self.grid.h, self.node_mass
+        return -self.half_flux[:-1] / (h * np.sqrt(m[:-1] * m[1:]))
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Apply H_b to a full nodal vector (Dirichlet value included).
@@ -93,21 +108,25 @@ class DriftOperator:
         return out
 
 
+@functools.lru_cache(maxsize=None)
+def _half_nodes(grid: RadialGrid) -> np.ndarray:
+    """The half nodes y_{i+1/2}, i = 0 .. n-1, of ``grid``; read-only and
+    memoized per grid."""
+    yh = (np.arange(grid.n) + 0.5) * grid.h
+    yh.flags.writeable = False
+    return yh
+
+
 def assemble_hb(grid: RadialGrid, w: WeightParam) -> DriftOperator:
     """Assemble H_b in flux form on ``grid``."""
     n, h = grid.n, grid.h
-    yh = (np.arange(n) + 0.5) * h
+    yh = _half_nodes(grid)
     half_flux = yh * w.rho(yh)
     mass = grid.y * nodal_rho(grid, w) * h
     # origin cell [0, h/2]: int_0^{h/2} rho y dy, rho evaluated mid-cell
     mass[0] = (h * h / 8.0) * float(w.rho(np.array([h / 4.0]))[0])
-    m = mass[:n]
-    diag = np.empty(n)
-    diag[0] = half_flux[0] / (h * m[0])
-    diag[1:] = (half_flux[: n - 1] + half_flux[1:n]) / (h * m[1:])
-    off = -half_flux[: n - 1] / (h * np.sqrt(m[: n - 1] * m[1:n]))
-    return DriftOperator(grid=grid, w=w, diag=diag, off=off,
-                         node_mass=m, half_flux=half_flux)
+    return DriftOperator(grid=grid, w=w, node_mass=mass[:n],
+                         half_flux=half_flux)
 
 
 #: largest Gram conditioning a :meth:`Basis.split` accepts
@@ -121,8 +140,13 @@ class Basis:
     Column j of ``psis`` is psi_{b,j+1}, Simpson-normalized to unit weighted
     norm with the sign fixed so its projection on eta_{j+1} is positive;
     ``residuals`` are the discrete weighted norms of H_b psi - lam psi (NaN
-    for the bases of a :class:`BasisFamily`, which measures none).  ``operator`` is the H_b a cold solve was solved from, kept for
-    the energies of the profiles split on it; None for a family's bases.
+    for the bases of a :class:`BasisFamily`, which measures none).
+
+    A basis forms what its projections and energies read once, on first
+    use: the quadrature weights at ``b``, the Gram matrix of the columns and
+    ``operator``, the H_b at ``b`` (a cold solve carries the one it was
+    solved from).  A basis that :meth:`BasisFamily.at` returns again thus
+    reuses all three.
     """
 
     b: float
@@ -130,7 +154,6 @@ class Basis:
     lams: np.ndarray              # (k,)
     residuals: np.ndarray         # (k,)
     grid: RadialGrid
-    operator: DriftOperator | None = None
 
     @classmethod
     def solve(cls, grid: RadialGrid, b: float, k: int) -> "Basis":
@@ -138,11 +161,17 @@ class Basis:
         return eigenpairs(grid, WeightParam(b), k)
 
     @functools.cached_property
+    def operator(self) -> DriftOperator:
+        """H_b at ``b``, assembled on first use."""
+        return assemble_hb(self.grid, WeightParam(self.b))
+
+    @functools.cached_property
     def boundary_slopes(self) -> np.ndarray:
         """The columns' 4-point one-sided derivatives at y = 1, formed on
         first use (tracking never reads them)."""
         return np.array([end_slope(psi, self.grid.h) for psi in self.psis.T])
 
+    @functools.cached_property
     def _weights(self) -> np.ndarray:
         """Quadrature weights of the weighted inner product at ``b``."""
         grid = self.grid
@@ -150,29 +179,37 @@ class Basis:
 
     @functools.cached_property
     def _gram(self) -> np.ndarray:
-        """Gram matrix of the columns, formed once per basis.
+        """Gram matrix of the columns.
 
         Raises :class:`SingularGram` when its conditioning exceeds
         ``GRAM_COND_CAP``; a 1 x 1 Gram is conditioned exactly 1.
         """
-        gram = self.psis.T @ (self._weights()[:, None] * self.psis)
+        gram = self.psis.T @ (self._weights[:, None] * self.psis)
         if len(gram) > 1:
             cond = np.linalg.cond(gram)
             if cond > GRAM_COND_CAP:
                 raise SingularGram(f"Gram conditioning {cond:.2e}")
         return gram
 
-    def split(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Coefficients c and remainder r of values = psis @ c + r, with r
-        weighted-orthogonal to every column in the weight at ``b`` and
-        pinned to 0 at y = 1.
+    def coefficients(self, values: np.ndarray) -> np.ndarray:
+        """Coefficients c of the weighted Gram projection of values on the
+        columns: the k x k Gram system, a division for k = 1 (the floats
+        ``np.linalg.solve`` gives).  Raises :class:`SingularGram` as the
+        Gram does."""
+        rhs = self.psis.T @ (self._weights * values)
+        if len(rhs) == 1:
+            return rhs / self._gram[0, 0]
+        return np.linalg.solve(self._gram, rhs)
 
-        Solves the k x k Gram system; raises :class:`SingularGram` when its
-        conditioning exceeds ``GRAM_COND_CAP`` (a sign that b is outside its
-        range).
+    def split(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Coefficients c (:meth:`coefficients`) and remainder r of
+        values = psis @ c + r, with r weighted-orthogonal to every column in
+        the weight at ``b`` and pinned to 0 at y = 1.
+
+        Raises :class:`SingularGram` when the Gram's conditioning exceeds
+        ``GRAM_COND_CAP`` (a sign that b is outside its range).
         """
-        coeffs = np.linalg.solve(self._gram,
-                                 self.psis.T @ (self._weights() * values))
+        coeffs = self.coefficients(values)
         rest = values - self.psis @ coeffs
         rest[-1] = 0.0
         return coeffs, rest
@@ -214,8 +251,10 @@ def eigenpairs(grid: RadialGrid, w: WeightParam, count: int) -> Basis:
     resid -= lams[:, None] * rows
     resid[:, -1] = 0.0  # residual measured on the Dirichlet subspace
     residuals = np.sqrt(np.maximum(inner_b(grid, resid, resid, w), 0.0))
-    return Basis(b=w.b, psis=np.ascontiguousarray(rows.T), lams=lams,
-                 residuals=residuals, grid=grid, operator=op)
+    basis = Basis(b=w.b, psis=np.ascontiguousarray(rows.T), lams=lams,
+                  residuals=residuals, grid=grid)
+    basis.operator = op  # fills the cached property: no second assembly
+    return basis
 
 
 class BasisFamily:
@@ -224,6 +263,13 @@ class BasisFamily:
     b_j = 0.2 cos((2j + 1) pi / (2 FAMILY_NODES)), all inside |b| < 0.2, and
     their barycentric interpolant at any other b (see the module
     docstring).
+
+    :meth:`at` keeps the basis it built last, keyed on the bits of b: a
+    k = 1 track starts each record's fixed point at the previous record's
+    b, so its first iterate reuses that basis with its weights, Gram and
+    H_b.  The basis at b is a pure function of b, so the memo changes no
+    float; its arrays are read-only, so no caller can write into a basis
+    another caller holds.
     """
 
     def __init__(self, grid: RadialGrid, k: int):
@@ -240,12 +286,17 @@ class BasisFamily:
         self.lams = np.stack([basis.lams for basis in solved])
         for arr in (self.nodes, self.psis, self.lams):
             arr.flags.writeable = False
+        self._last: tuple[str, Basis] | None = None
 
     def at(self, b: float) -> Basis:
-        """The basis at b, without an operator: a node's own pair where b is
-        a node, else the interpolant.  Raises :class:`ConfigError` for
-        |b| >= 0.2, as :class:`WeightParam` does."""
+        """The basis at b: a node's own pair where b is a node, else the
+        interpolant; H_b is assembled on first read of its ``operator``.
+        Raises :class:`ConfigError` for |b| >= 0.2, as :class:`WeightParam`
+        does."""
         b = WeightParam(float(b)).b
+        key = b.hex()  # the sign of zero included
+        if self._last is not None and self._last[0] == key:
+            return self._last[1]
         diff = b - self.nodes
         hit = np.flatnonzero(diff == 0.0)
         if len(hit):
@@ -256,11 +307,16 @@ class BasisFamily:
             # einsum's own loops, not BLAS's kernels (whose rounding may
             # follow the alignment of a fresh output): the same b gives the
             # same floats
-            psis = np.einsum("j,jn->n", c, self.psis.reshape(len(c), -1))
-            psis = psis.reshape(self.psis.shape[1:])
+            flat = np.einsum("j,jn->n", c, self.psis.reshape(len(c), -1))
             lams = np.einsum("j,jk->k", c, self.lams)
-        return Basis(b=b, psis=psis, lams=lams,
-                     residuals=np.full(len(lams), np.nan), grid=self.grid)
+            flat.flags.writeable = lams.flags.writeable = False
+            psis = flat.reshape(self.psis.shape[1:])
+        residuals = np.full(len(lams), np.nan)
+        residuals.flags.writeable = False
+        basis = Basis(b=b, psis=psis, lams=lams, residuals=residuals,
+                      grid=self.grid)
+        self._last = (key, basis)
+        return basis
 
 
 @functools.lru_cache(maxsize=None)

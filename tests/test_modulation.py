@@ -90,6 +90,20 @@ class TestDecompose:
             # no SVD for the 1 x 1 Gram, one for the 2 x 2 one
             assert len(conds) == k - 1
 
+    def test_k1_division_is_the_solve(self, grid512, rng):
+        # a 1 x 1 Gram is solved by division, bitwise np.linalg.solve's
+        family = spectrum.basis_family(grid512, 1)
+        for b in rng.uniform(-0.05, 0.05, 8):
+            basis = family.at(b)
+            wv = grid512.simpson * WeightParam(b).rho(grid512.y) * grid512.y
+            gram = basis.psis.T @ (wv[:, None] * basis.psis)
+            for _ in range(4):
+                f = spectrum.random_dirichlet(grid512, rng, modes=10)
+                coeffs, _ = basis.split(f)
+                want = np.linalg.solve(gram, basis.psis.T @ (wv * f))
+                assert coeffs.tobytes() == want.tobytes()
+                assert basis.coefficients(f).tobytes() == want.tobytes()
+
     def test_overflowing_trap_variables(self, grid512):
         # e^{(lam_2 + gap_2) s} overflows a float at s = 30
         v = modulation.build_profile(grid512, 2, [-1e-3, 0.01], 0.01)
@@ -133,6 +147,32 @@ class TestSelfConsistentB1:
             b = b_new
         nontrivial = [x for x in increments if x > 1e-14]
         assert all(x2 < x1 for x1, x2 in zip(nontrivial, nontrivial[1:]))
+
+    def test_fixed_point_matches_inner_b_ratio(self, grid512):
+        # F(b) is the basis's projection coefficient; the ratio of two
+        # inner_b sums on the same bases gives the same b to round-off over
+        # every record of a run to the norm floor (246 of the 409 differ,
+        # by at most 5.1e-16 relative)
+        run = k1_run(grid512, 0.01, s_max=6.0, record_ds=1e-2)
+        profiles, series = observed_profiles(run)
+        assert series.reached_floor
+        family = spectrum.basis_family(grid512, 1)
+        got = want = None
+        for _, v in profiles:
+            got, basis = modulation.self_consistent_b1(grid512, v,
+                                                       initial=got)
+            assert basis.b == got
+            b = 0.0 if want is None else want
+            for _ in range(50):
+                psi = family.at(b).psis[:, 0]
+                w = WeightParam(b)
+                b_new = (inner_b(grid512, v, psi, w)
+                         / inner_b(grid512, psi, psi, w))
+                if abs(b_new - b) < 1e-12:
+                    break
+                b = b_new
+            want = b
+            assert abs(got - want) <= 2e-15 * abs(want)
 
     def test_nonconvergence_cap(self, grid512):
         v = 0.02 * bessel.eta(1, grid512)
@@ -349,12 +389,14 @@ class TestK1BasisReuse:
 
     @staticmethod
     def fresh_states(grid, profiles, monkeypatch):
-        # every basis a cold LAPACK solve at its b
+        # every basis a cold LAPACK solve at its b, and every H_b assembled
+        # afresh at it: a copy of the basis carries no operator yet
         monkeypatch.setattr(spectrum, "basis_family", ColdFamily)
         states, b1 = [], None
         for s, v in profiles:
             b1, basis = modulation.self_consistent_b1(grid, v, initial=b1)
-            bare = replace(basis, operator=None)
+            bare = replace(basis)
+            assert "operator" not in vars(bare)
             states.append(modulation.decompose(v, s, bare))
         monkeypatch.undo()
         return states
@@ -429,7 +471,10 @@ class TestExactBasis:
             fresh = spectrum.basis_family(grid, 2).at(basis.b)
             assert basis.psis.tobytes() == fresh.psis.tobytes()
             assert basis.lams.tobytes() == fresh.lams.tobytes()
-            assert basis.operator is None
+            # its energy read H_b assembled at its own b
+            op = spectrum.assemble_hb(grid, WeightParam(basis.b))
+            assert basis.operator.half_flux.tobytes() == op.half_flux.tobytes()
+            assert basis.operator.node_mass.tobytes() == op.node_mass.tobytes()
             cold = modulation.Basis.solve(grid, basis.b, 2)
             assert np.max(np.abs(basis.psis - cold.psis)) <= 5e-11
             assert np.all(np.abs(basis.lams - cold.lams)
@@ -536,6 +581,10 @@ def test_one_source_per_spectral_quantity(grid512):
     for field in ("diag", "off", "node_mass", "half_flux"):
         assert (getattr(basis.operator, field).tobytes()
                 == getattr(op, field).tobytes())
-    # ... and a family's interpolated basis carries none: its energies
-    # assemble H_b at its own b
-    assert spectrum.basis_family(grid512, 2).at(w.b).operator is None
+    # ... and a family's interpolated basis assembles H_b at its own b on
+    # first read, once
+    family_basis = spectrum.basis_family(grid512, 2).at(w.b)
+    for field in ("diag", "off", "node_mass", "half_flux"):
+        assert (getattr(family_basis.operator, field).tobytes()
+                == getattr(op, field).tobytes())
+    assert family_basis.operator is family_basis.operator

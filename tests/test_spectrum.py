@@ -45,6 +45,22 @@ class TestAssembly:
         asym = np.abs(m[: n - 1] * sup - m[1:n] * sub)
         assert np.max(asym / np.abs(m[: n - 1] * sup)) <= 1e-14
 
+    @pytest.mark.parametrize("b", [-0.0093, 0.0, 0.0137])
+    def test_lazy_tridiagonal_matches_eager_formulas(self, grid512, b):
+        # diag and off are formed on first read, with the floats of the
+        # eager assembly
+        op = spectrum.assemble_hb(grid512, WeightParam(b))
+        assert "diag" not in vars(op) and "off" not in vars(op)
+        n, h = grid512.n, grid512.h
+        m, wf = op.node_mass, op.half_flux
+        diag = np.empty(n)
+        diag[0] = wf[0] / (h * m[0])
+        diag[1:] = (wf[: n - 1] + wf[1:n]) / (h * m[1:])
+        off = -wf[: n - 1] / (h * np.sqrt(m[: n - 1] * m[1:n]))
+        assert op.diag.tobytes() == diag.tobytes()
+        assert op.off.tobytes() == off.tobytes()
+        assert op.diag is op.diag and op.off is op.off
+
 
 class TestEigenpairs:
     def test_unperturbed_ground_eigenvalue(self, grid1024, zeros12):
@@ -170,7 +186,12 @@ class TestBasisFamily:
             warnings.filterwarnings("ignore", message="drift parameter")
             got = spectrum.basis_family(grid, k).at(b)
             cold = spectrum.Basis.solve(grid, b, k)
-        assert got.b == b and got.operator is None
+            # H_b is assembled at the basis's own b on first read: the one
+            # the cold solve was solved from
+            op = got.operator
+        assert got.b == b
+        assert op.half_flux.tobytes() == cold.operator.half_flux.tobytes()
+        assert op.node_mass.tobytes() == cold.operator.node_mass.tobytes()
         assert got.psis.shape == cold.psis.shape and got.psis.flags.c_contiguous
         assert np.max(np.abs(got.psis - cold.psis)) <= 5e-11
         assert np.all(np.abs(got.lams - cold.lams) <= 2e-15 * cold.lams)
@@ -202,6 +223,51 @@ class TestBasisFamily:
         again = family.at(0.0123)
         assert again.psis.tobytes() == first.psis.tobytes()
         assert again.lams.tobytes() == first.lams.tobytes()
+
+    def test_memo_keeps_each_basis_bytes(self, grid512):
+        # the family keeps the basis it built last; building another leaves
+        # the bytes of the one a caller holds, and of a rebuild, unchanged
+        family = spectrum.basis_family(grid512, 1)
+        first = family.at(0.0071)
+        psis, lams = first.psis.tobytes(), first.lams.tobytes()
+        assert family.at(0.0071) is first
+        second = family.at(-0.0042)
+        assert second is not first
+        assert (first.psis.tobytes(), first.lams.tobytes()) == (psis, lams)
+        again = family.at(0.0071)
+        assert (again.psis.tobytes(), again.lams.tobytes()) == (psis, lams)
+
+    @pytest.mark.parametrize("node", [False, True])
+    def test_returned_arrays_are_read_only(self, grid512, node):
+        family = spectrum.basis_family(grid512, 2)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", message="drift parameter")
+            basis = family.at(family.nodes[4] if node else 0.0123)
+        for arr in (basis.psis, basis.lams, basis.residuals):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        with pytest.raises(ValueError):
+            basis.psis[:, 0] *= 2.0
+
+    def test_sign_of_zero_is_kept(self, grid512):
+        family = spectrum.basis_family(grid512, 1)
+        for b in (0.0, -0.0, 0.0, -0.0):
+            got = family.at(b)
+            assert math.copysign(1.0, got.b) == math.copysign(1.0, b)
+            assert got.b == 0.0
+
+    def test_operator_assembled_at_most_once(self, grid512, monkeypatch):
+        calls = []
+        assemble = spectrum.assemble_hb
+        monkeypatch.setattr(spectrum, "assemble_hb",
+                            lambda *a: calls.append(a) or assemble(*a))
+        family = spectrum.BasisFamily(grid512, 1)
+        calls.clear()  # the node solves' own
+        basis = family.at(0.0057)
+        assert calls == []
+        op = basis.operator
+        assert family.at(0.0057).operator is op and basis.operator is op
+        assert len(calls) == 1 and calls[0][1] == WeightParam(0.0057)
 
 
 class TestPerturbationSweep:
