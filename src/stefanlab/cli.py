@@ -163,15 +163,14 @@ def cmd_run(cfg: ScenarioConfig) -> int:
             "--lower/--shoot-file)"
         )
     grid = RadialGrid(cfg.grid_n)
-    v0 = modulation.build_profile(grid, cfg.k, [*cfg.lower_modes, cfg.b0],
-                                  cfg.amplitude)
+    v0 = modulation.build_profile(grid, cfg.k, [*cfg.lower_modes, cfg.b0])
     ds = cfg.ds if cfg.ds is not None else solver.default_ds(grid, cfg.k)
     s_max = (cfg.s_max if cfg.s_max is not None
              else solver.default_s_max(cfg.k))
     u0i = asymptotics.u0_disk_integral(grid, v0)
     series, track = modulation.track_run(
-        grid, v0, cfg.k, ds=ds, s_max=s_max, amplitude=cfg.amplitude,
-        record_ds=cfg.record_ds, mass_tol=cfg.mass_tol)
+        grid, v0, cfg.k, ds=ds, s_max=s_max, record_ds=cfg.record_ds,
+        mass_tol=cfg.mass_tol)
     series.to_csv(_outpath(cfg, "timeseries.csv"))
     track.to_csv(_outpath(cfg, "modulation.csv"))
     verdict = asymptotics.verdict(series, cfg.k, cfg.b0, u0i,
@@ -190,8 +189,8 @@ def cmd_run(cfg: ScenarioConfig) -> int:
 def cmd_shoot(cfg: ScenarioConfig) -> int:
     evaluator = reduced.TrapEvaluator(
         cfg.k, cfg.b0, RadialGrid(cfg.grid_n), ds=cfg.ds, s_max=cfg.s_max,
-        ceiling=cfg.ceiling, amplitude=cfg.amplitude,
-        record_ds=cfg.record_ds, mass_tol=cfg.mass_tol, tol=cfg.shoot_tol)
+        ceiling=cfg.ceiling, record_ds=cfg.record_ds, mass_tol=cfg.mass_tol,
+        tol=cfg.shoot_tol)
     result = reduced.shoot_trapped(evaluator)
     path = _outpath(cfg, f"shoot_k{cfg.k}.json")
     result.to_json(path)

@@ -20,11 +20,9 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError
-from .modulation import ADIABATIC_AMPLITUDE
 from .reduced import SHOOT_TOL, TRAP_CEILING
 from .solver import MASS_TOL, MAX_STEPS_PER_RECORD, RECORD_DS
 from .spectrum import MAX_EIGENPAIRS
-from .weighted import B_CAP
 
 MODES = ("spectrum", "run", "shoot", "verify-all")
 
@@ -46,7 +44,6 @@ class ScenarioConfig:
     out_dir: str = "out"
     b_values: tuple = (0.005, 0.01, 0.02)
     lower_modes: tuple = ()          # b_1(0) .. b_{k-1}(0) for k > 1 runs
-    amplitude: float = ADIABATIC_AMPLITUDE  # adiabatic basis amplitude, k > 1
     ceiling: float = TRAP_CEILING    # trap ceiling D_k
     shoot_tol: float = SHOOT_TOL
     mass_tol: float = MASS_TOL
@@ -84,9 +81,6 @@ class ScenarioConfig:
                 f"record_ds / ds must be at most {MAX_STEPS_PER_RECORD:g} "
                 f"steps per record; got record_ds = {self.record_ds!r}, "
                 f"ds = {self.ds!r}")
-        # the adiabatic schedule starts at b = amplitude
-        if self.amplitude >= B_CAP:
-            raise ConfigError(f"amplitude must be < {B_CAP}, got {self.amplitude!r}")
         # the shooting horizon ln(ceiling / (4 tol)) / growth has growth > 0
         if self.ceiling <= 4.0 * self.shoot_tol:
             raise ConfigError(
@@ -128,7 +122,6 @@ _KEYMAP = {
     ("", "out"): "out_dir",
     ("", "b_values"): "b_values",
     ("", "lower_modes"): "lower_modes",
-    ("shoot", "amplitude"): "amplitude",
     ("shoot", "ceiling"): "ceiling",
     ("shoot", "tol"): "shoot_tol",
     ("tolerances", "mass"): "mass_tol",
@@ -141,8 +134,8 @@ _BOOL_FIELDS = {"quick", "json_output"}
 _STR_FIELDS = {"mode", "out_dir"}
 _TUPLE_FIELDS = {"b_values", "lower_modes"}
 _OPTIONAL_FIELDS = {"ds", "s_max", "rate_tol"}
-_POSITIVE_FIELDS = ("ds", "s_max", "record_ds", "amplitude", "ceiling",
-                    "shoot_tol", "mass_tol", "rate_tol", "radius_tol")
+_POSITIVE_FIELDS = ("ds", "s_max", "record_ds", "ceiling", "shoot_tol",
+                    "mass_tol", "rate_tol", "radius_tol")
 
 
 def _parse_value(token: str, fname: str, lineno: int):

@@ -5,12 +5,9 @@ orthogonal to the first k eigenfunctions psi_{b,j} of the drifted Laplacian
 H_b, taken at exactly the parameter b the profile is decomposed at.  Every
 such basis is the one of :func:`spectrum.basis_family` at b: the
 interpolant of 13 cold solves over |b| < 0.2, within 1.1e-11 of a cold
-solve in psi, so a record's basis depends on its b alone.  Only the choice
-of b depends on the regime: for the ground mode (k = 1) it is the
-coefficient itself, found by a fixed-point iteration; for k > 1 it rides a
-fixed adiabatic schedule
-
-    b(s) = A e^{-lam_k s} / (s + 1).
+solve in psi, so a record's basis depends on its b alone.  For every k the
+parameter is the tracked mode's own coefficient, b = b_k, found by a
+fixed-point iteration (:func:`self_consistent_b1`).
 
 Tracked at each record as the run takes it (:func:`track_run`): the
 coefficients b_j, the second-order energy E = ||H_b eps||^2 (weighted) of
@@ -31,9 +28,6 @@ from .errors import InsufficientHistory, NonConvergence
 from .spectrum import Basis
 from .weighted import RadialGrid, WeightParam, inner_b
 
-#: default amplitude of the adiabatic basis schedule for k > 1
-ADIABATIC_AMPLITUDE = 0.02
-
 
 def trap_rate(k: int) -> float:
     """Growth rate lam_k + gap_k of the trap variables V_j = b_j e^{rate s}
@@ -43,13 +37,6 @@ def trap_rate(k: int) -> float:
     zeros = bessel.j0_zeros(k)
     lam = zeros[k - 1].lam
     return lam + 0.25 * (lam - zeros[k - 2].lam) if k > 1 else lam
-
-
-def adiabatic_b(s: float, k: int,
-                amplitude: float = ADIABATIC_AMPLITUDE) -> float:
-    """Adiabatic basis parameter A e^{-lam_k s} / (s + 1)."""
-    lam_k = bessel.j0_zeros(k)[k - 1].lam
-    return amplitude * math.exp(-lam_k * s) / (s + 1.0)
 
 
 @dataclass
@@ -94,41 +81,43 @@ def energy_of(grid: RadialGrid, eps: np.ndarray, w: WeightParam,
 
 def self_consistent_b1(grid: RadialGrid, v: np.ndarray,
                        tol: float = 1e-12, max_iter: int = 50,
-                       initial: float | None = None) -> tuple[float, Basis]:
-    """Ground-mode coefficient of the profile v on ``grid``, with the basis
-    parameter equal to itself.
+                       initial: float | None = None,
+                       k: int = 1) -> tuple[float, Basis]:
+    """Coefficient b_k of the profile v on ``grid`` in the k-mode basis
+    whose parameter is b_k itself.
 
-    Fixed-point iteration b <- F(b) = <v, psi_{b,1}>_b / <psi_{b,1}, psi_{b,1}>_b
-    from ``initial`` (default 0) on the bases of
-    :func:`spectrum.basis_family`, stopped at the first iterate with
-    |F(b) - b| < tol; raises :class:`NonConvergence` after ``max_iter``
+    Fixed-point iteration b <- F(b), the k-th coefficient of v's projection
+    on the basis of :func:`spectrum.basis_family` at b (for k = 1,
+    <v, psi_{b,1}>_b / <psi_{b,1}, psi_{b,1}>_b), from ``initial``
+    (default 0), stopped at the first iterate with
+    |F(b) - b| <= min(tol, 1e-6 |F(b)|): absolute above |b| = 1e-6,
+    relative below, so a b far under ``tol`` still moves from one record
+    to the next.  Raises :class:`NonConvergence` after ``max_iter``
     iterations.  F(b) is the basis's own projection coefficient
     (:meth:`Basis.coefficients`, the one :meth:`Basis.split` and so
     :func:`decompose` read), so each iterate costs the family's
-    interpolant, its weights and Gram, and two dot products; a first
-    iterate at the previous record's b reuses that record's basis.
-    Returns ``(b, basis)``: that iterate and its basis.
+    interpolant, its weights and Gram, and a projection; a first iterate
+    at the previous record's b reuses that record's basis.  Returns
+    ``(b, basis)``: that iterate and its basis.
     """
-    family = spectrum.basis_family(grid, 1)
+    family = spectrum.basis_family(grid, k)
     b = 0.0 if initial is None else float(initial)
     for _ in range(max_iter):
         basis = family.at(b)
-        b_new = float(basis.coefficients(v)[0])
-        if abs(b_new - b) < tol:
+        b_new = float(basis.coefficients(v)[k - 1])
+        if abs(b_new - b) <= min(tol, 1e-6 * abs(b_new)):
             return b, basis
         b = b_new
-    raise NonConvergence("self-consistent ground-mode parameter did not settle")
+    raise NonConvergence(f"self-consistent parameter b_{k} did not settle")
 
 
-def build_profile(grid: RadialGrid, k: int, coeffs,
-                  amplitude: float = ADIABATIC_AMPLITUDE) -> np.ndarray:
+def build_profile(grid: RadialGrid, k: int, coeffs) -> np.ndarray:
     """Initial data sum_j coeffs[j] psi_{b, j+1} of a k-mode run, with
     coeffs = (b_1(0), .., b_k(0)), on the basis of
-    :func:`spectrum.basis_family` at b: the ground coefficient itself for
-    k = 1 and the adiabatic schedule's b(0), as tracked, for k > 1."""
+    :func:`spectrum.basis_family` at b = b_k(0), the tracked coefficient
+    itself."""
     coeffs = np.asarray(coeffs, dtype=float)
-    b = coeffs[0] if k == 1 else adiabatic_b(0.0, k, amplitude)
-    vals = spectrum.basis_family(grid, k).at(b).psis @ coeffs
+    vals = spectrum.basis_family(grid, k).at(coeffs[-1]).psis @ coeffs
     vals[-1] = 0.0
     return vals
 
@@ -197,27 +186,23 @@ class TrackResult:
 
 
 def track_run(grid: RadialGrid, v0: np.ndarray, k: int, ds: float,
-              s_max: float, amplitude: float = ADIABATIC_AMPLITUDE,
+              s_max: float,
               **run_options) -> tuple[solver.TimeSeries, TrackResult]:
     """Run the flow of the profile v0 on ``grid`` with :func:`solver.run`
     (``ds``, ``s_max`` and ``run_options`` are its arguments) and decompose
     each record as the run takes it; returns ``(series, track)``.
 
     Every record is decomposed on the basis of
-    :func:`spectrum.basis_family` at exactly its parameter b: for k = 1 the
-    self-consistent ground coefficient, iterated from the previous record's
-    b; for k > 1 the adiabatic schedule's value at the record.
+    :func:`spectrum.basis_family` at exactly its parameter b, the
+    self-consistent coefficient b_k (:func:`self_consistent_b1`), iterated
+    from the previous record's b.
     """
-    family = spectrum.basis_family(grid, k)
     states: list[ModulationState] = []
     b = None
 
     def observe(s, v):
         nonlocal b
-        if k == 1:
-            b, basis = self_consistent_b1(grid, v, initial=b)
-        else:
-            basis = family.at(adiabatic_b(s, k, amplitude))
+        b, basis = self_consistent_b1(grid, v, initial=b, k=k)
         states.append(decompose(v, s, basis))
 
     series = solver.run(grid, v0, ds, s_max, observe=observe, **run_options)

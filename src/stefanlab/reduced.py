@@ -174,7 +174,7 @@ class TrapEvaluator:
     """Exit map of the full PDE flow for lower-mode initial data, and the
     one source of a trap search's settings.
 
-    Builds v0 = sum_j b_j(0) psi_{b(0), j}, runs the renormalized flow to
+    Builds v0 = sum_j b_j(0) psi_{b_k(0), j}, runs the renormalized flow to
     ``s_max`` (or ``SHOOT_NORM_FLOOR``) at the step ``ds`` and the record
     cadence ``record_ds`` under the mass guard ``mass_tol``, tracks the trap
     variables V_j as it runs (:func:`modulation.track_run`), and reports
@@ -183,15 +183,15 @@ class TrapEvaluator:
     s >= horizon - ds/2 (NaN if the run stopped short of it).  ``tol`` is
     the search's step tolerance; ``ceiling > 4 tol`` keeps the horizon
     positive.  The profiles and the tracks of every evaluation take their
-    bases at the adiabatic schedule's b from the one interpolated family
-    of the grid and k (:func:`spectrum.basis_family`), whose 13 node solves
-    are the process's only eigensolves for it.
+    bases at b = b_k, the tracked coefficient itself, from the one
+    interpolated family of the grid and k (:func:`spectrum.basis_family`),
+    whose 13 node solves are the process's only eigensolves for it; the
+    lower-mode data are thus coordinates in the basis at b = b_k(0).
     """
 
     def __init__(self, k: int, b_k0: float, grid: RadialGrid,
                  ds: float | None = None, s_max: float | None = None,
                  ceiling: float = TRAP_CEILING,
-                 amplitude: float = modulation.ADIABATIC_AMPLITUDE,
                  record_ds: float = solver.RECORD_DS,
                  mass_tol: float = solver.MASS_TOL, tol: float = SHOOT_TOL):
         if k < 2 or k > 3:
@@ -208,19 +208,17 @@ class TrapEvaluator:
         self.horizon = min(self.s_max, horizon)
         self.ceiling = ceiling
         self.tol = tol
-        self.amplitude = amplitude
         self.record_ds = record_ds
         self.mass_tol = mass_tol
         self.evaluations = 0
 
     def evaluate(self, lower) -> TrapEvaluation:
         lower = np.atleast_1d(np.asarray(lower, dtype=float))
-        v0 = modulation.build_profile(self.grid, self.k, [*lower, self.b_k0],
-                                      self.amplitude)
+        v0 = modulation.build_profile(self.grid, self.k, [*lower, self.b_k0])
         series, track = modulation.track_run(
             self.grid, v0, self.k, ds=self.ds, s_max=self.s_max,
-            amplitude=self.amplitude, record_ds=self.record_ds,
-            mass_tol=self.mass_tol, norm_floor=SHOOT_NORM_FLOOR)
+            record_ds=self.record_ds, mass_tol=self.mass_tol,
+            norm_floor=SHOOT_NORM_FLOOR)
         self.evaluations += 1
         at = np.nonzero(series.s >= self.horizon - 0.5 * self.ds)[0]
         horizon_V = (track.states[at[0]].V.copy() if len(at)

@@ -265,11 +265,11 @@ class BasisFamily:
     docstring).
 
     :meth:`at` keeps the basis it built last, keyed on the bits of b: a
-    k = 1 track starts each record's fixed point at the previous record's
-    b, so its first iterate reuses that basis with its weights, Gram and
-    H_b.  The basis at b is a pure function of b, so the memo changes no
-    float; its arrays are read-only, so no caller can write into a basis
-    another caller holds.
+    track starts each record's fixed point at the previous record's b, so
+    its first iterate reuses that basis with its weights, Gram and H_b.
+    The basis at b is a pure function of b, so the memo changes no float;
+    its arrays are read-only, so no caller can write into a basis another
+    caller holds.
     """
 
     def __init__(self, grid: RadialGrid, k: int):

@@ -41,8 +41,8 @@ from .weighted import RadialGrid
 K1_B0 = 0.01
 K2_B0 = 0.01
 #: criterion 10 splits the k = 2 energy ratio E/b^2 into thirds over the
-#: records whose scheduled b is at least this, a window fixed by b alone
-#: (the schedule runs on to b ~ 1e-12 at the norm floor)
+#: records whose tracked b = b_2 is at least this, a window fixed by b alone
+#: (b_2 runs on to ~ 1e-12 at the norm floor)
 K2_ENERGY_B_FLOOR = 1e-9
 
 
@@ -366,10 +366,10 @@ def criterion_10(ctx: VerificationContext):
         rows.append(f"k=1 b0={sign * K1_B0:+.3f}: E/|b1|^3 {info}")
     fam = ctx.k2_family(+1)
     track2 = fam["result"].certificate.track
-    b_sched = np.array([st.b for st in track2.states])
+    b2 = np.array([st.b for st in track2.states])
     energy2 = np.array([st.energy for st in track2.states])
-    mask2 = b_sched >= K2_ENERGY_B_FLOOR
-    good2, info2 = _tail_bounded(energy2[mask2] / b_sched[mask2] ** 2)
+    mask2 = b2 >= K2_ENERGY_B_FLOOR
+    good2, info2 = _tail_bounded(energy2[mask2] / b2[mask2] ** 2)
     ok = ok and good2
     rows.append(f"k=2 trapped: E/b^2 {info2}")
     return ok, "; ".join(rows)

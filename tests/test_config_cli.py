@@ -18,7 +18,6 @@ from stefanlab import cli, reduced, solver, spectrum
 from stefanlab.config import (MODES, ScenarioConfig, parse_config,
                               serialize_config, with_overrides)
 from stefanlab.errors import ConfigError, NoTrappedData
-from stefanlab.weighted import B_CAP
 
 # derandomized and without an example database: the same examples every run,
 # no files left behind
@@ -92,8 +91,8 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("bad", [-1.0, 0.0, float("nan"), float("inf")])
     @pytest.mark.parametrize("field", [
-        "ds", "s_max", "record_ds", "amplitude", "ceiling", "shoot_tol",
-        "mass_tol", "rate_tol", "radius_tol"])
+        "ds", "s_max", "record_ds", "ceiling", "shoot_tol", "mass_tol",
+        "rate_tol", "radius_tol"])
     def test_non_positive_numeric_fields_rejected(self, field, bad):
         with pytest.raises(ConfigError, match=field):
             ScenarioConfig(**{field: bad})
@@ -149,7 +148,6 @@ def _configs(draw):
             max_size=5, unique=True))),
         lower_modes=tuple(draw(st.lists(_small(0.05), min_size=k - 1,
                                         max_size=k - 1))),
-        amplitude=draw(st.floats(1e-12, B_CAP, exclude_max=True)),
         ceiling=ceiling,
         shoot_tol=draw(st.floats(0.0, ceiling / 4.0, exclude_min=True,
                                  exclude_max=True)),
@@ -276,6 +274,9 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert code == 1
         assert "config error:" in err
+        if config is not None and "amplitude" in config:
+            # the format has no [shoot] amplitude key
+            assert "unknown key [shoot] 'amplitude'" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("payload", [
@@ -335,14 +336,14 @@ class TestCliExitCodes:
         path = tmp_path / "shoot.cfg"
         path.write_text("mode = shoot\nk = 3\nb0 = -0.02\ngrid = 512\n"
                         "ds = 1e-4\ns_max = 0.3\nrecord_ds = 0.004\n"
-                        "[shoot]\namplitude = 0.01\nceiling = 0.5\n"
+                        "[shoot]\nceiling = 0.5\n"
                         "tol = 1e-10\n[tolerances]\nmass = 1e-5\n")
         code = cli.main(["--config", str(path), "--out", str(tmp_path)])
         assert code == 2
         ev, = seen
         assert (ev.k, ev.b_k0, ev.grid.n) == (3, -0.02, 512)
         assert (ev.ds, ev.s_max, ev.record_ds) == (1e-4, 0.3, 0.004)
-        assert (ev.amplitude, ev.ceiling, ev.tol) == (0.01, 0.5, 1e-10)
+        assert (ev.ceiling, ev.tol) == (0.5, 1e-10)
         assert ev.mass_tol == 1e-5
 
     def test_shoot_horizon_too_short_to_certify(self, tmp_path, capsys):
@@ -397,16 +398,18 @@ class TestCliSpectrum:
 
 
 class TestCliRun:
-    def test_drift_warning_printed_once(self, tmp_path):
-        # the self-consistent b of this run sits just above the soft cap
-        # |b| = 0.05 for several records, each solving its own bases
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_drift_warning_printed_once(self, k, tmp_path):
+        # the self-consistent b = b_k of this run sits just above the soft
+        # cap |b| = 0.05 for several records, each taking its own bases
         src = str(Path(stefanlab.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
+        lower = ["--lower", "0"] if k == 2 else []
         proc = subprocess.run(
             [sys.executable, "-m", "stefanlab.cli", "--mode", "run", "--k",
-             "1", "--grid", "512", "--b0", "0.05", "--smax", "0.05",
-             "--out", str(tmp_path)],
+             str(k), "--grid", "512", "--b0", "0.05", "--smax", "0.05",
+             *lower, "--out", str(tmp_path)],
             capture_output=True, text=True, env=env, check=False)
         warned = [line for line in proc.stderr.splitlines()
                   if "UserWarning: drift parameter |b|=" in line]

@@ -15,12 +15,14 @@ DATA = Path(__file__).parent / "data"
 
 # reference directory -> (command line, exit code); s_max = 0.3 stops the
 # k = 1 run short of the decay floor, so it writes no verdict and exits 2;
-# the k = 2 lower mode is the n = 512 shoot's trapped b_1(0) to 5 digits
+# the k = 2 lower mode is the n = 512 shoot's trapped b_1(0), a coordinate
+# in the basis at b = b_2(0), to 6 digits (at 5, -1.0997e-05, the untrapped
+# part keeps the run above the decay floor up to the default s_max)
 CASES = {
     "k1_512": (["--mode", "run", "--k", "1", "--grid", "512", "--b0", "0.01",
                 "--smax", "0.3"], 2),
     "k2_512": (["--mode", "run", "--k", "2", "--grid", "512", "--b0", "0.01",
-                "--lower=-6.6608e-06"], 0),
+                "--lower=-1.09975e-05"], 0),
 }
 
 
