@@ -119,9 +119,12 @@ def time_reconstruction_check(ts: TimeSeries) -> float:
     return float(np.max(np.abs(ts.t - t_rec)))
 
 
-def verdict(ts: TimeSeries, k: int, b_k0: float, u0_integral: float,
-            rate_tol: float = 0.02, radius_tol: float = 1e-4) -> dict:
-    """Scenario verdict: terminal radius, fitted rate, regime coherence."""
+def verdict(ts: TimeSeries, k: int, b_k0: float, u0_integral: float) -> dict:
+    """Scenario verdict: terminal radius, fitted rate, regime coherence,
+    at fixed bounds: the radius within ``radius_tol`` = 1e-4 of the
+    prediction, the rate within ``rate_tol`` = 2% (k = 1) or 3% (k > 1)."""
+    rate_tol = 0.02 if k == 1 else 0.03
+    radius_tol = 1e-4
     measured, predicted = terminal_radius(ts, u0_integral)
     fit = fit_rate(ts, predicted, k)
     regime = classify_regime(k, b_k0)

@@ -168,14 +168,10 @@ def cmd_run(cfg: ScenarioConfig) -> int:
     s_max = (cfg.s_max if cfg.s_max is not None
              else solver.default_s_max(cfg.k))
     u0i = asymptotics.u0_disk_integral(grid, v0)
-    series, track = modulation.track_run(
-        grid, v0, cfg.k, ds=ds, s_max=s_max, record_ds=cfg.record_ds,
-        mass_tol=cfg.mass_tol)
+    series, track = modulation.track_run(grid, v0, cfg.k, ds=ds, s_max=s_max)
     series.to_csv(_outpath(cfg, "timeseries.csv"))
     track.to_csv(_outpath(cfg, "modulation.csv"))
-    verdict = asymptotics.verdict(series, cfg.k, cfg.b0, u0i,
-                                  rate_tol=cfg.effective_rate_tol(),
-                                  radius_tol=cfg.radius_tol)
+    verdict = asymptotics.verdict(series, cfg.k, cfg.b0, u0i)
     asymptotics.write_verdict_json(_outpath(cfg, "verdict.json"), verdict)
     asymptotics.decay_plot(_outpath(cfg, "decay.svg"), series, verdict)
     print(f"run: {verdict['regime']}, rate {verdict['rate_fitted']:.4f} vs "
@@ -188,9 +184,7 @@ def cmd_run(cfg: ScenarioConfig) -> int:
 
 def cmd_shoot(cfg: ScenarioConfig) -> int:
     evaluator = reduced.TrapEvaluator(
-        cfg.k, cfg.b0, RadialGrid(cfg.grid_n), ds=cfg.ds, s_max=cfg.s_max,
-        ceiling=cfg.ceiling, record_ds=cfg.record_ds, mass_tol=cfg.mass_tol,
-        tol=cfg.shoot_tol)
+        cfg.k, cfg.b0, RadialGrid(cfg.grid_n), ds=cfg.ds, s_max=cfg.s_max)
     result = reduced.shoot_trapped(evaluator)
     path = _outpath(cfg, f"shoot_k{cfg.k}.json")
     result.to_json(path)

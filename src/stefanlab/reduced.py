@@ -32,7 +32,7 @@ import numpy as np
 from . import bessel, files, modulation, solver
 from .bessel import coupling_coefficients
 from .errors import ConfigError, NoTrappedData, PoleCrossing
-from .weighted import RadialGrid
+from .weighted import B_WARN, RadialGrid
 
 #: default ceiling on the summed squared trap variables
 TRAP_CEILING = 1.0
@@ -71,8 +71,8 @@ class RiccatiParams:
 
     @classmethod
     def for_mode(cls, k: int, b0: float) -> "RiccatiParams":
-        if abs(b0) > 0.05:
-            raise ConfigError("|b0| <= 0.05 in the reduced regime")
+        if abs(b0) > B_WARN:
+            raise ConfigError(f"|b0| <= {B_WARN} in the reduced regime")
         return cls(k=k, lam_k=bessel.j0_zeros(k)[k - 1].lam,
                    sigma=(-1.0) ** (k + 1), b0=b0)
 
@@ -175,9 +175,10 @@ class TrapEvaluator:
     one source of a trap search's settings.
 
     Builds v0 = sum_j b_j(0) psi_{b_k(0), j}, runs the renormalized flow to
-    ``s_max`` (or ``SHOOT_NORM_FLOOR``) at the step ``ds`` and the record
-    cadence ``record_ds`` under the mass guard ``mass_tol``, tracks the trap
-    variables V_j as it runs (:func:`modulation.track_run`), and reports
+    ``s_max`` (or ``SHOOT_NORM_FLOOR``) at the step ``ds``, with the
+    solver's record cadence and mass guard (``solver.RECORD_DS``,
+    ``solver.MASS_TOL``), tracks the trap variables V_j as it runs
+    (:func:`modulation.track_run`), and reports
     the first record where sum_j V_j^2 crosses the ceiling, plus V at the
     ``horizon`` min(s_max, default_shoot_horizon): the first record with
     s >= horizon - ds/2 (NaN if the run stopped short of it).  ``tol`` is
@@ -191,9 +192,7 @@ class TrapEvaluator:
 
     def __init__(self, k: int, b_k0: float, grid: RadialGrid,
                  ds: float | None = None, s_max: float | None = None,
-                 ceiling: float = TRAP_CEILING,
-                 record_ds: float = solver.RECORD_DS,
-                 mass_tol: float = solver.MASS_TOL, tol: float = SHOOT_TOL):
+                 ceiling: float = TRAP_CEILING, tol: float = SHOOT_TOL):
         if k < 2 or k > 3:
             raise ConfigError("trap shooting supports k in {2, 3}")
         if ceiling <= 4.0 * tol:
@@ -208,8 +207,6 @@ class TrapEvaluator:
         self.horizon = min(self.s_max, horizon)
         self.ceiling = ceiling
         self.tol = tol
-        self.record_ds = record_ds
-        self.mass_tol = mass_tol
         self.evaluations = 0
 
     def evaluate(self, lower) -> TrapEvaluation:
@@ -217,7 +214,6 @@ class TrapEvaluator:
         v0 = modulation.build_profile(self.grid, self.k, [*lower, self.b_k0])
         series, track = modulation.track_run(
             self.grid, v0, self.k, ds=self.ds, s_max=self.s_max,
-            record_ds=self.record_ds, mass_tol=self.mass_tol,
             norm_floor=SHOOT_NORM_FLOOR)
         self.evaluations += 1
         at = np.nonzero(series.s >= self.horizon - 0.5 * self.ds)[0]

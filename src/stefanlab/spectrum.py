@@ -44,7 +44,7 @@ import numpy as np
 from . import bessel, files
 from .errors import ConfigError, NonConvergence, SingularGram
 from .lapack import lowest_eigh_tridiagonal
-from .weighted import (B_CAP, RadialGrid, WeightParam, deriv_values,
+from .weighted import (B_CAP, B_WARN, RadialGrid, WeightParam, deriv_values,
                        end_slope, inner_b, nodal_rho, right_stencils)
 
 #: largest number of eigenpairs `eigenpairs` computes
@@ -352,8 +352,9 @@ def perturbation_sweep(grid: RadialGrid, k: int, b_values) -> PerturbationReport
     Needs at least three nonzero b values inside (-0.05, 0.05).
     """
     bs = np.asarray(sorted(b_values), dtype=float)
-    if len(bs) < 3 or np.any(bs == 0.0) or np.any(np.abs(bs) >= 0.05):
-        raise ConfigError("need >= 3 nonzero b values inside (-0.05, 0.05)")
+    if len(bs) < 3 or np.any(bs == 0.0) or np.any(np.abs(bs) >= B_WARN):
+        raise ConfigError(
+            f"need >= 3 nonzero b values inside (-{B_WARN}, {B_WARN})")
     lam0 = eigenpairs(grid, WeightParam(0.0), k).lams[k - 1]
     bases = [eigenpairs(grid, WeightParam(b), k) for b in bs]
     lam_vals = np.array([basis.lams[k - 1] for basis in bases])

@@ -129,6 +129,13 @@ class TestVerdict:
         asymptotics.write_verdict_json(path, v)
         assert json.loads(path.read_text())["regime"] == "freezing"
 
+    @pytest.mark.parametrize("k, rate_tol", [(1, 0.02), (2, 0.03)])
+    def test_bounds_are_fixed_by_k(self, k, rate_tol):
+        # the paper's bounds: 2% on the k = 1 rate, 3% for k > 1
+        v = asymptotics.verdict(synthetic_series(), k, 0.01,
+                                math.pi * (0.9 ** 2 - 1.0))
+        assert (v["rate_tol"], v["radius_tol"]) == (rate_tol, 1e-4)
+
 
 class TestRateParityCoherence:
     """All four scenarios (two regimes per tracked mode) agree with the

@@ -38,10 +38,6 @@ class TestConfigParsing:
         b0 = -0.01
         grid = 512
         lower_modes = 1e-5, -2e-5
-        [tolerances]
-        mass = 1e-5
-        [shoot]
-        ceiling = 2.0
         """
         cfg = parse_config(text)
         assert cfg.mode == "run"
@@ -49,16 +45,13 @@ class TestConfigParsing:
         assert cfg.b0 == -0.01
         assert cfg.grid_n == 512
         assert cfg.lower_modes == (1e-5, -2e-5)
-        assert cfg.mass_tol == 1e-5
-        assert cfg.ceiling == 2.0
 
     def test_round_trip_is_identity(self):
         for cfg in (
             ScenarioConfig(),
             ScenarioConfig(mode="shoot", k=2, b0=0.02, grid_n=512,
                            ds=1e-4, s_max=0.7, quick=True,
-                           lower_modes=(3e-6,), rate_tol=0.05,
-                           out_dir="results"),
+                           lower_modes=(3e-6,), out_dir="results"),
         ):
             text = serialize_config(cfg)
             again = parse_config(text)
@@ -90,22 +83,10 @@ class TestConfigParsing:
             parse_config("k = 2\nlower_modes = 1e-5, 2e-5")
 
     @pytest.mark.parametrize("bad", [-1.0, 0.0, float("nan"), float("inf")])
-    @pytest.mark.parametrize("field", [
-        "ds", "s_max", "record_ds", "ceiling", "shoot_tol", "mass_tol",
-        "rate_tol", "radius_tol"])
+    @pytest.mark.parametrize("field", ["ds", "s_max"])
     def test_non_positive_numeric_fields_rejected(self, field, bad):
         with pytest.raises(ConfigError, match=field):
             ScenarioConfig(**{field: bad})
-
-    def test_shoot_horizon_must_be_positive(self):
-        # the shooting horizon ln(ceiling / (4 tol)) / growth is <= 0 exactly
-        # when ceiling <= 4 tol
-        for tol in (0.25, 0.5):
-            assert reduced.default_shoot_horizon(2, tol, 1.0) <= 0.0
-            with pytest.raises(ConfigError, match="horizon"):
-                ScenarioConfig(mode="shoot", k=2, shoot_tol=tol, ceiling=1.0)
-        assert reduced.default_shoot_horizon(2, 0.2499, 1.0) > 0.0
-        assert ScenarioConfig(mode="shoot", k=2, shoot_tol=0.2499).ceiling == 1.0
 
     def test_optional_none(self):
         cfg = parse_config("ds = none\ns_max = auto")
@@ -131,16 +112,14 @@ def _configs(draw):
     mode = draw(st.sampled_from(MODES))
     k = draw(st.sampled_from((2, 3)) if mode == "shoot"
              else st.integers(1, 12))
-    ceiling = draw(_positive())
-    record_ds = draw(_positive())
     # a valid ds takes at most MAX_STEPS_PER_RECORD steps per record
-    min_ds = max(1e-12, 2.0 * record_ds / solver.MAX_STEPS_PER_RECORD)
+    min_ds = 2.0 * solver.RECORD_DS / solver.MAX_STEPS_PER_RECORD
     return dict(
         mode=mode, k=k, b0=draw(_small(0.05)),
         grid_n=2 * draw(st.integers(256, 2048)),
         ds=draw(st.none() | st.floats(min_ds, 10.0)),
         s_max=draw(st.none() | _positive()),
-        record_ds=record_ds, seed=draw(st.integers(0, 2 ** 63)),
+        seed=draw(st.integers(0, 2 ** 63)),
         quick=draw(st.booleans()), json_output=draw(st.booleans()),
         out_dir=draw(st.text("abcXYZ019_-./", min_size=1, max_size=12)),
         b_values=tuple(draw(st.lists(
@@ -148,12 +127,6 @@ def _configs(draw):
             max_size=5, unique=True))),
         lower_modes=tuple(draw(st.lists(_small(0.05), min_size=k - 1,
                                         max_size=k - 1))),
-        ceiling=ceiling,
-        shoot_tol=draw(st.floats(0.0, ceiling / 4.0, exclude_min=True,
-                                 exclude_max=True)),
-        mass_tol=draw(_positive()),
-        rate_tol=draw(st.none() | _positive()),
-        radius_tol=draw(_positive()),
     )
 
 
@@ -169,14 +142,11 @@ _SETTINGS = {
     "b0": st.floats(-0.06, 0.06).map(repr),
     "grid": st.sampled_from(("512", "1024", "511", "256", "1e3")),
     "ds": st.sampled_from(("none", "auto", "1e-4", "-1", "0")),
-    "record_ds": st.floats(-1.0, 1.0).map(repr),
     "seed": st.integers(-2, 10 ** 6).map(str),
     "quick": st.sampled_from(("true", "false", "yes", "maybe")),
     "out": st.text("ab/_ #", max_size=6),
     "b_values": _float_list(0.06),
     "lower_modes": _float_list(0.06),
-    "[shoot]\nceiling": st.floats(-1.0, 3.0).map(repr),
-    "[tolerances]\nrate": st.sampled_from(("none", "0.05", "-0.1", "inf")),
     "mystery": st.just("1"),
 }
 _LINES = st.one_of(
@@ -207,6 +177,23 @@ class TestConfigProperties:
         assert parse_config(serialize_config(cfg)) == cfg
 
 
+# config files with a section or a setting the format does not have, and
+# the error naming the line
+_DROPPED_LINES = {
+    "[shoot]\namplitude = 0.5\n": "line 1: expected 'key = value'",
+    "[shoot]\ntol = 0.5\n": "line 1: expected 'key = value'",
+    "[shoot]\n": "line 1: expected 'key = value'",
+    "mode = shoot\n[shoot]\nceiling = 1.0\n":
+        "line 2: expected 'key = value'",
+    "record_ds = 0.002\n": "line 1: unknown key 'record_ds'",
+    "k = 2\nceiling = 1.0\n": "line 2: unknown key 'ceiling'",
+    "k = 2\ntol = 1e-12\n": "line 2: unknown key 'tol'",
+    "mass = 1e-06\n": "line 1: unknown key 'mass'",
+    "rate = 0.02\n": "line 1: unknown key 'rate'",
+    "radius = 0.0001\n": "line 1: unknown key 'radius'",
+}
+
+
 class TestCliExitCodes:
     def test_malformed_config_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -227,6 +214,13 @@ class TestCliExitCodes:
         text = capsys.readouterr().out
         cfg = parse_config(text)
         assert cfg.b0 == -0.01
+
+    def test_dump_config_is_twelve_flat_lines(self, capsys):
+        assert cli.main(["--dump-config"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "mode = run", "k = 1", "b0 = 0.01", "grid = 1024", "ds = none",
+            "s_max = none", "seed = 1234", "quick = false", "json = false",
+            "out = out", "b_values = 0.005, 0.01, 0.02", "lower_modes = "]
 
     def test_run_insufficient_smax(self, tmp_path):
         code = cli.main(["--mode", "run", "--k", "1", "--b0", "-0.01",
@@ -259,6 +253,15 @@ class TestCliExitCodes:
         ("[shoot]\namplitude = 0.5\n", ["--k", "2", "--lower", "0.0001"]),
         ("[shoot]\ntol = 0.5\n",
          ["--mode", "shoot", "--k", "2", "--grid", "512", "--b0", "0.01"]),
+        # each setting and section the format dropped
+        ("[shoot]\n", ["--mode", "shoot", "--k", "2"]),
+        ("mode = shoot\n[shoot]\nceiling = 1.0\n", ["--k", "2"]),
+        ("record_ds = 0.002\n", []),
+        ("k = 2\nceiling = 1.0\n", ["--mode", "shoot"]),
+        ("k = 2\ntol = 1e-12\n", ["--mode", "shoot"]),
+        ("mass = 1e-06\n", []),
+        ("rate = 0.02\n", []),
+        ("radius = 0.0001\n", []),
     ])
     def test_invalid_values_are_config_errors(self, config, flags, tmp_path,
                                               capsys):
@@ -274,9 +277,8 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert code == 1
         assert "config error:" in err
-        if config is not None and "amplitude" in config:
-            # the format has no [shoot] amplitude key
-            assert "unknown key [shoot] 'amplitude'" in err
+        if config in _DROPPED_LINES:
+            assert f"config error: {_DROPPED_LINES[config]}" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("payload", [
@@ -316,13 +318,14 @@ class TestCliExitCodes:
         assert not (tmp_path / "out").exists()
 
     def test_shoot_reads_the_mass_tolerance(self, tmp_path, capsys):
-        # the first record of the first search run drifts past 1e-12
-        path = tmp_path / "shoot.cfg"
-        path.write_text("mode = shoot\nk = 2\ngrid = 512\n"
-                        "[tolerances]\nmass = 1e-12\n")
-        code = cli.main(["--config", str(path), "--out", str(tmp_path)])
+        # at ds = 0.05 the first record of the first search run drifts past
+        # the fixed guard solver.MASS_TOL = 1e-6
+        code = cli.main(["--mode", "shoot", "--k", "2", "--grid", "512",
+                         "--b0", "0.01", "--ds", "0.05",
+                         "--out", str(tmp_path)])
         assert code == 2
-        assert "mass drift" in capsys.readouterr().err
+        assert ("mass drift 8.151e-06 > 1.000e-06 at s = 0.0500"
+                in capsys.readouterr().err)
 
     def test_shoot_hands_the_config_to_the_evaluator(self, tmp_path,
                                                       monkeypatch):
@@ -335,16 +338,14 @@ class TestCliExitCodes:
         monkeypatch.setattr(reduced, "shoot_trapped", shoot)
         path = tmp_path / "shoot.cfg"
         path.write_text("mode = shoot\nk = 3\nb0 = -0.02\ngrid = 512\n"
-                        "ds = 1e-4\ns_max = 0.3\nrecord_ds = 0.004\n"
-                        "[shoot]\nceiling = 0.5\n"
-                        "tol = 1e-10\n[tolerances]\nmass = 1e-5\n")
+                        "ds = 1e-4\ns_max = 0.3\n")
         code = cli.main(["--config", str(path), "--out", str(tmp_path)])
         assert code == 2
         ev, = seen
         assert (ev.k, ev.b_k0, ev.grid.n) == (3, -0.02, 512)
-        assert (ev.ds, ev.s_max, ev.record_ds) == (1e-4, 0.3, 0.004)
-        assert (ev.ceiling, ev.tol) == (0.5, 1e-10)
-        assert ev.mass_tol == 1e-5
+        assert (ev.ds, ev.s_max) == (1e-4, 0.3)
+        assert (ev.ceiling, ev.tol) == (reduced.TRAP_CEILING,
+                                        reduced.SHOOT_TOL)
 
     def test_shoot_horizon_too_short_to_certify(self, tmp_path, capsys):
         # at s_max = 0.01 the zero datum and the first probe both trap
