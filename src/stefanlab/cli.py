@@ -20,8 +20,8 @@ import os
 import sys
 import warnings
 
-from . import (asymptotics, bessel, files, modulation, reduced, solver,
-               spectrum, verify)
+from . import (asymptotics, bessel, files, modulation, reduced, spectrum,
+               verify)
 from .config import (MODES, ScenarioConfig, load_config, serialize_config,
                      with_overrides)
 from .errors import (BoundaryBlowup, ConfigError, InsufficientDecay,
@@ -162,18 +162,13 @@ def cmd_run(cfg: ScenarioConfig) -> int:
             "k > 1 runs need lower_modes (run 'shoot' first or pass "
             "--lower/--shoot-file)"
         )
-    grid = RadialGrid(cfg.grid_n)
-    v0 = modulation.build_profile(grid, cfg.k, [*cfg.lower_modes, cfg.b0])
-    ds = cfg.ds if cfg.ds is not None else solver.default_ds(grid, cfg.k)
-    s_max = (cfg.s_max if cfg.s_max is not None
-             else solver.default_s_max(cfg.k))
-    u0i = asymptotics.u0_disk_integral(grid, v0)
-    series, track = modulation.track_run(grid, v0, cfg.k, ds=ds, s_max=s_max)
-    series.to_csv(_outpath(cfg, "timeseries.csv"))
-    track.to_csv(_outpath(cfg, "modulation.csv"))
-    verdict = asymptotics.verdict(series, cfg.k, cfg.b0, u0i)
+    run = modulation.scenario(RadialGrid(cfg.grid_n), cfg.k,
+                              [*cfg.lower_modes, cfg.b0], cfg.ds, cfg.s_max)
+    run.series.to_csv(_outpath(cfg, "timeseries.csv"))
+    run.track.to_csv(_outpath(cfg, "modulation.csv"))
+    verdict = run.verdict
     asymptotics.write_verdict_json(_outpath(cfg, "verdict.json"), verdict)
-    asymptotics.decay_plot(_outpath(cfg, "decay.svg"), series, verdict)
+    asymptotics.decay_plot(_outpath(cfg, "decay.svg"), run.series, verdict)
     print(f"run: {verdict['regime']}, rate {verdict['rate_fitted']:.4f} vs "
           f"{verdict['rate_predicted']:.4f} "
           f"(rel {verdict['rate_rel_error']:.3%}), radius defect "

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError
-from .solver import MAX_STEPS_PER_RECORD, RECORD_DS
+from .solver import check_step
 from .spectrum import MAX_EIGENPAIRS
 from .weighted import B_WARN
 
@@ -69,13 +69,8 @@ class ScenarioConfig:
             if not (isinstance(val, (int, float)) and math.isfinite(val)
                     and val > 0):
                 raise ConfigError(f"{name} must be finite and > 0, got {val!r}")
-        # the run takes RECORD_DS / ds steps per record (inf on overflow)
-        if (self.ds is not None
-                and not RECORD_DS / self.ds <= MAX_STEPS_PER_RECORD):
-            raise ConfigError(
-                f"record_ds / ds must be at most {MAX_STEPS_PER_RECORD:g} "
-                f"steps per record; got record_ds = {RECORD_DS!r}, "
-                f"ds = {self.ds!r}")
+        if self.ds is not None:
+            check_step(self.ds)
         if self.lower_modes and len(self.lower_modes) != self.k - 1:
             raise ConfigError(
                 f"lower_modes needs {self.k - 1} entries for k = {self.k}"

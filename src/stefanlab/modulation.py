@@ -14,17 +14,20 @@ coefficients b_j, the second-order energy E = ||H_b eps||^2 (weighted) of
 the remainder, the rescaled trap variables V_j = b_j e^{(lam_k + gap_k) s},
 and the leading-order mode-equation residuals.  Neither the remainder nor
 the profile is kept.
+One run from its k-mode datum, as ``--mode run``, the criteria and the
+trap search make it, is :func:`scenario`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import bessel, files, solver, spectrum
-from .errors import InsufficientHistory, NonConvergence
+from . import asymptotics, bessel, files, solver, spectrum
+from .errors import ConfigError, InsufficientHistory, NonConvergence
 from .spectrum import Basis
 from .weighted import RadialGrid, WeightParam, inner_b
 
@@ -115,8 +118,10 @@ def build_profile(grid: RadialGrid, k: int, coeffs) -> np.ndarray:
     """Initial data sum_j coeffs[j] psi_{b, j+1} of a k-mode run, with
     coeffs = (b_1(0), .., b_k(0)), on the basis of
     :func:`spectrum.basis_family` at b = b_k(0), the tracked coefficient
-    itself."""
+    itself; other than k coefficients raise :class:`ConfigError`."""
     coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.shape != (k,):
+        raise ConfigError(f"k = {k} needs {k} coefficients, got {coeffs.size}")
     vals = spectrum.basis_family(grid, k).at(coeffs[-1]).psis @ coeffs
     vals[-1] = 0.0
     return vals
@@ -186,10 +191,10 @@ class TrackResult:
 
 
 def track_run(grid: RadialGrid, v0: np.ndarray, k: int, ds: float,
-              s_max: float,
-              **run_options) -> tuple[solver.TimeSeries, TrackResult]:
+              s_max: float, norm_floor: float = solver.NORM_FLOOR
+              ) -> tuple[solver.TimeSeries, TrackResult]:
     """Run the flow of the profile v0 on ``grid`` with :func:`solver.run`
-    (``ds``, ``s_max`` and ``run_options`` are its arguments) and decompose
+    (``ds``, ``s_max`` and ``norm_floor`` are its arguments) and decompose
     each record as the run takes it; returns ``(series, track)``.
 
     Every record is decomposed on the basis of
@@ -205,10 +210,47 @@ def track_run(grid: RadialGrid, v0: np.ndarray, k: int, ds: float,
         b, basis = self_consistent_b1(grid, v, initial=b, k=k)
         states.append(decompose(v, s, basis))
 
-    series = solver.run(grid, v0, ds, s_max, observe=observe, **run_options)
+    series = solver.run(grid, v0, ds, s_max, norm_floor=norm_floor,
+                        observe=observe)
     if len(states) >= 3:
         residuals = modulation_residual(
             states, float(series.s[1] - series.s[0]), grid)
     else:
         residuals = np.full((len(states), k), np.nan)
     return series, TrackResult(k=k, states=states, residuals=residuals)
+
+
+@dataclass
+class Scenario:
+    """A k-mode run from b_k(0) = ``b_k0``: its records, its track (None
+    if untracked) and its profile's u0 disk integral; ``verdict`` is
+    formed on first read, so the records can be written before it raises."""
+
+    k: int
+    b_k0: float
+    series: solver.TimeSeries
+    track: TrackResult | None
+    u0_integral: float
+
+    @functools.cached_property
+    def verdict(self) -> dict:
+        return asymptotics.verdict(self.series, self.k, self.b_k0,
+                                   self.u0_integral)
+
+
+def scenario(grid: RadialGrid, k: int, coeffs, ds: float | None = None,
+             s_max: float | None = None, track: bool = True,
+             norm_floor: float = solver.NORM_FLOOR) -> Scenario:
+    """The run of the datum ``coeffs`` = (b_1(0), .., b_k(0)) on ``grid``
+    (:func:`build_profile`) to ``s_max`` or ``norm_floor``, by
+    :func:`track_run`, or by :func:`solver.run` if not ``track``; ``ds``
+    and ``s_max`` default to :func:`solver.default_ds`/``default_s_max``."""
+    v0 = build_profile(grid, k, coeffs)
+    ds = ds if ds is not None else solver.default_ds(grid, k)
+    s_max = s_max if s_max is not None else solver.default_s_max(k)
+    if track:
+        series, tracked = track_run(grid, v0, k, ds, s_max, norm_floor)
+    else:
+        series, tracked = solver.run(grid, v0, ds, s_max, norm_floor), None
+    return Scenario(k, float(coeffs[-1]), series, tracked,
+                    asymptotics.u0_disk_integral(grid, v0))

@@ -174,12 +174,10 @@ class TrapEvaluator:
     """Exit map of the full PDE flow for lower-mode initial data, and the
     one source of a trap search's settings.
 
-    Builds v0 = sum_j b_j(0) psi_{b_k(0), j}, runs the renormalized flow to
-    ``s_max`` (or ``SHOOT_NORM_FLOOR``) at the step ``ds``, with the
-    solver's record cadence and mass guard (``solver.RECORD_DS``,
-    ``solver.MASS_TOL``), tracks the trap variables V_j as it runs
-    (:func:`modulation.track_run`), and reports
-    the first record where sum_j V_j^2 crosses the ceiling, plus V at the
+    Makes the tracked run of the datum (b_1(0), .., b_k(0)) to ``s_max``
+    (or ``SHOOT_NORM_FLOOR``) at the step ``ds``
+    (:func:`modulation.scenario`) and reports the first record where
+    sum_j V_j^2 of its trap variables crosses the ceiling, plus V at the
     ``horizon`` min(s_max, default_shoot_horizon): the first record with
     s >= horizon - ds/2 (NaN if the run stopped short of it).  ``tol`` is
     the search's step tolerance; ``ceiling > 4 tol`` keeps the horizon
@@ -211,19 +209,19 @@ class TrapEvaluator:
 
     def evaluate(self, lower) -> TrapEvaluation:
         lower = np.atleast_1d(np.asarray(lower, dtype=float))
-        v0 = modulation.build_profile(self.grid, self.k, [*lower, self.b_k0])
-        series, track = modulation.track_run(
-            self.grid, v0, self.k, ds=self.ds, s_max=self.s_max,
-            norm_floor=SHOOT_NORM_FLOOR)
+        run = modulation.scenario(self.grid, self.k, [*lower, self.b_k0],
+                                  ds=self.ds, s_max=self.s_max,
+                                  norm_floor=SHOOT_NORM_FLOOR)
         self.evaluations += 1
-        at = np.nonzero(series.s >= self.horizon - 0.5 * self.ds)[0]
+        s, track = run.series.s, run.track
+        at = np.nonzero(s >= self.horizon - 0.5 * self.ds)[0]
         horizon_V = (track.states[at[0]].V.copy() if len(at)
                      else np.full(self.k - 1, np.nan))
         v2 = np.array([float(np.sum(st.V ** 2)) for st in track.states])
         over = np.nonzero(v2 >= self.ceiling ** 2)[0]
         end = int(over[0]) + 1 if len(over) else len(v2)
         return TrapEvaluation(
-            exit_s=float(series.s[end - 1]) if len(over) else None,
+            exit_s=float(s[end - 1]) if len(over) else None,
             horizon_V=horizon_V, max_v2=float(v2[:end].max()), track=track)
 
 

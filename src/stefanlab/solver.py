@@ -57,13 +57,22 @@ from .weighted import RadialGrid, WeightParam, deriv_values, end_slope
 
 #: stop a run once the solution norm falls below this floor
 NORM_FLOOR = 1e-12
-#: default record cadence in s
+#: record cadence in s
 RECORD_DS = 2e-3
-#: default bound on the relative mass drift
+#: bound on the relative mass drift
 MASS_TOL = 1e-6
-#: most steps between two records (record_ds / ds); a smaller ds is
-#: rejected, since the state is checked only at the records
+#: most steps between two records: the state is checked only at records
 MAX_STEPS_PER_RECORD = 1e6
+
+
+def check_step(ds: float) -> None:
+    """Raise :class:`ConfigError` unless ds >= RECORD_DS /
+    MAX_STEPS_PER_RECORD (so for a NaN and a ds <= 0 too)."""
+    if not (ds > 0 and RECORD_DS / ds <= MAX_STEPS_PER_RECORD):
+        raise ConfigError(
+            f"ds must be at least {RECORD_DS / MAX_STEPS_PER_RECORD:g} "
+            f"(the fixed record cadence RECORD_DS = {RECORD_DS:g} over at "
+            f"most {MAX_STEPS_PER_RECORD:g} steps); got ds = {ds!r}")
 
 
 def mass(grid: RadialGrid, v: np.ndarray, lam: float) -> float:
@@ -82,8 +91,7 @@ class Stepper:
     """IMEX ARS(2,2,2) stepper with a fixed step on a fixed grid."""
 
     def __init__(self, grid: RadialGrid, ds: float):
-        if not ds > 0:
-            raise ConfigError("ds must be positive")
+        check_step(ds)
         self.grid = grid
         self.ds = ds
         n, h = grid.n, grid.h
@@ -179,24 +187,23 @@ class TimeSeries:
 
 
 def run(grid: RadialGrid, v0: np.ndarray, ds: float, s_max: float,
-        record_ds: float = RECORD_DS, mass_tol: float = MASS_TOL,
         norm_floor: float = NORM_FLOOR, observe=None) -> TimeSeries:
     """Integrate the renormalized flow of the profile v0 on ``grid`` from
     unit radius until s_max or the norm floor; an s_max whose step count
     overflows is no bound.
 
     A v0 without one sample per node raises :class:`GridMismatch`, one
-    that does not vanish at y = 1 :class:`ConfigError`, as does a ``ds`` for
-    which ``record_ds / ds`` is not finite (NaN, or so small that it
-    overflows) or exceeds ``MAX_STEPS_PER_RECORD``.  The mass invariant is
-    checked at every record; drifting past ``mass_tol`` (relative), or a
-    non-finite state (v0 included, at s = 0), raises
-    :class:`ConservationError`.  ``observe(s, v)`` is called with the
-    profile of each record once that record has passed the guard; v is
-    the run's state, not a copy, and must not be written to.  Records fall
-    every round(record_ds / ds) steps, so the cadence is record_ds only to
-    a multiple of ds: at the default step 2 x 1/1024 = 1.953e-3 for k = 1,
-    n = 1024 and 5 x 3.707e-4 = 1.853e-3 for k = 2, n = 512.
+    that does not vanish at y = 1 :class:`ConfigError`, as does a ``ds``
+    that :func:`check_step` rejects (before the first step).  The mass invariant is checked at
+    every record; drifting past ``MASS_TOL`` (relative), or a non-finite
+    state (v0 included, at s = 0), raises :class:`ConservationError`.
+    ``observe(s, v)`` is called with the profile of each record once that
+    record has passed the guard; v is the run's state, not a copy, and
+    must not be written to.  Records fall every round(RECORD_DS / ds)
+    steps, so the cadence is RECORD_DS only to a multiple of ds: at the
+    default step 2 x 1/1024 = 1.953e-3 for k = 1, n = 1024 and
+    5 x 3.707e-4 = 1.853e-3 for k = 2, n = 512.  The module's RECORD_DS
+    and MASS_TOL are read at call time.
     """
     v = np.asarray(v0, dtype=float)
     if v.shape != (grid.n + 1,):
@@ -204,19 +211,11 @@ def run(grid: RadialGrid, v0: np.ndarray, ds: float, s_max: float,
                            f"({grid.n + 1} nodes)")
     if v[-1] != 0.0:
         raise ConfigError(f"profile must vanish at y = 1, got {v[-1]:g}")
-    per_record = record_ds / ds
-    if not math.isfinite(per_record):
-        raise ConfigError(f"record_ds / ds is not finite: record_ds = "
-                          f"{record_ds:g}, ds = {ds:g}")
-    if per_record > MAX_STEPS_PER_RECORD:
-        raise ConfigError(f"record_ds / ds = {per_record:.3g} exceeds "
-                          f"{MAX_STEPS_PER_RECORD:g} steps per record: "
-                          f"record_ds = {record_ds:g}, ds = {ds:g}")
     stepper = Stepper(grid, ds)
     lam = 1.0
     s = t = 0.0
     a = end_slope(v, grid.h)
-    every = max(1, int(round(per_record)))
+    every = max(1, int(round(RECORD_DS / ds)))
     sw, y = grid.simpson, grid.y
 
     rows: list[tuple] = []    # (s, t, lam, a, mass, vnorm) per record
@@ -228,9 +227,9 @@ def run(grid: RadialGrid, v0: np.ndarray, ds: float, s_max: float,
         rows.append((s, t, lam, a, m, vnorm))
         drift = abs(m - m0) / abs(m0)
         # a NaN or inf anywhere in the state makes the drift non-finite
-        if not drift <= mass_tol:
+        if not drift <= MASS_TOL:
             raise ConservationError(
-                f"mass drift {drift:.3e} > {mass_tol:.3e} at s = {s:.4f}"
+                f"mass drift {drift:.3e} > {MASS_TOL:.3e} at s = {s:.4f}"
             )
         if observe is not None:
             observe(s, v)

@@ -12,8 +12,9 @@ Each criterion is a check returning (passed, details), declared once with
 (criteria 1, 2 and 8), returns a :class:`CriterionResult` and registers it
 in ``ALL_CRITERIA``.  Criteria 2 and 3 read the drift law from
 :func:`spectrum.perturbation_sweep`, the measurement ``--mode spectrum``
-reports; criteria 6-8 read :func:`asymptotics.verdict` of their runs, the
-verdict ``--mode run`` writes, against their own bounds.  ``run_all``
+reports; criteria 5-10 judge the runs ``--mode run`` makes, each one
+:func:`modulation.scenario`, and criteria 6-8 read its ``verdict``, the
+one ``--mode run`` writes, against their own bounds.  ``run_all``
 executes the suite (optionally a quick spectral-only subset) and is what
 the ``verify-all`` CLI mode drives; the acceptance tests call the criteria
 one by one.
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import asymptotics, bessel, modulation, reduced, solver, spectrum
+from . import bessel, modulation, reduced, solver, spectrum
 from .weighted import RadialGrid
 
 K1_B0 = 0.01
@@ -71,49 +72,21 @@ class VerificationContext:
             self._cache[key] = builder()
         return self._cache[key]
 
-    def _k1(self, sign: int, n: int):
-        """(series, u0 disk integral, track) of the k = 1 run from
-        sign * K1_B0 on n intervals; only the n = 1024 runs are tracked."""
-        def build():
-            grid = RadialGrid(n)
-            v0 = modulation.build_profile(grid, 1, [sign * K1_B0])
-            u0i = asymptotics.u0_disk_integral(grid, v0)
-            ds, s_max = solver.default_ds(grid, 1), solver.default_s_max(1)
-            if n != 1024:
-                return solver.run(grid, v0, ds, s_max), u0i, None
-            ts, track = modulation.track_run(grid, v0, 1, ds, s_max)
-            return ts, u0i, track
-        return self._get(("k1", sign, n), build)
-
-    def k1_run(self, sign: int, n: int = 1024):
-        return self._k1(sign, n)[:2]
-
-    def k1_track(self, sign: int):
-        return self._k1(sign, 1024)[2]
-
-    def k1_verdict(self, sign: int) -> dict:
-        """:func:`asymptotics.verdict` of the n = 1024 run, the verdict
-        ``--mode run`` writes for it."""
-        return self._get(("k1_verdict", sign), lambda: asymptotics.verdict(
-            self.k1_run(sign)[0], 1, sign * K1_B0, self.k1_run(sign)[1]))
+    def k1(self, sign: int, n: int = 1024) -> modulation.Scenario:
+        """The k = 1 run from sign * K1_B0 on n intervals, the run
+        ``--mode run`` makes; only the n = 1024 runs are tracked, which
+        spares criterion 5's n = 2048 run ~2,000 decompositions."""
+        return self._get(("k1", sign, n), lambda: modulation.scenario(
+            RadialGrid(n), 1, [sign * K1_B0], track=n == 1024))
 
     def k2_family(self, sign: int = 1):
-        """Shoot for trapped data and build the fit run at the same
-        resolution, the run ``--mode run --shoot-file`` makes."""
+        """Shoot for trapped data and make the run ``--mode run
+        --shoot-file`` makes from them; returns (result, evaluator, run)."""
         def build():
             ev = reduced.TrapEvaluator(2, sign * K2_B0, RadialGrid(512))
             result = reduced.shoot_trapped(ev)
-            v0 = modulation.build_profile(ev.grid, 2,
-                                          [*result.initials, ev.b_k0])
-            u0i = asymptotics.u0_disk_integral(ev.grid, v0)
-            fit_ts = solver.run(ev.grid, v0, ds=ev.ds,
-                                s_max=solver.default_s_max(2))
-            return {
-                "evaluator": ev,
-                "result": result,
-                "fit_ts": fit_ts,
-                "u0_integral": u0i,
-            }
+            return result, ev, modulation.scenario(
+                ev.grid, 2, [*result.initials, ev.b_k0])
         return self._get(("k2_family", sign), build)
 
 
@@ -259,9 +232,9 @@ def _drift(ts: solver.TimeSeries) -> float:
 
 @_criterion(5, "mass conservation")
 def criterion_5(ctx: VerificationContext):
-    d_pos = _drift(ctx.k1_run(+1)[0])
-    d_neg = _drift(ctx.k1_run(-1)[0])
-    d_2048 = _drift(ctx.k1_run(-1, 2048)[0])
+    d_pos = _drift(ctx.k1(+1).series)
+    d_neg = _drift(ctx.k1(-1).series)
+    d_2048 = _drift(ctx.k1(-1, 2048).series)
     ratio = d_neg / d_2048 if d_2048 > 0 else math.inf
     ok = d_pos <= 1e-6 and d_neg <= 1e-6 and ratio >= 3.0
     return ok, (f"drift(+)={d_pos:.2e}, drift(-)={d_neg:.2e} (<= 1e-6), "
@@ -273,7 +246,7 @@ def criterion_5(ctx: VerificationContext):
 
 @_criterion(6, "terminal radius")
 def criterion_6(ctx: VerificationContext):
-    errs = [ctx.k1_verdict(sign)["radius_defect"] for sign in (+1, -1)]
+    errs = [ctx.k1(sign).verdict["radius_defect"] for sign in (+1, -1)]
     return max(errs) <= 1e-4, (f"|measured - predicted| = {errs[0]:.2e}, "
                                f"{errs[1]:.2e} (<= 1e-4)")
 
@@ -286,7 +259,7 @@ def criterion_7(ctx: VerificationContext):
     rows = []
     ok = True
     for sign in (+1, -1):
-        v = ctx.k1_verdict(sign)
+        v = ctx.k1(sign).verdict
         ok = ok and v["rate_rel_error"] <= 0.02 and v["r_squared"] >= 0.999 \
             and v["direction_consistent"]
         rows.append(f"b0={sign * K1_B0:+.3f}: rate rel err "
@@ -301,10 +274,8 @@ def criterion_7(ctx: VerificationContext):
 @_criterion(8, "excited-mode rate law (<= 3%) + trap witness",
             budget=600.0)
 def criterion_8(ctx: VerificationContext):
-    fam = ctx.k2_family(+1)
-    res = fam["result"]
-    ev = fam["evaluator"]
-    v = asymptotics.verdict(fam["fit_ts"], 2, ev.b_k0, fam["u0_integral"])
+    res, ev, run = ctx.k2_family(+1)
+    v = run.verdict
     ok = v["rate_rel_error"] <= 0.03 and v["r_squared"] >= 0.999
     witness_exits = []
     for sgn in (+1, -1):
@@ -325,11 +296,10 @@ def criterion_9(ctx: VerificationContext):
     rows = []
     ok = True
     for sign in (+1, -1):
-        track = ctx.k1_track(sign)
-        ts, _ = ctx.k1_run(sign)
-        b1 = track.coeff_array()[:, 0]
+        run = ctx.k1(sign)
+        b1 = run.track.coeff_array()[:, 0]
         params = reduced.RiccatiParams.for_mode(1, float(b1[0]))
-        exact = reduced.riccati_exact(params, np.asarray(ts.s))
+        exact = reduced.riccati_exact(params, np.asarray(run.series.s))
         mask = np.abs(b1) >= 1e-6
         rel = np.max(np.abs(b1[mask] - exact[mask]) / np.abs(exact[mask]))
         allowance = 5.0 * abs(b1[0]) ** 0.5
@@ -357,15 +327,14 @@ def criterion_10(ctx: VerificationContext):
     rows = []
     ok = True
     for sign in (+1, -1):
-        track = ctx.k1_track(sign)
+        track = ctx.k1(sign).track
         b1 = track.coeff_array()[:, 0]
         energy = np.array([st.energy for st in track.states])
         mask = np.abs(b1) >= 1e-6
         good, info = _tail_bounded(energy[mask] / np.abs(b1[mask]) ** 3)
         ok = ok and good
         rows.append(f"k=1 b0={sign * K1_B0:+.3f}: E/|b1|^3 {info}")
-    fam = ctx.k2_family(+1)
-    track2 = fam["result"].certificate.track
+    track2 = ctx.k2_family(+1)[0].certificate.track
     b2 = np.array([st.b for st in track2.states])
     energy2 = np.array([st.energy for st in track2.states])
     mask2 = b2 >= K2_ENERGY_B_FLOOR

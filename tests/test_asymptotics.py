@@ -23,6 +23,12 @@ def synthetic_series(rate=3.0, lam_inf=0.9, amp=0.1, n=1000, dt=5e-3,
     )
 
 
+def k1_series(ctx, sign):
+    """(series, u0 disk integral) of the criteria's k = 1, n = 1024 run."""
+    run = ctx.k1(sign)
+    return run.series, run.u0_integral
+
+
 class TestTerminalRadius:
     def test_zero_data(self):
         ts = synthetic_series(amp=0.0, lam_inf=1.0)
@@ -41,7 +47,7 @@ class TestTerminalRadius:
             asymptotics.terminal_radius(ts, 0.0)
 
     def test_freezing_run_accuracy(self, ctx):
-        ts, u0i = ctx.k1_run(-1)
+        ts, u0i = k1_series(ctx, -1)
         measured, predicted = asymptotics.terminal_radius(ts, u0i)
         assert abs(measured - predicted) <= 1e-4
 
@@ -65,7 +71,7 @@ class TestFitRate:
 
     def test_k1_run_rate(self, ctx, zeros12):
         for sign in (+1, -1):
-            ts, u0i = ctx.k1_run(sign)
+            ts, u0i = k1_series(ctx, sign)
             lam_inf = asymptotics.predicted_terminal_radius(u0i)
             fit = asymptotics.fit_rate(ts, lam_inf, 1)
             assert fit.rate_rel_error <= 0.02
@@ -91,7 +97,7 @@ class TestClassifyRegime:
 
     def test_consistent_with_terminal_radius(self, ctx):
         for sign in (+1, -1):
-            ts, u0i = ctx.k1_run(sign)
+            ts, u0i = k1_series(ctx, sign)
             regime = asymptotics.classify_regime(1, sign * 0.01)
             lam_inf = asymptotics.predicted_terminal_radius(u0i)
             assert (regime == "melting") == (lam_inf > 1.0)
@@ -104,18 +110,17 @@ class TestTimeReconstruction:
         assert asymptotics.time_reconstruction_check(ts) < 1e-12
 
     def test_monotone_time(self, ctx):
-        ts, _ = ctx.k1_run(+1)
+        ts = ctx.k1(+1).series
         assert np.all(np.diff(ts.t) > 0)
 
     def test_run_defect_small(self, ctx):
-        ts, _ = ctx.k1_run(+1)
+        ts = ctx.k1(+1).series
         assert asymptotics.time_reconstruction_check(ts) < 1e-5
 
 
 class TestVerdict:
     def test_k1_verdict_passes(self, ctx):
-        ts, u0i = ctx.k1_run(-1)
-        v = asymptotics.verdict(ts, 1, -0.01, u0i)
+        v = ctx.k1(-1).verdict
         assert v["passed"]
         assert v["regime"] == "freezing"
         assert v["direction_consistent"]
@@ -123,8 +128,7 @@ class TestVerdict:
     def test_verdict_json(self, ctx, tmp_path):
         import json
 
-        ts, u0i = ctx.k1_run(-1)
-        v = asymptotics.verdict(ts, 1, -0.01, u0i)
+        v = ctx.k1(-1).verdict
         path = tmp_path / "verdict.json"
         asymptotics.write_verdict_json(path, v)
         assert json.loads(path.read_text())["regime"] == "freezing"
@@ -144,15 +148,15 @@ class TestRateParityCoherence:
     def test_four_scenarios(self, ctx):
         outcomes = []
         for sign in (+1, -1):
-            ts, u0i = ctx.k1_run(sign)
+            ts, u0i = k1_series(ctx, sign)
             lam_inf = asymptotics.predicted_terminal_radius(u0i)
             fit = asymptotics.fit_rate(ts, lam_inf, 1)
             regime = asymptotics.classify_regime(1, sign * 0.01)
             outcomes.append((1, regime, lam_inf, fit))
         for sign in (+1, -1):
-            fam = ctx.k2_family(sign)
-            lam_inf = asymptotics.predicted_terminal_radius(fam["u0_integral"])
-            fit = asymptotics.fit_rate(fam["fit_ts"], lam_inf, 2)
+            run = ctx.k2_family(sign)[2]
+            lam_inf = asymptotics.predicted_terminal_radius(run.u0_integral)
+            fit = asymptotics.fit_rate(run.series, lam_inf, 2)
             regime = asymptotics.classify_regime(2, sign * 0.01)
             outcomes.append((2, regime, lam_inf, fit))
         for k, regime, lam_inf, fit in outcomes:
@@ -163,10 +167,9 @@ class TestRateParityCoherence:
 
 
 def test_decay_plot_svg(ctx, tmp_path):
-    ts, u0i = ctx.k1_run(-1)
-    verdict = asymptotics.verdict(ts, 1, -0.01, u0i)
+    run = ctx.k1(-1)
     path = tmp_path / "decay.svg"
-    asymptotics.decay_plot(path, ts, verdict)
+    asymptotics.decay_plot(path, run.series, run.verdict)
     text = path.read_text()
     assert text.startswith("<svg")
     assert "polyline" in text

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stefanlab
-from stefanlab import cli, reduced, solver, spectrum
+from stefanlab import cli, files, reduced, solver, spectrum
 from stefanlab.config import (MODES, ScenarioConfig, parse_config,
                               serialize_config, with_overrides)
 from stefanlab.errors import ConfigError, NoTrappedData
@@ -245,9 +245,9 @@ class TestCliExitCodes:
         (None, ["--k", "13", "--lower", ",".join(["1e-5"] * 12)]),
         ("mode = spectrum\nb_values = 0.01, 0.01, 0.01\n", []),
         (None, ["--smax", "0.001", "--out", ""]),
-        # record_ds / ds overflows a float
+        # RECORD_DS / ds overflows a float
         (None, ["--grid", "512", "--ds", "1e-320", "--smax", "0.01"]),
-        # record_ds / ds = 2e197 steps per record: finite, but never recorded
+        # RECORD_DS / ds = 2e197 steps per record: finite, but never recorded
         (None, ["--grid", "512", "--ds", "1e-200", "--smax", "0.01"]),
         ("[shoot]\namplitude = 0.5\n", ["--mode", "shoot", "--k", "2"]),
         ("[shoot]\namplitude = 0.5\n", ["--k", "2", "--lower", "0.0001"]),
@@ -487,6 +487,20 @@ class TestCliShootRunWorkflow:
         verdict = json.loads((run_out / "verdict.json").read_text())
         assert verdict["passed"]
         assert verdict["regime"] == "freezing"
+
+    def test_criteria_judge_the_shipped_run(self, ctx, tmp_path):
+        # criterion 8's run is the one `--mode run --shoot-file` makes from
+        # the same shot: its verdict file holds the criterion's verdict
+        result, _, run = ctx.k2_family(+1)
+        shoot_path = tmp_path / "shoot_k2.json"
+        result.to_json(shoot_path)
+        out = tmp_path / "k2_run"
+        code = cli.main(["--mode", "run", "--k", "2", "--grid", "512",
+                         "--b0", "0.01", "--shoot-file", str(shoot_path),
+                         "--out", str(out)])
+        assert code == 0
+        assert ((out / "verdict.json").read_bytes()
+                == files.write_json(None, run.verdict).encode())
 
 
 class TestCliVerifyQuick:

@@ -9,7 +9,7 @@ raises :class:`NonConvergence`.  No example starts a PDE run.
 import numpy as np
 import pytest
 
-from stefanlab import bessel, reduced, solver, spectrum
+from stefanlab import bessel, modulation, reduced, solver, spectrum
 from stefanlab.errors import ConfigError, NonConvergence, StefanLabError
 from stefanlab.weighted import RadialGrid, WeightParam
 
@@ -33,10 +33,15 @@ BAD_ARGUMENTS = {
     "stepper ds": lambda: solver.Stepper(G512, 0.0),
     "run profile at y = 1": lambda: solver.run(G512, _profile(1e-300),
                                                ds=4e-4, s_max=0.01),
-    "run record_ds / ds not finite": lambda: solver.run(
+    "run ds = nan": lambda: solver.run(
         G512, _profile(0.0), ds=np.nan, s_max=0.01),
-    "run record_ds / ds too large": lambda: solver.run(
+    "run ds = 1e-200": lambda: solver.run(
         G512, _profile(0.0), ds=1e-200, s_max=0.01),
+    "run ds = 0": lambda: solver.run(G512, _profile(0.0), ds=0.0, s_max=0.01),
+    "trap ds = 0": lambda: reduced.TrapEvaluator(
+        2, 0.01, G512, ds=0.0).evaluate([0.0]),
+    "profile coefficient count": lambda: modulation.build_profile(
+        G512, 2, [0.01]),
     "eigenpairs count": lambda: spectrum.eigenpairs(G512, W0, 0),
     "eigenpairs grid": lambda: spectrum.eigenpairs(RadialGrid(256), W0, 1),
     "family |b|": lambda: spectrum.basis_family(G512, 1).at(-0.2),

@@ -148,12 +148,13 @@ class TestSelfConsistentB1:
         nontrivial = [x for x in increments if x > 1e-14]
         assert all(x2 < x1 for x1, x2 in zip(nontrivial, nontrivial[1:]))
 
-    def test_fixed_point_matches_inner_b_ratio(self, grid512):
+    def test_fixed_point_matches_inner_b_ratio(self, grid512, monkeypatch):
         # F(b) is the basis's projection coefficient; the ratio of two
         # inner_b sums on the same bases gives the same b to round-off over
         # every record of a run to the norm floor (235 of the 409 differ,
         # by at most 5.1e-16 relative)
-        run = k1_run(grid512, 0.01, s_max=6.0, record_ds=1e-2)
+        monkeypatch.setattr(solver, "RECORD_DS", 1e-2)
+        run = k1_run(grid512, 0.01, s_max=6.0)
         profiles, series = observed_profiles(run)
         assert series.reached_floor
         family = spectrum.basis_family(grid512, 1)
@@ -175,17 +176,21 @@ class TestSelfConsistentB1:
             assert abs(got - want) <= 2e-15 * abs(want)
 
     @pytest.mark.parametrize("k, coeffs, steps", [
-        (1, [0.01], dict(s_max=6.0, record_ds=1e-2)),
+        (1, [0.01], dict(s_max=6.0, cadence=1e-2)),
         # the n = 512 shoot's trapped b_1(0), as the k2_512 reference run
-        (2, [-1.09975e-05, 0.01], dict(s_max=solver.default_s_max(2))),
+        (2, [-1.09975e-05, 0.01],
+         dict(s_max=solver.default_s_max(2), cadence=solver.RECORD_DS)),
     ])
-    def test_every_record_moves_b(self, grid512, k, coeffs, steps):
+    def test_every_record_moves_b(self, grid512, k, coeffs, steps,
+                                  monkeypatch):
         # to the norm floor b_k falls far below the absolute tol 1e-12,
         # where the stop turns relative: b stays within 1e-6 of b_k and
         # never repeats the previous record's b
+        monkeypatch.setattr(solver, "RECORD_DS", steps["cadence"])
         v0 = modulation.build_profile(grid512, k, coeffs)
         series, track = modulation.track_run(
-            grid512, v0, k, ds=solver.default_ds(grid512, k), **steps)
+            grid512, v0, k, ds=solver.default_ds(grid512, k),
+            s_max=steps["s_max"])
         assert series.reached_floor
         prev = None
         for st in track.states:
@@ -259,7 +264,7 @@ class TestModulationResidual:
     def test_pde_ratio_bounded(self, ctx):
         # the tracked-law residual over |b1|^{5/2} stays below a fixed
         # ceiling while b1 is resolved (the tail is FD-limited)
-        track = ctx.k1_track(+1)
+        track = ctx.k1(+1).track
         b1 = track.coeff_array()[1:-1, 0]
         ratio = track.residuals[1:-1, 0] / np.abs(b1) ** 2.5
         sel = np.abs(b1) > 1e-4
@@ -285,10 +290,9 @@ class TestBoundaryLaw:
     """The run's boundary slope a against the law a = -sqrt(2 lam_1) b_1."""
 
     def test_k1_defect_scaling(self, ctx, zeros12):
-        ts, _ = ctx.k1_run(+1)
-        track = ctx.k1_track(+1)
+        run = ctx.k1(+1)
         worst = 0.0
-        for a, st in zip(ts.a, track.states):
+        for a, st in zip(run.series.a, run.track.states):
             b1 = st.coeffs[0]
             if abs(b1) < 1e-6:
                 continue
@@ -297,15 +301,15 @@ class TestBoundaryLaw:
         assert worst < 1.0
 
     def test_k1_sign_relation(self, ctx):
-        ts, _ = ctx.k1_run(+1)
-        b1 = ctx.k1_track(+1).coeff_array()[:, 0]
+        ts = ctx.k1(+1).series
+        b1 = ctx.k1(+1).track.coeff_array()[:, 0]
         sel = np.abs(b1) > 1e-8
         assert np.all(np.sign(ts.a[sel]) == -np.sign(b1[sel]))
 
 
 class TestTrackRun:
     def test_mode_decay_rate_k1(self, ctx, zeros12):
-        track = ctx.k1_track(-1)
+        track = ctx.k1(-1).track
         s = np.array([st.s for st in track.states])
         b1 = np.abs(track.coeff_array()[:, 0])
         sel = (b1 > 1e-8) & (b1 < 1e-4)
@@ -313,7 +317,7 @@ class TestTrackRun:
         assert abs(rate - zeros12[0].lam) / zeros12[0].lam < 0.02
 
     def test_mode_decay_rate_k2_trapped(self, ctx, zeros12):
-        track = ctx.k2_family(+1)["result"].certificate.track
+        track = ctx.k2_family(+1)[0].certificate.track
         s = np.array([st.s for st in track.states])
         b2 = np.abs(track.coeff_array()[:, 1])
         sel = (b2 > 1e-8) & (b2 < 1e-4)
@@ -321,18 +325,18 @@ class TestTrackRun:
         assert abs(rate - zeros12[1].lam) / zeros12[1].lam < 0.02
 
     def test_trap_variables_stay_below_ceiling(self, ctx):
-        track = ctx.k2_family(+1)["result"].certificate.track
+        track = ctx.k2_family(+1)[0].certificate.track
         v2 = np.array([float(np.sum(st.V ** 2)) for st in track.states])
         assert np.max(v2) <= 1.0
 
     def test_energy_positive_and_finite(self, ctx):
-        track = ctx.k1_track(+1)
+        track = ctx.k1(+1).track
         E = np.array([st.energy for st in track.states])
         assert np.all(np.isfinite(E))
         assert np.all(E >= 0.0)
 
     def test_csv_output(self, ctx, tmp_path):
-        track = ctx.k1_track(+1)
+        track = ctx.k1(+1).track
         path = tmp_path / "mod.csv"
         track.to_csv(path)
         head = path.read_text().splitlines()[0]
@@ -344,7 +348,6 @@ def observed_profiles(run):
     makes, from an observer of :func:`solver.run`, with the series."""
     profiles = []
     series = solver.run(run["grid"], run["v0"], run["ds"], run["s_max"],
-                        record_ds=run["record_ds"],
                         observe=lambda s, v: profiles.append((s, v.copy())))
     return profiles, series
 
@@ -392,7 +395,9 @@ class TestK1BasisReuse:
     def run(self, grid512):
         # run to the norm floor at a coarse record cadence: b_1 falls from
         # 1e-2 to ~1e-12, across the family's whole range of scales
-        return k1_run(grid512, -0.01, s_max=6.0, record_ds=1e-2)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "RECORD_DS", 1e-2)
+            yield k1_run(grid512, -0.01, s_max=6.0)
 
     @pytest.fixture(scope="class")
     def profiles(self, run):
@@ -438,16 +443,19 @@ class TestK1BasisReuse:
 class TestExactBasis:
     """Each record is decomposed on the family's basis at exactly its b."""
 
+    #: record cadence of each k's runs
+    CADENCE = {1: 1e-2, 2: 2e-3}
+
     @pytest.fixture(scope="class")
     def k1(self, grid512):
-        return k1_run(grid512, s_max=0.1, record_ds=1e-2)
+        return k1_run(grid512, s_max=0.1)
 
     @pytest.fixture(scope="class")
     def k2(self, grid512):
-        return k2_run(grid512, s_max=0.05, record_ds=2e-3)
+        return k2_run(grid512, s_max=0.05)
 
-    @staticmethod
-    def decomposed(monkeypatch, run, **kwargs):
+    @classmethod
+    def decomposed(cls, monkeypatch, run):
         seen = []
         decompose = modulation.decompose
 
@@ -456,7 +464,8 @@ class TestExactBasis:
             return decompose(v, s, basis)
 
         monkeypatch.setattr(modulation, "decompose", spy)
-        series, track = modulation.track_run(**run, **kwargs)
+        monkeypatch.setattr(solver, "RECORD_DS", cls.CADENCE[run["k"]])
+        series, track = modulation.track_run(**run)
         monkeypatch.undo()
         return series, track, seen
 
@@ -496,6 +505,7 @@ class TestExactBasis:
         # the profile and the track of the first run on a grid solve the
         # family's nodes, and a second run solves nothing
         run = request.getfixturevalue(f"k{k}")
+        monkeypatch.setattr(solver, "RECORD_DS", self.CADENCE[k])
         spectrum.basis_family.cache_clear()
         calls = counted(monkeypatch, spectrum, "eigenpairs")
         modulation.build_profile(run["grid"], k, [1e-5, 0.01][-k:])
@@ -521,8 +531,9 @@ class TestStreamedTrack:
         return states, residuals
 
     @pytest.mark.parametrize("make_run", [k1_run, k2_run])
-    def test_bitwise_equal_to_two_pass(self, grid512, make_run):
-        run = make_run(grid512, s_max=0.3, record_ds=1e-2)
+    def test_bitwise_equal_to_two_pass(self, grid512, make_run, monkeypatch):
+        monkeypatch.setattr(solver, "RECORD_DS", 1e-2)
+        run = make_run(grid512, s_max=0.3)
         series, track = modulation.track_run(**run)
         profiles, again = observed_profiles(run)
         assert again.s.tobytes() == series.s.tobytes()

@@ -112,7 +112,8 @@ class TestCouplings:
 
 @pytest.fixture(scope="module")
 def k2_shot(ctx):
-    return ctx.k2_family(+1)
+    result, evaluator, _ = ctx.k2_family(+1)
+    return {"result": result, "evaluator": evaluator}
 
 
 class TestShootingK2:
@@ -374,9 +375,9 @@ class TestShootingStubs:
             return stub.evaluate(x)
 
         monkeypatch.setattr(reduced.TrapEvaluator, "evaluate", evaluate)
-        fam = verify.VerificationContext().k2_family(+1)
-        assert fam["evaluator"].evaluations == fam["result"].evaluations == 3
-        assert fam["result"].certificate.exit_s is None
+        result, evaluator, _ = verify.VerificationContext().k2_family(+1)
+        assert evaluator.evaluations == result.evaluations == 3
+        assert result.certificate.exit_s is None
 
 
 def test_readme_library_use():

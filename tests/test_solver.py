@@ -198,10 +198,11 @@ class TestRun:
         assert np.all(np.diff(ts.s) > 0)
         assert np.all(np.diff(ts.t) > 0)
 
-    def test_mass_tolerance_enforced(self, grid512):
+    def test_mass_tolerance_enforced(self, grid512, monkeypatch):
+        monkeypatch.setattr(solver, "MASS_TOL", 1e-14)
         with pytest.raises(ConservationError):
             solver.run(grid512, eta_profile(grid512, 1, 0.01),
-                       ds=4e-4, s_max=0.5, mass_tol=1e-14)
+                       ds=4e-4, s_max=0.5)
 
     def test_nonfinite_state_is_typed(self, grid512, monkeypatch):
         # one NaN from the tridiagonal solve, mid-run: the record that
@@ -235,19 +236,22 @@ class TestRun:
 
     @pytest.mark.parametrize("ds", [1e-320, np.nan])
     def test_nonfinite_record_cadence_is_typed(self, grid512, ds):
-        # record_ds / ds overflows or is NaN: rejected before the first step
-        with pytest.raises(ValueError, match=r"record_ds / ds is not finite"
-                                             r": record_ds = 0\.002, ds = "):
+        # RECORD_DS / ds overflows or is NaN: rejected before the first step
+        with pytest.raises(ValueError, match=r"^ds must be at least 2e-09 "
+                                             r"\(the fixed record cadence "
+                                             r"RECORD_DS = 0\.002 over at "
+                                             r"most 1e\+06 steps\); got ds = "):
             solver.run(grid512, eta_profile(grid512, 1, 0.01), ds=ds,
                        s_max=0.01)
 
     def test_tiny_step_is_rejected_before_stepping(self, grid512):
         # finite but astronomically many steps per record: the run would
         # never reach its first record
-        with pytest.raises(ValueError, match=r"record_ds / ds = 2e\+197 "
-                                             r"exceeds 1e\+06 steps per record"
-                                             r": record_ds = 0\.002, "
-                                             r"ds = 1e-200$"):
+        with pytest.raises(ValueError, match=r"^ds must be at least 2e-09 "
+                                             r"\(the fixed record cadence "
+                                             r"RECORD_DS = 0\.002 over at "
+                                             r"most 1e\+06 steps\); "
+                                             r"got ds = 1e-200$"):
             solver.run(grid512, eta_profile(grid512, 1, 0.01), ds=1e-200,
                        s_max=0.01)
 
@@ -271,7 +275,7 @@ class TestRun:
     def test_taylor_sign_propagates(self, ctx):
         # the boundary slope keeps one sign while the solution is resolved
         for sign in (+1, -1):
-            ts, _ = ctx.k1_run(sign)
+            ts = ctx.k1(sign).series
             live = ts.vnorm > 1e-8
             a_live = ts.a[live]
             assert np.all(np.sign(a_live) == np.sign(a_live[0]))
@@ -283,7 +287,7 @@ class TestRun:
         ts = solver.run(grid1024, v0, ds=solver.default_ds(grid1024, 1),
                         s_max=solver.default_s_max(1),
                         observe=lambda s, v: lows.append(np.min(v)))
-        assert ts.lam.tobytes() == ctx.k1_run(+1)[0].lam.tobytes()
+        assert ts.lam.tobytes() == ctx.k1(+1).series.lam.tobytes()
         assert len(lows) == len(ts.s)
         assert min(lows) >= -1e-10
 
@@ -307,12 +311,12 @@ class TestObserver:
         # the weighted norm of the observed profile is the recorded one
         assert np.array([n for _, n in seen]).tobytes() == ts.vnorm.tobytes()
 
-    def test_guard_trips_before_observation(self, grid512):
+    def test_guard_trips_before_observation(self, grid512, monkeypatch):
         seen = []
+        monkeypatch.setattr(solver, "MASS_TOL", 1e-14)
         with pytest.raises(ConservationError) as err:
             solver.run(grid512, eta_profile(grid512, 1, 0.01), ds=4e-4,
-                       s_max=0.5, mass_tol=1e-14,
-                       observe=lambda s, v: seen.append(s))
+                       s_max=0.5, observe=lambda s, v: seen.append(s))
         # the failing record is the one after the last observed
         failed = float(str(err.value).rpartition("s = ")[2])
         assert seen and failed == pytest.approx(seen[-1] + solver.RECORD_DS,
@@ -333,15 +337,16 @@ class TestDiscreteMaximumPrinciple:
 
 
 class TestConvergence:
-    def test_radius_convergence_order(self):
+    def test_radius_convergence_order(self, monkeypatch):
         # halving h and ds together: second order in both by construction
+        # (the coarse levels carry an O(h^2) mass drift of their own)
+        monkeypatch.setattr(solver, "RECORD_DS", 0.1)
+        monkeypatch.setattr(solver, "MASS_TOL", 1e-3)
         outs = []
         for n, ds in ((128, 3.2e-3), (256, 1.6e-3), (512, 8e-4)):
             grid = RadialGrid(n)
             v0 = eta_profile(grid, 1, -0.01)
-            # the coarse levels carry an O(h^2) mass drift of their own
-            ts = solver.run(grid, v0, ds=ds, s_max=1.0, record_ds=0.1,
-                            mass_tol=1e-3)
+            ts = solver.run(grid, v0, ds=ds, s_max=1.0)
             outs.append(ts.lam[-1])
         d1, d2 = abs(outs[0] - outs[1]), abs(outs[1] - outs[2])
         order = math.log2(d1 / d2)
@@ -352,17 +357,18 @@ class TestConvergence:
         # doubling: the radius update on the implicit weights keeps the
         # coupled step second order
         for sign in (+1, -1):
-            d512, d1024 = (verify._drift(ctx.k1_run(sign, n)[0])
+            d512, d1024 = (verify._drift(ctx.k1(sign, n).series)
                            for n in (512, 1024))
             assert d512 / d1024 >= 3.0
 
-    def test_time_reconstruction_two_cadences(self, grid512):
+    def test_time_reconstruction_two_cadences(self, grid512, monkeypatch):
         from stefanlab.asymptotics import time_reconstruction_check
 
         defects = []
         for rec in (8e-3, 4e-3):
+            monkeypatch.setattr(solver, "RECORD_DS", rec)
             ts = solver.run(grid512, eta_profile(grid512, 1, -0.01),
-                            ds=4e-4, s_max=0.8, record_ds=rec)
+                            ds=4e-4, s_max=0.8)
             defects.append(time_reconstruction_check(ts))
         # trapezoid-in-s error model: quartering with the halved cadence
         assert defects[1] <= defects[0] / 3.0
