@@ -7,8 +7,11 @@ run          integrate one scenario, fit the interface asymptotics
 shoot        search trapped lower-mode data for an excited regime
 verify-all   run the acceptance verification suite
 
-Exit codes: 0 success, 1 configuration error, 2 verification failure,
-3 dynamics guard tripped (boundary slope or radius).
+Flags come from :data:`stefanlab.config.SETTINGS`, take the config file's
+value syntax (``--smax none``) and override the file.
+
+Exit codes: 0 success, 1 configuration error or malformed command line,
+2 verification failure, 3 dynamics guard tripped (boundary slope or radius).
 """
 
 from __future__ import annotations
@@ -22,33 +25,38 @@ import warnings
 
 from . import (asymptotics, bessel, files, modulation, reduced, spectrum,
                verify)
-from .config import (MODES, ScenarioConfig, load_config, serialize_config,
-                     with_overrides)
+from .config import (SETTINGS, ScenarioConfig, load_config, parse_value,
+                     serialize_config)
 from .errors import (BoundaryBlowup, ConfigError, InsufficientDecay,
                      NonPositiveRadius, NoTrappedData, StefanLabError)
 from .weighted import RadialGrid, WeightParam, inner_b
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line is a configuration error (exit 1)."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="stefanlab",
         description="numerical laboratory for the interior radial "
                     "moving-boundary problem",
+        epilog="a setting's flag takes the config file's value syntax and "
+               "overrides the file",
     )
     p.add_argument("--config", metavar="PATH", help="configuration file")
-    p.add_argument("--mode", choices=MODES)
-    p.add_argument("--k", type=int)
-    p.add_argument("--b0", type=float)
-    p.add_argument("--grid", type=int, dest="grid_n")
-    p.add_argument("--smax", type=float, dest="s_max")
-    p.add_argument("--ds", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--quick", action="store_true", default=None)
-    p.add_argument("--json", action="store_true", default=None,
-                   dest="json_output")
-    p.add_argument("--out", dest="out_dir", metavar="DIR")
-    p.add_argument("--lower", metavar="LIST",
-                   help="comma-separated lower-mode initials for k > 1 runs")
+    for key, fname, flag in SETTINGS:
+        if flag is None:
+            continue
+        # a flag hands its raw text to parse_value; a switch hands "true"
+        if isinstance(getattr(ScenarioConfig, fname), bool):
+            p.add_argument(flag, action="store_const", const="true",
+                           dest=key, help=f"sets {key} = true")
+        else:
+            p.add_argument(flag, dest=key, help=f"sets {key}")
     p.add_argument("--shoot-file", metavar="PATH",
                    help="reuse trapped initials from a shoot result JSON")
     p.add_argument("--dump-config", action="store_true",
@@ -58,19 +66,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args) -> ScenarioConfig:
     cfg = load_config(args.config) if args.config else ScenarioConfig()
-    overrides = {}
-    for name in ("mode", "k", "b0", "grid_n", "s_max", "ds", "seed",
-                 "quick", "json_output", "out_dir"):
-        val = getattr(args, name)
-        if val is not None:
-            overrides[name] = val
-    if args.lower is not None:
-        try:
-            overrides["lower_modes"] = tuple(
-                float(x) for x in args.lower.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"bad --lower list: {exc}") from exc
-    cfg = with_overrides(cfg, **overrides)
+    cfg = dataclasses.replace(cfg, **{
+        fname: parse_value(getattr(args, key), fname, flag)
+        for key, fname, flag in SETTINGS
+        if flag is not None and getattr(args, key) is not None})
     if args.shoot_file is None:
         return cfg
     try:
@@ -89,7 +88,7 @@ def _config_from_args(args) -> ScenarioConfig:
         raise ConfigError(
             f"shoot file {args.shoot_file} is for k = {shot[0]!r}, "
             f"b_k0 = {shot[1]!r}, not k = {cfg.k}, b0 = {cfg.b0!r}")
-    return with_overrides(cfg, lower_modes=lower)
+    return dataclasses.replace(cfg, lower_modes=lower)
 
 
 def _outpath(cfg: ScenarioConfig, name: str) -> str:
@@ -215,10 +214,10 @@ def _drift_warning_once():
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     with warnings.catch_warnings():
         _drift_warning_once()
         try:
+            args = _build_parser().parse_args(argv)
             cfg = _config_from_args(args)
             if args.dump_config:
                 print(serialize_config(cfg), end="")

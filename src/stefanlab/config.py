@@ -1,15 +1,18 @@
-"""Scenario configuration: a plain-text key = value format.
+"""Scenario configuration: a plain-text key = value format, and the
+command-line flags that override it.
 
 Grammar (one setting per line):
 
     # comment                      blank lines and '#' comments are skipped
     key = value                    one setting
 
-Values are parsed as booleans (``true``/``false``), integers, floats,
-comma-separated numeric lists, or bare strings, in that order of
-preference.  Unknown keys and malformed lines raise :class:`ConfigError`
-with the line number.  ``serialize`` emits a canonical form whose
-parse -> serialize -> parse round trip is the identity.
+:data:`SETTINGS` declares each setting's key, field and flag once, and
+:func:`parse_value` parses a value from either source by the kind of its
+field's default: boolean (``true``/``false``), integer, float, ``none`` or
+a float, comma-separated numeric list, or bare string.  Errors raise
+:class:`ConfigError` naming the line or the flag.  ``serialize`` emits a
+canonical form whose parse -> serialize -> parse round trip is the
+identity.
 
 The record cadence, the mass guard, the trap search's ceiling and step
 tolerance and the verdict's bounds are constants of their modules.
@@ -18,7 +21,7 @@ tolerance and the verdict's bounds are constants of their modules.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ConfigError
 from .solver import check_step
@@ -62,7 +65,7 @@ class ScenarioConfig:
                 f"b0 must be finite with |b0| <= {B_WARN}, got {self.b0!r}")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        for name in _OPTIONAL_FIELDS:
+        for name in ("ds", "s_max"):       # none/auto, or finite and > 0
             val = getattr(self, name)
             if val is None:
                 continue
@@ -89,54 +92,50 @@ class ScenarioConfig:
             raise ConfigError("out must name a directory")
 
 
-# key -> dataclass field
-_KEYMAP = {
-    "mode": "mode",
-    "k": "k",
-    "b0": "b0",
-    "grid": "grid_n",
-    "ds": "ds",
-    "s_max": "s_max",
-    "seed": "seed",
-    "quick": "quick",
-    "json": "json_output",
-    "out": "out_dir",
-    "b_values": "b_values",
-    "lower_modes": "lower_modes",
-}
-
-_INT_FIELDS = {"k", "grid_n", "seed"}
-_BOOL_FIELDS = {"quick", "json_output"}
-_STR_FIELDS = {"mode", "out_dir"}
-_TUPLE_FIELDS = {"b_values", "lower_modes"}
-_OPTIONAL_FIELDS = ("ds", "s_max")     # none/auto, or finite and > 0
+# key, ScenarioConfig field, command-line flag (None: the file only)
+SETTINGS = (
+    ("mode", "mode", "--mode"),
+    ("k", "k", "--k"),
+    ("b0", "b0", "--b0"),
+    ("grid", "grid_n", "--grid"),
+    ("ds", "ds", "--ds"),
+    ("s_max", "s_max", "--smax"),
+    ("seed", "seed", "--seed"),
+    ("quick", "quick", "--quick"),
+    ("json", "json_output", "--json"),
+    ("out", "out_dir", "--out"),
+    ("b_values", "b_values", None),
+    ("lower_modes", "lower_modes", "--lower"),
+)
+_FIELDS = {key: fname for key, fname, _ in SETTINGS}
 
 
-def _parse_value(token: str, fname: str, lineno: int):
+def parse_value(token: str, fname: str, where: str):
+    """Parse the value of field ``fname`` by the kind of its default;
+    ``where`` names the source in errors (``"line 3"``, ``"--k"``)."""
     token = token.strip()
-    if fname in _STR_FIELDS:
+    kind = type(getattr(ScenarioConfig, fname))
+    if kind is str:
         return token
-    if fname in _BOOL_FIELDS:
+    if kind is bool:
         if token.lower() in ("true", "yes", "1"):
             return True
         if token.lower() in ("false", "no", "0"):
             return False
-        raise ConfigError(f"line {lineno}: expected boolean, got {token!r}")
-    if fname in _OPTIONAL_FIELDS and token.lower() in ("none", "auto"):
-        return None
-    if fname in _TUPLE_FIELDS:
+        raise ConfigError(f"{where}: expected boolean, got {token!r}")
+    if kind is tuple:
         if not token:
             return ()
         try:
             return tuple(float(p) for p in token.split(","))
         except ValueError as exc:
-            raise ConfigError(f"line {lineno}: bad list {token!r}") from exc
+            raise ConfigError(f"{where}: bad list {token!r}") from exc
+    if kind is type(None) and token.lower() in ("none", "auto"):
+        return None
     try:
-        if fname in _INT_FIELDS:
-            return int(token)
-        return float(token)
+        return int(token) if kind is int else float(token)
     except ValueError as exc:
-        raise ConfigError(f"line {lineno}: bad number {token!r}") from exc
+        raise ConfigError(f"{where}: bad number {token!r}") from exc
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -150,10 +149,10 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
-        fname = _KEYMAP.get(key)
+        fname = _FIELDS.get(key)
         if fname is None:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        settings[fname] = _parse_value(value, fname, lineno)
+        settings[fname] = parse_value(value, fname, f"line {lineno}")
     try:
         return ScenarioConfig(**settings)
     except TypeError as exc:
@@ -162,18 +161,18 @@ def parse_config(text: str) -> ScenarioConfig:
 
 def load_config(path) -> ScenarioConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return parse_config(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
-def _format_value(val, fname: str) -> str:
+def _format_value(val) -> str:
     if val is None:
         return "none"
     if isinstance(val, bool):
         return "true" if val else "false"
-    if fname in _TUPLE_FIELDS:
+    if isinstance(val, tuple):
         return ", ".join(repr(float(x)) for x in val)
     if isinstance(val, float):
         return repr(val)
@@ -182,11 +181,5 @@ def _format_value(val, fname: str) -> str:
 
 def serialize_config(cfg: ScenarioConfig) -> str:
     """Canonical text form (stable key order, repr floats)."""
-    return "".join(f"{key} = {_format_value(getattr(cfg, fname), fname)}\n"
-                   for key, fname in _KEYMAP.items())
-
-
-def with_overrides(cfg: ScenarioConfig, **overrides) -> ScenarioConfig:
-    """Replace fields, re-running validation."""
-    clean = {k: v for k, v in overrides.items() if v is not None}
-    return replace(cfg, **clean)
+    return "".join(f"{key} = {_format_value(getattr(cfg, fname))}\n"
+                   for key, fname, _ in SETTINGS)

@@ -66,8 +66,10 @@ MAX_STEPS_PER_RECORD = 1e6
 
 
 def check_step(ds: float) -> None:
-    """Raise :class:`ConfigError` unless ds >= RECORD_DS /
+    """Raise :class:`ConfigError` unless ds is finite and ds >= RECORD_DS /
     MAX_STEPS_PER_RECORD (so for a NaN and a ds <= 0 too)."""
+    if ds == math.inf:
+        raise ConfigError(f"ds must be finite, got {ds!r}")
     if not (ds > 0 and RECORD_DS / ds <= MAX_STEPS_PER_RECORD):
         raise ConfigError(
             f"ds must be at least {RECORD_DS / MAX_STEPS_PER_RECORD:g} "

@@ -7,16 +7,17 @@ import subprocess
 import sys
 import time
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import stefanlab
 from stefanlab import cli, files, reduced, solver, spectrum
-from stefanlab.config import (MODES, ScenarioConfig, parse_config,
-                              serialize_config, with_overrides)
+from stefanlab.config import (MODES, SETTINGS, ScenarioConfig, parse_config,
+                              serialize_config)
 from stefanlab.errors import ConfigError, NoTrappedData
 
 # derandomized and without an example database: the same examples every run,
@@ -96,7 +97,7 @@ class TestConfigParsing:
     def test_overrides_revalidate(self):
         cfg = ScenarioConfig()
         with pytest.raises(ConfigError):
-            with_overrides(cfg, mode="shoot", k=4)
+            replace(cfg, mode="shoot", k=4)
 
 
 def _small(limit):
@@ -175,6 +176,82 @@ class TestConfigProperties:
             return
         assert math.isfinite(cfg.b0) and abs(cfg.b0) <= 0.05
         assert parse_config(serialize_config(cfg)) == cfg
+
+
+def _dump(capsys, argv):
+    """Exit code, stdout and stderr of ``stefanlab ARGV --dump-config``."""
+    code = cli.main([*argv, "--dump-config"])
+    out, err = capsys.readouterr()
+    assert code in (0, 1)
+    assert "Traceback" not in err
+    assert code == 0 or err.startswith("config error: ")
+    return code, out, err
+
+
+def _dump_file(capsys, path, lines):
+    path.write_text("".join(f"{line}\n" for line in lines))
+    return _dump(capsys, ["--config", str(path)])
+
+
+_FLAGS = {key: flag for key, _, flag in SETTINGS}
+
+
+@st.composite
+def _lines_and_flags(draw):
+    """The same settings as file lines and as ``--flag=value`` flags: the
+    values of ``_SETTINGS`` a line can hold (no '#'), b_values left out
+    (it has no flag), quick as the switch."""
+    keys = draw(st.lists(st.sampled_from(sorted(set(_SETTINGS)
+                                                - {"b_values"})),
+                         unique=True, max_size=6))
+    lines, flags = [], []
+    for key in keys:
+        if key == "quick":
+            on = draw(st.booleans())
+            lines.append(f"quick = {str(on).lower()}")
+            flags += ["--quick"] if on else []
+        else:
+            val = draw(_SETTINGS[key].filter(lambda v: "#" not in v))
+            lines.append(f"{key} = {val}")
+            flags.append(f"{_FLAGS.get(key, '--' + key)}={val}")
+    return lines, flags
+
+
+class TestFlagsAndFile:
+    @settings(BOUNDED,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines_flags=_lines_and_flags())
+    def test_flags_and_file_lines_agree(self, lines_flags, tmp_path,
+                                        capsys):
+        lines, flags = lines_flags
+        from_file = _dump_file(capsys, tmp_path / "scenario.cfg", lines)
+        assert _dump(capsys, flags)[:2] == from_file[:2]
+
+    @pytest.mark.parametrize("flags, lines, code, message", [
+        (["--k", "abc"], ["k = abc"], 1,
+         "config error: --k: bad number 'abc'"),
+        (["--grid", "1e3"], ["grid = 1e3"], 1, "--grid: bad number '1e3'"),
+        (["--mode", "bogus"], ["mode = bogus"], 1, "mode must be one of"),
+        (["--nonsense", "1"], ["nonsense = 1"], 1,
+         "unrecognized arguments: --nonsense 1"),
+        (["--k", "2", "--lower", "x"], ["k = 2", "lower_modes = x"], 1,
+         "--lower: bad list 'x'"),
+        (["--smax", "none"], ["s_max = none"], 0, ""),
+        (["--lower="], ["lower_modes ="], 0, ""),
+        (["--k", "2", "--lower=-1.1e-05"],
+         ["k = 2", "lower_modes = -1.1e-05"], 0, ""),
+        # argparse takes a negative number with an exponent for a flag
+        (["--k", "2", "--lower", "-1.1e-05"], None, 1,
+         "--lower: expected one argument"),
+    ])
+    def test_flag_and_file_value(self, flags, lines, code, message, tmp_path,
+                                 capsys):
+        got = _dump(capsys, flags)
+        assert got[0] == code
+        assert message in got[2]
+        if lines is not None:
+            assert _dump_file(capsys, tmp_path / "scenario.cfg",
+                              lines)[:2] == got[:2]
 
 
 # config files with a section or a setting the format does not have, and
@@ -262,13 +339,17 @@ class TestCliExitCodes:
         ("mass = 1e-06\n", []),
         ("rate = 0.02\n", []),
         ("radius = 0.0001\n", []),
+        (b"k = \xff\n", []),
     ])
     def test_invalid_values_are_config_errors(self, config, flags, tmp_path,
                                               capsys):
         argv = ["--out", str(tmp_path / "out")] + flags
         if config is not None:
             path = tmp_path / "scenario.cfg"
-            path.write_text(config)
+            if isinstance(config, bytes):
+                path.write_bytes(config)
+            else:
+                path.write_text(config)
             argv = ["--config", str(path)] + argv
         start = time.perf_counter()
         code = cli.main(argv)

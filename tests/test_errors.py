@@ -31,6 +31,7 @@ BAD_ARGUMENTS = {
     "trap ceiling": lambda: reduced.TrapEvaluator(2, 0.01, G512,
                                                   ceiling=1e-8, tol=1e-6),
     "stepper ds": lambda: solver.Stepper(G512, 0.0),
+    "stepper ds = inf": lambda: solver.Stepper(G512, np.inf),
     "run profile at y = 1": lambda: solver.run(G512, _profile(1e-300),
                                                ds=4e-4, s_max=0.01),
     "run ds = nan": lambda: solver.run(
@@ -38,6 +39,8 @@ BAD_ARGUMENTS = {
     "run ds = 1e-200": lambda: solver.run(
         G512, _profile(0.0), ds=1e-200, s_max=0.01),
     "run ds = 0": lambda: solver.run(G512, _profile(0.0), ds=0.0, s_max=0.01),
+    "run ds = inf": lambda: solver.run(
+        G512, _profile(0.0), ds=np.inf, s_max=0.01),
     "trap ds = 0": lambda: reduced.TrapEvaluator(
         2, 0.01, G512, ds=0.0).evaluate([0.0]),
     "profile coefficient count": lambda: modulation.build_profile(
