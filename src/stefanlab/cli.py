@@ -21,7 +21,6 @@ import dataclasses
 import json
 import os
 import sys
-import warnings
 
 from . import (asymptotics, bessel, files, modulation, reduced, spectrum,
                verify)
@@ -51,10 +50,11 @@ def _build_parser() -> argparse.ArgumentParser:
     for key, fname, flag in SETTINGS:
         if flag is None:
             continue
-        # a flag hands its raw text to parse_value; a switch hands "true"
+        # a flag hands its raw text to parse_value; a bare switch hands
+        # "true", and "--quick=false" turns a file's true off
         if isinstance(getattr(ScenarioConfig, fname), bool):
-            p.add_argument(flag, action="store_const", const="true",
-                           dest=key, help=f"sets {key} = true")
+            p.add_argument(flag, nargs="?", const="true", dest=key,
+                           help=f"sets {key} (bare: true)")
         else:
             p.add_argument(flag, dest=key, help=f"sets {key}")
     p.add_argument("--shoot-file", metavar="PATH",
@@ -200,47 +200,32 @@ def cmd_verify_all(cfg: ScenarioConfig) -> int:
     return 0 if n_pass == len(results) else 2
 
 
-def _drift_warning_once():
-    """Show the first drift-range warning of :class:`WeightParam` and ignore
-    the rest: one run takes bases at many b next to each other."""
-    show = warnings.showwarning
-
-    def show_first(message, category, *args, **kwargs):
-        show(message, category, *args, **kwargs)
-        if str(message).startswith("drift parameter"):
-            warnings.filterwarnings("ignore", message="drift parameter")
-
-    warnings.showwarning = show_first
-
-
 def main(argv=None) -> int:
-    with warnings.catch_warnings():
-        _drift_warning_once()
-        try:
-            args = _build_parser().parse_args(argv)
-            cfg = _config_from_args(args)
-            if args.dump_config:
-                print(serialize_config(cfg), end="")
-                return 0
-            handler = {
-                "spectrum": cmd_spectrum,
-                "run": cmd_run,
-                "shoot": cmd_shoot,
-                "verify-all": cmd_verify_all,
-            }[cfg.mode]
-            return handler(cfg)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 1
-        except (BoundaryBlowup, NonPositiveRadius) as exc:
-            print(f"dynamics guard: {exc}", file=sys.stderr)
-            return 3
-        except (NoTrappedData, InsufficientDecay) as exc:
-            print(f"verification failure: {exc}", file=sys.stderr)
-            return 2
-        except StefanLabError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    try:
+        args = _build_parser().parse_args(argv)
+        cfg = _config_from_args(args)
+        if args.dump_config:
+            print(serialize_config(cfg), end="")
+            return 0
+        handler = {
+            "spectrum": cmd_spectrum,
+            "run": cmd_run,
+            "shoot": cmd_shoot,
+            "verify-all": cmd_verify_all,
+        }[cfg.mode]
+        return handler(cfg)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except (BoundaryBlowup, NonPositiveRadius) as exc:
+        print(f"dynamics guard: {exc}", file=sys.stderr)
+        return 3
+    except (NoTrappedData, InsufficientDecay) as exc:
+        print(f"verification failure: {exc}", file=sys.stderr)
+        return 2
+    except StefanLabError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .errors import ConfigError
 from .solver import check_step
 from .spectrum import MAX_EIGENPAIRS
-from .weighted import B_WARN
+from .weighted import B_SMALL
 
 MODES = ("spectrum", "run", "shoot", "verify-all")
 
@@ -60,9 +60,9 @@ class ScenarioConfig:
             raise ConfigError("grid must be even and >= 8")
         if self.mode in ("spectrum", "run", "shoot") and self.grid_n < 512:
             raise ConfigError(f"mode {self.mode!r} needs a grid of >= 512")
-        if not (math.isfinite(self.b0) and abs(self.b0) <= B_WARN):
+        if not (math.isfinite(self.b0) and abs(self.b0) <= B_SMALL):
             raise ConfigError(
-                f"b0 must be finite with |b0| <= {B_WARN}, got {self.b0!r}")
+                f"b0 must be finite with |b0| <= {B_SMALL}, got {self.b0!r}")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         for name in ("ds", "s_max"):       # none/auto, or finite and > 0
@@ -78,16 +78,16 @@ class ScenarioConfig:
             raise ConfigError(
                 f"lower_modes needs {self.k - 1} entries for k = {self.k}"
             )
-        if not all(math.isfinite(x) and abs(x) <= B_WARN
+        if not all(math.isfinite(x) and abs(x) <= B_SMALL
                    for x in self.lower_modes):
             raise ConfigError(
-                f"lower_modes must be finite with |x| <= {B_WARN}")
+                f"lower_modes must be finite with |x| <= {B_SMALL}")
         if (len(set(self.b_values)) < 3
-                or not all(b != 0.0 and abs(b) < B_WARN
+                or not all(b != 0.0 and abs(b) < B_SMALL
                            for b in self.b_values)):
             raise ConfigError(
                 "b_values needs >= 3 distinct nonzero values with "
-                f"|b| < {B_WARN}")
+                f"|b| < {B_SMALL}")
         if not self.out_dir:
             raise ConfigError("out must name a directory")
 

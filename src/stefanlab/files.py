@@ -36,10 +36,8 @@ _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 70, 20, 20, 50
 
 
-def _ticks(lo: float, hi: float, n: int = 6):
-    if hi <= lo:
-        hi = lo + 1.0
-    raw = (hi - lo) / max(n, 2)
+def _ticks(lo: float, hi: float):
+    raw = (hi - lo) / 6
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
@@ -54,8 +52,7 @@ def _ticks(lo: float, hi: float, n: int = 6):
     return out
 
 
-def line_plot(path, xs, series, xlabel: str = "", ylabel: str = "",
-              title: str = ""):
+def line_plot(path, xs, series, xlabel: str, ylabel: str, title: str):
     """Write an SVG with one or more (label, y-array, color) series.
 
     ``series`` is a list of (label, y, color) tuples sharing the x grid.
@@ -96,30 +93,24 @@ def line_plot(path, xs, series, xlabel: str = "", ylabel: str = "",
                      f'y2="{y:.1f}" stroke="black"/>')
         parts.append(f'<text x="{_ML - 8}" y="{y + 4:.1f}" font-size="11" '
                      f'text-anchor="end">{t:g}</text>')
-    palette = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd"]
     for i, (label, ys, color) in enumerate(series):
-        color = color or palette[i % len(palette)]
         pts = " ".join(f"{px(x):.2f},{py(float(y)):.2f}"
                        for x, y in zip(xs, ys) if np.isfinite(y))
         parts.append(f'<polyline points="{pts}" fill="none" '
                      f'stroke="{color}" stroke-width="1.5"/>')
-        if label:
-            yleg = _MT + 16 + 16 * i
-            parts.append(f'<line x1="{_W - _MR - 120}" y1="{yleg}" '
-                         f'x2="{_W - _MR - 95}" y2="{yleg}" stroke="{color}" '
-                         f'stroke-width="1.5"/>')
-            parts.append(f'<text x="{_W - _MR - 90}" y="{yleg + 4}" '
-                         f'font-size="11">{label}</text>')
-    if xlabel:
-        parts.append(f'<text x="{(_ML + _W - _MR) / 2}" y="{_H - 12}" '
-                     f'font-size="12" text-anchor="middle">{xlabel}</text>')
-    if ylabel:
-        parts.append(f'<text x="16" y="{(_MT + _H - _MB) / 2}" font-size="12" '
-                     f'text-anchor="middle" transform="rotate(-90 16 '
-                     f'{(_MT + _H - _MB) / 2})">{ylabel}</text>')
-    if title:
-        parts.append(f'<text x="{(_ML + _W - _MR) / 2}" y="14" font-size="13" '
-                     f'text-anchor="middle">{title}</text>')
+        yleg = _MT + 16 + 16 * i
+        parts.append(f'<line x1="{_W - _MR - 120}" y1="{yleg}" '
+                     f'x2="{_W - _MR - 95}" y2="{yleg}" stroke="{color}" '
+                     f'stroke-width="1.5"/>')
+        parts.append(f'<text x="{_W - _MR - 90}" y="{yleg + 4}" '
+                     f'font-size="11">{label}</text>')
+    parts.append(f'<text x="{(_ML + _W - _MR) / 2}" y="{_H - 12}" '
+                 f'font-size="12" text-anchor="middle">{xlabel}</text>')
+    parts.append(f'<text x="16" y="{(_MT + _H - _MB) / 2}" font-size="12" '
+                 f'text-anchor="middle" transform="rotate(-90 16 '
+                 f'{(_MT + _H - _MB) / 2})">{ylabel}</text>')
+    parts.append(f'<text x="{(_ML + _W - _MR) / 2}" y="14" font-size="13" '
+                 f'text-anchor="middle">{title}</text>')
     parts.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(parts) + "\n")

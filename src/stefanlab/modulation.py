@@ -29,7 +29,7 @@ import numpy as np
 from . import asymptotics, bessel, files, solver, spectrum
 from .errors import ConfigError, InsufficientHistory, NonConvergence
 from .spectrum import Basis
-from .weighted import RadialGrid, WeightParam, inner_b
+from .weighted import RadialGrid, inner_b
 
 
 def trap_rate(k: int) -> float:
@@ -69,17 +69,15 @@ def decompose(v: np.ndarray, s: float, basis: Basis) -> ModulationState:
             V = V * math.exp(growth)
         except OverflowError:
             V = np.where(V == 0.0, V, np.copysign(math.inf, V))
-    energy = energy_of(basis.grid, eps, WeightParam(basis.b), basis.operator)
+    energy = energy_of(basis.operator, eps)
     return ModulationState(s=s, b=basis.b, coeffs=coeffs, energy=energy, V=V)
 
 
-def energy_of(grid: RadialGrid, eps: np.ndarray, w: WeightParam,
-              operator: spectrum.DriftOperator | None = None) -> float:
-    """Second-order energy ||H_b eps||^2 in the weighted norm of a profile
-    on ``grid``."""
-    op = operator if operator is not None else spectrum.assemble_hb(grid, w)
+def energy_of(op: spectrum.DriftOperator, eps: np.ndarray) -> float:
+    """Second-order energy ||H_b eps||^2 of a profile in the weighted norm,
+    on the grid and at the weight of ``op``."""
     e2 = op.apply(eps)
-    return inner_b(grid, e2, e2, w)
+    return inner_b(op.grid, e2, e2, op.w)
 
 
 def self_consistent_b1(grid: RadialGrid, v: np.ndarray,

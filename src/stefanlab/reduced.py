@@ -32,7 +32,7 @@ import numpy as np
 from . import bessel, files, modulation, solver
 from .bessel import coupling_coefficients
 from .errors import ConfigError, NoTrappedData, PoleCrossing
-from .weighted import B_WARN, RadialGrid
+from .weighted import B_SMALL, RadialGrid
 
 #: default ceiling on the summed squared trap variables
 TRAP_CEILING = 1.0
@@ -71,8 +71,8 @@ class RiccatiParams:
 
     @classmethod
     def for_mode(cls, k: int, b0: float) -> "RiccatiParams":
-        if abs(b0) > B_WARN:
-            raise ConfigError(f"|b0| <= {B_WARN} in the reduced regime")
+        if abs(b0) > B_SMALL:
+            raise ConfigError(f"|b0| <= {B_SMALL} in the reduced regime")
         return cls(k=k, lam_k=bessel.j0_zeros(k)[k - 1].lam,
                    sigma=(-1.0) ** (k + 1), b0=b0)
 

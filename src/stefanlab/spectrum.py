@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +43,7 @@ import numpy as np
 from . import bessel, files
 from .errors import ConfigError, NonConvergence, SingularGram
 from .lapack import lowest_eigh_tridiagonal
-from .weighted import (B_CAP, B_WARN, RadialGrid, WeightParam, deriv_values,
+from .weighted import (B_CAP, B_SMALL, RadialGrid, WeightParam, deriv_values,
                        end_slope, inner_b, nodal_rho, right_stencils)
 
 #: largest number of eigenpairs `eigenpairs` computes
@@ -142,14 +141,15 @@ class Basis:
     ``residuals`` are the discrete weighted norms of H_b psi - lam psi (NaN
     for the bases of a :class:`BasisFamily`, which measures none).
 
-    A basis forms what its projections and energies read once, on first
-    use: the quadrature weights at ``b``, the Gram matrix of the columns and
-    ``operator``, the H_b at ``b`` (a cold solve carries the one it was
-    solved from).  A basis that :meth:`BasisFamily.at` returns again thus
-    reuses all three.
+    ``w`` is the :class:`WeightParam` the basis was made at, ``b`` its
+    value.  A basis forms what its projections and energies read once, on
+    first use: the quadrature weights at ``w``, the Gram matrix of the
+    columns and ``operator``, the H_b at ``w`` (a cold solve carries the
+    one it was solved from).  A basis that :meth:`BasisFamily.at` returns
+    again thus reuses all three.
     """
 
-    b: float
+    w: WeightParam
     psis: np.ndarray              # (n+1, k), C-contiguous
     lams: np.ndarray              # (k,)
     residuals: np.ndarray         # (k,)
@@ -160,10 +160,15 @@ class Basis:
         """The cold :func:`eigenpairs` of H_b at parameter b."""
         return eigenpairs(grid, WeightParam(b), k)
 
+    @property
+    def b(self) -> float:
+        """The drift parameter of ``w``."""
+        return self.w.b
+
     @functools.cached_property
     def operator(self) -> DriftOperator:
-        """H_b at ``b``, assembled on first use."""
-        return assemble_hb(self.grid, WeightParam(self.b))
+        """H_b at ``w``, assembled on first use."""
+        return assemble_hb(self.grid, self.w)
 
     @functools.cached_property
     def boundary_slopes(self) -> np.ndarray:
@@ -173,9 +178,9 @@ class Basis:
 
     @functools.cached_property
     def _weights(self) -> np.ndarray:
-        """Quadrature weights of the weighted inner product at ``b``."""
+        """Quadrature weights of the weighted inner product at ``w``."""
         grid = self.grid
-        return grid.simpson * nodal_rho(grid, WeightParam(self.b)) * grid.y
+        return grid.simpson * nodal_rho(grid, self.w) * grid.y
 
     @functools.cached_property
     def _gram(self) -> np.ndarray:
@@ -251,7 +256,7 @@ def eigenpairs(grid: RadialGrid, w: WeightParam, count: int) -> Basis:
     resid -= lams[:, None] * rows
     resid[:, -1] = 0.0  # residual measured on the Dirichlet subspace
     residuals = np.sqrt(np.maximum(inner_b(grid, resid, resid, w), 0.0))
-    basis = Basis(b=w.b, psis=np.ascontiguousarray(rows.T), lams=lams,
+    basis = Basis(w=w, psis=np.ascontiguousarray(rows.T), lams=lams,
                   residuals=residuals, grid=grid)
     basis.operator = op  # fills the cached property: no second assembly
     return basis
@@ -276,11 +281,7 @@ class BasisFamily:
         theta = (2 * np.arange(FAMILY_NODES) + 1) * math.pi / (2 * FAMILY_NODES)
         self.nodes = B_CAP * np.cos(theta)
         self._bary = (-1.0) ** np.arange(FAMILY_NODES) * np.sin(theta)
-        # the nodes reach |b| = 0.1985: their drift warnings would say
-        # nothing about the b a caller asked for
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", message="drift parameter")
-            solved = [Basis.solve(grid, b, k) for b in self.nodes]
+        solved = [Basis.solve(grid, b, k) for b in self.nodes]
         self.grid = grid
         self.psis = np.stack([basis.psis for basis in solved])
         self.lams = np.stack([basis.lams for basis in solved])
@@ -293,7 +294,8 @@ class BasisFamily:
         interpolant; H_b is assembled on first read of its ``operator``.
         Raises :class:`ConfigError` for |b| >= 0.2, as :class:`WeightParam`
         does."""
-        b = WeightParam(float(b)).b
+        w = WeightParam(float(b))
+        b = w.b
         key = b.hex()  # the sign of zero included
         if self._last is not None and self._last[0] == key:
             return self._last[1]
@@ -313,7 +315,7 @@ class BasisFamily:
             psis = flat.reshape(self.psis.shape[1:])
         residuals = np.full(len(lams), np.nan)
         residuals.flags.writeable = False
-        basis = Basis(b=b, psis=psis, lams=lams, residuals=residuals,
+        basis = Basis(w=w, psis=psis, lams=lams, residuals=residuals,
                       grid=self.grid)
         self._last = (key, basis)
         return basis
@@ -352,9 +354,9 @@ def perturbation_sweep(grid: RadialGrid, k: int, b_values) -> PerturbationReport
     Needs at least three nonzero b values inside (-0.05, 0.05).
     """
     bs = np.asarray(sorted(b_values), dtype=float)
-    if len(bs) < 3 or np.any(bs == 0.0) or np.any(np.abs(bs) >= B_WARN):
+    if len(bs) < 3 or np.any(bs == 0.0) or np.any(np.abs(bs) >= B_SMALL):
         raise ConfigError(
-            f"need >= 3 nonzero b values inside (-{B_WARN}, {B_WARN})")
+            f"need >= 3 nonzero b values inside (-{B_SMALL}, {B_SMALL})")
     lam0 = eigenpairs(grid, WeightParam(0.0), k).lams[k - 1]
     bases = [eigenpairs(grid, WeightParam(b), k) for b in bs]
     lam_vals = np.array([basis.lams[k - 1] for basis in bases])

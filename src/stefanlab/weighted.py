@@ -15,7 +15,6 @@ error is -2.156e-6, -5.391e-7, -1.348e-7 at n = 512, 1024, 2048).
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +23,9 @@ from .errors import ConfigError
 
 #: hard cap on the drift parameter accepted by library entry points
 B_CAP = 0.2
-#: above this the perturbative expansions are no longer comfortably valid
-B_WARN = 0.05
+#: small-data bound: the entries that assume the perturbative regime (the
+#: config's b values, the reduced model, the sweep) reject a larger |b|
+B_SMALL = 0.05
 
 
 class RadialGrid:
@@ -59,24 +59,15 @@ class RadialGrid:
 
 @dataclass(frozen=True)
 class WeightParam:
-    """Drift/weight parameter b with the validity cap |b| < 0.2.
-
-    A warning is emitted above |b| = 0.05 where the expansions are only
-    marginally accurate.
-    """
+    """Drift/weight parameter b with the validity cap |b| < 0.2, on which
+    the eigenbasis is exact; ``B_SMALL`` is checked by the entries that
+    assume small data, not here."""
 
     b: float
 
     def __post_init__(self):
         if not np.isfinite(self.b) or abs(self.b) >= B_CAP:
             raise ConfigError(f"|b| must be < {B_CAP}, got {self.b}")
-        if abs(self.b) > B_WARN:
-            warnings.warn(
-                f"drift parameter |b|={float(abs(self.b))!r} > {B_WARN}; "
-                "expansions degrade in this range",
-                # past __post_init__ and the generated __init__ to the caller
-                stacklevel=3,
-            )
 
     def rho(self, y: np.ndarray) -> np.ndarray:
         """Weight rho_b(y) = exp(-b y^2 / 2)."""

@@ -208,14 +208,15 @@ class TestSelfConsistentB1:
 
 class TestEnergy:
     def test_zero_remainder(self, grid512):
-        assert modulation.energy_of(grid512, np.zeros(513), W0) == 0.0
+        op = spectrum.assemble_hb(grid512, W0)
+        assert modulation.energy_of(op, np.zeros(513)) == 0.0
 
     def test_eigenmode_energy(self, grid1024, zeros12):
         # H_0 eta_2 = lam_2 eta_2, so E = delta^2 lam_2^2 (normalized mode)
         delta = 1e-3
         e = delta * bessel.eta(2, grid1024)
         e[-1] = 0.0
-        got = modulation.energy_of(grid1024, e, W0)
+        got = modulation.energy_of(spectrum.assemble_hb(grid1024, W0), e)
         expect = delta ** 2 * zeros12[1].lam ** 2
         assert abs(got - expect) / expect < 1e-3
 

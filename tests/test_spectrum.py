@@ -1,7 +1,6 @@
 """Drifted-Laplacian assembly, eigenpairs, sweeps, and gap checks."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -182,13 +181,11 @@ class TestBasisFamily:
         # measured: psi within 1.1e-11, lam within 7.0e-16 relative, the
         # cold solver's own noise floor
         grid = RadialGrid(n)
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", message="drift parameter")
-            got = spectrum.basis_family(grid, k).at(b)
-            cold = spectrum.Basis.solve(grid, b, k)
-            # H_b is assembled at the basis's own b on first read: the one
-            # the cold solve was solved from
-            op = got.operator
+        got = spectrum.basis_family(grid, k).at(b)
+        cold = spectrum.Basis.solve(grid, b, k)
+        # H_b is assembled at the basis's own b on first read: the one
+        # the cold solve was solved from
+        op = got.operator
         assert got.b == b
         assert op.half_flux.tobytes() == cold.operator.half_flux.tobytes()
         assert op.node_mass.tobytes() == cold.operator.node_mass.tobytes()
@@ -201,10 +198,8 @@ class TestBasisFamily:
         assert np.all(np.abs(family.nodes) < 0.2)
         for j in (0, 6, 12):
             b = family.nodes[j]
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", message="drift parameter")
-                got = family.at(b)
-                cold = spectrum.Basis.solve(grid512, b, 2)
+            got = family.at(b)
+            cold = spectrum.Basis.solve(grid512, b, 2)
             assert got.psis.tobytes() == cold.psis.tobytes()
             assert got.lams.tobytes() == cold.lams.tobytes()
 
@@ -216,10 +211,8 @@ class TestBasisFamily:
     def test_same_bytes_whatever_came_before(self, grid512):
         family = spectrum.basis_family(grid512, 2)
         first = family.at(0.0123)
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", message="drift parameter")
-            for b in (0.0449, -0.19, 1e-9, family.nodes[3], 0.0123):
-                family.at(b)
+        for b in (0.0449, -0.19, 1e-9, family.nodes[3], 0.0123):
+            family.at(b)
         again = family.at(0.0123)
         assert again.psis.tobytes() == first.psis.tobytes()
         assert again.lams.tobytes() == first.lams.tobytes()
@@ -240,9 +233,7 @@ class TestBasisFamily:
     @pytest.mark.parametrize("node", [False, True])
     def test_returned_arrays_are_read_only(self, grid512, node):
         family = spectrum.basis_family(grid512, 2)
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", message="drift parameter")
-            basis = family.at(family.nodes[4] if node else 0.0123)
+        basis = family.at(family.nodes[4] if node else 0.0123)
         for arr in (basis.psis, basis.lams, basis.residuals):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
@@ -268,6 +259,18 @@ class TestBasisFamily:
         op = basis.operator
         assert family.at(0.0057).operator is op and basis.operator is op
         assert len(calls) == 1 and calls[0][1] == WeightParam(0.0057)
+
+    def test_basis_carries_the_weight_it_was_made_at(self, grid512):
+        # the operator and the quadrature weights read the basis's own w
+        w = WeightParam(0.0083)
+        cold = spectrum.eigenpairs(grid512, w, 1)
+        family = spectrum.basis_family(grid512, 1).at(0.0083)
+        assert cold.w is w and cold.operator.w is w
+        assert family.w == w and family.b == 0.0083
+        assert family.operator.w is family.w
+        want = grid512.simpson * w.rho(grid512.y) * grid512.y
+        for basis in (cold, family):
+            assert basis._weights.tobytes() == want.tobytes()
 
 
 class TestPerturbationSweep:
