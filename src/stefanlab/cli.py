@@ -105,8 +105,7 @@ def cmd_spectrum(cfg: ScenarioConfig) -> int:
                     ["k", "b", "lambda_bk", "boundary_slope", "residual"],
                     [[j + 1, basis.b, basis.lams[j], basis.boundary_slopes[j],
                       basis.residuals[j]] for j in range(8)])
-    reports = [spectrum.perturbation_sweep(grid, k, cfg.b_values)
-               for k in (1, 2, 3)]
+    reports = spectrum.perturbation_sweep(grid, (1, 2, 3), cfg.b_values)
     spectrum.sweep_to_csv(_outpath(cfg, "perturbation_sweep.csv"), reports)
 
     checks = {}
@@ -128,18 +127,16 @@ def cmd_spectrum(cfg: ScenarioConfig) -> int:
         -1.1 <= r.slope <= -0.9 for r in reports)
     checks["sweep_residual_order_1.8"] = all(
         r.residual_order >= 1.8 for r in reports)
-    gap_checks = {}
-    for kk in (1, 2):
-        floor = spectrum.spectral_gap_check(grid, WeightParam(cfg.b0), kk,
-                                            seed=cfg.seed)
-        gap_checks[kk] = floor
+    # the floors are the solved lam_2(b0) and lam_3(b0), the exact minima
+    gap_floors = {kk: spectrum.spectral_gap_check(basis, kk) for kk in (1, 2)}
+    for kk, floor in gap_floors.items():
         checks[f"gap_above_lam{kk + 1}_minus_half"] = (
             floor >= zeros[kk].lam - 0.5)
     summary = {
         "checks": checks,
         "orthonormality_defect": ortho,
         "scaling_identity_defect": scaling,
-        "gap_floors": gap_checks,
+        "gap_floors": gap_floors,
         "sweeps": {r.k: {"slope": r.slope, "residual_order": r.residual_order}
                    for r in reports},
         "eigenvalues_b": {j + 1: float(lam) for j, lam in enumerate(basis.lams)},

@@ -16,6 +16,9 @@ identity.
 
 The record cadence, the mass guard, the trap search's ceiling and step
 tolerance and the verdict's bounds are constants of their modules.
+``seed`` (``--seed``) is accepted and validated but read by nothing: the
+spectral gap check that drew from it reads the solved spectrum, and the
+benchmark's spectral configs still name the key.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ class ScenarioConfig:
     grid_n: int = 1024
     ds: float | None = None          # None -> step-size default for (grid, k)
     s_max: float | None = None       # None -> mode-dependent default
-    seed: int = 1234
+    seed: int = 1234                 # accepted, read by nothing
     quick: bool = False
     json_output: bool = False
     out_dir: str = "out"

@@ -18,8 +18,8 @@ the ``scipy.linalg`` import); eigenvectors are mapped back,
 Simpson-normalized in the weighted norm, and sign-fixed against the
 unperturbed eigenfunctions.
 They are returned as one :class:`Basis`, whose weighted Gram projection
-serves the k = 1 fixed point, the mode decomposition and the spectral gap
-check.
+serves the k = 1 fixed point and the mode decomposition, and whose
+eigenvalues are the floors of the spectral gap check.
 
 Every basis a run tracks comes from one rule, :func:`basis_family`: the
 eigenpairs are analytic in b, so those at any |b| < 0.2 (the range
@@ -43,8 +43,8 @@ import numpy as np
 from . import bessel, files
 from .errors import ConfigError, NonConvergence, SingularGram
 from .lapack import lowest_eigh_tridiagonal
-from .weighted import (B_CAP, B_SMALL, RadialGrid, WeightParam, deriv_values,
-                       end_slope, inner_b, nodal_rho, right_stencils)
+from .weighted import (B_CAP, B_SMALL, RadialGrid, WeightParam, end_slope,
+                       inner_b, nodal_rho, right_stencils)
 
 #: largest number of eigenpairs `eigenpairs` computes
 MAX_EIGENPAIRS = 12
@@ -348,8 +348,11 @@ class PerturbationReport:
     residuals: np.ndarray
 
 
-def perturbation_sweep(grid: RadialGrid, k: int, b_values) -> PerturbationReport:
-    """Sweep the drift parameter and measure the spectral response of mode k.
+def perturbation_sweep(grid: RadialGrid, ks,
+                       b_values) -> list[PerturbationReport]:
+    """Sweep the drift parameter and measure the spectral response of each
+    mode k in ``ks``, one report per k: one solve of max(ks) pairs at b = 0
+    and one at each b serve every k.
 
     Needs at least three nonzero b values inside (-0.05, 0.05).
     """
@@ -357,62 +360,38 @@ def perturbation_sweep(grid: RadialGrid, k: int, b_values) -> PerturbationReport
     if len(bs) < 3 or np.any(bs == 0.0) or np.any(np.abs(bs) >= B_SMALL):
         raise ConfigError(
             f"need >= 3 nonzero b values inside (-{B_SMALL}, {B_SMALL})")
-    lam0 = eigenpairs(grid, WeightParam(0.0), k).lams[k - 1]
-    bases = [eigenpairs(grid, WeightParam(b), k) for b in bs]
-    lam_vals = np.array([basis.lams[k - 1] for basis in bases])
-    defects = lam_vals - (lam0 - bs)
-    slope = float(np.polyfit(bs, lam_vals, 1)[0])
-    order = float(np.polyfit(np.log(np.abs(bs)), np.log(np.abs(defects)), 1)[0])
-    return PerturbationReport(
-        k=k, b_values=bs, lam_values=lam_vals, defects=defects, slope=slope,
-        residual_order=order,
-        boundary_slopes=np.array([basis.boundary_slopes[k - 1]
-                                  for basis in bases]),
-        residuals=np.array([basis.residuals[k - 1] for basis in bases]),
-    )
+    if not ks or min(ks) < 1:
+        raise ConfigError("need at least one mode, each k >= 1")
+    count = max(ks)
+    lams0 = eigenpairs(grid, WeightParam(0.0), count).lams
+    bases = [eigenpairs(grid, WeightParam(b), count) for b in bs]
+    reports = []
+    for k in ks:
+        lam_vals = np.array([basis.lams[k - 1] for basis in bases])
+        defects = lam_vals - (lams0[k - 1] - bs)
+        reports.append(PerturbationReport(
+            k=k, b_values=bs, lam_values=lam_vals, defects=defects,
+            slope=float(np.polyfit(bs, lam_vals, 1)[0]),
+            residual_order=float(np.polyfit(
+                np.log(np.abs(bs)), np.log(np.abs(defects)), 1)[0]),
+            boundary_slopes=np.array([basis.boundary_slopes[k - 1]
+                                      for basis in bases]),
+            residuals=np.array([basis.residuals[k - 1] for basis in bases]),
+        ))
+    return reports
 
 
-def rayleigh_quotient(grid: RadialGrid, f: np.ndarray,
-                      w: WeightParam) -> float:
-    """||f'||^2_{L2_b} / ||f||^2_{L2_b} of a profile on ``grid``."""
-    df = deriv_values(f, grid.h)
-    return inner_b(grid, df, df, w) / inner_b(grid, f, f, w)
+def spectral_gap_check(basis: Basis, k: int) -> float:
+    """The least Rayleigh quotient of H_b on the weighted complement of the
+    first k eigenfunctions of ``basis``: by Courant-Fischer, its solved
+    lam_{k+1}, the exact minimum.
 
-
-def random_dirichlet(grid: RadialGrid, rng: np.random.Generator,
-                     modes: int = 16) -> np.ndarray:
-    """Random smooth Dirichlet profile: Gaussian mix of the first few modes.
-
-    White nodal noise would make every Rayleigh quotient enormous and the
-    gap check vacuous; a random low-mode combination actually probes it.
+    Raises :class:`ConfigError` for a basis with <= k pairs.
     """
-    if not 1 <= modes <= 64:
-        raise ConfigError("modes must be in [1, 64]")
-    coeffs = rng.standard_normal(modes) / np.arange(1, modes + 1)
-    vals = np.zeros(grid.n + 1)
-    for j in range(1, modes + 1):
-        vals += coeffs[j - 1] * bessel.eta_samples(j, grid)
-    vals[-1] = 0.0
-    return vals
-
-
-def spectral_gap_check(grid: RadialGrid, w: WeightParam, k: int,
-                       samples: int = 32, seed: int = 1234,
-                       modes: int = 16) -> float:
-    """Minimum Rayleigh quotient over random profiles orthogonal to the
-    first k eigenfunctions of H_b (in the weighted inner product).
-
-    The gap estimate predicts a value above lam_{k+1} - O(|b|).
-    """
-    if k > 8:
-        raise ConfigError("gap check supports k <= 8")
-    basis = eigenpairs(grid, w, k)
-    rng = np.random.default_rng(seed)
-    best = math.inf
-    for _ in range(samples):
-        _, rest = basis.split(random_dirichlet(grid, rng, modes=modes))
-        best = min(best, rayleigh_quotient(grid, rest, w))
-    return float(best)
+    if not 1 <= k < len(basis.lams):
+        raise ConfigError(
+            f"gap check needs 1 <= k < {len(basis.lams)} (the basis's pairs)")
+    return float(basis.lams[k])
 
 
 def sweep_to_csv(path, reports: list[PerturbationReport]):

@@ -173,20 +173,20 @@ def criterion_1(ctx: VerificationContext):
 @_criterion(2, "eigenvalue drift law order >= 1.8", budget=30.0)
 def criterion_2(ctx: VerificationContext, quick: bool = False):
     bs = np.array([0.005, 0.01, 0.02])
+    coarse = spectrum.perturbation_sweep(RadialGrid(1024), (1, 2, 3), bs)
+    if quick:
+        return (all(rep.residual_order >= 1.8 for rep in coarse),
+                "; ".join(f"k={rep.k}: order(1024)={rep.residual_order:.2f}"
+                          for rep in coarse))
+    fine = spectrum.perturbation_sweep(RadialGrid(2048), (1, 2, 3), bs)
     rows = []
     ok = True
-    for k in (1, 2, 3):
-        coarse = spectrum.perturbation_sweep(RadialGrid(1024), k, bs)
-        o1024 = coarse.residual_order
-        if quick:
-            rows.append(f"k={k}: order(1024)={o1024:.2f}")
-            ok = ok and o1024 >= 1.8
-            continue
-        fine = spectrum.perturbation_sweep(RadialGrid(2048), k, bs)
-        d_rich = (4.0 * fine.defects - coarse.defects) / 3.0
+    for c, f in zip(coarse, fine):
+        d_rich = (4.0 * f.defects - c.defects) / 3.0
         o_rich = float(np.polyfit(np.log(bs), np.log(np.abs(d_rich)), 1)[0])
-        ok = ok and o1024 >= 1.8 and o_rich >= 1.8
-        rows.append(f"k={k}: order(1024)={o1024:.2f}, Richardson={o_rich:.2f}")
+        ok = ok and c.residual_order >= 1.8 and o_rich >= 1.8
+        rows.append(f"k={c.k}: order(1024)={c.residual_order:.2f}, "
+                    f"Richardson={o_rich:.2f}")
     return ok, "; ".join(rows)
 
 
@@ -198,10 +198,10 @@ def criterion_3(ctx: VerificationContext):
     zeros = bessel.j0_zeros(12)
     ratios = []
     rel_consts = []
-    for k in (1, 2, 3):
-        target = zeros[k - 1].boundary_slope
-        rep = spectrum.perturbation_sweep(
-            RadialGrid(1024), k, (-0.02, -0.01, -0.005, 0.005, 0.01, 0.02))
+    for rep in spectrum.perturbation_sweep(
+            RadialGrid(1024), (1, 2, 3),
+            (-0.02, -0.01, -0.005, 0.005, 0.01, 0.02)):
+        target = zeros[rep.k - 1].boundary_slope
         defect = np.abs(rep.boundary_slopes - target)
         abs_b = np.abs(rep.b_values)
         ratios.append(defect / abs_b)

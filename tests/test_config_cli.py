@@ -220,6 +220,19 @@ def _lines_and_flags(draw):
     return lines, flags
 
 
+@st.composite
+def _spectrum_lines_and_flags(draw):
+    """``--mode spectrum --grid 512`` with the settings that have flags
+    and values in ``_SETTINGS`` (b0, seed), as file lines and as flags."""
+    lines = ["mode = spectrum", "grid = 512"]
+    flags = ["--mode=spectrum", "--grid=512"]
+    for key in draw(st.lists(st.sampled_from(("b0", "seed")), unique=True)):
+        val = draw(_SETTINGS[key])
+        lines.append(f"{key} = {val}")
+        flags.append(f"{_FLAGS[key]}={val}")
+    return lines, flags
+
+
 class TestFlagsAndFile:
     @settings(BOUNDED,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -229,6 +242,23 @@ class TestFlagsAndFile:
         lines, flags = lines_flags
         from_file = _dump_file(capsys, tmp_path / "scenario.cfg", lines)
         assert _dump(capsys, flags)[:2] == from_file[:2]
+
+    @settings(BOUNDED, max_examples=25,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines_flags=_spectrum_lines_and_flags())
+    def test_spectrum_flags_and_file_lines_agree(self, lines_flags, tmp_path,
+                                                 capsys):
+        lines, flags = lines_flags
+        path = tmp_path / "spectrum.cfg"
+        path.write_text("".join(f"{line}\n" for line in lines))
+        got = []
+        for name, argv in (("file", ["--config", str(path)]),
+                           ("flags", flags)):
+            out = tmp_path / name
+            code = cli.main([*argv, "--out", str(out)])
+            got.append((code, capsys.readouterr().out.replace(str(out), "")))
+        assert got[0][0] in (0, 1, 2)
+        assert got[0] == got[1]
 
     @pytest.mark.parametrize("flags, lines, code, message", [
         (["--k", "abc"], ["k = abc"], 1,
@@ -482,6 +512,52 @@ class TestCliSpectrum:
         report = json.loads((out / "spectrum_report.json").read_text())
         assert all(report["checks"].values())
         assert report["orthonormality_defect"] <= 1e-8
+
+    def test_gap_check_fails_on_a_basis_one_mode_short(self, tmp_path,
+                                                       monkeypatch, capsys):
+        # the 8-pair basis at b0 loses its second pair, the first standing
+        # in its place (inverse iteration converging twice to one vector):
+        # its lam_2(b0) reads lam_1(b0), far under lam_2 - 0.5
+        solve = spectrum.eigenpairs
+
+        def one_mode_short(grid, w, count):
+            basis = solve(grid, w, count)
+            if count < 8:
+                return basis
+            keep = [0, 0, *range(2, count)]
+            return spectrum.Basis(w=w, psis=basis.psis[:, keep],
+                                  lams=basis.lams[keep],
+                                  residuals=basis.residuals[keep], grid=grid)
+
+        monkeypatch.setattr(spectrum, "eigenpairs", one_mode_short)
+        out = tmp_path / "short"
+        code = cli.main(["--mode", "spectrum", "--grid", "512",
+                         "--b0", "0.01", "--out", str(out)])
+        assert code == 2
+        report = json.loads((out / "spectrum_report.json").read_text())
+        assert report["checks"]["gap_above_lam2_minus_half"] is False
+        assert report["gap_floors"]["1"] == report["eigenvalues_b"]["1"]
+        assert "failed: gap_above_lam2_minus_half" in capsys.readouterr().err
+
+    def test_spectrum_loads_no_random_sampler(self, tmp_path):
+        # numpy < 2 loads numpy.random with numpy itself, numpy >= 2 on
+        # first use; either way the spectrum run must add nothing to what
+        # `import numpy` loaded
+        src = str(Path(stefanlab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = ["--mode", "spectrum", "--grid", "512", "--out", str(tmp_path)]
+        script = ("import sys\n"
+                  "import numpy\n"
+                  "before = 'numpy.random' in sys.modules\n"
+                  "from stefanlab import cli\n"
+                  f"code = cli.main({argv!r})\n"
+                  "after = 'numpy.random' in sys.modules\n"
+                  "print(code, after == before)\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env,
+                              check=False)
+        assert proc.stdout.splitlines()[-1] == "0 True"
 
     def test_spectrum_deterministic_outputs(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -48,10 +48,9 @@ BAD_ARGUMENTS = {
     "eigenpairs count": lambda: spectrum.eigenpairs(G512, W0, 0),
     "eigenpairs grid": lambda: spectrum.eigenpairs(RadialGrid(256), W0, 1),
     "family |b|": lambda: spectrum.basis_family(G512, 1).at(-0.2),
-    "sweep b values": lambda: spectrum.perturbation_sweep(G512, 1, [0.01]),
-    "random profile modes": lambda: spectrum.random_dirichlet(
-        G512, np.random.default_rng(0), modes=0),
-    "gap check k": lambda: spectrum.spectral_gap_check(G512, W0, 9),
+    "sweep b values": lambda: spectrum.perturbation_sweep(G512, (1,), [0.01]),
+    "gap check k": lambda: spectrum.spectral_gap_check(
+        spectrum.eigenpairs(G512, W0, 2), 2),
     "grid size": lambda: RadialGrid(7),
     "weight |b|": lambda: WeightParam(0.2),
 }

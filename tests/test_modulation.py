@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import profiles
 from stefanlab import bessel, modulation, reduced, solver, spectrum
 from stefanlab.errors import InsufficientHistory, NonConvergence, SingularGram
 from stefanlab.weighted import WeightParam, inner_b
@@ -54,7 +55,7 @@ class TestDecompose:
         w = WeightParam(0.015)
         basis = modulation.Basis.solve(grid512, w.b, 2)
         for _ in range(4):
-            f = spectrum.random_dirichlet(grid512, rng, modes=10)
+            f = profiles.random_dirichlet(grid512, rng, modes=10)
             eps = remainder(f, basis, modulation.decompose(f, 0.0, basis))
             defect = max(abs(inner_b(grid512, eps, psi, w))
                          for psi in basis.psis.T)
@@ -83,7 +84,7 @@ class TestDecompose:
                   * grid512.y)
             gram = basis.psis.T @ (wv[:, None] * basis.psis)
             for _ in range(3):
-                f = spectrum.random_dirichlet(grid512, rng, modes=10)
+                f = profiles.random_dirichlet(grid512, rng, modes=10)
                 coeffs, _ = basis.split(f)
                 want = np.linalg.solve(gram, basis.psis.T @ (wv * f))
                 assert coeffs.tobytes() == want.tobytes()
@@ -98,7 +99,7 @@ class TestDecompose:
             wv = grid512.simpson * WeightParam(b).rho(grid512.y) * grid512.y
             gram = basis.psis.T @ (wv[:, None] * basis.psis)
             for _ in range(4):
-                f = spectrum.random_dirichlet(grid512, rng, modes=10)
+                f = profiles.random_dirichlet(grid512, rng, modes=10)
                 coeffs, _ = basis.split(f)
                 want = np.linalg.solve(gram, basis.psis.T @ (wv * f))
                 assert coeffs.tobytes() == want.tobytes()

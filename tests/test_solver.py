@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import profiles
 from stefanlab import bessel, modulation, solver, spectrum, verify
 from stefanlab.errors import (BoundaryBlowup, ConservationError,
                               GridMismatch, NonPositiveRadius)
@@ -118,7 +119,7 @@ class TestAgainstDenseReference:
         if profile == "eta1":
             v0 = eta_profile(grid, 1, 0.01)
         else:
-            v0 = 0.01 * spectrum.random_dirichlet(
+            v0 = 0.01 * profiles.random_dirichlet(
                 grid, np.random.default_rng(n))
         ds = solver.default_ds(grid, 1)
         stepper = solver.Stepper(grid, ds)
@@ -137,7 +138,7 @@ class TestAgainstDenseReference:
         stepper = solver.Stepper(grid, solver.default_ds(grid, 1))
         rng = np.random.default_rng(7)
         for v in (bessel.eta(1, grid), bessel.eta(12, grid),
-                  spectrum.random_dirichlet(grid, rng)):
+                  profiles.random_dirichlet(grid, rng)):
             ref = grid.y[:n] * deriv_values(v, grid.h)[:n]
             assert rel_error(stepper._drift(v, np.zeros(n)), ref) <= 1e-14
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
+import profiles
 from stefanlab import bessel, spectrum
 from stefanlab.errors import ConfigError
 from stefanlab.weighted import RadialGrid, WeightParam, end_slope, inner_b
@@ -105,8 +106,8 @@ class TestEigenpairs:
         w = WeightParam(0.02)
         lam1 = spectrum.eigenpairs(grid1024, w, 1).lams[0]
         for _ in range(100):
-            u = spectrum.random_dirichlet(grid1024, rng)
-            assert lam1 <= spectrum.rayleigh_quotient(grid1024, u, w) + 1e-9
+            u = profiles.random_dirichlet(grid1024, rng)
+            assert lam1 <= profiles.rayleigh_quotient(grid1024, u, w) + 1e-9
 
     def test_grid_convergence_order(self):
         lams = [spectrum.eigenpairs(RadialGrid(n), W0, 2).lams[1]
@@ -276,13 +277,33 @@ class TestBasisFamily:
 class TestPerturbationSweep:
     def test_slope_near_minus_one(self, grid1024):
         for k in (1, 2):
-            rep = spectrum.perturbation_sweep(grid1024, k,
-                                              (0.005, 0.01, 0.02))
+            [rep] = spectrum.perturbation_sweep(grid1024, (k,),
+                                                (0.005, 0.01, 0.02))
             assert -1.1 <= rep.slope <= -0.9
             assert rep.residual_order >= 1.8
             lam0 = spectrum.eigenpairs(grid1024, W0, k).lams[k - 1]
             assert (rep.defects.tobytes()
                     == (rep.lam_values - (lam0 - rep.b_values)).tobytes())
+
+    def test_one_solve_per_sweep_point(self, grid1024, monkeypatch):
+        # max(ks) pairs once at b = 0 and once at each b serve every k
+        solve = spectrum.eigenpairs
+        calls = []
+
+        def spy(grid, w, count):
+            calls.append((w.b, count))
+            return solve(grid, w, count)
+
+        monkeypatch.setattr(spectrum, "eigenpairs", spy)
+        bs = (0.02, 0.005, 0.01)
+        reps = spectrum.perturbation_sweep(grid1024, (1, 3, 2), bs)
+        assert calls == [(0.0, 3), (0.005, 3), (0.01, 3), (0.02, 3)]
+        assert [rep.k for rep in reps] == [1, 3, 2]
+        monkeypatch.undo()
+        for rep in reps:
+            lams = [spectrum.eigenpairs(grid1024, WeightParam(b), 3)
+                    .lams[rep.k - 1] for b in sorted(bs)]
+            assert rep.lam_values.tolist() == lams
 
     def test_antisymmetry_in_b(self, grid1024):
         # lam_{-b} + lam_{b} - 2 lam_0 = O(b^2)
@@ -297,54 +318,34 @@ class TestPerturbationSweep:
 
     def test_rejects_bad_sweeps(self, grid1024):
         with pytest.raises(ValueError):
-            spectrum.perturbation_sweep(grid1024, 1, (0.01, 0.02))
+            spectrum.perturbation_sweep(grid1024, (1,), (0.01, 0.02))
         with pytest.raises(ValueError):
-            spectrum.perturbation_sweep(grid1024, 1, (0.0, 0.01, 0.02))
+            spectrum.perturbation_sweep(grid1024, (1,), (0.0, 0.01, 0.02))
 
 
 class TestSpectralGap:
+    # the floor of the Rayleigh quotient on the complement of the first k
+    # eigenfunctions is the solved lam_{k+1}(b) (Courant-Fischer)
     def test_unperturbed_gap(self, grid1024, zeros12):
-        val = spectrum.spectral_gap_check(grid1024, W0, 1, samples=16)
+        basis = spectrum.eigenpairs(grid1024, W0, 2)
+        val = spectrum.spectral_gap_check(basis, 1)
+        assert val == basis.lams[1]
         assert val >= zeros12[1].lam - 0.1
 
     def test_sharpness_witness(self, grid1024, zeros12):
         e2 = bessel.eta(2, grid1024)
-        q = spectrum.rayleigh_quotient(grid1024, e2, W0)
+        q = profiles.rayleigh_quotient(grid1024, e2, W0)
         assert abs(q - zeros12[1].lam) <= 0.05
 
     def test_drifted_gap_above_budget(self, grid1024, zeros12):
-        val = spectrum.spectral_gap_check(grid1024, WeightParam(0.02), 2,
-                                          samples=16)
+        basis = spectrum.eigenpairs(grid1024, WeightParam(0.02), 3)
+        val = spectrum.spectral_gap_check(basis, 2)
+        assert val == basis.lams[2]
         assert val >= zeros12[2].lam - 0.5
-
-    def test_remainders_weighted_orthogonal(self, grid1024, monkeypatch):
-        # the profiles whose Rayleigh quotients the check minimizes
-        w = WeightParam(0.02)
-        seen = []
-        quotient = spectrum.rayleigh_quotient
-
-        def spy(grid, u, weight):
-            seen.append(u)
-            return quotient(grid, u, weight)
-
-        monkeypatch.setattr(spectrum, "rayleigh_quotient", spy)
-        spectrum.spectral_gap_check(grid1024, w, 2, samples=8)
-        basis = spectrum.eigenpairs(grid1024, w, 2)
-        assert len(seen) == 8
-        for u in seen:
-            for psi in basis.psis.T:
-                assert abs(inner_b(grid1024, u, psi, w)) <= 1e-12
-
-    def test_seeded_determinism(self, grid512):
-        a = spectrum.spectral_gap_check(grid512, WeightParam(0.01), 1,
-                                        samples=4, seed=7)
-        b = spectrum.spectral_gap_check(grid512, WeightParam(0.01), 1,
-                                        samples=4, seed=7)
-        assert a == b
 
 
 def test_sweep_csv(tmp_path, grid1024):
-    rep = spectrum.perturbation_sweep(grid1024, 1, (0.005, 0.01, 0.02))
+    [rep] = spectrum.perturbation_sweep(grid1024, (1,), (0.005, 0.01, 0.02))
     path = tmp_path / "sweep.csv"
     spectrum.sweep_to_csv(path, [rep])
     lines = path.read_text().strip().splitlines()

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import profiles
 from stefanlab import bessel, spectrum
 from stefanlab.weighted import RadialGrid, WeightParam, deriv_values, inner_b
 
@@ -56,9 +57,9 @@ class TestInnerProduct:
     def test_rows_match_profiles_bitwise(self, grid512, rng):
         # a stack of profiles gives, row by row, the floats of each profile
         w = WeightParam(0.03)
-        f = np.array([spectrum.random_dirichlet(grid512, rng)
+        f = np.array([profiles.random_dirichlet(grid512, rng)
                       for _ in range(4)])
-        g = np.array([spectrum.random_dirichlet(grid512, rng)
+        g = np.array([profiles.random_dirichlet(grid512, rng)
                       for _ in range(4)])
         rows = inner_b(grid512, f, g, w)
         assert rows.shape == (4,)
@@ -102,8 +103,8 @@ class TestOperatorCompatibility:
         # exact to rounding in the operator's own mass weights
         op = spectrum.assemble_hb(grid512, WeightParam(0.03))
         m = op.node_mass
-        f = spectrum.random_dirichlet(grid512, rng)[:512]
-        g = spectrum.random_dirichlet(grid512, rng)[:512]
+        f = profiles.random_dirichlet(grid512, rng)[:512]
+        g = profiles.random_dirichlet(grid512, rng)[:512]
         left = float(np.sum(m * op.apply(np.append(f, 0.0))[:512] * g))
         right = float(np.sum(m * f * op.apply(np.append(g, 0.0))[:512]))
         scale = math.sqrt(float(np.sum(m * f * f) * np.sum(m * g * g)))
@@ -112,8 +113,8 @@ class TestOperatorCompatibility:
     def test_simpson_self_adjointness_smooth(self, grid1024, rng):
         w = WeightParam(0.03)
         op = spectrum.assemble_hb(grid1024, w)
-        f = spectrum.random_dirichlet(grid1024, rng, modes=8)
-        g = spectrum.random_dirichlet(grid1024, rng, modes=8)
+        f = profiles.random_dirichlet(grid1024, rng, modes=8)
+        g = profiles.random_dirichlet(grid1024, rng, modes=8)
         defect = abs(inner_b(grid1024, op.apply(f), g, w)
                      - inner_b(grid1024, f, op.apply(g), w))
         norms = math.sqrt(inner_b(grid1024, f, f, w)
@@ -134,13 +135,13 @@ class TestOperatorCompatibility:
                              for ei in etas])
             worst = np.inf
             for _ in range(8):
-                f = spectrum.random_dirichlet(grid1024, rng)
+                f = profiles.random_dirichlet(grid1024, rng)
                 rhs = np.array([inner_b(grid1024, f, ej, w) for ej in etas])
                 coef = np.linalg.solve(gram, rhs)
                 u = f - sum(c * e for c, e in zip(coef, etas))
                 u[-1] = 0.0
                 worst = min(worst,
-                            spectrum.rayleigh_quotient(grid1024, u, w))
+                            profiles.rayleigh_quotient(grid1024, u, w))
             if worst < lam_next:
                 measured_c = max(measured_c, (lam_next - worst) / abs(b))
         assert measured_c <= lam_next  # loose sanity cap; value is reported
