@@ -105,13 +105,11 @@ def cmd_spectrum(cfg: ScenarioConfig) -> int:
                     ["k", "b", "lambda_bk", "boundary_slope", "residual"],
                     [[j + 1, basis.b, basis.lams[j], basis.boundary_slopes[j],
                       basis.residuals[j]] for j in range(8)])
-    reports = spectrum.perturbation_sweep(grid, (1, 2, 3), cfg.b_values)
-    spectrum.sweep_to_csv(_outpath(cfg, "perturbation_sweep.csv"), reports)
+    ctx = verify.VerificationContext(grid, cfg.b_values)
+    spectrum.sweep_to_csv(_outpath(cfg, "perturbation_sweep.csv"), ctx.sweep)
 
     checks = {}
     checks["zeros_refined"] = all(abs(bessel.j0(z.r)) <= 1e-12 for z in zeros)
-    checks["gap_exceeds_one"] = all(
-        zeros[i + 1].lam - zeros[i].lam > 1.0 for i in range(7))
     # the check measures Simpson quadrature of the analytic eta_j, whose
     # error (~ h^4 r_j^4) exceeds 1e-8 on 512 intervals
     quad = grid if grid.n >= 1024 else RadialGrid(1024)
@@ -121,12 +119,11 @@ def cmd_spectrum(cfg: ScenarioConfig) -> int:
                     - (1.0 if i == j else 0.0))
                 for i in range(8) for j in range(8))
     checks["orthonormality_1e-8"] = ortho <= 1e-8
-    scaling = bessel.scaling_identity_defect(grid)
-    checks["scaling_identity_1e-8"] = scaling <= 1e-8
     checks["sweep_slope_near_minus_one"] = all(
-        -1.1 <= r.slope <= -0.9 for r in reports)
-    checks["sweep_residual_order_1.8"] = all(
-        r.residual_order >= 1.8 for r in reports)
+        -1.1 <= r.slope <= -0.9 for r in ctx.sweep)
+    # criteria 2 and 4 judge this run's sweep and grid
+    criteria = [verify.criterion_2(ctx, quick=True), verify.criterion_4(ctx)]
+    checks.update({f"criterion_{c.number}": c.passed for c in criteria})
     # the floors are the solved lam_2(b0) and lam_3(b0), the exact minima
     gap_floors = {kk: spectrum.spectral_gap_check(basis, kk) for kk in (1, 2)}
     for kk, floor in gap_floors.items():
@@ -134,11 +131,11 @@ def cmd_spectrum(cfg: ScenarioConfig) -> int:
             floor >= zeros[kk].lam - 0.5)
     summary = {
         "checks": checks,
+        "criteria": {f"criterion_{c.number}": c.details for c in criteria},
         "orthonormality_defect": ortho,
-        "scaling_identity_defect": scaling,
         "gap_floors": gap_floors,
         "sweeps": {r.k: {"slope": r.slope, "residual_order": r.residual_order}
-                   for r in reports},
+                   for r in ctx.sweep},
         "eigenvalues_b": {j + 1: float(lam) for j, lam in enumerate(basis.lams)},
     }
     files.write_json(_outpath(cfg, "spectrum_report.json"), summary)

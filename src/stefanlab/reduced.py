@@ -2,12 +2,13 @@
 
 The tracked mode obeys the quadratic law
 
-    b' = -lam_k b - sigma sqrt(2 lam_k) b^2,        sigma = (-1)^{k+1},
+    b' = -lam_k b + c_k b^2,        c_k = (-1)^k sqrt(2 lam_k),
 
-solved exactly through the reciprocal substitution w = 1/b; lower modes are
+the boundary slope of eta_k (``bessel.BesselZero.boundary_slope``), solved
+exactly through the reciprocal substitution w = 1/b; lower modes are
 linearly damped and quadratically forced,
 
-    b_j' = -lam_j b_j - (-1)^k sqrt(2 lam_k) b_k^2 g_jk,
+    b_j' = -lam_j b_j - c_k b_k^2 g_jk,
 
 with coupling coefficients g_jk = <y eta_k', eta_j>_0 from quadrature.
 
@@ -60,40 +61,27 @@ def default_shoot_horizon(k: int, tol: float = SHOOT_TOL,
     return math.log(ceiling / (4.0 * tol)) / growth
 
 
-@dataclass(frozen=True)
-class RiccatiParams:
-    """Closed-form parameters of the tracked-mode law."""
+def riccati_exact(k: int, b0: float, s):
+    """Mode k's law in closed form from b(0) = b0: b(s) = 1 / ((1/b0 + shift)
+    e^{lam_k s} - shift), shift = -c_k / lam_k with c_k the boundary slope.
 
-    k: int
-    lam_k: float
-    sigma: float
-    b0: float
-
-    @classmethod
-    def for_mode(cls, k: int, b0: float) -> "RiccatiParams":
-        if abs(b0) > B_SMALL:
-            raise ConfigError(f"|b0| <= {B_SMALL} in the reduced regime")
-        return cls(k=k, lam_k=bessel.j0_zeros(k)[k - 1].lam,
-                   sigma=(-1.0) ** (k + 1), b0=b0)
-
-
-def riccati_exact(p: RiccatiParams, s):
-    """Closed-form solution b(s) = 1 / ((1/b0 + sigma c/lam) e^{lam s} - sigma c/lam).
-
-    Raises :class:`PoleCrossing` if the reciprocal crosses zero on [0, s]
+    Raises :class:`ConfigError` for |b0| > ``B_SMALL`` and
+    :class:`PoleCrossing` if the reciprocal crosses zero on [0, s]
     (possible only far outside the small-data regime).
     """
+    if abs(b0) > B_SMALL:
+        raise ConfigError(f"|b0| <= {B_SMALL} in the reduced regime")
+    zero = bessel.j0_zeros(k)[k - 1]
     s_arr = np.asarray(s, dtype=float)
     scalar = s_arr.ndim == 0
     s_arr = np.atleast_1d(s_arr)
-    if p.b0 == 0.0:
+    if b0 == 0.0:
         out = np.zeros_like(s_arr)
         return float(out[0]) if scalar else out
-    c = math.sqrt(2.0 * p.lam_k)
-    shift = p.sigma * c / p.lam_k
-    coef = 1.0 / p.b0 + shift
-    denom = coef * np.exp(p.lam_k * s_arr) - shift
-    d0 = 1.0 / p.b0
+    shift = -zero.boundary_slope / zero.lam
+    coef = 1.0 / b0 + shift
+    denom = coef * np.exp(zero.lam * s_arr) - shift
+    d0 = 1.0 / b0
     if np.any(denom == 0.0) or np.any(np.sign(denom) != np.sign(d0)):
         raise PoleCrossing("reduced solution has a pole inside [0, s]")
     out = 1.0 / denom
@@ -104,11 +92,10 @@ def mode_law_model(k: int, horizon: float) -> tuple[np.ndarray, np.ndarray]:
     """Linear-law Jacobian diagonal and Riccati curvatures of the lower
     modes j = 1..k-1 of a k-mode run at the horizon s_F.
 
-    Mode j alone obeys the quadratic law of :func:`riccati_exact` with
-    sigma_j = (-1)^{j+1}, under which u_j = e^{lam_j s_F} b_j(s_F) equals
-    x_j / (1 + q_j x_j) for the datum x_j = b_j(0), with
-    q_j = -(c_j / lam_j) (1 - e^{-lam_j s_F}) and c_j = -sigma_j sqrt(2 lam_j)
-    the boundary slope of eta_j; the inverse is x_j = u_j / (1 - q_j u_j).
+    Mode j alone obeys the quadratic law of :func:`riccati_exact`, under
+    which u_j = e^{lam_j s_F} b_j(s_F) equals x_j / (1 + q_j x_j) for the
+    datum x_j = b_j(0), with q_j = -(c_j / lam_j) (1 - e^{-lam_j s_F}) and
+    c_j the boundary slope of eta_j; the inverse is x_j = u_j / (1 - q_j u_j).
     Since V_j = b_j e^{(lam_k + gap_k) s} (:func:`modulation.trap_rate`),
     dV_j(s_F) / du_j = e^{(lam_k + gap_k - lam_j) s_F}, the returned
     ``slopes`` (ceiling / (4 tol) for j = 1 at the default horizon).

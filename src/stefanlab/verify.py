@@ -11,10 +11,11 @@ Each criterion is a check returning (passed, details), declared once with
 ``_criterion``, which times it, counts its time budget into ``passed``
 (criteria 1, 2 and 8), returns a :class:`CriterionResult` and registers it
 in ``ALL_CRITERIA``.  Criteria 2 and 3 read the drift law from
-:func:`spectrum.perturbation_sweep`, the measurement ``--mode spectrum``
-reports; criteria 5-10 judge the runs ``--mode run`` makes, each one
-:func:`modulation.scenario`, and criteria 6-8 read its ``verdict``, the
-one ``--mode run`` writes, against their own bounds.  ``run_all``
+:func:`spectrum.perturbation_sweep`, and ``--mode spectrum`` reports
+criteria 2 and 4 on its own grid and sweep; criteria 5-10 judge the runs
+``--mode run`` makes, each one :func:`modulation.scenario`, and criteria
+6-8 read its ``verdict``, the one ``--mode run`` writes, against their own
+bounds.  ``run_all``
 executes the suite (optionally a quick spectral-only subset) and is what
 the ``verify-all`` CLI mode drives; the acceptance tests call the criteria
 one by one.
@@ -62,10 +63,20 @@ class CriterionResult:
 
 
 class VerificationContext:
-    """Lazily built shared artifacts (runs, tracks, spectra) for the suite."""
+    """Lazily built shared artifacts (runs, tracks, spectra) for the suite;
+    ``--mode spectrum`` passes the grid and b values criteria 2 and 4 judge."""
 
-    def __init__(self):
+    def __init__(self, grid: RadialGrid | None = None,
+                 b_values=(0.005, 0.01, 0.02)):
+        self.grid = grid if grid is not None else RadialGrid(1024)
+        self.b_values = b_values
         self._cache: dict = {}
+
+    @functools.cached_property
+    def sweep(self) -> list[spectrum.PerturbationReport]:
+        """The drift sweep of modes 1-3 over ``b_values`` on ``grid``."""
+        return spectrum.perturbation_sweep(self.grid, (1, 2, 3),
+                                           self.b_values)
 
     def _get(self, key, builder):
         if key not in self._cache:
@@ -172,20 +183,22 @@ def criterion_1(ctx: VerificationContext):
 
 @_criterion(2, "eigenvalue drift law order >= 1.8", budget=30.0)
 def criterion_2(ctx: VerificationContext, quick: bool = False):
-    bs = np.array([0.005, 0.01, 0.02])
-    coarse = spectrum.perturbation_sweep(RadialGrid(1024), (1, 2, 3), bs)
+    coarse = ctx.sweep
+    n = ctx.grid.n
     if quick:
         return (all(rep.residual_order >= 1.8 for rep in coarse),
-                "; ".join(f"k={rep.k}: order(1024)={rep.residual_order:.2f}"
+                "; ".join(f"k={rep.k}: order({n})={rep.residual_order:.2f}"
                           for rep in coarse))
-    fine = spectrum.perturbation_sweep(RadialGrid(2048), (1, 2, 3), bs)
+    fine = spectrum.perturbation_sweep(RadialGrid(2 * n), (1, 2, 3),
+                                       ctx.b_values)
     rows = []
     ok = True
     for c, f in zip(coarse, fine):
         d_rich = (4.0 * f.defects - c.defects) / 3.0
-        o_rich = float(np.polyfit(np.log(bs), np.log(np.abs(d_rich)), 1)[0])
+        o_rich = float(np.polyfit(np.log(np.abs(c.b_values)),
+                                  np.log(np.abs(d_rich)), 1)[0])
         ok = ok and c.residual_order >= 1.8 and o_rich >= 1.8
-        rows.append(f"k={c.k}: order(1024)={c.residual_order:.2f}, "
+        rows.append(f"k={c.k}: order({n})={c.residual_order:.2f}, "
                     f"Richardson={o_rich:.2f}")
     return ok, "; ".join(rows)
 
@@ -218,7 +231,7 @@ def criterion_3(ctx: VerificationContext):
 
 @_criterion(4, "scaling identity = -1 (k <= 8)")
 def criterion_4(ctx: VerificationContext):
-    worst = bessel.scaling_identity_defect(RadialGrid(2048))
+    worst = bessel.scaling_identity_defect(ctx.grid)
     return worst <= 1e-8, (f"max |<y eta_k', eta_k>_0 + 1| = {worst:.2e} "
                            f"(<= 1e-8)")
 
@@ -298,8 +311,7 @@ def criterion_9(ctx: VerificationContext):
     for sign in (+1, -1):
         run = ctx.k1(sign)
         b1 = run.track.coeff_array()[:, 0]
-        params = reduced.RiccatiParams.for_mode(1, float(b1[0]))
-        exact = reduced.riccati_exact(params, np.asarray(run.series.s))
+        exact = reduced.riccati_exact(1, float(b1[0]), run.series.s)
         mask = np.abs(b1) >= 1e-6
         rel = np.max(np.abs(b1[mask] - exact[mask]) / np.abs(exact[mask]))
         allowance = 5.0 * abs(b1[0]) ** 0.5
@@ -347,12 +359,12 @@ def criterion_10(ctx: VerificationContext):
 # criterion 11: closed form vs RK4 oracle at ds = 1e-4
 
 
-def _rk4_mode_law(lam: float, sigma: float, b0: float, s_grid: np.ndarray,
+def _rk4_mode_law(zero: bessel.BesselZero, b0: float, s_grid: np.ndarray,
                   ds: float) -> np.ndarray:
-    """Classical RK4 for b' = -lam b - sigma sqrt(2 lam) b^2 from b0 at the
-    step ds, sampled on the uniform grid ``s_grid`` from 0 (whose spacing
-    is a whole number of steps)."""
-    sc = sigma * math.sqrt(2.0 * lam)
+    """Classical RK4 for mode ``zero.index``'s law b' = -lam b + c b^2, c its
+    boundary slope, from b0 at the step ds, sampled on the uniform grid
+    ``s_grid`` from 0 (whose spacing is a whole number of steps)."""
+    lam, sc = zero.lam, -zero.boundary_slope
     half = 0.5 * ds
     sixth = ds / 6.0
     per = int(round((s_grid[1] - s_grid[0]) / ds))
@@ -378,9 +390,8 @@ def criterion_11(ctx: VerificationContext):
     worst = 0.0
     for k in (1, 2, 3, 4):
         for b0 in (0.05, -0.05, 0.01, -0.01):
-            params = reduced.RiccatiParams.for_mode(k, b0)
-            exact = reduced.riccati_exact(params, s_grid)
-            rk4 = _rk4_mode_law(params.lam_k, params.sigma, b0, s_grid, 1e-4)
+            exact = reduced.riccati_exact(k, b0, s_grid)
+            rk4 = _rk4_mode_law(bessel.j0_zeros(k)[k - 1], b0, s_grid, 1e-4)
             worst = max(worst, float(np.max(np.abs(exact - rk4))))
     return worst <= 1e-10, (f"max |closed - RK4| = {worst:.2e} (<= 1e-10) "
                             f"over k <= 4, |b0| <= 0.05")

@@ -15,10 +15,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import stefanlab
-from stefanlab import cli, files, reduced, solver, spectrum
+from stefanlab import cli, files, reduced, solver, spectrum, verify
 from stefanlab.config import (MODES, SETTINGS, ScenarioConfig, parse_config,
                               serialize_config)
 from stefanlab.errors import ConfigError, NoTrappedData
+from stefanlab.weighted import RadialGrid
 
 # derandomized and without an example database: the same examples every run,
 # no files left behind
@@ -538,6 +539,62 @@ class TestCliSpectrum:
         assert report["checks"]["gap_above_lam2_minus_half"] is False
         assert report["gap_floors"]["1"] == report["eigenvalues_b"]["1"]
         assert "failed: gap_above_lam2_minus_half" in capsys.readouterr().err
+
+    def test_spectrum_reports_criteria_2_and_4_at_its_inputs(self, tmp_path):
+        # the report carries criteria 2 (quick) and 4 as the suite judges
+        # them on the command's own grid and b values
+        config = tmp_path / "spectrum.cfg"
+        config.write_text("b_values = 0.004, 0.008, 0.016\n")
+        out = tmp_path / "criteria"
+        assert cli.main(["--config", str(config), "--mode", "spectrum",
+                         "--grid", "512", "--out", str(out)]) == 0
+        report = json.loads((out / "spectrum_report.json").read_text())
+        b_values = (0.004, 0.008, 0.016)
+        ctx = verify.VerificationContext(RadialGrid(512), b_values)
+        for c in (verify.criterion_2(ctx, quick=True),
+                  verify.criterion_4(ctx)):
+            name = f"criterion_{c.number}"
+            assert report["checks"][name] is c.passed is True
+            assert report["criteria"][name] == c.details
+        assert "order(512)" in report["criteria"]["criterion_2"]
+        sweep_rows = (out / "perturbation_sweep.csv").read_text().splitlines()
+        assert [float(row.split(",")[0]) for row in sweep_rows[1:4]] \
+            == list(b_values)
+
+    def test_spectrum_fails_criterion_2_on_a_low_order_sweep(
+            self, tmp_path, monkeypatch, capsys):
+        # a sweep whose defects grow at order 1.5 fails criterion 2 alone
+        sweep = spectrum.perturbation_sweep
+
+        def low_order(grid, ks, b_values):
+            return [replace(r, residual_order=1.5)
+                    for r in sweep(grid, ks, b_values)]
+
+        monkeypatch.setattr(spectrum, "perturbation_sweep", low_order)
+        out = tmp_path / "low_order"
+        code = cli.main(["--mode", "spectrum", "--grid", "512",
+                         "--out", str(out)])
+        assert code == 2
+        report = json.loads((out / "spectrum_report.json").read_text())
+        assert [name for name, ok in report["checks"].items() if not ok] \
+            == ["criterion_2"]
+        assert "order(512)=1.50" in report["criteria"]["criterion_2"]
+        assert "failed: criterion_2" in capsys.readouterr().err
+
+    def test_spectrum_makes_five_eigensolves(self, tmp_path, monkeypatch):
+        # the 8-pair solve at b0, then the sweep's solves at b = 0 and at
+        # each of the three b values; the criteria solve nothing more
+        solve = spectrum.eigenpairs
+        calls = []
+
+        def counted(grid, w, count):
+            calls.append((w.b, count))
+            return solve(grid, w, count)
+
+        monkeypatch.setattr(spectrum, "eigenpairs", counted)
+        assert cli.main(["--mode", "spectrum", "--grid", "512",
+                         "--out", str(tmp_path)]) == 0
+        assert calls == [(0.01, 8), (0.0, 3), (0.005, 3), (0.01, 3), (0.02, 3)]
 
     def test_spectrum_loads_no_random_sampler(self, tmp_path):
         # numpy < 2 loads numpy.random with numpy itself, numpy >= 2 on

@@ -26,7 +26,7 @@ def _profile(last: float) -> np.ndarray:
 BAD_ARGUMENTS = {
     "j0 at x < 0": lambda: bessel.j0(-1.0),
     "j0_zeros count": lambda: bessel.j0_zeros(0),
-    "riccati |b0|": lambda: reduced.RiccatiParams.for_mode(1, 0.06),
+    "riccati |b0|": lambda: reduced.riccati_exact(1, 0.06, 1.0),
     "trap k": lambda: reduced.TrapEvaluator(1, 0.01, G512),
     "trap ceiling": lambda: reduced.TrapEvaluator(2, 0.01, G512,
                                                   ceiling=1e-8, tol=1e-6),

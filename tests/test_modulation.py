@@ -232,11 +232,10 @@ class TestAdiabaticSchedule:
 
 class TestModulationResidual:
     def _riccati_states(self, dt_s, n, b0=0.01):
-        params = reduced.RiccatiParams.for_mode(1, b0)
         states = []
         for i in range(n):
             s = i * dt_s
-            b = reduced.riccati_exact(params, s)
+            b = reduced.riccati_exact(1, b0, s)
             states.append(modulation.ModulationState(
                 s=s, b=b, coeffs=np.array([b]), energy=0.0,
                 V=np.zeros(0)))

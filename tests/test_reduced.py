@@ -14,22 +14,20 @@ from stefanlab.weighted import RadialGrid
 
 class TestRiccatiExact:
     def test_zero_initial(self):
-        p = reduced.RiccatiParams.for_mode(1, 0.0)
-        assert reduced.riccati_exact(p, 3.0) == 0.0
+        assert reduced.riccati_exact(1, 0.0, 3.0) == 0.0
 
     def test_amplitude_cap(self):
         with pytest.raises(ValueError):
-            reduced.RiccatiParams.for_mode(1, 0.06)
+            reduced.riccati_exact(1, 0.06, 1.0)
 
-    def test_matches_rk4_small_step(self):
+    def test_matches_rk4_small_step(self, zeros12):
         # against criterion 11's RK4 oracle
-        p = reduced.RiccatiParams.for_mode(1, 0.01)
         s_grid = np.linspace(0.0, 1.0, 11)
-        rk4 = verify._rk4_mode_law(p.lam_k, p.sigma, p.b0, s_grid, 1e-4)
-        exact = reduced.riccati_exact(p, s_grid)
+        rk4 = verify._rk4_mode_law(zeros12[0], 0.01, s_grid, 1e-4)
+        exact = reduced.riccati_exact(1, 0.01, s_grid)
         assert np.max(np.abs(rk4 - exact)) < 1e-10
 
-    def test_mode_law_model_is_each_lower_modes_own_law(self):
+    def test_mode_law_model_is_each_lower_modes_own_law(self, zeros12):
         # u_j = e^{lam_j s_F} b_j(s_F) under mode j's law is x / (1 + q_j x),
         # and at the default horizon J_11 = ceiling / (4 tol)
         horizon = reduced.default_shoot_horizon(3)
@@ -37,14 +35,15 @@ class TestRiccatiExact:
         assert abs(slopes[0] / 2.5e11 - 1.0) < 1e-12
         for j in (1, 2):
             for x in (1e-3, -2e-3):
-                p = reduced.RiccatiParams.for_mode(j, x)
-                u = math.exp(p.lam_k * horizon) * reduced.riccati_exact(
-                    p, horizon)
+                u = math.exp(zeros12[j - 1].lam * horizon) * (
+                    reduced.riccati_exact(j, x, horizon))
                 assert abs(u - x / (1.0 + q[j - 1] * x)) < 1e-13 * abs(x)
 
-    def test_rk4_oracle_matches_its_stage_function_form(self):
-        # criterion 11's inlined RK4 loop repeats, bit for bit, the loop
-        # that called a stage function and sampled by a step count modulo
+    def test_rk4_oracle_matches_its_stage_function_form(self, zeros12):
+        # criterion 11's inlined RK4 loop, its coefficient read off the
+        # boundary slope, repeats bit for bit the loop that called a stage
+        # function of lam and sigma = (-1)^{k+1} and sampled by a step
+        # count modulo
         def rk4_stage_function(lam, sigma, b0, s_grid, ds):
             c = math.sqrt(2.0 * lam)
 
@@ -71,33 +70,33 @@ class TestRiccatiExact:
         s_grid = np.linspace(0.0, 5.0, 51)
         for k in (1, 2, 3, 4):
             for b0 in (0.05, -0.05, 0.01, -0.01):
-                p = reduced.RiccatiParams.for_mode(k, b0)
-                args = (p.lam_k, p.sigma, b0, s_grid, 1e-4)
-                assert (verify._rk4_mode_law(*args).tobytes()
-                        == rk4_stage_function(*args).tobytes())
+                zero, sigma = zeros12[k - 1], (-1.0) ** (k + 1)
+                got = verify._rk4_mode_law(zero, b0, s_grid, 1e-4)
+                want = rk4_stage_function(zero.lam, sigma, b0, s_grid, 1e-4)
+                assert got.tobytes() == want.tobytes()
 
-    def test_normalized_limit_constant(self):
-        # e^{lam s} b(s) approaches 1 / (1/b0 + sigma c / lam)
-        p = reduced.RiccatiParams.for_mode(2, 0.01)
-        c = math.sqrt(2 * p.lam_k)
-        expect = 1.0 / (1.0 / p.b0 + p.sigma * c / p.lam_k)
+    def test_normalized_limit_constant(self, zeros12):
+        # e^{lam s} b(s) approaches 1 / (1/b0 + shift), shift = -c / lam
+        # with the boundary slope c = +sqrt(2 lam) of eta_2
+        lam, b0 = zeros12[1].lam, 0.01
+        c = math.sqrt(2 * lam)
+        expect = 1.0 / (1.0 / b0 - c / lam)
         for s in (8.0, 10.0):
-            val = math.exp(p.lam_k * s) * reduced.riccati_exact(p, s)
+            val = math.exp(lam * s) * reduced.riccati_exact(2, b0, s)
             assert abs(val - expect) < 1e-6 * abs(expect)
 
     def test_monotone_melting_branch(self):
-        p = reduced.RiccatiParams.for_mode(1, 0.03)
         s = np.linspace(0.0, 4.0, 200)
-        b = reduced.riccati_exact(p, s)
+        b = reduced.riccati_exact(1, 0.03, s)
         assert np.all(b > 0)
         assert np.all(np.diff(b) < 0)
 
-    def test_pole_crossing_outside_small_data(self, zeros12):
-        # |b0| past -sqrt(lam/2) flips the reciprocal's sign in finite time
-        p = reduced.RiccatiParams(k=1, lam_k=zeros12[0].lam, sigma=1.0,
-                                  b0=-2.0)
+    def test_pole_crossing_outside_small_data(self, monkeypatch):
+        # |b0| past -sqrt(lam/2) flips the reciprocal's sign in finite time;
+        # the small-data bound is lifted to reach the guard behind it
+        monkeypatch.setattr(reduced, "B_SMALL", 10.0)
         with pytest.raises(PoleCrossing):
-            reduced.riccati_exact(p, 2.0)
+            reduced.riccati_exact(1, -2.0, 2.0)
 
 
 class TestCouplings:
