@@ -8,6 +8,17 @@ radius follows from mass conservation,
 the approach is exponential in physical time with exponent lam_k / lam_inf^2,
 and the melting/freezing direction is fixed by the parity of k together with
 the sign of the driving coefficient.
+
+The measured terminal radius is read off the run's tail, not its last
+record.  Since lam_s = -a lam, log lam_inf = log lam(s) - int_s^inf a, and
+once the boundary slope decays at its own rate, a(s') = a(s) e^{-lam_k
+(s' - s)}, the integral is a(s) / lam_k: lam_inf = lam_end e^{-a_end /
+lam_k}.  The run must show that the tail is settled: put the slope rate
+-d log|a| / ds, fitted over the last quarter of its s, in place of lam_k,
+and the radius must move by at most ``TAIL_SPREAD_TOL``.  That bounds the
+slope rate's relative distance from lam_k by TAIL_SPREAD_TOL over the tail
+correction lam_end |a_end| / lam_k: the further the run has decayed, the
+less its tail needs to be the pure lam_k exponential.
 """
 
 from __future__ import annotations
@@ -26,6 +37,14 @@ from .weighted import RadialGrid
 FIT_SKIP_FRACTION = 0.3
 #: records within this factor of the terminal noise floor are excluded
 FIT_FLOOR_FACTOR = 10.0
+#: the slope rate is fitted over this trailing fraction of the run's s
+SLOPE_WINDOW_FRACTION = 0.25
+#: most the tail radius may move between the slope rates lam_k and measured:
+#: k = 1 runs at n >= 512 stopped at s = 1.5 measure <= 4.1e-12, at s = 2
+#: <= 1.9e-13 (slope rate within 3.1e-6 of lam_1), trapped k = 2 runs
+#: ~1e-18; stopped at s = 1 they measure 1.8e-10 to 3.2e-10, and in
+#: s in [0.1, 0.6] from 1.7e-8 up (slope rate 9e-5 to 1.8e-3 off lam_1)
+TAIL_SPREAD_TOL = 1e-10
 
 
 def u0_disk_integral(grid: RadialGrid, v0: np.ndarray) -> float:
@@ -38,11 +57,67 @@ def predicted_terminal_radius(u0_integral: float) -> float:
     return math.sqrt(1.0 + u0_integral / math.pi)
 
 
-def terminal_radius(ts: TimeSeries, u0_integral: float) -> tuple[float, float]:
-    """(measured, predicted) terminal radius of a run that reached the floor."""
-    if not ts.reached_floor:
-        raise RunNotConverged("run did not reach the decay floor")
-    return float(ts.lam[-1]), predicted_terminal_radius(u0_integral)
+def slope_rate(ts: TimeSeries) -> tuple[float, tuple[float, float]]:
+    """Decay rate -d log|a| / ds of the boundary slope, the least-squares
+    line through the records in the last ``SLOPE_WINDOW_FRACTION`` of the
+    run's s, and that window (first, last record's s).  NaN where a
+    vanishes or changes sign in the window, or it holds fewer than 3
+    records."""
+    s_from = ts.s[-1] - SLOPE_WINDOW_FRACTION * (ts.s[-1] - ts.s[0])
+    win = ts.s >= s_from
+    s, a = ts.s[win], ts.a[win]
+    window = (float(s[0]), float(s[-1]))
+    if len(s) < 3 or not (np.all(a > 0) or np.all(a < 0)):
+        return math.nan, window
+    return float(-np.polyfit(s, np.log(np.abs(a)), 1)[0]), window
+
+
+def tail_radius(ts: TimeSeries, rate: float) -> float:
+    """Terminal radius lam_end e^{-a_end / rate} of a run whose boundary
+    slope decays at ``rate`` from its last record on."""
+    return float(ts.lam[-1] * math.exp(-ts.a[-1] / rate))
+
+
+@dataclass
+class Tail:
+    """The tail of a k-mode run: its :func:`slope_rate` over ``window``,
+    the terminal radius at lam_k (:func:`tail_radius`) and the ``spread``
+    of that radius to the one at the measured rate."""
+
+    rate: float
+    window: tuple[float, float]
+    radius: float
+    spread: float
+
+
+def settled_tail(ts: TimeSeries, k: int) -> Tail:
+    """The :class:`Tail` of a k-mode run, which must be settled: a slope
+    decaying (a positive slope rate) and a spread of at most
+    ``TAIL_SPREAD_TOL``, else :class:`RunNotConverged` is raised.  Where a
+    is 0 at every record the radius never moves: the last record's radius,
+    with spread 0."""
+    lam_k = bessel.j0_zeros(k)[k - 1].lam
+    rate, window = slope_rate(ts)
+    radius = tail_radius(ts, lam_k)
+    if not np.any(ts.a):
+        return Tail(rate, window, radius, 0.0)
+    spread = abs(radius - tail_radius(ts, rate)) if rate > 0 else math.inf
+    if not spread <= TAIL_SPREAD_TOL:
+        raise RunNotConverged(
+            f"boundary slope decays at rate {rate:.6g} over s in "
+            f"[{window[0]:.3g}, {window[1]:.3g}], against lam_{k} = "
+            f"{lam_k:.6g}: the tail radius moves by {spread:.2e} between "
+            f"them (> {TAIL_SPREAD_TOL:g}), so the run stops before its "
+            f"exponential regime; extend s_max")
+    return Tail(rate, window, radius, spread)
+
+
+def terminal_radius(ts: TimeSeries, u0_integral: float,
+                    k: int = 1) -> tuple[float, float]:
+    """(measured, predicted) terminal radius of a k-mode run: the measured
+    one is the radius of its :func:`settled_tail`."""
+    return (settled_tail(ts, k).radius,
+            predicted_terminal_radius(u0_integral))
 
 
 @dataclass
@@ -125,7 +200,9 @@ def verdict(ts: TimeSeries, k: int, b_k0: float, u0_integral: float) -> dict:
     prediction, the rate within ``rate_tol`` = 2% (k = 1) or 3% (k > 1)."""
     rate_tol = 0.02 if k == 1 else 0.03
     radius_tol = 1e-4
-    measured, predicted = terminal_radius(ts, u0_integral)
+    tail = settled_tail(ts, k)
+    measured = tail.radius
+    predicted = predicted_terminal_radius(u0_integral)
     fit = fit_rate(ts, predicted, k)
     regime = classify_regime(k, b_k0)
     direction_ok = ((regime == "melting") == (predicted > 1.0)
@@ -145,6 +222,9 @@ def verdict(ts: TimeSeries, k: int, b_k0: float, u0_integral: float) -> dict:
         "r_squared": fit.r_squared,
         "fit_window": list(fit.window),
         "fit_points": fit.n_points,
+        "slope_rate": tail.rate,
+        "slope_window": list(tail.window),
+        "tail_spread": tail.spread,
         "direction_consistent": bool(direction_ok),
         "time_reconstruction_defect": time_reconstruction_check(ts),
         "passed": bool(

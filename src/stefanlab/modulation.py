@@ -53,18 +53,23 @@ class ModulationState:
     V: np.ndarray
 
 
-def decompose(v: np.ndarray, s: float, basis: Basis) -> ModulationState:
+def decompose(v: np.ndarray, s: float, basis: Basis,
+              coeffs: np.ndarray | None = None,
+              rate: float | None = None) -> ModulationState:
     """Split the profile v into the k modes of ``basis`` plus a remainder eps
     weighted-orthogonal to them, in the weight of the basis parameter b
     (:meth:`Basis.split`, which raises :class:`SingularGram` on a singular
-    basis).  The state keeps the energy of eps, not eps.  Trap variables
-    whose growth factor overflows are +-inf (0 for a zero coefficient).
+    basis; ``coeffs``, if given, are v's :meth:`Basis.coefficients` on
+    ``basis``, already formed).  The state keeps the energy of eps, not
+    eps.  Trap variables grow at ``rate`` (default :func:`trap_rate` of k);
+    those whose growth factor overflows are +-inf (0 for a zero
+    coefficient).
     """
     k = basis.psis.shape[1]
-    coeffs, eps = basis.split(v)
+    coeffs, eps = basis.split(v, coeffs)
     V = coeffs[: k - 1]
     if k > 1:
-        growth = trap_rate(k) * s
+        growth = (trap_rate(k) if rate is None else rate) * s
         try:
             V = V * math.exp(growth)
         except OverflowError:
@@ -83,7 +88,7 @@ def energy_of(op: spectrum.DriftOperator, eps: np.ndarray) -> float:
 def self_consistent_b1(grid: RadialGrid, v: np.ndarray,
                        tol: float = 1e-12, max_iter: int = 50,
                        initial: float | None = None,
-                       k: int = 1) -> tuple[float, Basis]:
+                       k: int = 1) -> tuple[float, Basis, np.ndarray]:
     """Coefficient b_k of the profile v on ``grid`` in the k-mode basis
     whose parameter is b_k itself.
 
@@ -99,15 +104,17 @@ def self_consistent_b1(grid: RadialGrid, v: np.ndarray,
     :func:`decompose` read), so each iterate costs the family's
     interpolant, its weights and Gram, and a projection; a first iterate
     at the previous record's b reuses that record's basis.  Returns
-    ``(b, basis)``: that iterate and its basis.
+    ``(b, basis, coeffs)``: that iterate, its basis and v's coefficients
+    on it, the projection :func:`decompose` would form again.
     """
     family = spectrum.basis_family(grid, k)
     b = 0.0 if initial is None else float(initial)
     for _ in range(max_iter):
         basis = family.at(b)
-        b_new = float(basis.coefficients(v)[k - 1])
+        coeffs = basis.coefficients(v)
+        b_new = float(coeffs[k - 1])
         if abs(b_new - b) <= min(tol, 1e-6 * abs(b_new)):
-            return b, basis
+            return b, basis, coeffs
         b = b_new
     raise NonConvergence(f"self-consistent parameter b_{k} did not settle")
 
@@ -198,15 +205,17 @@ def track_run(grid: RadialGrid, v0: np.ndarray, k: int, ds: float,
     Every record is decomposed on the basis of
     :func:`spectrum.basis_family` at exactly its parameter b, the
     self-consistent coefficient b_k (:func:`self_consistent_b1`), iterated
-    from the previous record's b.
+    from the previous record's b, with the fixed point's own projection as
+    its coefficients.
     """
     states: list[ModulationState] = []
     b = None
+    rate = trap_rate(k)
 
     def observe(s, v):
         nonlocal b
-        b, basis = self_consistent_b1(grid, v, initial=b, k=k)
-        states.append(decompose(v, s, basis))
+        b, basis, coeffs = self_consistent_b1(grid, v, initial=b, k=k)
+        states.append(decompose(v, s, basis, coeffs, rate))
 
     series = solver.run(grid, v0, ds, s_max, norm_floor=norm_floor,
                         observe=observe)

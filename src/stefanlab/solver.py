@@ -265,5 +265,9 @@ def default_ds(grid: RadialGrid, k: int = 1) -> float:
 
 
 def default_s_max(k: int) -> float:
-    """Run horizon default: long enough for the rate fit of mode k."""
-    return 6.0 if k == 1 else 0.85
+    """Run horizon default: long enough for the rate fit of mode k and for
+    the settled tail that :func:`asymptotics.settled_tail` reads the
+    terminal radius from; at k = 1 the tail spread is <= 1.9e-13 at s = 2
+    (n >= 512), so the run stops there, half way to the norm floor
+    (s ~ 4)."""
+    return 2.0 if k == 1 else 0.85

@@ -132,6 +132,17 @@ def assemble_hb(grid: RadialGrid, w: WeightParam) -> DriftOperator:
 GRAM_COND_CAP = 1e8
 
 
+def gershgorin_cond_bound(gram: np.ndarray) -> float:
+    """Upper bound on the 2-norm conditioning of a symmetric matrix: its
+    eigenvalues lie in the union of its Gershgorin discs, so for a lowest
+    disc edge lo > 0 the conditioning is at most (highest edge) / lo; inf
+    where lo <= 0."""
+    diag = np.diag(gram)
+    radii = np.sum(np.abs(gram), axis=1) - np.abs(diag)
+    lo = float(np.min(diag - radii))
+    return float(np.max(diag + radii)) / lo if lo > 0.0 else math.inf
+
+
 @dataclass
 class Basis:
     """The first k eigenpairs of H_b, one column per mode.
@@ -187,10 +198,12 @@ class Basis:
         """Gram matrix of the columns.
 
         Raises :class:`SingularGram` when its conditioning exceeds
-        ``GRAM_COND_CAP``; a 1 x 1 Gram is conditioned exactly 1.
+        ``GRAM_COND_CAP``; a 1 x 1 Gram is conditioned exactly 1.  Only a
+        Gram whose :func:`gershgorin_cond_bound` exceeds the cap needs the
+        SVD of ``np.linalg.cond``.
         """
         gram = self.psis.T @ (self._weights[:, None] * self.psis)
-        if len(gram) > 1:
+        if len(gram) > 1 and gershgorin_cond_bound(gram) > GRAM_COND_CAP:
             cond = np.linalg.cond(gram)
             if cond > GRAM_COND_CAP:
                 raise SingularGram(f"Gram conditioning {cond:.2e}")
@@ -206,15 +219,17 @@ class Basis:
             return rhs / self._gram[0, 0]
         return np.linalg.solve(self._gram, rhs)
 
-    def split(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Coefficients c (:meth:`coefficients`) and remainder r of
-        values = psis @ c + r, with r weighted-orthogonal to every column in
-        the weight at ``b`` and pinned to 0 at y = 1.
+    def split(self, values: np.ndarray, coeffs: np.ndarray | None = None
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """Coefficients c (:meth:`coefficients`, unless given as ``coeffs``)
+        and remainder r of values = psis @ c + r, with r weighted-orthogonal
+        to every column in the weight at ``b`` and pinned to 0 at y = 1.
 
         Raises :class:`SingularGram` when the Gram's conditioning exceeds
         ``GRAM_COND_CAP`` (a sign that b is outside its range).
         """
-        coeffs = self.coefficients(values)
+        if coeffs is None:
+            coeffs = self.coefficients(values)
         rest = values - self.psis @ coeffs
         rest[-1] = 0.0
         return coeffs, rest
@@ -348,11 +363,13 @@ class PerturbationReport:
     residuals: np.ndarray
 
 
-def perturbation_sweep(grid: RadialGrid, ks,
-                       b_values) -> list[PerturbationReport]:
+def perturbation_sweep(grid: RadialGrid, ks, b_values,
+                       solve=None) -> list[PerturbationReport]:
     """Sweep the drift parameter and measure the spectral response of each
     mode k in ``ks``, one report per k: one solve of max(ks) pairs at b = 0
-    and one at each b serve every k.
+    and one at each b serve every k.  ``solve(b)`` gives those pairs
+    (default: the cold :func:`eigenpairs` on ``grid``); a caller that sweeps
+    the same b twice passes a memo of them.
 
     Needs at least three nonzero b values inside (-0.05, 0.05).
     """
@@ -363,8 +380,11 @@ def perturbation_sweep(grid: RadialGrid, ks,
     if not ks or min(ks) < 1:
         raise ConfigError("need at least one mode, each k >= 1")
     count = max(ks)
-    lams0 = eigenpairs(grid, WeightParam(0.0), count).lams
-    bases = [eigenpairs(grid, WeightParam(b), count) for b in bs]
+    if solve is None:
+        def solve(b):
+            return eigenpairs(grid, WeightParam(b), count)
+    lams0 = solve(0.0).lams
+    bases = [solve(b) for b in bs]
     reports = []
     for k in ks:
         lam_vals = np.array([basis.lams[k - 1] for basis in bases])

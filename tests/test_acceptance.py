@@ -2,8 +2,9 @@
 
 Each test drives the corresponding criterion of :mod:`stefanlab.verify` at
 its stated tolerance against the shared session context, prints the
-criterion line, and asserts the outcome.  One more test checks that a
-criterion's time budget counts into its verdict.
+criterion line, and asserts the outcome.  Two more tests check that a
+criterion's time budget counts into its verdict and that criteria 2 and 3
+solve each drift parameter's eigenpairs once.
 
 Criterion 3 is marked as a strict expected failure: the unit-norm
 eigenpair's boundary slope obeys an exact first-order law with constant
@@ -17,7 +18,7 @@ import itertools
 
 import pytest
 
-from stefanlab import verify
+from stefanlab import spectrum, verify
 
 
 def _check(result):
@@ -83,3 +84,24 @@ def test_time_budget_counts_into_the_verdict(ctx, monkeypatch):
     assert result.passed is False
     assert result.details.endswith(", time budget 1s")
     assert result.seconds == 2.0
+
+
+def test_criteria_2_and_3_share_their_eigensolves(monkeypatch):
+    # criterion 3 sweeps b = 0, +-0.005, +-0.01 and +-0.02, of which
+    # criterion 2 solved b = 0, 0.005, 0.01 and 0.02 already; a context per
+    # criterion, each solving its own, gives the same details
+    alone = [verify.criterion_2(verify.VerificationContext(), quick=True),
+             verify.criterion_3(verify.VerificationContext())]
+    solve = spectrum.eigenpairs
+    calls = []
+
+    def counted(grid, w, count):
+        calls.append((w.b, count))
+        return solve(grid, w, count)
+
+    monkeypatch.setattr(spectrum, "eigenpairs", counted)
+    shared = verify.VerificationContext()
+    both = [verify.criterion_2(shared, quick=True), verify.criterion_3(shared)]
+    assert calls == [(b, 3) for b in (0.0, 0.005, 0.01, 0.02,
+                                      -0.02, -0.01, -0.005)]
+    assert [c.details for c in both] == [c.details for c in alone]

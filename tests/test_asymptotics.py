@@ -1,14 +1,16 @@
 """Terminal radius, rate fitting, regime parity, time reconstruction."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from stefanlab import asymptotics
+from stefanlab import asymptotics, cli, modulation, solver
 from stefanlab.errors import (InsufficientDecay, RunNotConverged,
                               ZeroInitialMode)
 from stefanlab.solver import TimeSeries
+from stefanlab.weighted import RadialGrid
 
 
 def synthetic_series(rate=3.0, lam_inf=0.9, amp=0.1, n=1000, dt=5e-3,
@@ -42,8 +44,11 @@ class TestTerminalRadius:
         assert val == pytest.approx(math.sqrt(0.98), abs=1e-15)
 
     def test_requires_floor(self):
+        # the boundary slope decays at 3, not at lam_1 = 5.78: the run is
+        # outside its exponential regime, so its tail gives no radius
         ts = synthetic_series(floored=False)
-        with pytest.raises(RunNotConverged):
+        ts.a = 0.1 * np.exp(-3.0 * ts.s)
+        with pytest.raises(RunNotConverged, match="exponential regime"):
             asymptotics.terminal_radius(ts, 0.0)
 
     def test_freezing_run_accuracy(self, ctx):
@@ -55,6 +60,91 @@ class TestTerminalRadius:
         vals = [asymptotics.predicted_terminal_radius(x)
                 for x in np.linspace(-1.0, 1.0, 21)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
+class TestTail:
+    """The slope rate -d log|a|/ds over the last quarter of the run and the
+    tail radius lam_end e^{-a_end / lam_k} it licenses."""
+
+    @staticmethod
+    def sloped(rate):
+        # a boundary slope decaying at ``rate`` and the radius it moves,
+        # lam = exp(-int_0^s a), to s = 1, where a is still 3e-6
+        ts = synthetic_series(amp=0.0, lam_inf=1.0, n=201)
+        ts.a = 1e-3 * np.exp(-rate * ts.s)
+        ts.lam = np.exp(-1e-3 * (1.0 - np.exp(-rate * ts.s)) / rate)
+        return ts
+
+    def test_rate_and_window_of_an_exponential(self, zeros12):
+        lam1 = zeros12[0].lam
+        ts = self.sloped(lam1)
+        rate, window = asymptotics.slope_rate(ts)
+        assert rate == pytest.approx(lam1, rel=1e-12)
+        assert window == (ts.s[ts.s >= 0.75 * ts.s[-1]][0], ts.s[-1])
+        tail = asymptotics.settled_tail(ts, 1)
+        assert tail.radius == ts.lam[-1] * math.exp(-ts.a[-1] / lam1)
+        assert tail.spread <= 1e-22
+
+    def test_tail_is_the_integrated_radius(self, zeros12):
+        # lam_inf = exp(-int_0^inf a) = exp(-1e-3 / lam_1)
+        lam1 = zeros12[0].lam
+        ts = self.sloped(lam1)
+        measured, predicted = asymptotics.terminal_radius(ts, 0.0)
+        assert measured == pytest.approx(math.exp(-1e-3 / lam1), abs=1e-15)
+        assert predicted == 1.0
+
+    def test_sign_change_is_not_settled(self, zeros12):
+        ts = self.sloped(zeros12[0].lam)
+        ts.a[-5] *= -1.0
+        assert math.isnan(asymptotics.slope_rate(ts)[0])
+        with pytest.raises(RunNotConverged):
+            asymptotics.settled_tail(ts, 1)
+
+    @pytest.mark.parametrize("s_max, code", [
+        (0.1, 2), (0.3, 2), (1.0, 2), (1.5, 0), (2.0, 0), (None, 0)])
+    def test_cli_horizon_table(self, s_max, code, tmp_path, capsys):
+        # exit 2 before the exponential regime (s <= 1: no settled tail, or
+        # too short a decay for the rate fit), and no verdict is written
+        out = tmp_path / "run"
+        got = cli.main(["--mode", "run", "--k", "1", "--grid", "512",
+                        "--b0", "0.01", "--smax", str(s_max).lower(),
+                        "--out", str(out)])
+        err = capsys.readouterr().err
+        assert got == code
+        assert (out / "verdict.json").exists() == (code == 0)
+        assert "Traceback" not in err
+        if code == 0:
+            verdict = json.loads((out / "verdict.json").read_text())
+            assert verdict["slope_window"][1] == pytest.approx(s_max or 2.0)
+            assert verdict["tail_spread"] <= asymptotics.TAIL_SPREAD_TOL
+
+    @staticmethod
+    def k1_run(n, b0, s_max):
+        return modulation.scenario(RadialGrid(n), 1, [b0], s_max=s_max,
+                                   track=False).series
+
+    def test_slope_rate_is_second_order(self, zeros12):
+        # mean over b0 = +-0.01 of the slope rate's relative error over
+        # s in [1.5, 2]: measured 3.0e-6 at n = 512 and 7.5e-7 at n = 1024
+        # (order 2.00); the mean cancels the O(b0) part of each sign
+        lam1 = zeros12[0].lam
+        errs = [np.mean([asymptotics.slope_rate(self.k1_run(n, b0, 2.0))[0]
+                         / lam1 - 1.0 for b0 in (0.01, -0.01)])
+                for n in (512, 1024)]
+        assert 2.5e-6 <= errs[0] <= 3.5e-6
+        assert 1.9 <= math.log2(errs[0] / errs[1]) <= 2.1
+
+    @pytest.mark.parametrize("n", [512, 1024])
+    def test_s2_tail_is_the_floor_radius(self, n):
+        # the s = 2 run's tail against the s_max = 6 run's last record (at
+        # the norm floor, s ~ 4): measured |difference| <= 5.7e-13, to
+        # radius defects of ~4e-9 at n = 1024 and ~1.5e-8 at n = 512
+        for b0 in (0.01, -0.01, -0.005):
+            short = self.k1_run(n, b0, solver.default_s_max(1))
+            floor = self.k1_run(n, b0, 6.0)
+            assert short.s[-1] == 2.0 and floor.reached_floor
+            tail = asymptotics.settled_tail(short, 1).radius
+            assert abs(tail - floor.lam[-1]) <= 1.5e-12
 
 
 class TestFitRate:

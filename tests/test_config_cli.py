@@ -566,9 +566,9 @@ class TestCliSpectrum:
         # a sweep whose defects grow at order 1.5 fails criterion 2 alone
         sweep = spectrum.perturbation_sweep
 
-        def low_order(grid, ks, b_values):
+        def low_order(grid, ks, b_values, *solve):
             return [replace(r, residual_order=1.5)
-                    for r in sweep(grid, ks, b_values)]
+                    for r in sweep(grid, ks, b_values, *solve)]
 
         monkeypatch.setattr(spectrum, "perturbation_sweep", low_order)
         out = tmp_path / "low_order"
@@ -642,7 +642,10 @@ class TestCliRun:
              *lower, "--out", str(tmp_path)],
             capture_output=True, text=True, env=env, check=False)
         assert proc.returncode == 2
-        assert proc.stderr == "error: run did not reach the decay floor\n"
+        assert proc.stderr.startswith("error: boundary slope decays at rate")
+        assert proc.stderr.endswith("before its exponential regime; "
+                                    "extend s_max\n")
+        assert proc.stderr.count("\n") == 1
 
     def test_family_nodes_print_no_drift_warning(self, tmp_path, capsys):
         # the nodes of a fresh basis family reach |b| = 0.1985; a run

@@ -72,12 +72,28 @@ class TestDecompose:
         with pytest.raises(SingularGram):
             modulation.decompose(v, 0.0, dup)
 
+    def test_singular_gram_exactly_past_the_cap(self, grid512):
+        # the Gershgorin bound only spares the SVD: a Gram is refused
+        # exactly when np.linalg.cond exceeds the cap, here near 1/eps^2
+        basis = modulation.Basis.solve(grid512, 0.01, 2)
+        v = basis.psis[:, 0].copy()
+        for eps in (1e-1, 1e-3, 1e-4, 1e-5, 1e-7):
+            near = replace(basis, psis=np.column_stack(
+                [basis.psis[:, 0], basis.psis[:, 0] + eps * basis.psis[:, 1]]))
+            gram = near.psis.T @ (near._weights[:, None] * near.psis)
+            assert spectrum.gershgorin_cond_bound(gram) >= np.linalg.cond(gram)
+            if np.linalg.cond(gram) > spectrum.GRAM_COND_CAP:
+                with pytest.raises(SingularGram):
+                    modulation.decompose(v, 0.0, near)
+            else:
+                modulation.decompose(v, 0.0, near)
+
     def test_gram_formed_once_per_basis(self, grid512, rng, monkeypatch):
         # the inline projection is the bitwise reference for the coefficients
         conds = []
-        cond = np.linalg.cond
-        monkeypatch.setattr(np.linalg, "cond",
-                            lambda a: conds.append(1) or cond(a))
+        bound = spectrum.gershgorin_cond_bound
+        monkeypatch.setattr(spectrum, "gershgorin_cond_bound",
+                            lambda a: conds.append(1) or bound(a))
         for k in (1, 2):
             basis = modulation.Basis.solve(grid512, 0.01, k)
             wv = (grid512.simpson * WeightParam(0.01).rho(grid512.y)
@@ -88,7 +104,7 @@ class TestDecompose:
                 coeffs, _ = basis.split(f)
                 want = np.linalg.solve(gram, basis.psis.T @ (wv * f))
                 assert coeffs.tobytes() == want.tobytes()
-            # no SVD for the 1 x 1 Gram, one for the 2 x 2 one
+            # no conditioning bound for the 1 x 1 Gram, one for the 2 x 2
             assert len(conds) == k - 1
 
     def test_k1_division_is_the_solve(self, grid512, rng):
@@ -120,14 +136,14 @@ class TestDecompose:
 
 class TestSelfConsistentB1:
     def test_zero_input(self, grid512):
-        b, basis = modulation.self_consistent_b1(grid512, np.zeros(513))
+        b, basis, _ = modulation.self_consistent_b1(grid512, np.zeros(513))
         assert b == 0.0 and basis.b == 0.0
 
     def test_constructed_fixed_point(self, grid512):
         target = 0.01
         basis = modulation.Basis.solve(grid512, target, 1)
         v = target * basis.psis[:, 0]
-        got, basis = modulation.self_consistent_b1(grid512, v)
+        got, basis, _ = modulation.self_consistent_b1(grid512, v)
         assert abs(got - target) < 1e-10
         assert basis.b == got
 
@@ -161,8 +177,8 @@ class TestSelfConsistentB1:
         family = spectrum.basis_family(grid512, 1)
         got = want = None
         for _, v in profiles:
-            got, basis = modulation.self_consistent_b1(grid512, v,
-                                                       initial=got)
+            got, basis, _ = modulation.self_consistent_b1(grid512, v,
+                                                          initial=got)
             assert basis.b == got
             b = 0.0 if want is None else want
             for _ in range(50):
@@ -413,7 +429,8 @@ class TestK1BasisReuse:
         monkeypatch.setattr(spectrum, "basis_family", ColdFamily)
         states, b1 = [], None
         for s, v in profiles:
-            b1, basis = modulation.self_consistent_b1(grid, v, initial=b1)
+            b1, basis, _ = modulation.self_consistent_b1(grid, v,
+                                                         initial=b1)
             bare = replace(basis)
             assert "operator" not in vars(bare)
             states.append(modulation.decompose(v, s, bare))
@@ -460,9 +477,9 @@ class TestExactBasis:
         seen = []
         decompose = modulation.decompose
 
-        def spy(v, s, basis):
+        def spy(v, s, basis, *given):
             seen.append((s, basis))
-            return decompose(v, s, basis)
+            return decompose(v, s, basis, *given)
 
         monkeypatch.setattr(modulation, "decompose", spy)
         monkeypatch.setattr(solver, "RECORD_DS", cls.CADENCE[run["k"]])
@@ -516,6 +533,13 @@ class TestExactBasis:
         assert len(calls) == spectrum.FAMILY_NODES
 
 
+def test_trap_rate_read_once_per_track(grid512, monkeypatch):
+    calls = counted(monkeypatch, modulation, "trap_rate")
+    series, track = modulation.track_run(**k2_run(grid512, s_max=0.02))
+    assert len(track.states) == len(series.s) > 3
+    assert len(calls) == 1
+
+
 class TestStreamedTrack:
     """Decomposing each record inside the run gives the floats of the
     two-pass loop that decomposes a completed run's copied profiles."""
@@ -525,7 +549,10 @@ class TestStreamedTrack:
         states = []
         b = None
         for s, v in profiles:
-            b, basis = modulation.self_consistent_b1(grid, v, initial=b, k=k)
+            # decompose projects again, the reference for the fixed point's
+            # coefficients that the track hands over
+            b, basis, _ = modulation.self_consistent_b1(grid, v, initial=b,
+                                                        k=k)
             states.append(modulation.decompose(v, s, basis))
         residuals = modulation.modulation_residual(
             states, profiles[1][0] - profiles[0][0], grid)

@@ -286,7 +286,7 @@ class TestRun:
         v0 = modulation.build_profile(grid1024, 1, [verify.K1_B0])
         lows = []
         ts = solver.run(grid1024, v0, ds=solver.default_ds(grid1024, 1),
-                        s_max=solver.default_s_max(1),
+                        s_max=verify.K1_S_MAX,
                         observe=lambda s, v: lows.append(np.min(v)))
         assert ts.lam.tobytes() == ctx.k1(+1).series.lam.tobytes()
         assert len(lows) == len(ts.s)

@@ -323,6 +323,19 @@ class TestPerturbationSweep:
             spectrum.perturbation_sweep(grid1024, (1,), (0.0, 0.01, 0.02))
 
 
+def test_gershgorin_bound_caps_the_conditioning(rng):
+    # symmetric positive definite matrices from well to barely conditioned
+    for size in (2, 3, 4):
+        for low in (0.5, 1e-4, 1e-8, 1e-10):
+            q, _ = np.linalg.qr(rng.standard_normal((size, size)))
+            lams = np.r_[low, rng.uniform(low, 1.0, size - 2), 1.0]
+            gram = (q * lams) @ q.T
+            gram = 0.5 * (gram + gram.T)
+            assert spectrum.gershgorin_cond_bound(gram) >= np.linalg.cond(gram)
+    assert spectrum.gershgorin_cond_bound(np.eye(3)) == 1.0
+    assert spectrum.gershgorin_cond_bound(np.ones((2, 2))) == math.inf
+
+
 class TestSpectralGap:
     # the floor of the Rayleigh quotient on the complement of the first k
     # eigenfunctions is the solved lam_{k+1}(b) (Courant-Fischer)
