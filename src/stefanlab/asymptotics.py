@@ -101,7 +101,11 @@ def settled_tail(ts: TimeSeries, k: int) -> Tail:
     radius = tail_radius(ts, lam_k)
     if not np.any(ts.a):
         return Tail(rate, window, radius, 0.0)
-    spread = abs(radius - tail_radius(ts, rate)) if rate > 0 else math.inf
+    try:
+        spread = abs(radius - tail_radius(ts, rate)) if rate > 0 else math.inf
+    except OverflowError:
+        # a freezing run's slope rate near 0 (|a| near its peak)
+        spread = math.inf
     if not spread <= TAIL_SPREAD_TOL:
         raise RunNotConverged(
             f"boundary slope decays at rate {rate:.6g} over s in "
@@ -110,14 +114,6 @@ def settled_tail(ts: TimeSeries, k: int) -> Tail:
             f"them (> {TAIL_SPREAD_TOL:g}), so the run stops before its "
             f"exponential regime; extend s_max")
     return Tail(rate, window, radius, spread)
-
-
-def terminal_radius(ts: TimeSeries, u0_integral: float,
-                    k: int = 1) -> tuple[float, float]:
-    """(measured, predicted) terminal radius of a k-mode run: the measured
-    one is the radius of its :func:`settled_tail`."""
-    return (settled_tail(ts, k).radius,
-            predicted_terminal_radius(u0_integral))
 
 
 @dataclass

@@ -32,6 +32,7 @@ from .spectrum import Basis
 from .weighted import RadialGrid, inner_b
 
 
+@functools.lru_cache(maxsize=None)
 def trap_rate(k: int) -> float:
     """Growth rate lam_k + gap_k of the trap variables V_j = b_j e^{rate s}
     of a k-mode run: gap_k is a quarter of the gap to the next-lower
@@ -54,22 +55,20 @@ class ModulationState:
 
 
 def decompose(v: np.ndarray, s: float, basis: Basis,
-              coeffs: np.ndarray | None = None,
-              rate: float | None = None) -> ModulationState:
+              coeffs: np.ndarray | None = None) -> ModulationState:
     """Split the profile v into the k modes of ``basis`` plus a remainder eps
     weighted-orthogonal to them, in the weight of the basis parameter b
     (:meth:`Basis.split`, which raises :class:`SingularGram` on a singular
     basis; ``coeffs``, if given, are v's :meth:`Basis.coefficients` on
     ``basis``, already formed).  The state keeps the energy of eps, not
-    eps.  Trap variables grow at ``rate`` (default :func:`trap_rate` of k);
-    those whose growth factor overflows are +-inf (0 for a zero
-    coefficient).
+    eps.  Trap variables grow at :func:`trap_rate` of k; those whose
+    growth factor overflows are +-inf (0 for a zero coefficient).
     """
     k = basis.psis.shape[1]
     coeffs, eps = basis.split(v, coeffs)
     V = coeffs[: k - 1]
     if k > 1:
-        growth = (trap_rate(k) if rate is None else rate) * s
+        growth = trap_rate(k) * s
         try:
             V = V * math.exp(growth)
         except OverflowError:
@@ -210,12 +209,11 @@ def track_run(grid: RadialGrid, v0: np.ndarray, k: int, ds: float,
     """
     states: list[ModulationState] = []
     b = None
-    rate = trap_rate(k)
 
     def observe(s, v):
         nonlocal b
         b, basis, coeffs = self_consistent_b1(grid, v, initial=b, k=k)
-        states.append(decompose(v, s, basis, coeffs, rate))
+        states.append(decompose(v, s, basis, coeffs))
 
     series = solver.run(grid, v0, ds, s_max, norm_floor=norm_floor,
                         observe=observe)

@@ -34,9 +34,8 @@ def k1_series(ctx, sign):
 class TestTerminalRadius:
     def test_zero_data(self):
         ts = synthetic_series(amp=0.0, lam_inf=1.0)
-        measured, predicted = asymptotics.terminal_radius(ts, 0.0)
-        assert measured == 1.0
-        assert predicted == 1.0
+        assert asymptotics.settled_tail(ts, 1).radius == 1.0
+        assert asymptotics.predicted_terminal_radius(0.0) == 1.0
 
     def test_prediction_formula(self):
         # integral -0.02 pi gives sqrt(0.98)
@@ -49,11 +48,12 @@ class TestTerminalRadius:
         ts = synthetic_series(floored=False)
         ts.a = 0.1 * np.exp(-3.0 * ts.s)
         with pytest.raises(RunNotConverged, match="exponential regime"):
-            asymptotics.terminal_radius(ts, 0.0)
+            asymptotics.settled_tail(ts, 1)
 
     def test_freezing_run_accuracy(self, ctx):
         ts, u0i = k1_series(ctx, -1)
-        measured, predicted = asymptotics.terminal_radius(ts, u0i)
+        measured = asymptotics.settled_tail(ts, 1).radius
+        predicted = asymptotics.predicted_terminal_radius(u0i)
         assert abs(measured - predicted) <= 1e-4
 
     def test_monotone_in_heat_content(self):
@@ -89,15 +89,26 @@ class TestTail:
         # lam_inf = exp(-int_0^inf a) = exp(-1e-3 / lam_1)
         lam1 = zeros12[0].lam
         ts = self.sloped(lam1)
-        measured, predicted = asymptotics.terminal_radius(ts, 0.0)
+        measured = asymptotics.settled_tail(ts, 1).radius
         assert measured == pytest.approx(math.exp(-1e-3 / lam1), abs=1e-15)
-        assert predicted == 1.0
 
     def test_sign_change_is_not_settled(self, zeros12):
         ts = self.sloped(zeros12[0].lam)
         ts.a[-5] *= -1.0
         assert math.isnan(asymptotics.slope_rate(ts)[0])
         with pytest.raises(RunNotConverged):
+            asymptotics.settled_tail(ts, 1)
+
+    def test_slow_freezing_slope_is_not_settled(self):
+        # |a| near its peak: a slope rate near 0 with a_end < 0 puts
+        # e^{-a_end / rate} past the float range, a refusal, not an error
+        ts = self.sloped(1e-4)
+        ts.a = -ts.a * 1e3
+        rate, _ = asymptotics.slope_rate(ts)
+        assert 0.0 < rate < 2e-4
+        with pytest.raises(OverflowError):
+            math.exp(-ts.a[-1] / rate)
+        with pytest.raises(RunNotConverged, match="exponential regime"):
             asymptotics.settled_tail(ts, 1)
 
     @pytest.mark.parametrize("s_max, code", [

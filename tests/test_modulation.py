@@ -534,10 +534,21 @@ class TestExactBasis:
 
 
 def test_trap_rate_read_once_per_track(grid512, monkeypatch):
-    calls = counted(monkeypatch, modulation, "trap_rate")
-    series, track = modulation.track_run(**k2_run(grid512, s_max=0.02))
-    assert len(track.states) == len(series.s) > 3
-    assert len(calls) == 1
+    # trap_rate is memoized, so a track reads the Bessel zeros a fixed
+    # number of times (the trap rate, the residuals' couplings and slopes),
+    # whatever its number of records
+    modulation.track_run(**k2_run(grid512, s_max=0.02))
+    reads = []
+    for s_max in (0.02, 0.04):
+        run = k2_run(grid512, s_max=s_max)
+        modulation.trap_rate.cache_clear()
+        calls = counted(monkeypatch, bessel, "j0_zeros")
+        series, track = modulation.track_run(**run)
+        monkeypatch.undo()
+        assert len(track.states) == len(series.s) > 3
+        reads.append((len(calls), len(series.s)))
+    (short, n_short), (long, n_long) = reads
+    assert n_long > n_short > short == long
 
 
 class TestStreamedTrack:
