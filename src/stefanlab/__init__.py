@@ -24,10 +24,8 @@ cli
 from . import (asymptotics, bessel, config, modulation, reduced, solver,
                spectrum, verify, weighted)
 from .errors import (BoundaryBlowup, ConfigError, ConservationError,
-                     GridMismatch, InsufficientDecay, InsufficientHistory,
                      NonConvergence, NonPositiveRadius, NoTrappedData,
-                     PoleCrossing, RunNotConverged, SingularGram,
-                     StefanLabError, ZeroInitialMode)
+                     RunNotConverged, SingularGram, StefanLabError)
 from .weighted import RadialGrid, WeightParam
 
 __version__ = "0.1.0"
@@ -36,9 +34,8 @@ __all__ = [
     "asymptotics", "bessel", "config", "modulation", "reduced", "solver",
     "spectrum", "verify", "weighted",
     "RadialGrid", "WeightParam",
-    "StefanLabError", "NonConvergence", "GridMismatch", "BoundaryBlowup",
+    "StefanLabError", "NonConvergence", "BoundaryBlowup",
     "NonPositiveRadius", "ConservationError", "SingularGram",
-    "InsufficientHistory", "PoleCrossing", "NoTrappedData",
-    "RunNotConverged", "InsufficientDecay", "ZeroInitialMode", "ConfigError",
+    "NoTrappedData", "RunNotConverged", "ConfigError",
     "__version__",
 ]

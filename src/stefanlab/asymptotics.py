@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bessel, files
-from .errors import InsufficientDecay, RunNotConverged, ZeroInitialMode
+from .errors import ConfigError, RunNotConverged
 from .solver import TimeSeries
 from .weighted import RadialGrid
 
@@ -136,20 +136,21 @@ class FitResult:
 def fit_rate(ts: TimeSeries, lambda_inf: float, k: int) -> FitResult:
     """Fit the decay exponent of |lam(t) - lam_inf| over an auto window.
 
-    The series must span at least three decades.  The window drops the
-    first 30% of the usable records (early-time transient bias) and
-    everything within a decade of the terminal noise floor.
+    The series must span at least three decades (else
+    :class:`RunNotConverged`).  The window drops the first 30% of the
+    usable records (early-time transient bias) and everything within a
+    decade of the terminal noise floor.
     """
     d = np.abs(ts.lam - lambda_inf)
     pos = d[d > 0]
     if len(pos) < 10 or pos.max() / pos.min() < 1e3:
-        raise InsufficientDecay(
+        raise RunNotConverged(
             "need >= 3 decades of |lam - lam_inf|; extend s_max or shrink ds"
         )
     floor = max(float(d[-1]), 1e-300)
     usable = np.nonzero(d > FIT_FLOOR_FACTOR * floor)[0]
     if len(usable) < 10:
-        raise InsufficientDecay("decay range above the noise floor is too short")
+        raise RunNotConverged("decay range above the noise floor is too short")
     start = usable[int(FIT_SKIP_FRACTION * len(usable))]
     window = usable[usable >= start]
     t_win = ts.t[window]
@@ -172,9 +173,10 @@ def fit_rate(ts: TimeSeries, lambda_inf: float, k: int) -> FitResult:
 
 
 def classify_regime(k: int, b_k0: float) -> str:
-    """Melting iff (k odd, b_k0 > 0) or (k even, b_k0 < 0); else freezing."""
+    """Melting iff (k odd, b_k0 > 0) or (k even, b_k0 < 0); else freezing
+    (b_k0 = 0 raises :class:`ConfigError`)."""
     if b_k0 == 0.0:
-        raise ZeroInitialMode("driving coefficient must be nonzero")
+        raise ConfigError("driving coefficient must be nonzero")
     melting = (k % 2 == 1) == (b_k0 > 0.0)
     return "melting" if melting else "freezing"
 

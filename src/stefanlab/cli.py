@@ -26,8 +26,8 @@ from . import (asymptotics, bessel, files, modulation, reduced, spectrum,
                verify)
 from .config import (SETTINGS, ScenarioConfig, load_config, parse_value,
                      serialize_config)
-from .errors import (BoundaryBlowup, ConfigError, InsufficientDecay,
-                     NonPositiveRadius, NoTrappedData, StefanLabError)
+from .errors import (BoundaryBlowup, ConfigError, NonPositiveRadius,
+                     NoTrappedData, RunNotConverged, StefanLabError)
 from .weighted import RadialGrid, WeightParam, inner_b
 
 
@@ -214,7 +214,7 @@ def main(argv=None) -> int:
     except (BoundaryBlowup, NonPositiveRadius) as exc:
         print(f"dynamics guard: {exc}", file=sys.stderr)
         return 3
-    except (NoTrappedData, InsufficientDecay) as exc:
+    except (NoTrappedData, RunNotConverged) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 2
     except StefanLabError as exc:

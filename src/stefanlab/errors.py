@@ -9,10 +9,6 @@ class NonConvergence(StefanLabError):
     """An iterative method exceeded its iteration cap."""
 
 
-class GridMismatch(StefanLabError):
-    """A profile does not match its grid."""
-
-
 class BoundaryBlowup(StefanLabError):
     """The boundary slope left the perturbative regime (|a| > 1)."""
 
@@ -29,14 +25,6 @@ class SingularGram(StefanLabError):
     """Gram matrix of the decomposition basis is ill-conditioned."""
 
 
-class InsufficientHistory(StefanLabError):
-    """Not enough recorded states for finite differencing."""
-
-
-class PoleCrossing(StefanLabError):
-    """Closed-form reduced solution has a pole inside the requested interval."""
-
-
 class NoTrappedData(StefanLabError):
     """The trap search stopped without certifying trapped initial data: a
     horizon too short to tell trapped from untrapped data, a singular
@@ -45,15 +33,9 @@ class NoTrappedData(StefanLabError):
 
 
 class RunNotConverged(StefanLabError):
-    """A time series did not reach the decay floor required for post-processing."""
-
-
-class InsufficientDecay(StefanLabError):
-    """Decay range too short for a reliable rate fit."""
-
-
-class ZeroInitialMode(StefanLabError):
-    """Regime classification needs a nonzero driving mode."""
+    """A run too short to judge: its boundary slope has not settled into
+    the exponential regime, or its decay spans too few decades for the
+    rate fit."""
 
 
 class ConfigError(StefanLabError, ValueError):

@@ -27,9 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import asymptotics, bessel, files, solver, spectrum
-from .errors import ConfigError, InsufficientHistory, NonConvergence
+from .errors import ConfigError, NonConvergence
 from .spectrum import Basis
 from .weighted import RadialGrid, inner_b
+
+#: the fixed point of :func:`self_consistent_b1`: tolerance, iteration cap
+FIXED_POINT_TOL = 1e-12
+FIXED_POINT_MAX_ITER = 50
 
 
 @functools.lru_cache(maxsize=None)
@@ -85,7 +89,6 @@ def energy_of(op: spectrum.DriftOperator, eps: np.ndarray) -> float:
 
 
 def self_consistent_b1(grid: RadialGrid, v: np.ndarray,
-                       tol: float = 1e-12, max_iter: int = 50,
                        initial: float | None = None,
                        k: int = 1) -> tuple[float, Basis, np.ndarray]:
     """Coefficient b_k of the profile v on ``grid`` in the k-mode basis
@@ -94,25 +97,25 @@ def self_consistent_b1(grid: RadialGrid, v: np.ndarray,
     Fixed-point iteration b <- F(b), the k-th coefficient of v's projection
     on the basis of :func:`spectrum.basis_family` at b (for k = 1,
     <v, psi_{b,1}>_b / <psi_{b,1}, psi_{b,1}>_b), from ``initial``
-    (default 0), stopped at the first iterate with
-    |F(b) - b| <= min(tol, 1e-6 |F(b)|): absolute above |b| = 1e-6,
-    relative below, so a b far under ``tol`` still moves from one record
-    to the next.  Raises :class:`NonConvergence` after ``max_iter``
-    iterations.  F(b) is the basis's own projection coefficient
-    (:meth:`Basis.coefficients`, the one :meth:`Basis.split` and so
-    :func:`decompose` read), so each iterate costs the family's
-    interpolant, its weights and Gram, and a projection; a first iterate
-    at the previous record's b reuses that record's basis.  Returns
-    ``(b, basis, coeffs)``: that iterate, its basis and v's coefficients
-    on it, the projection :func:`decompose` would form again.
+    (default 0), stopped at the first iterate with |F(b) - b| <=
+    min(``FIXED_POINT_TOL``, 1e-6 |F(b)|): absolute above |b| = 1e-6,
+    relative below, so a b far under the tolerance still moves from one
+    record to the next.  Raises :class:`NonConvergence` after
+    ``FIXED_POINT_MAX_ITER`` iterations.  F(b) is the basis's own
+    projection coefficient (:meth:`Basis.coefficients`, the one
+    :meth:`Basis.split` and so :func:`decompose` read), so each iterate
+    costs the family's interpolant, its weights and Gram, and a projection;
+    a first iterate at the previous record's b reuses that record's basis.
+    Returns ``(b, basis, coeffs)``: that iterate, its basis and v's
+    coefficients on it, the projection :func:`decompose` would form again.
     """
     family = spectrum.basis_family(grid, k)
     b = 0.0 if initial is None else float(initial)
-    for _ in range(max_iter):
+    for _ in range(FIXED_POINT_MAX_ITER):
         basis = family.at(b)
         coeffs = basis.coefficients(v)
         b_new = float(coeffs[k - 1])
-        if abs(b_new - b) <= min(tol, 1e-6 * abs(b_new)):
+        if abs(b_new - b) <= min(FIXED_POINT_TOL, 1e-6 * abs(b_new)):
             return b, basis, coeffs
         b = b_new
     raise NonConvergence(f"self-consistent parameter b_{k} did not settle")
@@ -136,18 +139,19 @@ def modulation_residual(states: list[ModulationState], dt_s: float,
     """Centered-difference residuals of the leading mode laws, one row of k
     per state.
 
-    Needs at least 3 states recorded at the cadence ``dt_s``.  A row is NaN
-    where the state's neighbours are not one cadence away on each side: the
-    first and last states, and the one before a closing record taken between
-    cadence points.  Mode k's residual is |(b_k)_s + lam_k b_k - c b_k^2|,
-    c = :attr:`bessel.BesselZero.boundary_slope` of zero k; for k > 1 each
-    lower mode j includes the forcing c b_k^2 g_jk instead.  The
-    residuals are reported, not asserted: the implicit constants of the
-    remainder bounds are unknown.  The coupling coefficients are
-    integrated on ``grid``.
+    Needs at least 3 states recorded at the cadence ``dt_s`` (fewer raise
+    :class:`ConfigError`).  A row is NaN where the state's neighbours are
+    not one cadence away on each side: the first and last states, and the
+    one before a closing record taken between cadence points.  Mode k's
+    residual is |(b_k)_s + lam_k b_k - c b_k^2|, c =
+    :attr:`bessel.BesselZero.boundary_slope` of zero k; for k > 1 each
+    lower mode j includes the forcing c b_k^2 g_jk instead.  The residuals
+    are reported, not asserted: the implicit constants of the remainder
+    bounds are unknown.  The coupling coefficients are integrated on
+    ``grid``.
     """
     if len(states) < 3:
-        raise InsufficientHistory("need >= 3 states for centered differences")
+        raise ConfigError("need >= 3 states for centered differences")
     B = np.vstack([st.coeffs for st in states])
     k = B.shape[1]
     zeros = bessel.j0_zeros(k)

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import bessel, files, modulation, solver
 from .bessel import coupling_coefficients
-from .errors import ConfigError, NoTrappedData, PoleCrossing
+from .errors import ConfigError, NoTrappedData
 from .weighted import B_SMALL, RadialGrid
 
 #: default ceiling on the summed squared trap variables
@@ -65,9 +65,9 @@ def riccati_exact(k: int, b0: float, s):
     """Mode k's law in closed form from b(0) = b0: b(s) = 1 / ((1/b0 + shift)
     e^{lam_k s} - shift), shift = -c_k / lam_k with c_k the boundary slope.
 
-    Raises :class:`ConfigError` for |b0| > ``B_SMALL`` and
-    :class:`PoleCrossing` if the reciprocal crosses zero on [0, s]
-    (possible only far outside the small-data regime).
+    Raises :class:`ConfigError` for |b0| > ``B_SMALL``.  Inside that bound
+    |shift| = sqrt(2 / lam_k) <= 0.59 < 20 <= |1/b0|, so the denominator
+    keeps the sign of 1/b0 for every s >= 0: the law has no pole there.
     """
     if abs(b0) > B_SMALL:
         raise ConfigError(f"|b0| <= {B_SMALL} in the reduced regime")
@@ -80,11 +80,7 @@ def riccati_exact(k: int, b0: float, s):
         return float(out[0]) if scalar else out
     shift = -zero.boundary_slope / zero.lam
     coef = 1.0 / b0 + shift
-    denom = coef * np.exp(zero.lam * s_arr) - shift
-    d0 = 1.0 / b0
-    if np.any(denom == 0.0) or np.any(np.sign(denom) != np.sign(d0)):
-        raise PoleCrossing("reduced solution has a pole inside [0, s]")
-    out = 1.0 / denom
+    out = 1.0 / (coef * np.exp(zero.lam * s_arr) - shift)
     return float(out[0]) if scalar else out
 
 

@@ -51,7 +51,7 @@ import numpy as np
 
 from . import bessel, files, spectrum
 from .errors import (BoundaryBlowup, ConfigError, ConservationError,
-                     GridMismatch, NonConvergence, NonPositiveRadius)
+                     NonConvergence, NonPositiveRadius)
 from .lapack import dpttrf, dpttrs
 from .weighted import RadialGrid, WeightParam, deriv_values, end_slope
 
@@ -180,7 +180,6 @@ class TimeSeries:
     a: np.ndarray
     mass: np.ndarray
     vnorm: np.ndarray
-    reached_floor: bool = False
 
     def to_csv(self, path):
         files.write_csv(path, ["s", "t", "lambda", "a", "mass", "l2b_norm"],
@@ -194,11 +193,11 @@ def run(grid: RadialGrid, v0: np.ndarray, ds: float, s_max: float,
     unit radius until s_max or the norm floor; an s_max whose step count
     overflows is no bound.
 
-    A v0 without one sample per node raises :class:`GridMismatch`, one
-    that does not vanish at y = 1 :class:`ConfigError`, as does a ``ds``
-    that :func:`check_step` rejects (before the first step).  The mass invariant is checked at
-    every record; drifting past ``MASS_TOL`` (relative), or a non-finite
-    state (v0 included, at s = 0), raises :class:`ConservationError`.
+    A v0 without one sample per node or not vanishing at y = 1 raises
+    :class:`ConfigError`, as does a ``ds`` that :func:`check_step` rejects
+    (before the first step).  The mass invariant is checked at every
+    record; drifting past ``MASS_TOL`` (relative), or a non-finite state
+    (v0 included, at s = 0), raises :class:`ConservationError`.
     ``observe(s, v)`` is called with the profile of each record once that
     record has passed the guard; v is the run's state, not a copy, and
     must not be written to.  Records fall every round(RECORD_DS / ds)
@@ -209,8 +208,8 @@ def run(grid: RadialGrid, v0: np.ndarray, ds: float, s_max: float,
     """
     v = np.asarray(v0, dtype=float)
     if v.shape != (grid.n + 1,):
-        raise GridMismatch(f"profile of shape {v.shape} on {grid} "
-                           f"({grid.n + 1} nodes)")
+        raise ConfigError(f"profile of shape {v.shape} on {grid} "
+                          f"({grid.n + 1} nodes)")
     if v[-1] != 0.0:
         raise ConfigError(f"profile must vanish at y = 1, got {v[-1]:g}")
     stepper = Stepper(grid, ds)
@@ -238,7 +237,6 @@ def run(grid: RadialGrid, v0: np.ndarray, ds: float, s_max: float,
         return vnorm
 
     record(s, t, lam, a, v)
-    reached_floor = False
     nsteps = 0
     steps = s_max / ds
     max_steps = int(steps) + 2 if math.isfinite(steps) else math.inf
@@ -249,12 +247,11 @@ def run(grid: RadialGrid, v0: np.ndarray, ds: float, s_max: float,
         t += ds * 0.5 * (lam_old ** 2 + lam ** 2)
         nsteps += 1
         if nsteps % every == 0 and record(s, t, lam, a, v) < norm_floor:
-            reached_floor = True
             break
-    if not reached_floor and rows[-1][0] < s:
+    if rows[-1][0] < s:
         record(s, t, lam, a, v)
     # the columns of the records are the series' fields, in order
-    return TimeSeries(*np.array(rows).T.copy(), reached_floor=reached_floor)
+    return TimeSeries(*np.array(rows).T.copy())
 
 
 def default_ds(grid: RadialGrid, k: int = 1) -> float:

@@ -358,7 +358,7 @@ def criterion_10(ctx: VerificationContext):
         good, info = _tail_bounded(energy[mask] / np.abs(b1[mask]) ** 3)
         ok = ok and good
         rows.append(f"k=1 b0={sign * K1_B0:+.3f}: E/|b1|^3 {info}")
-    track2 = ctx.k2_family(+1)[0].certificate.track
+    track2 = ctx.k2_family(+1)[2].track
     b2 = np.array([st.b for st in track2.states])
     energy2 = np.array([st.energy for st in track2.states])
     mask2 = b2 >= K2_ENERGY_B_FLOOR

@@ -7,21 +7,18 @@ import numpy as np
 import pytest
 
 from stefanlab import asymptotics, cli, modulation, solver
-from stefanlab.errors import (InsufficientDecay, RunNotConverged,
-                              ZeroInitialMode)
+from stefanlab.errors import ConfigError, RunNotConverged
 from stefanlab.solver import TimeSeries
 from stefanlab.weighted import RadialGrid
 
 
-def synthetic_series(rate=3.0, lam_inf=0.9, amp=0.1, n=1000, dt=5e-3,
-                     floored=True):
+def synthetic_series(rate=3.0, lam_inf=0.9, amp=0.1, n=1000, dt=5e-3):
     # keep the decay well above float quantization of lam_inf + d
     t = np.arange(n) * dt
     lam = lam_inf + amp * np.exp(-rate * t)
     return TimeSeries(
         s=t.copy(), t=t, lam=lam, a=np.zeros(n),
         mass=np.full(n, math.pi), vnorm=np.full(n, 1e-13),
-        reached_floor=floored,
     )
 
 
@@ -45,7 +42,7 @@ class TestTerminalRadius:
     def test_requires_floor(self):
         # the boundary slope decays at 3, not at lam_1 = 5.78: the run is
         # outside its exponential regime, so its tail gives no radius
-        ts = synthetic_series(floored=False)
+        ts = synthetic_series()
         ts.a = 0.1 * np.exp(-3.0 * ts.s)
         with pytest.raises(RunNotConverged, match="exponential regime"):
             asymptotics.settled_tail(ts, 1)
@@ -112,10 +109,12 @@ class TestTail:
             asymptotics.settled_tail(ts, 1)
 
     @pytest.mark.parametrize("s_max, code", [
-        (0.1, 2), (0.3, 2), (1.0, 2), (1.5, 0), (2.0, 0), (None, 0)])
+        (0.1, 2), (0.3, 2), (1.0, 2), (1.1, 2), (1.5, 0), (2.0, 0),
+        (None, 0)])
     def test_cli_horizon_table(self, s_max, code, tmp_path, capsys):
-        # exit 2 before the exponential regime (s <= 1: no settled tail, or
-        # too short a decay for the rate fit), and no verdict is written
+        # exit 2 before the exponential regime (s <= 1: no settled tail;
+        # s = 1.1: settled, but under three decades for the rate fit), one
+        # refusal with one prefix, and no verdict is written
         out = tmp_path / "run"
         got = cli.main(["--mode", "run", "--k", "1", "--grid", "512",
                         "--b0", "0.01", "--smax", str(s_max).lower(),
@@ -124,6 +123,7 @@ class TestTail:
         assert got == code
         assert (out / "verdict.json").exists() == (code == 0)
         assert "Traceback" not in err
+        assert err.startswith("verification failure:") == (code == 2)
         if code == 0:
             verdict = json.loads((out / "verdict.json").read_text())
             assert verdict["slope_window"][1] == pytest.approx(s_max or 2.0)
@@ -153,7 +153,8 @@ class TestTail:
         for b0 in (0.01, -0.01, -0.005):
             short = self.k1_run(n, b0, solver.default_s_max(1))
             floor = self.k1_run(n, b0, 6.0)
-            assert short.s[-1] == 2.0 and floor.reached_floor
+            assert short.s[-1] == 2.0
+            assert floor.vnorm[-1] < solver.NORM_FLOOR
             tail = asymptotics.settled_tail(short, 1).radius
             assert abs(tail - floor.lam[-1]) <= 1.5e-12
 
@@ -167,7 +168,7 @@ class TestFitRate:
 
     def test_insufficient_decay(self):
         ts = synthetic_series(n=40)
-        with pytest.raises(InsufficientDecay):
+        with pytest.raises(RunNotConverged, match="3 decades"):
             asymptotics.fit_rate(ts, 0.9, 1)
 
     def test_k1_run_rate(self, ctx, zeros12):
@@ -193,7 +194,7 @@ class TestClassifyRegime:
         assert asymptotics.classify_regime(k, b0) == expect
 
     def test_zero_mode_rejected(self):
-        with pytest.raises(ZeroInitialMode):
+        with pytest.raises(ConfigError):
             asymptotics.classify_regime(1, 0.0)
 
     def test_consistent_with_terminal_radius(self, ctx):

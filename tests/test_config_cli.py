@@ -642,7 +642,8 @@ class TestCliRun:
              *lower, "--out", str(tmp_path)],
             capture_output=True, text=True, env=env, check=False)
         assert proc.returncode == 2
-        assert proc.stderr.startswith("error: boundary slope decays at rate")
+        assert proc.stderr.startswith(
+            "verification failure: boundary slope decays at rate")
         assert proc.stderr.endswith("before its exponential regime; "
                                     "extend s_max\n")
         assert proc.stderr.count("\n") == 1

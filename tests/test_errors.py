@@ -9,7 +9,8 @@ raises :class:`NonConvergence`.  No example starts a PDE run.
 import numpy as np
 import pytest
 
-from stefanlab import bessel, modulation, reduced, solver, spectrum
+from stefanlab import (asymptotics, bessel, modulation, reduced, solver,
+                       spectrum)
 from stefanlab.errors import ConfigError, NonConvergence, StefanLabError
 from stefanlab.weighted import RadialGrid, WeightParam
 
@@ -34,6 +35,8 @@ BAD_ARGUMENTS = {
     "stepper ds = inf": lambda: solver.Stepper(G512, np.inf),
     "run profile at y = 1": lambda: solver.run(G512, _profile(1e-300),
                                                ds=4e-4, s_max=0.01),
+    "run profile shape": lambda: solver.run(G512, np.zeros(512), ds=4e-4,
+                                            s_max=0.01),
     "run ds = nan": lambda: solver.run(
         G512, _profile(0.0), ds=np.nan, s_max=0.01),
     "run ds = 1e-200": lambda: solver.run(
@@ -45,6 +48,10 @@ BAD_ARGUMENTS = {
         2, 0.01, G512, ds=0.0).evaluate([0.0]),
     "profile coefficient count": lambda: modulation.build_profile(
         G512, 2, [0.01]),
+    "residual states": lambda: modulation.modulation_residual(
+        [modulation.ModulationState(s, 0.0, np.zeros(1), 0.0, np.zeros(0))
+         for s in (0.0, 1e-3)], 1e-3, G512),
+    "regime b_k0 = 0": lambda: asymptotics.classify_regime(1, 0.0),
     "eigenpairs count": lambda: spectrum.eigenpairs(G512, W0, 0),
     "eigenpairs grid": lambda: spectrum.eigenpairs(RadialGrid(256), W0, 1),
     "family |b|": lambda: spectrum.basis_family(G512, 1).at(-0.2),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from stefanlab import reduced, verify
-from stefanlab.errors import NoTrappedData, PoleCrossing
+from stefanlab.errors import NoTrappedData
 from stefanlab.weighted import RadialGrid
 
 
@@ -91,12 +91,17 @@ class TestRiccatiExact:
         assert np.all(b > 0)
         assert np.all(np.diff(b) < 0)
 
-    def test_pole_crossing_outside_small_data(self, monkeypatch):
-        # |b0| past -sqrt(lam/2) flips the reciprocal's sign in finite time;
-        # the small-data bound is lifted to reach the guard behind it
-        monkeypatch.setattr(reduced, "B_SMALL", 10.0)
-        with pytest.raises(PoleCrossing):
-            reduced.riccati_exact(1, -2.0, 2.0)
+    def test_no_pole_in_small_data(self):
+        # |b0| <= B_SMALL keeps 1/b0 + shift away from 0 (|shift| <= 0.59),
+        # so the law keeps b0's sign until it underflows to 0
+        s = np.linspace(0.0, 50.0, 2001)
+        for k in range(1, 13):
+            for b0 in (0.05, -0.05, 0.01, -0.01):
+                with np.errstate(over="ignore"):
+                    b = reduced.riccati_exact(k, b0, s)
+                assert np.all(np.isfinite(b))
+                assert np.all(np.sign(b) * math.copysign(1.0, b0) >= 0.0)
+                assert b[0] == pytest.approx(b0, rel=1e-14)
 
 
 class TestCouplings:
