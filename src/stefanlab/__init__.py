@@ -7,8 +7,9 @@ bessel
 weighted
     Radial grid, Gaussian drift weight, weighted inner product.
 spectrum
-    Divergence-form drifted Laplacian, its eigenbasis and weighted
-    projection, perturbation sweeps, gap checks.
+    Divergence-form drifted Laplacian, its eigenbasis (each mode signed
+    positive at the origin) and weighted projection, perturbation sweeps,
+    gap checks.
 solver
     IMEX time stepping of the renormalized moving-boundary flow.
 modulation
@@ -19,13 +20,16 @@ asymptotics
     Terminal radius, rate fits, melting/freezing classification.
 cli
     Scenario-driven command line front end (`stefanlab`).
+
+Every failure the library raises is one of eight types: `StefanLabError`
+or one of its seven subclasses in `stefanlab.errors`, all exported here.
 """
 
 from . import (asymptotics, bessel, config, modulation, reduced, solver,
                spectrum, verify, weighted)
 from .errors import (BoundaryBlowup, ConfigError, ConservationError,
                      NonConvergence, NonPositiveRadius, NoTrappedData,
-                     RunNotConverged, SingularGram, StefanLabError)
+                     RunNotConverged, StefanLabError)
 from .weighted import RadialGrid, WeightParam
 
 __version__ = "0.1.0"
@@ -35,7 +39,7 @@ __all__ = [
     "spectrum", "verify", "weighted",
     "RadialGrid", "WeightParam",
     "StefanLabError", "NonConvergence", "BoundaryBlowup",
-    "NonPositiveRadius", "ConservationError", "SingularGram",
-    "NoTrappedData", "RunNotConverged", "ConfigError",
+    "NonPositiveRadius", "ConservationError", "NoTrappedData",
+    "RunNotConverged", "ConfigError",
     "__version__",
 ]

@@ -265,17 +265,6 @@ def eta(j: int, grid: RadialGrid) -> np.ndarray:
     return vals
 
 
-@functools.lru_cache(maxsize=None)
-def eta_samples(j: int, grid: RadialGrid) -> np.ndarray:
-    """Samples of eta_j on ``grid`` (the floats of ``eta(j, grid)``),
-    memoized per (j, grid.n).
-
-    The array is backed by an immutable buffer, so neither it nor any view
-    of it can be made writeable.
-    """
-    return np.frombuffer(eta(j, grid).tobytes(), dtype=float)
-
-
 def eta_deriv(j: int, grid: RadialGrid) -> np.ndarray:
     """Analytic derivative of eta_j: sqrt(2) r_j J0'(y r_j) / |J0'(r_j)|
     with J0' = -J1; j in [1, 64] as for :func:`eta`."""

@@ -1,4 +1,7 @@
-"""Exception hierarchy for stefanlab."""
+"""Exception hierarchy for stefanlab: eight failure types, the base class
+:class:`StefanLabError` and seven subclasses, each raised for one kind of
+failure that a run, a shoot or a criterion can meet (``cli.main`` maps
+each to one exit code and stderr prefix, see the README)."""
 
 
 class StefanLabError(Exception):
@@ -19,10 +22,6 @@ class NonPositiveRadius(StefanLabError):
 
 class ConservationError(StefanLabError):
     """Mass invariant drifted beyond the configured tolerance."""
-
-
-class SingularGram(StefanLabError):
-    """Gram matrix of the decomposition basis is ill-conditioned."""
 
 
 class NoTrappedData(StefanLabError):

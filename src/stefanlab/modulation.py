@@ -62,11 +62,11 @@ def decompose(v: np.ndarray, s: float, basis: Basis,
               coeffs: np.ndarray | None = None) -> ModulationState:
     """Split the profile v into the k modes of ``basis`` plus a remainder eps
     weighted-orthogonal to them, in the weight of the basis parameter b
-    (:meth:`Basis.split`, which raises :class:`SingularGram` on a singular
-    basis; ``coeffs``, if given, are v's :meth:`Basis.coefficients` on
-    ``basis``, already formed).  The state keeps the energy of eps, not
-    eps.  Trap variables grow at :func:`trap_rate` of k; those whose
-    growth factor overflows are +-inf (0 for a zero coefficient).
+    (:meth:`Basis.split`; ``coeffs``, if given, are v's
+    :meth:`Basis.coefficients` on ``basis``, already formed).  The state
+    keeps the energy of eps, not eps.  Trap variables grow at
+    :func:`trap_rate` of k; those whose growth factor overflows are +-inf
+    (0 for a zero coefficient).
     """
     k = basis.psis.shape[1]
     coeffs, eps = basis.split(v, coeffs)

@@ -62,26 +62,22 @@ def default_shoot_horizon(k: int, tol: float = SHOOT_TOL,
 
 
 def riccati_exact(k: int, b0: float, s):
-    """Mode k's law in closed form from b(0) = b0: b(s) = 1 / ((1/b0 + shift)
-    e^{lam_k s} - shift), shift = -c_k / lam_k with c_k the boundary slope.
+    """Mode k's law in closed form from b(0) = b0:
+    b(s) = b0 e^{-lam_k s} / (1 + b0 shift (1 - e^{-lam_k s})),
+    shift = -c_k / lam_k with c_k the boundary slope.
 
     Raises :class:`ConfigError` for |b0| > ``B_SMALL``.  Inside that bound
-    |shift| = sqrt(2 / lam_k) <= 0.59 < 20 <= |1/b0|, so the denominator
-    keeps the sign of 1/b0 for every s >= 0: the law has no pole there.
+    |shift| = sqrt(2 / lam_k) <= 0.59, so the denominator lies in
+    1 +- |b0 shift|, inside [0.97, 1.03], for every s >= 0: the law has no
+    pole there, and a large lam_k s underflows e^{-lam_k s} to 0 with no
+    floating-point warning.
     """
     if abs(b0) > B_SMALL:
         raise ConfigError(f"|b0| <= {B_SMALL} in the reduced regime")
     zero = bessel.j0_zeros(k)[k - 1]
-    s_arr = np.asarray(s, dtype=float)
-    scalar = s_arr.ndim == 0
-    s_arr = np.atleast_1d(s_arr)
-    if b0 == 0.0:
-        out = np.zeros_like(s_arr)
-        return float(out[0]) if scalar else out
     shift = -zero.boundary_slope / zero.lam
-    coef = 1.0 / b0 + shift
-    out = 1.0 / (coef * np.exp(zero.lam * s_arr) - shift)
-    return float(out[0]) if scalar else out
+    decay = np.exp(-zero.lam * np.asarray(s, dtype=float))
+    return b0 * decay / (1.0 + b0 * shift * (1.0 - decay))
 
 
 def mode_law_model(k: int, horizon: float) -> tuple[np.ndarray, np.ndarray]:

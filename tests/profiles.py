@@ -33,6 +33,6 @@ def random_dirichlet(grid: RadialGrid, rng: np.random.Generator,
     coeffs = rng.standard_normal(modes) / np.arange(1, modes + 1)
     vals = np.zeros(grid.n + 1)
     for j in range(1, modes + 1):
-        vals += coeffs[j - 1] * bessel.eta_samples(j, grid)
+        vals += coeffs[j - 1] * bessel.eta(j, grid)
     vals[-1] = 0.0
     return vals

@@ -226,12 +226,6 @@ class TestEigenfunctions:
         )
         assert worst <= 1e-8
 
-    def test_cached_samples_match_eta(self, grid1024):
-        for j in (1, 5, 12):
-            cached = bessel.eta_samples(j, grid1024)
-            fresh = bessel.eta(j, grid1024)
-            assert cached.tobytes() == fresh.tobytes()
-
     def test_sign_alternation(self, grid1024, zeros12):
         for j in range(1, 9):
             e = bessel.eta(j, grid1024)

@@ -9,7 +9,7 @@ import pytest
 
 import profiles
 from stefanlab import bessel, modulation, reduced, solver, spectrum
-from stefanlab.errors import ConfigError, NonConvergence, SingularGram
+from stefanlab.errors import ConfigError, NonConvergence
 from stefanlab.weighted import WeightParam, inner_b
 
 W0 = WeightParam(0.0)
@@ -61,39 +61,8 @@ class TestDecompose:
                          for psi in basis.psis.T)
             assert defect <= 1e-10 * (1.0 + norm(grid512, eps, w))
 
-    def test_singular_gram_detected(self, grid512):
-        basis = modulation.Basis.solve(grid512, 0.01, 1)
-        dup = replace(
-            basis,
-            psis=np.column_stack([basis.psis[:, 0], basis.psis[:, 0]]),
-            lams=np.array([basis.lams[0], basis.lams[0]]),
-        )
-        v = basis.psis[:, 0].copy()
-        with pytest.raises(SingularGram):
-            modulation.decompose(v, 0.0, dup)
-
-    def test_singular_gram_exactly_past_the_cap(self, grid512):
-        # the Gershgorin bound only spares the SVD: a Gram is refused
-        # exactly when np.linalg.cond exceeds the cap, here near 1/eps^2
-        basis = modulation.Basis.solve(grid512, 0.01, 2)
-        v = basis.psis[:, 0].copy()
-        for eps in (1e-1, 1e-3, 1e-4, 1e-5, 1e-7):
-            near = replace(basis, psis=np.column_stack(
-                [basis.psis[:, 0], basis.psis[:, 0] + eps * basis.psis[:, 1]]))
-            gram = near.psis.T @ (near._weights[:, None] * near.psis)
-            assert spectrum.gershgorin_cond_bound(gram) >= np.linalg.cond(gram)
-            if np.linalg.cond(gram) > spectrum.GRAM_COND_CAP:
-                with pytest.raises(SingularGram):
-                    modulation.decompose(v, 0.0, near)
-            else:
-                modulation.decompose(v, 0.0, near)
-
-    def test_gram_formed_once_per_basis(self, grid512, rng, monkeypatch):
+    def test_gram_formed_once_per_basis(self, grid512, rng):
         # the inline projection is the bitwise reference for the coefficients
-        conds = []
-        bound = spectrum.gershgorin_cond_bound
-        monkeypatch.setattr(spectrum, "gershgorin_cond_bound",
-                            lambda a: conds.append(1) or bound(a))
         for k in (1, 2):
             basis = modulation.Basis.solve(grid512, 0.01, k)
             wv = (grid512.simpson * WeightParam(0.01).rho(grid512.y)
@@ -104,8 +73,11 @@ class TestDecompose:
                 coeffs, _ = basis.split(f)
                 want = np.linalg.solve(gram, basis.psis.T @ (wv * f))
                 assert coeffs.tobytes() == want.tobytes()
-            # no conditioning bound for the 1 x 1 Gram, one for the 2 x 2
-            assert len(conds) == k - 1
+            # the first projection formed the Gram; every later one reads it
+            formed = basis.__dict__["_gram"]
+            basis.split(f)
+            assert basis._gram is formed
+            assert formed.tobytes() == gram.tobytes()
 
     def test_k1_division_is_the_solve(self, grid512, rng):
         # a 1 x 1 Gram is solved by division, bitwise np.linalg.solve's

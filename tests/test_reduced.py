@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -97,11 +98,17 @@ class TestRiccatiExact:
         s = np.linspace(0.0, 50.0, 2001)
         for k in range(1, 13):
             for b0 in (0.05, -0.05, 0.01, -0.01):
-                with np.errstate(over="ignore"):
-                    b = reduced.riccati_exact(k, b0, s)
+                b = reduced.riccati_exact(k, b0, s)
                 assert np.all(np.isfinite(b))
                 assert np.all(np.sign(b) * math.copysign(1.0, b0) >= 0.0)
                 assert b[0] == pytest.approx(b0, rel=1e-14)
+
+    @pytest.mark.parametrize("k, s", [(1, 200.0), (12, 1.0)])
+    def test_decay_past_the_float_range_warns_nothing(self, k, s):
+        # e^{-lam_k s} underflows to 0 where e^{lam_k s} would overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert reduced.riccati_exact(k, 0.01, s) == 0.0
 
 
 class TestCouplings:
