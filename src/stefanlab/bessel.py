@@ -275,16 +275,20 @@ def eta_deriv(j: int, grid: RadialGrid) -> np.ndarray:
 def scaling_coefficient(k: int, j: int, grid: RadialGrid) -> float:
     """Quadrature value of <y eta_k', eta_j>_0 (Simpson, analytic derivative).
 
-    Equals -1 for j = k; for j != k it feeds the coupling coefficients of the
-    reduced mode system.
+    Equals -1 for j = k; for j != k it is the oracle of the closed form
+    :func:`coupling_coefficients`.
     """
     return float(np.sum(grid.simpson * grid.y * eta_deriv(k, grid)
                         * eta(j, grid) * grid.y))
 
 
-def coupling_coefficients(k: int, grid: RadialGrid) -> np.ndarray:
-    """Quadrature couplings g_jk = <y eta_k', eta_j>_0 for j = 1..k-1."""
-    return np.array([scaling_coefficient(k, j, grid) for j in range(1, k)])
+def coupling_coefficients(k: int) -> np.ndarray:
+    """Couplings g_jk = <y eta_k', eta_j>_0 = sigma_j sigma_k / (lam_k - lam_j)
+    for j = 1..k-1, sigma the boundary slopes: Green's identity gives
+    (lam_k - lam_j) g_jk + 2 lam_k delta_jk = eta_k'(1) eta_j'(1)."""
+    *lower, top = j0_zeros(k)
+    return np.array([z.boundary_slope * top.boundary_slope / (top.lam - z.lam)
+                     for z in lower])
 
 
 def scaling_identity_defect(grid: RadialGrid) -> float:

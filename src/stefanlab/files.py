@@ -22,14 +22,10 @@ def write_csv(path, header, rows):
                       for x in row] for row in rows)
 
 
-def write_json(path, payload) -> str:
-    """The JSON text of ``payload`` in the format above, written to ``path``
-    unless it is None."""
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+def write_json(path, payload):
+    """Write ``payload`` as JSON in the format above."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 _W, _H = 640, 420

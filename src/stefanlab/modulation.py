@@ -134,8 +134,8 @@ def build_profile(grid: RadialGrid, k: int, coeffs) -> np.ndarray:
     return vals
 
 
-def modulation_residual(states: list[ModulationState], dt_s: float,
-                        grid: RadialGrid) -> np.ndarray:
+def modulation_residual(states: list[ModulationState],
+                        dt_s: float) -> np.ndarray:
     """Centered-difference residuals of the leading mode laws, one row of k
     per state.
 
@@ -145,10 +145,9 @@ def modulation_residual(states: list[ModulationState], dt_s: float,
     one before a closing record taken between cadence points.  Mode k's
     residual is |(b_k)_s + lam_k b_k - c b_k^2|, c =
     :attr:`bessel.BesselZero.boundary_slope` of zero k; for k > 1 each
-    lower mode j includes the forcing c b_k^2 g_jk instead.  The residuals
-    are reported, not asserted: the implicit constants of the remainder
-    bounds are unknown.  The coupling coefficients are integrated on
-    ``grid``.
+    lower mode j includes the forcing c b_k^2 g_jk instead (closed-form
+    g_jk, :func:`bessel.coupling_coefficients`).  The residuals are
+    reported, not asserted: the remainder bounds' constants are unknown.
     """
     if len(states) < 3:
         raise ConfigError("need >= 3 states for centered differences")
@@ -157,7 +156,7 @@ def modulation_residual(states: list[ModulationState], dt_s: float,
     zeros = bessel.j0_zeros(k)
     lam = np.array([z.lam for z in zeros])
     slope = zeros[k - 1].boundary_slope
-    gcoef = bessel.coupling_coefficients(k, grid)
+    gcoef = bessel.coupling_coefficients(k)
     s_arr = np.array([st.s for st in states])
     dB = (B[2:] - B[:-2]) / (2.0 * dt_s)
     Bm = B[1:-1]
@@ -222,8 +221,8 @@ def track_run(grid: RadialGrid, v0: np.ndarray, k: int, ds: float,
     series = solver.run(grid, v0, ds, s_max, norm_floor=norm_floor,
                         observe=observe)
     if len(states) >= 3:
-        residuals = modulation_residual(
-            states, float(series.s[1] - series.s[0]), grid)
+        residuals = modulation_residual(states,
+                                        float(series.s[1] - series.s[0]))
     else:
         residuals = np.full((len(states), k), np.nan)
     return series, TrackResult(k=k, states=states, residuals=residuals)

@@ -10,7 +10,7 @@ linearly damped and quadratically forced,
 
     b_j' = -lam_j b_j - c_k b_k^2 g_jk,
 
-with coupling coefficients g_jk = <y eta_k', eta_j>_0 from quadrature.
+with coupling coefficients g_jk = c_j c_k / (lam_k - lam_j) in closed form.
 
 For k > 1 the lower modes are exponentially unstable against the rescaled
 trap variables V.  Trapped initial data for the full PDE evolution is the
@@ -120,7 +120,7 @@ class ShootingResult:
     jacobian: np.ndarray      # (k - 1, k - 1)
     certificate: TrapEvaluation
 
-    def to_json(self, path=None) -> str:
+    def to_json(self, path):
         payload = {
             "k": self.k,
             "b_k0": self.b_k0,
@@ -135,8 +135,7 @@ class ShootingResult:
             "evaluations": self.evaluations,
             "jacobian": self.jacobian.tolist(),
         }
-        # the text is returned without the file's final newline
-        return files.write_json(path, payload)[:-1]
+        files.write_json(path, payload)
 
 
 @dataclass
@@ -263,7 +262,7 @@ def shoot_trapped(evaluator: TrapEvaluator) -> ShootingResult:
         if b_k0 != 0.0:
             # forced-response scale of the lower coefficients
             z = bessel.j0_zeros(k)
-            g = coupling_coefficients(k, evaluator.grid)
+            g = coupling_coefficients(k)
             width = 8.0 * max(abs(z[k - 1].boundary_slope * b_k0 ** 2 * g[0]
                                   / (2.0 * z[k - 1].lam - z[0].lam)), 1e-8)
             if evaluate(np.eye(k - 1)[0] * width).exit_s is None:

@@ -144,16 +144,17 @@ def _criterion(number: int, name: str, budget: float | None = None):
 
 #: pi to 50 significant digits, for the decimal oracle
 _PI = "3.1415926535897932384626433832795028841971693993751"
+_ORACLE_DPS = 25    # significant decimal digits of the oracle
 
 
-def _oracle_zero_series_bisection(j: int, dps: int = 25) -> float:
-    """High-precision J0 zero: bisection on the power series, in ``dps``
-    significant decimal digits."""
+def _oracle_zero_series_bisection(j: int) -> float:
+    """High-precision J0 zero: bisection on the power series, in
+    ``_ORACLE_DPS`` significant decimal digits."""
     import decimal      # only this oracle needs it; kept off the import path
 
     D = decimal.Decimal
-    with decimal.localcontext(decimal.Context(prec=dps)):
-        cutoff = D(10) ** (-dps - 5)
+    with decimal.localcontext(decimal.Context(prec=_ORACLE_DPS)):
+        cutoff = D(10) ** (-_ORACLE_DPS - 5)
 
         def series(x):
             q = x * x / 4

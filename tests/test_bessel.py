@@ -257,14 +257,23 @@ class TestEigenfunctions:
             assert abs(val + 1.0) <= 1e-8
 
     def test_scaling_coefficient_closed_form(self, grid1024, zeros12):
-        # off-diagonal oracle: <y eta_k', eta_j>_0 =
-        #   (-1)^(k+j) 2 sqrt(lam_k lam_j) / (lam_k - lam_j)
-        for (k, j) in [(2, 1), (3, 1), (3, 2), (5, 2)]:
-            lam_k, lam_j = zeros12[k - 1].lam, zeros12[j - 1].lam
-            closed = ((-1.0) ** (k + j) * 2.0 * math.sqrt(lam_k * lam_j)
-                      / (lam_k - lam_j))
-            quad = bessel.scaling_coefficient(k, j, grid1024)
-            assert abs(quad - closed) < 1e-8
+        # the closed-form couplings sigma_j sigma_k / (lam_k - lam_j) are
+        # the limit of the Simpson quadrature: every j < k <= 12 lies within
+        # 3.3e-8 relative at n = 1024, and each gap falls ~16x per doubling
+        fine = RadialGrid(2048)
+        for k in range(2, 13):
+            closed = bessel.coupling_coefficients(k)
+            lam_k = zeros12[k - 1].lam
+            for j in range(1, k):
+                lam_j = zeros12[j - 1].lam
+                assert closed[j - 1] == pytest.approx(
+                    (-1.0) ** (k + j) * 2.0 * math.sqrt(lam_k * lam_j)
+                    / (lam_k - lam_j), rel=1e-14)
+                gaps = [abs(bessel.scaling_coefficient(k, j, grid)
+                            / closed[j - 1] - 1.0)
+                        for grid in (grid1024, fine)]
+                assert gaps[0] <= 5e-8
+                assert gaps[0] >= 12.0 * gaps[1]
 
 
 def test_zeros_csv_roundtrip(tmp_path, zeros12):

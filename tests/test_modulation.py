@@ -230,26 +230,26 @@ class TestModulationResidual:
                 V=np.zeros(0)))
         return states
 
-    def test_synthetic_riccati_input(self, grid512):
+    def test_synthetic_riccati_input(self):
         # pure ODE input at a fine cadence: residual is FD error only
         states = self._riccati_states(1e-4, 41)
-        res = modulation.modulation_residual(states, 1e-4, grid512)
+        res = modulation.modulation_residual(states, 1e-4)
         assert res.shape == (41, 1)
         assert np.all(np.isnan(res[[0, -1]]))
         assert np.max(res[1:-1]) <= 1e-8
 
-    def test_zero_history(self, grid512):
+    def test_zero_history(self):
         states = [modulation.ModulationState(
             s=i * 1e-3, b=0.0, coeffs=np.zeros(1), energy=0.0,
             V=np.zeros(0))
             for i in range(5)]
-        res = modulation.modulation_residual(states, 1e-3, grid512)
+        res = modulation.modulation_residual(states, 1e-3)
         assert np.max(res[1:-1]) == 0.0
 
-    def test_insufficient_history(self, grid512):
+    def test_insufficient_history(self):
         states = self._riccati_states(1e-4, 2)
         with pytest.raises(ConfigError, match=">= 3 states"):
-            modulation.modulation_residual(states, 1e-4, grid512)
+            modulation.modulation_residual(states, 1e-4)
 
     def test_pde_ratio_bounded(self, ctx):
         # the tracked-law residual over |b1|^{5/2} stays below a fixed
@@ -524,6 +524,19 @@ def test_trap_rate_read_once_per_track(grid512, monkeypatch):
     assert n_long > n_short > short == long
 
 
+def test_k2_track_samples_no_eigenfunction(grid512, monkeypatch):
+    # the residuals' couplings are closed forms in the zeros, so a tracked
+    # k = 2 run samples no eta_j and no eta_j'
+    def refuse(j, grid):
+        raise AssertionError(f"a track sampled a Bessel mode (j = {j})")
+
+    monkeypatch.setattr(bessel, "eta", refuse)
+    monkeypatch.setattr(bessel, "eta_deriv", refuse)
+    series, track = modulation.track_run(**k2_run(grid512, s_max=0.02))
+    assert len(track.states) == len(series.s) > 3
+    assert np.isfinite(track.residuals[1, 0])
+
+
 class TestStreamedTrack:
     """Decomposing each record inside the run gives the floats of the
     two-pass loop that decomposes a completed run's copied profiles."""
@@ -539,7 +552,7 @@ class TestStreamedTrack:
                                                         k=k)
             states.append(modulation.decompose(v, s, basis))
         residuals = modulation.modulation_residual(
-            states, profiles[1][0] - profiles[0][0], grid)
+            states, profiles[1][0] - profiles[0][0])
         return states, residuals
 
     @pytest.mark.parametrize("make_run", [k1_run, k2_run])
