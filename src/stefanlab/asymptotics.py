@@ -3,11 +3,13 @@
 A completed run is judged against the closed-form predictions: the terminal
 radius follows from mass conservation,
 
-    lam_inf = sqrt(1 + u0_integral / pi),
+    lam_inf = sqrt(m_0 / pi),
 
-the approach is exponential in physical time with exponent lam_k / lam_inf^2,
-and the melting/freezing direction is fixed by the parity of k together with
-the sign of the driving coefficient.
+with m_0 = pi + 2 pi int_0^1 v0 y dy the run's recorded mass at its unit
+initial radius (:func:`solver.mass`); the approach is exponential in
+physical time with exponent lam_k / lam_inf^2, and the melting/freezing
+direction is fixed by the parity of k together with the sign of the
+driving coefficient.
 
 The measured terminal radius is read off the run's tail, not its last
 record.  Since lam_s = -a lam, log lam_inf = log lam(s) - int_s^inf a, and
@@ -31,7 +33,6 @@ import numpy as np
 from . import bessel, files
 from .errors import ConfigError, RunNotConverged
 from .solver import TimeSeries
-from .weighted import RadialGrid
 
 #: leading fraction of usable records excluded from the fit window
 FIT_SKIP_FRACTION = 0.3
@@ -47,14 +48,10 @@ SLOPE_WINDOW_FRACTION = 0.25
 TAIL_SPREAD_TOL = 1e-10
 
 
-def u0_disk_integral(grid: RadialGrid, v0: np.ndarray) -> float:
-    """Initial heat content 2 pi int_0^1 v0 y dy of a profile on ``grid``
-    (unit initial radius)."""
-    return float(2.0 * np.pi * np.sum(grid.simpson * v0 * grid.y))
-
-
-def predicted_terminal_radius(u0_integral: float) -> float:
-    return math.sqrt(1.0 + u0_integral / math.pi)
+def predicted_terminal_radius(mass0: float) -> float:
+    """Terminal radius sqrt(mass0 / pi) of a run whose conserved mass
+    (:func:`solver.mass`) is ``mass0``."""
+    return math.sqrt(mass0 / math.pi)
 
 
 def slope_rate(ts: TimeSeries) -> tuple[float, tuple[float, float]]:
@@ -120,7 +117,6 @@ def settled_tail(ts: TimeSeries, k: int) -> Tail:
 class FitResult:
     """Log-linear fit of |lam(t) - lam_inf|."""
 
-    lambda_inf: float
     rate_fitted: float
     rate_predicted: float
     amplitude_sign: int
@@ -162,7 +158,6 @@ def fit_rate(ts: TimeSeries, lambda_inf: float, k: int) -> FitResult:
     lam_k = bessel.j0_zeros(k)[k - 1].lam
     sign = int(np.sign(ts.lam[window[0]] - lambda_inf))
     return FitResult(
-        lambda_inf=lambda_inf,
         rate_fitted=float(-slope),
         rate_predicted=lam_k / lambda_inf ** 2,
         amplitude_sign=sign,
@@ -192,7 +187,7 @@ def time_reconstruction_check(ts: TimeSeries) -> float:
     return float(np.max(np.abs(ts.t - t_rec)))
 
 
-def verdict(ts: TimeSeries, k: int, b_k0: float, u0_integral: float) -> dict:
+def verdict(ts: TimeSeries, k: int, b_k0: float) -> dict:
     """Scenario verdict: terminal radius, fitted rate, regime coherence,
     at fixed bounds: the radius within ``radius_tol`` = 1e-4 of the
     prediction, the rate within ``rate_tol`` = 2% (k = 1) or 3% (k > 1)."""
@@ -200,7 +195,7 @@ def verdict(ts: TimeSeries, k: int, b_k0: float, u0_integral: float) -> dict:
     radius_tol = 1e-4
     tail = settled_tail(ts, k)
     measured = tail.radius
-    predicted = predicted_terminal_radius(u0_integral)
+    predicted = predicted_terminal_radius(ts.mass[0])
     fit = fit_rate(ts, predicted, k)
     regime = classify_regime(k, b_k0)
     direction_ok = ((regime == "melting") == (predicted > 1.0)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
@@ -72,23 +71,8 @@ def _config_from_args(args) -> ScenarioConfig:
         if flag is not None and getattr(args, key) is not None})
     if args.shoot_file is None:
         return cfg
-    try:
-        with open(args.shoot_file) as fh:
-            payload = json.load(fh)
-        vals = payload["found_initials"]
-        if not isinstance(vals, list) or any(
-                isinstance(x, bool) for x in vals):
-            raise TypeError("found_initials must be a list of numbers")
-        lower = tuple(float(x) for x in vals)
-        shot = (payload["k"], float(payload["b_k0"]))
-    except (OSError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad shoot file {args.shoot_file}: {exc}") from exc
-    # trapped initials belong to the (k, b_k0) they were shot for
-    if shot != (cfg.k, cfg.b0):
-        raise ConfigError(
-            f"shoot file {args.shoot_file} is for k = {shot[0]!r}, "
-            f"b_k0 = {shot[1]!r}, not k = {cfg.k}, b0 = {cfg.b0!r}")
-    return dataclasses.replace(cfg, lower_modes=lower)
+    return dataclasses.replace(cfg, lower_modes=reduced.read_initials(
+        args.shoot_file, cfg.k, cfg.b0))
 
 
 def _outpath(cfg: ScenarioConfig, name: str) -> str:
@@ -177,7 +161,7 @@ def cmd_shoot(cfg: ScenarioConfig) -> int:
     path = _outpath(cfg, f"shoot_k{cfg.k}.json")
     result.to_json(path)
     print(f"shoot: trapped initials {result.initials} "
-          f"(max V^2 = {result.max_v2:.3g}) -> {path}")
+          f"(max V^2 = {result.certificate.max_v2:.3g}) -> {path}")
     return 0
 
 

@@ -156,10 +156,7 @@ def parse_config(text: str) -> ScenarioConfig:
         if fname is None:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         settings[fname] = parse_value(value, fname, f"line {lineno}")
-    try:
-        return ScenarioConfig(**settings)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ScenarioConfig(**settings)
 
 
 def load_config(path) -> ScenarioConfig:

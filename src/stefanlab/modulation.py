@@ -230,20 +230,18 @@ def track_run(grid: RadialGrid, v0: np.ndarray, k: int, ds: float,
 
 @dataclass
 class Scenario:
-    """A k-mode run from b_k(0) = ``b_k0``: its records, its track (None
-    if untracked) and its profile's u0 disk integral; ``verdict`` is
-    formed on first read, so the records can be written before it raises."""
+    """A k-mode run from b_k(0) = ``b_k0``: its records and its track (None
+    if untracked); ``verdict`` is formed on first read, so the records can
+    be written before it raises."""
 
     k: int
     b_k0: float
     series: solver.TimeSeries
     track: TrackResult | None
-    u0_integral: float
 
     @functools.cached_property
     def verdict(self) -> dict:
-        return asymptotics.verdict(self.series, self.k, self.b_k0,
-                                   self.u0_integral)
+        return asymptotics.verdict(self.series, self.k, self.b_k0)
 
 
 def scenario(grid: RadialGrid, k: int, coeffs, ds: float | None = None,
@@ -260,5 +258,4 @@ def scenario(grid: RadialGrid, k: int, coeffs, ds: float | None = None,
         series, tracked = track_run(grid, v0, k, ds, s_max, norm_floor)
     else:
         series, tracked = solver.run(grid, v0, ds, s_max, norm_floor), None
-    return Scenario(k, float(coeffs[-1]), series, tracked,
-                    asymptotics.u0_disk_integral(grid, v0))
+    return Scenario(k, float(coeffs[-1]), series, tracked)

@@ -24,6 +24,7 @@ ceiling.
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 from dataclasses import dataclass
@@ -102,40 +103,58 @@ def mode_law_model(k: int, horizon: float) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class ShootingResult:
-    """Trapped datum found by the search, the terms of its certificate (the
-    evaluator's ceiling, tol, horizon and s_max), the search's final
-    Jacobian dV_i(s_F) / dx_j at the datum and the evaluation that
-    certified it (not serialized)."""
+    """Trapped datum found by the search of ``evaluator``, which holds the
+    terms of the trap (k, b_k0, ceiling, tol, horizon and s_max), with the
+    search's final Jacobian dV_i(s_F) / dx_j at the datum and the
+    evaluation that certified it, whose ``max_v2`` the record reports."""
 
-    k: int
-    b_k0: float
+    evaluator: TrapEvaluator
     initials: tuple[float, ...]
-    max_v2: float
-    ceiling: float
-    tol: float
-    horizon: float
-    s_max: float
     iterations: int
     evaluations: int
     jacobian: np.ndarray      # (k - 1, k - 1)
     certificate: TrapEvaluation
 
     def to_json(self, path):
+        ev = self.evaluator
         payload = {
-            "k": self.k,
-            "b_k0": self.b_k0,
+            "k": ev.k,
+            "b_k0": ev.b_k0,
             "found_initials": list(self.initials),
             "exit_s": None,     # only trapped data is returned
-            "max_V2": self.max_v2,
-            "ceiling": self.ceiling,
-            "tol": self.tol,
-            "horizon": self.horizon,
-            "s_max": self.s_max,
+            "max_V2": self.certificate.max_v2,
+            "ceiling": ev.ceiling,
+            "tol": ev.tol,
+            "horizon": ev.horizon,
+            "s_max": ev.s_max,
             "iterations": self.iterations,
             "evaluations": self.evaluations,
             "jacobian": self.jacobian.tolist(),
         }
         files.write_json(path, payload)
+
+
+def read_initials(path, k: int, b_k0: float) -> tuple[float, ...]:
+    """The trapped lower-mode initials of the shoot file at ``path``
+    (:meth:`ShootingResult.to_json`), which must have been shot for
+    (``k``, ``b_k0``); else :class:`ConfigError`."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+        vals = payload["found_initials"]
+        if not isinstance(vals, list) or any(
+                isinstance(x, bool) for x in vals):
+            raise TypeError("found_initials must be a list of numbers")
+        lower = tuple(float(x) for x in vals)
+        shot = (payload["k"], float(payload["b_k0"]))
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad shoot file {path}: {exc}") from exc
+    # trapped initials belong to the (k, b_k0) they were shot for
+    if shot != (k, b_k0):
+        raise ConfigError(
+            f"shoot file {path} is for k = {shot[0]!r}, "
+            f"b_k0 = {shot[1]!r}, not k = {k}, b0 = {b_k0!r}")
+    return lower
 
 
 @dataclass
@@ -246,14 +265,9 @@ def shoot_trapped(evaluator: TrapEvaluator) -> ShootingResult:
                             f"{evaluator.horizon:.4f} for x = {list(x)}")
 
     def trapped(x, ev, updates):
-        return ShootingResult(k=k, b_k0=b_k0,
-                              initials=tuple(float(v) for v in x),
-                              max_v2=ev.max_v2, ceiling=evaluator.ceiling,
-                              tol=tol, horizon=evaluator.horizon,
-                              s_max=evaluator.s_max, iterations=updates,
-                              evaluations=evaluator.evaluations - first,
-                              jacobian=J / (1.0 + q * x) ** 2,
-                              certificate=ev)
+        return ShootingResult(evaluator, tuple(float(v) for v in x), updates,
+                              evaluator.evaluations - first,
+                              J / (1.0 + q * x) ** 2, ev)
 
     u = np.zeros(k - 1)
     J = np.diag(slopes)

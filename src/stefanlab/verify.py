@@ -106,11 +106,11 @@ class VerificationContext:
 
     def k2_family(self, sign: int = 1):
         """Shoot for trapped data and make the run ``--mode run
-        --shoot-file`` makes from them; returns (result, evaluator, run)."""
+        --shoot-file`` makes from them; returns (result, run)."""
         def build():
             ev = reduced.TrapEvaluator(2, sign * K2_B0, RadialGrid(512))
             result = reduced.shoot_trapped(ev)
-            return result, ev, modulation.scenario(
+            return result, modulation.scenario(
                 ev.grid, 2, [*result.initials, ev.b_k0])
         return self._get(("k2_family", sign), build)
 
@@ -300,13 +300,14 @@ def criterion_7(ctx: VerificationContext):
 @_criterion(8, "excited-mode rate law (<= 3%) + trap witness",
             budget=600.0)
 def criterion_8(ctx: VerificationContext):
-    res, ev, run = ctx.k2_family(+1)
+    res, run = ctx.k2_family(+1)
+    ev = res.evaluator
     v = run.verdict
     ok = v["rate_rel_error"] <= 0.03 and v["r_squared"] >= 0.999
     witness_exits = []
     for sgn in (+1, -1):
         pert = np.array(res.initials)
-        pert[0] += sgn * 100.0 * res.tol
+        pert[0] += sgn * 100.0 * ev.tol
         witness_exits.append(ev.evaluate(pert).exit_s)
     ok = ok and all(x is not None for x in witness_exits)
     return ok, (f"trapped b_1(0) = {res.initials[0]:+.3e}, rate rel err = "
@@ -359,7 +360,7 @@ def criterion_10(ctx: VerificationContext):
         good, info = _tail_bounded(energy[mask] / np.abs(b1[mask]) ** 3)
         ok = ok and good
         rows.append(f"k=1 b0={sign * K1_B0:+.3f}: E/|b1|^3 {info}")
-    track2 = ctx.k2_family(+1)[2].track
+    track2 = ctx.k2_family(+1)[1].track
     b2 = np.array([st.b for st in track2.states])
     energy2 = np.array([st.energy for st in track2.states])
     mask2 = b2 >= K2_ENERGY_B_FLOOR

@@ -16,28 +16,37 @@ def synthetic_series(rate=3.0, lam_inf=0.9, amp=0.1, n=1000, dt=5e-3):
     # keep the decay well above float quantization of lam_inf + d
     t = np.arange(n) * dt
     lam = lam_inf + amp * np.exp(-rate * t)
+    # the mass whose terminal radius sqrt(mass / pi) is lam_inf
     return TimeSeries(
         s=t.copy(), t=t, lam=lam, a=np.zeros(n),
-        mass=np.full(n, math.pi), vnorm=np.full(n, 1e-13),
+        mass=np.full(n, math.pi * lam_inf ** 2), vnorm=np.full(n, 1e-13),
     )
-
-
-def k1_series(ctx, sign):
-    """(series, u0 disk integral) of the criteria's k = 1, n = 1024 run."""
-    run = ctx.k1(sign)
-    return run.series, run.u0_integral
 
 
 class TestTerminalRadius:
     def test_zero_data(self):
         ts = synthetic_series(amp=0.0, lam_inf=1.0)
         assert asymptotics.settled_tail(ts, 1).radius == 1.0
-        assert asymptotics.predicted_terminal_radius(0.0) == 1.0
+        assert asymptotics.predicted_terminal_radius(math.pi) == 1.0
 
     def test_prediction_formula(self):
-        # integral -0.02 pi gives sqrt(0.98)
-        val = asymptotics.predicted_terminal_radius(-0.02 * math.pi)
+        # mass 0.98 pi (heat content -0.02 pi) gives sqrt(0.98)
+        val = asymptotics.predicted_terminal_radius(0.98 * math.pi)
         assert val == pytest.approx(math.sqrt(0.98), abs=1e-15)
+
+    def test_verdict_reads_the_recorded_mass(self):
+        # the datum of `run --k 1 --grid 1024 --b0 0.01`, whose prediction
+        # from its heat content, sqrt(1 + u0 / pi), is 1 ulp off
+        grid = RadialGrid(1024)
+        v0 = modulation.build_profile(grid, 1, [0.01])
+        mass0 = solver.mass(grid, v0, 1.0)
+        u0 = float(2.0 * np.pi * np.sum(grid.simpson * v0 * grid.y))
+        expect = math.sqrt(mass0 / math.pi)
+        assert abs(math.sqrt(1.0 + u0 / math.pi) - expect) == math.ulp(expect)
+        ts = synthetic_series(lam_inf=expect)
+        ts.mass[:] = mass0
+        v = asymptotics.verdict(ts, 1, 0.01)
+        assert v["lambda_inf_predicted"] == math.sqrt(ts.mass[0] / math.pi)
 
     def test_requires_floor(self):
         # the boundary slope decays at 3, not at lam_1 = 5.78: the run is
@@ -48,13 +57,13 @@ class TestTerminalRadius:
             asymptotics.settled_tail(ts, 1)
 
     def test_freezing_run_accuracy(self, ctx):
-        ts, u0i = k1_series(ctx, -1)
+        ts = ctx.k1(-1).series
         measured = asymptotics.settled_tail(ts, 1).radius
-        predicted = asymptotics.predicted_terminal_radius(u0i)
+        predicted = asymptotics.predicted_terminal_radius(ts.mass[0])
         assert abs(measured - predicted) <= 1e-4
 
     def test_monotone_in_heat_content(self):
-        vals = [asymptotics.predicted_terminal_radius(x)
+        vals = [asymptotics.predicted_terminal_radius(math.pi + x)
                 for x in np.linspace(-1.0, 1.0, 21)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
@@ -173,8 +182,8 @@ class TestFitRate:
 
     def test_k1_run_rate(self, ctx, zeros12):
         for sign in (+1, -1):
-            ts, u0i = k1_series(ctx, sign)
-            lam_inf = asymptotics.predicted_terminal_radius(u0i)
+            ts = ctx.k1(sign).series
+            lam_inf = asymptotics.predicted_terminal_radius(ts.mass[0])
             fit = asymptotics.fit_rate(ts, lam_inf, 1)
             assert fit.rate_rel_error <= 0.02
             assert fit.r_squared >= 0.999
@@ -199,9 +208,9 @@ class TestClassifyRegime:
 
     def test_consistent_with_terminal_radius(self, ctx):
         for sign in (+1, -1):
-            ts, u0i = k1_series(ctx, sign)
+            ts = ctx.k1(sign).series
             regime = asymptotics.classify_regime(1, sign * 0.01)
-            lam_inf = asymptotics.predicted_terminal_radius(u0i)
+            lam_inf = asymptotics.predicted_terminal_radius(ts.mass[0])
             assert (regime == "melting") == (lam_inf > 1.0)
             assert (regime == "melting") == (ts.lam[-1] > 1.0)
 
@@ -238,8 +247,7 @@ class TestVerdict:
     @pytest.mark.parametrize("k, rate_tol", [(1, 0.02), (2, 0.03)])
     def test_bounds_are_fixed_by_k(self, k, rate_tol):
         # the paper's bounds: 2% on the k = 1 rate, 3% for k > 1
-        v = asymptotics.verdict(synthetic_series(), k, 0.01,
-                                math.pi * (0.9 ** 2 - 1.0))
+        v = asymptotics.verdict(synthetic_series(), k, 0.01)
         assert (v["rate_tol"], v["radius_tol"]) == (rate_tol, 1e-4)
 
 
@@ -250,14 +258,14 @@ class TestRateParityCoherence:
     def test_four_scenarios(self, ctx):
         outcomes = []
         for sign in (+1, -1):
-            ts, u0i = k1_series(ctx, sign)
-            lam_inf = asymptotics.predicted_terminal_radius(u0i)
+            ts = ctx.k1(sign).series
+            lam_inf = asymptotics.predicted_terminal_radius(ts.mass[0])
             fit = asymptotics.fit_rate(ts, lam_inf, 1)
             regime = asymptotics.classify_regime(1, sign * 0.01)
             outcomes.append((1, regime, lam_inf, fit))
         for sign in (+1, -1):
-            run = ctx.k2_family(sign)[2]
-            lam_inf = asymptotics.predicted_terminal_radius(run.u0_integral)
+            run = ctx.k2_family(sign)[1]
+            lam_inf = asymptotics.predicted_terminal_radius(run.series.mass[0])
             fit = asymptotics.fit_rate(run.series, lam_inf, 2)
             regime = asymptotics.classify_regime(2, sign * 0.01)
             outcomes.append((2, regime, lam_inf, fit))

@@ -722,7 +722,7 @@ class TestCliShootRunWorkflow:
     def test_criteria_judge_the_shipped_run(self, ctx, tmp_path):
         # criterion 8's run is the one `--mode run --shoot-file` makes from
         # the same shot: its verdict file holds the criterion's verdict
-        result, _, run = ctx.k2_family(+1)
+        result, run = ctx.k2_family(+1)
         shoot_path = tmp_path / "shoot_k2.json"
         result.to_json(shoot_path)
         out = tmp_path / "k2_run"

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from stefanlab import reduced, verify
-from stefanlab.errors import NoTrappedData
+from stefanlab.errors import ConfigError, NoTrappedData
 from stefanlab.weighted import RadialGrid
 
 
@@ -113,40 +113,39 @@ class TestRiccatiExact:
 
 @pytest.fixture(scope="module")
 def k2_shot(ctx):
-    result, evaluator, _ = ctx.k2_family(+1)
-    return {"result": result, "evaluator": evaluator}
+    return ctx.k2_family(+1)[0]
 
 
 class TestShootingK2:
     def test_trapped_found_and_small(self, k2_shot):
-        res = k2_shot["result"]
+        res = k2_shot
         assert abs(res.initials[0]) < 50.0 * reduced.TRAP_CEILING * 0.01 ** 2
-        assert res.max_v2 <= res.ceiling ** 2
+        assert res.certificate.max_v2 <= res.evaluator.ceiling ** 2
 
     def test_trap_certificate(self, k2_shot):
-        ev = k2_shot["result"].certificate
+        ev = k2_shot.certificate
         assert ev.exit_s is None
         assert ev.max_v2 <= 1.0
 
     def test_codimension_one_witness(self, k2_shot):
-        res = k2_shot["result"]
-        ev = k2_shot["evaluator"]
+        res = k2_shot
+        ev = res.evaluator
         for sgn in (+1, -1):
             pert = np.array(res.initials)
-            pert[0] += sgn * 100.0 * res.tol
+            pert[0] += sgn * 100.0 * ev.tol
             out = ev.evaluate(pert)
             assert out.exit_s is not None
 
     def test_search_cost_and_centre(self, k2_shot):
         # the model step from the base point and one secant step land at
         # the root of V_1(s_F), the centre of the trapped window
-        res = k2_shot["result"]
+        res = k2_shot
         assert res.evaluations == 3 and res.iterations == res.evaluations - 1
-        assert abs(k2_shot["result"].certificate.horizon_V[0]) < 1e-3
+        assert abs(res.certificate.horizon_V[0]) < 1e-3
 
     def test_jacobian_is_the_linear_law(self, k2_shot, tmp_path):
         # at the default horizon the linear law's slope is ceiling / (4 tol)
-        res = k2_shot["result"]
+        res = k2_shot
         assert res.jacobian.shape == (1, 1)
         assert abs(res.jacobian[0, 0] / 2.5e11 - 1.0) < 0.01
         res.to_json(tmp_path / "shoot.json")
@@ -154,7 +153,7 @@ class TestShootingK2:
         assert payload["jacobian"] == res.jacobian.tolist()
 
     def test_json_record(self, k2_shot, tmp_path):
-        res = k2_shot["result"]
+        res = k2_shot
         path = tmp_path / "shoot.json"
         res.to_json(path)
         payload = json.loads(path.read_text())
@@ -162,13 +161,28 @@ class TestShootingK2:
         assert payload["exit_s"] is None
         assert payload["found_initials"] == list(res.initials)
         # the terms of the certificate: the default horizon and s_max
-        ev = k2_shot["evaluator"]
+        ev = res.evaluator
         assert payload["horizon"] == payload["s_max"] == ev.horizon
         assert ev.horizon == reduced.default_shoot_horizon(2)
         assert payload["evaluations"] == res.evaluations
         # identical serialization on repeat: fixed-step, no randomness
         res.to_json(tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+    def test_shoot_file_gives_back_its_initials(self, k2_shot, tmp_path):
+        # the run reads the initials the shoot wrote, bit for bit, and only
+        # for the (k, b_k0) they were shot for
+        path = tmp_path / "shoot_k2.json"
+        k2_shot.to_json(path)
+        lower = reduced.read_initials(path, 2, 0.01)
+        assert ([x.hex() for x in lower]
+                == [x.hex() for x in k2_shot.initials])
+        for k, b0 in ((2, -0.01), (3, 0.01)):
+            with pytest.raises(ConfigError) as exc:
+                reduced.read_initials(path, k, b0)
+            assert str(exc.value) == (
+                f"shoot file {path} is for k = 2, b_k0 = 0.01, "
+                f"not k = {k}, b0 = {b0!r}")
 
 
 class TestShootingK3:
@@ -180,7 +194,7 @@ class TestShootingK3:
         assert ev.s_max == pytest.approx(reduced.default_shoot_horizon(3))
         res = reduced.shoot_trapped(ev)
         assert ev.evaluations == res.evaluations <= 5
-        assert res.max_v2 <= res.ceiling ** 2
+        assert res.certificate.max_v2 <= ev.ceiling ** 2
         # both lower coefficients sit at the quadratically forced scale
         assert all(abs(x) < 1e-2 for x in res.initials)
 
@@ -227,7 +241,8 @@ class TestShootingHorizon:
         res = reduced.shoot_trapped(ev)
         assert res.certificate.exit_s is None
         assert res.evaluations <= 6
-        assert (res.horizon, res.s_max) == (ev.horizon, 2.0)
+        assert res.evaluator is ev and ev.s_max == 2.0
+        assert ev.horizon == reduced.default_shoot_horizon(2)
 
     def test_zero_driving_mode_needs_one_evaluation(self):
         res = reduced.shoot_trapped(
@@ -337,8 +352,7 @@ class TestShootingStubs:
         ev = _StubEvaluator(lambda x: 2.5e11 * (x - 3e-6), tol=1e-9)
         ev.ceiling, ev.horizon, ev.s_max = 0.25, 0.3, 0.4
         res = reduced.shoot_trapped(ev)
-        assert (res.ceiling, res.tol) == (0.25, 1e-9)
-        assert (res.horizon, res.s_max) == (0.3, 0.4)
+        assert res.evaluator is ev
         res.to_json(tmp_path / "shoot.json")
         payload = json.loads((tmp_path / "shoot.json").read_text())
         assert (payload["ceiling"], payload["tol"]) == (0.25, 1e-9)
@@ -379,8 +393,8 @@ class TestShootingStubs:
             return stub.evaluate(x)
 
         monkeypatch.setattr(reduced.TrapEvaluator, "evaluate", evaluate)
-        result, evaluator, _ = verify.VerificationContext().k2_family(+1)
-        assert evaluator.evaluations == result.evaluations == 3
+        result, _ = verify.VerificationContext().k2_family(+1)
+        assert result.evaluator.evaluations == result.evaluations == 3
         assert result.certificate.exit_s is None
 
 

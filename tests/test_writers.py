@@ -7,6 +7,7 @@ final newline.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -93,10 +94,14 @@ def test_verdict_json(tmp_path):
 
 
 def test_shooting_json(tmp_path):
+    evaluator = SimpleNamespace(k=2, b_k0=0.01, ceiling=0.1, tol=1e-13,
+                                horizon=4.5, s_max=4.5)
+    certificate = reduced.TrapEvaluation(
+        exit_s=None, horizon_V=np.zeros(1), max_v2=0.5, track=None)
     res = reduced.ShootingResult(
-        k=2, b_k0=0.01, initials=(-1.25e-4,), max_v2=0.5, ceiling=0.1,
-        tol=1e-13, horizon=4.5, s_max=4.5, iterations=2, evaluations=3,
-        jacobian=np.array([[2.5e11]]), certificate=None)
+        evaluator=evaluator, initials=(-1.25e-4,), iterations=2,
+        evaluations=3, jacobian=np.array([[2.5e11]]),
+        certificate=certificate)
     res.to_json(tmp_path / "shoot.json")
     written = read_bytes(tmp_path / "shoot.json")
     assert written == (
