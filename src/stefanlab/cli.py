@@ -75,6 +75,16 @@ def _config_from_args(args) -> ScenarioConfig:
         args.shoot_file, cfg.k, cfg.b0))
 
 
+def _check_out_dir(out_dir: str) -> None:
+    """ConfigError unless ``out_dir`` is a directory or can be made one (its
+    nearest existing ancestor is a directory), checked before any work."""
+    path = os.path.abspath(out_dir)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigError(f"out {out_dir!r}: {path!r} is not a directory")
+
+
 def _outpath(cfg: ScenarioConfig, name: str) -> str:
     os.makedirs(cfg.out_dir, exist_ok=True)
     return os.path.join(cfg.out_dir, name)
@@ -191,6 +201,8 @@ def main(argv=None) -> int:
             "shoot": cmd_shoot,
             "verify-all": cmd_verify_all,
         }[cfg.mode]
+        if cfg.mode != "verify-all" or cfg.json_output:
+            _check_out_dir(cfg.out_dir)
         return handler(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

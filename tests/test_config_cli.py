@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -234,6 +235,22 @@ def _spectrum_lines_and_flags(draw):
     return lines, flags
 
 
+@st.composite
+def _verify_lines_and_flags(draw):
+    """``--mode verify-all --quick`` with the other settings that have flags
+    (out aside: the test sets it), as file lines and as flags."""
+    lines = ["mode = verify-all", "quick = true"]
+    flags = ["--mode=verify-all", "--quick"]
+    keys = sorted(key for key in _SETTINGS if _FLAGS.get(key)
+                  and key not in ("mode", "quick", "out"))
+    for key in draw(st.lists(st.sampled_from(keys), unique=True,
+                             max_size=4)):
+        val = draw(_SETTINGS[key].filter(lambda v: "#" not in v))
+        lines.append(f"{key} = {val}")
+        flags.append(f"{_FLAGS[key]}={val}")
+    return lines, flags
+
+
 class TestFlagsAndFile:
     @settings(BOUNDED,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -258,6 +275,25 @@ class TestFlagsAndFile:
             out = tmp_path / name
             code = cli.main([*argv, "--out", str(out)])
             got.append((code, capsys.readouterr().out.replace(str(out), "")))
+        assert got[0][0] in (0, 1, 2)
+        assert got[0] == got[1]
+
+    @settings(BOUNDED, max_examples=6,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines_flags=_verify_lines_and_flags())
+    def test_verify_flags_and_file_lines_agree(self, lines_flags, tmp_path,
+                                               capsys):
+        # the same exit code and stdout, timings and out path aside
+        lines, flags = lines_flags
+        path = tmp_path / "verify.cfg"
+        path.write_text("".join(f"{line}\n" for line in lines))
+        got = []
+        for name, argv in (("file", ["--config", str(path)]),
+                           ("flags", flags)):
+            out = tmp_path / name
+            code = cli.main([*argv, "--out", str(out)])
+            text = capsys.readouterr().out.replace(str(out), "")
+            got.append((code, re.sub(r"\[\d+\.\d+s\]", "", text)))
         assert got[0][0] in (0, 1, 2)
         assert got[0] == got[1]
 
@@ -486,6 +522,27 @@ class TestCliExitCodes:
         code = cli.main(["--mode", "run", "--k", "2", "--b0", "0.01",
                          "--grid", "512", "--out", str(tmp_path)])
         assert code == 1
+
+    @pytest.mark.parametrize("argv, under", [
+        (["--mode", "spectrum", "--grid", "512"], ""),
+        (["--mode", "run", "--k", "1", "--grid", "512"], "/sub"),
+        (["--mode", "shoot", "--k", "2", "--grid", "512"], ""),
+        (["--mode", "verify-all", "--quick", "--json"], "/sub"),
+    ])
+    def test_out_that_cannot_be_a_directory(self, argv, under, tmp_path,
+                                            capsys, monkeypatch):
+        # an --out naming a file, or a path under one, is refused before
+        # any run or criterion starts
+        for name in ("cmd_spectrum", "cmd_run", "cmd_shoot",
+                     "cmd_verify_all"):
+            monkeypatch.setattr(cli, name, lambda cfg: pytest.fail("ran"))
+        path = tmp_path / "file"
+        path.write_text("")
+        code = cli.main([*argv, "--out", f"{path}{under}"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error: ")
+        assert "is not a directory" in err
 
 
 class TestCliSpectrum:

@@ -1,5 +1,6 @@
 """Closed-form mode law and trapped-data shooting."""
 
+import itertools
 import json
 import math
 import warnings
@@ -13,6 +14,18 @@ from stefanlab.errors import ConfigError, NoTrappedData
 from stefanlab.weighted import RadialGrid
 
 
+# criterion 11's cases and sample grid: s = 0, 0.1, ..., 5 at ds = 1e-4
+C11_CASES = [(k, b0) for k in (1, 2, 3, 4)
+             for b0 in (0.05, -0.05, 0.01, -0.01)]
+C11_GRID = np.linspace(0.0, 5.0, 51)
+
+
+def rk4_samples(zero, b0, n):
+    """b0 and the first n samples of criterion 11's RK4 oracle, 0.1 apart."""
+    return np.array([b0, *itertools.islice(
+        verify._rk4_mode_law(zero, b0, 1e-4, 1000), n)])
+
+
 class TestRiccatiExact:
     def test_zero_initial(self):
         assert reduced.riccati_exact(1, 0.0, 3.0) == 0.0
@@ -24,7 +37,7 @@ class TestRiccatiExact:
     def test_matches_rk4_small_step(self, zeros12):
         # against criterion 11's RK4 oracle
         s_grid = np.linspace(0.0, 1.0, 11)
-        rk4 = verify._rk4_mode_law(zeros12[0], 0.01, s_grid, 1e-4)
+        rk4 = rk4_samples(zeros12[0], 0.01, 10)
         exact = reduced.riccati_exact(1, 0.01, s_grid)
         assert np.max(np.abs(rk4 - exact)) < 1e-10
 
@@ -68,13 +81,60 @@ class TestRiccatiExact:
                     idx += 1
             return out
 
-        s_grid = np.linspace(0.0, 5.0, 51)
-        for k in (1, 2, 3, 4):
-            for b0 in (0.05, -0.05, 0.01, -0.01):
-                zero, sigma = zeros12[k - 1], (-1.0) ** (k + 1)
-                got = verify._rk4_mode_law(zero, b0, s_grid, 1e-4)
-                want = rk4_stage_function(zero.lam, sigma, b0, s_grid, 1e-4)
-                assert got.tobytes() == want.tobytes()
+        for k, b0 in C11_CASES:
+            zero, sigma = zeros12[k - 1], (-1.0) ** (k + 1)
+            got = rk4_samples(zero, b0, 50)
+            want = rk4_stage_function(zero.lam, sigma, b0, C11_GRID, 1e-4)
+            assert got.tobytes() == want.tobytes()
+
+    def test_both_laws_keep_the_sign_and_never_grow(self, zeros12):
+        # criterion 11's stop rule rests on this: over the whole grid, the
+        # RK4 samples and the closed form keep b0's sign and |b| falls
+        for k, b0 in C11_CASES:
+            for b in (rk4_samples(zeros12[k - 1], b0, 50),
+                      reduced.riccati_exact(k, b0, C11_GRID)):
+                assert np.all(b * math.copysign(1.0, b0) >= 0.0)
+                assert np.all(np.diff(np.abs(b)) <= 0.0)
+
+    def test_criterion_11_stops_early_on_the_full_maximum(self, zeros12,
+                                                          monkeypatch):
+        # the maximum over all 16 x 50 intervals, bit for bit, from at most
+        # 270 of them
+        full = max(float(np.max(np.abs(
+            reduced.riccati_exact(k, b0, C11_GRID)
+            - rk4_samples(zeros12[k - 1], b0, 50)))) for k, b0 in C11_CASES)
+        drawn = []
+        oracle = verify._rk4_mode_law
+
+        def counted(*args):
+            for b in oracle(*args):
+                drawn.append(b)
+                yield b
+
+        monkeypatch.setattr(verify, "_rk4_mode_law", counted)
+        assert verify._rk4_gap().hex() == full.hex()
+        assert len(drawn) <= 270
+        assert "5.54e-15" in verify.criterion_11(None).details
+
+    @pytest.mark.parametrize("factor", [1.0, 0.9])
+    def test_criterion_11_reads_every_sample_that_can_raise_the_maximum(
+            self, factor, monkeypatch):
+        # the oracle's largest gaps come at the first samples, so an early
+        # stop cannot show there; a stand-in that keeps b0's sign and never
+        # grows, as the stop rule assumes, but decays slower than the closed
+        # form puts the largest gaps last, and the rule must still read them
+        def stand_in(zero, b0, ds, per):
+            b = b0
+            while True:
+                b *= factor
+                yield b
+
+        full = max(float(np.max(np.abs(
+            reduced.riccati_exact(k, b0, C11_GRID)[1:]
+            - list(itertools.islice(stand_in(None, b0, 0, 0), 50)))))
+            for k, b0 in C11_CASES)
+        monkeypatch.setattr(verify, "_rk4_mode_law", stand_in)
+        assert verify._rk4_gap().hex() == full.hex()
 
     def test_normalized_limit_constant(self, zeros12):
         # e^{lam s} b(s) approaches 1 / (1/b0 + shift), shift = -c / lam
