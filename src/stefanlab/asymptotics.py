@@ -119,7 +119,6 @@ class FitResult:
 
     rate_fitted: float
     rate_predicted: float
-    amplitude_sign: int
     window: tuple[float, float]
     r_squared: float
     n_points: int
@@ -156,11 +155,9 @@ def fit_rate(ts: TimeSeries, lambda_inf: float, k: int) -> FitResult:
     ss_tot = float(np.sum((logd - logd.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0 else 0.0
     lam_k = bessel.j0_zeros(k)[k - 1].lam
-    sign = int(np.sign(ts.lam[window[0]] - lambda_inf))
     return FitResult(
         rate_fitted=float(-slope),
         rate_predicted=lam_k / lambda_inf ** 2,
-        amplitude_sign=sign,
         window=(float(t_win[0]), float(t_win[-1])),
         r_squared=r2,
         n_points=len(window),

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .asymptotics import classify_regime
 from .errors import ConfigError
 from .solver import check_step
 from .spectrum import MAX_EIGENPAIRS
@@ -66,6 +67,8 @@ class ScenarioConfig:
         if not (math.isfinite(self.b0) and abs(self.b0) <= B_SMALL):
             raise ConfigError(
                 f"b0 must be finite with |b0| <= {B_SMALL}, got {self.b0!r}")
+        if self.mode in ("run", "shoot"):
+            classify_regime(self.k, self.b0)   # b0 = 0 drives no regime
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         for name in ("ds", "s_max"):       # none/auto, or finite and > 0

@@ -7,7 +7,8 @@ such basis is the one of :func:`spectrum.basis_family` at b: the
 interpolant of 13 cold solves over |b| < 0.2, within 1.1e-11 of a cold
 solve in psi, so a record's basis depends on its b alone.  For every k the
 parameter is the tracked mode's own coefficient, b = b_k, found by a
-fixed-point iteration (:func:`self_consistent_b1`).
+fixed-point iteration (:func:`self_consistent_b1`), whose last basis and
+projection are the record's decomposition: nothing forms them twice.
 
 Tracked at each record as the run takes it (:func:`track_run`): the
 coefficients b_j, the second-order energy E = ||H_b eps||^2 (weighted) of
@@ -59,17 +60,18 @@ class ModulationState:
 
 
 def decompose(v: np.ndarray, s: float, basis: Basis,
-              coeffs: np.ndarray | None = None) -> ModulationState:
-    """Split the profile v into the k modes of ``basis`` plus a remainder eps
-    weighted-orthogonal to them, in the weight of the basis parameter b
-    (:meth:`Basis.split`; ``coeffs``, if given, are v's
-    :meth:`Basis.coefficients` on ``basis``, already formed).  The state
-    keeps the energy of eps, not eps.  Trap variables grow at
-    :func:`trap_rate` of k; those whose growth factor overflows are +-inf
-    (0 for a zero coefficient).
+              coeffs: np.ndarray) -> ModulationState:
+    """Split the profile v into the k modes of ``basis``, with ``coeffs``
+    its :meth:`Basis.coefficients` there (the fixed point's own
+    projection), plus the remainder eps = v - psis @ coeffs, pinned to 0 at
+    y = 1 and weighted-orthogonal to the modes in the weight of the basis
+    parameter b.  The state keeps the energy of eps, not eps.  Trap
+    variables grow at :func:`trap_rate` of k; those whose growth factor
+    overflows are +-inf (0 for a zero coefficient).
     """
     k = basis.psis.shape[1]
-    coeffs, eps = basis.split(v, coeffs)
+    eps = v - basis.psis @ coeffs
+    eps[-1] = 0.0
     V = coeffs[: k - 1]
     if k > 1:
         growth = trap_rate(k) * s
@@ -90,7 +92,7 @@ def energy_of(op: spectrum.DriftOperator, eps: np.ndarray) -> float:
 
 def self_consistent_b1(grid: RadialGrid, v: np.ndarray,
                        initial: float | None = None,
-                       k: int = 1) -> tuple[float, Basis, np.ndarray]:
+                       k: int = 1) -> tuple[Basis, np.ndarray]:
     """Coefficient b_k of the profile v on ``grid`` in the k-mode basis
     whose parameter is b_k itself.
 
@@ -102,12 +104,12 @@ def self_consistent_b1(grid: RadialGrid, v: np.ndarray,
     relative below, so a b far under the tolerance still moves from one
     record to the next.  Raises :class:`NonConvergence` after
     ``FIXED_POINT_MAX_ITER`` iterations.  F(b) is the basis's own
-    projection coefficient (:meth:`Basis.coefficients`, the one
-    :meth:`Basis.split` and so :func:`decompose` read), so each iterate
+    projection coefficient (:meth:`Basis.coefficients`), so each iterate
     costs the family's interpolant, its weights and Gram, and a projection;
     a first iterate at the previous record's b reuses that record's basis.
-    Returns ``(b, basis, coeffs)``: that iterate, its basis and v's
-    coefficients on it, the projection :func:`decompose` would form again.
+    Returns ``(basis, coeffs)``: the basis at that iterate (its ``b`` is the
+    iterate, bit for bit) and v's coefficients on it, the projection
+    :func:`decompose` splits v by.
     """
     family = spectrum.basis_family(grid, k)
     b = 0.0 if initial is None else float(initial)
@@ -116,7 +118,7 @@ def self_consistent_b1(grid: RadialGrid, v: np.ndarray,
         coeffs = basis.coefficients(v)
         b_new = float(coeffs[k - 1])
         if abs(b_new - b) <= min(FIXED_POINT_TOL, 1e-6 * abs(b_new)):
-            return b, basis, coeffs
+            return basis, coeffs
         b = b_new
     raise NonConvergence(f"self-consistent parameter b_{k} did not settle")
 
@@ -134,15 +136,15 @@ def build_profile(grid: RadialGrid, k: int, coeffs) -> np.ndarray:
     return vals
 
 
-def modulation_residual(states: list[ModulationState],
-                        dt_s: float) -> np.ndarray:
+def modulation_residual(states: list[ModulationState]) -> np.ndarray:
     """Centered-difference residuals of the leading mode laws, one row of k
     per state.
 
-    Needs at least 3 states recorded at the cadence ``dt_s`` (fewer raise
-    :class:`ConfigError`).  A row is NaN where the state's neighbours are
-    not one cadence away on each side: the first and last states, and the
-    one before a closing record taken between cadence points.  Mode k's
+    Needs at least 3 states (fewer raise :class:`ConfigError`), recorded
+    at the cadence of the first two.  A row is NaN where the state's
+    neighbours are not one cadence away on each side: the first and last
+    states, and the one before a closing record taken between cadence
+    points.  Mode k's
     residual is |(b_k)_s + lam_k b_k - c b_k^2|, c =
     :attr:`bessel.BesselZero.boundary_slope` of zero k; for k > 1 each
     lower mode j includes the forcing c b_k^2 g_jk instead (closed-form
@@ -158,6 +160,7 @@ def modulation_residual(states: list[ModulationState],
     slope = zeros[k - 1].boundary_slope
     gcoef = bessel.coupling_coefficients(k)
     s_arr = np.array([st.s for st in states])
+    dt_s = s_arr[1] - s_arr[0]
     dB = (B[2:] - B[:-2]) / (2.0 * dt_s)
     Bm = B[1:-1]
     res = np.full(B.shape, np.nan)
@@ -181,7 +184,6 @@ class TrackResult:
     :func:`modulation_residual`; all NaN for fewer than 3 states).
     """
 
-    k: int
     states: list[ModulationState]
     residuals: np.ndarray     # (n_states, k)
 
@@ -189,9 +191,10 @@ class TrackResult:
         return np.vstack([st.coeffs for st in self.states])
 
     def to_csv(self, path):
-        head = (["s", "b"] + [f"b_{j}" for j in range(1, self.k + 1)]
-                + ["E"] + [f"V_{j}" for j in range(1, self.k)]
-                + [f"residual_{j}" for j in range(1, self.k + 1)])
+        k = self.residuals.shape[1]
+        head = (["s", "b"] + [f"b_{j}" for j in range(1, k + 1)]
+                + ["E"] + [f"V_{j}" for j in range(1, k)]
+                + [f"residual_{j}" for j in range(1, k + 1)])
         files.write_csv(path, head,
                         ([st.s, st.b, *st.coeffs, st.energy, *st.V, *res]
                          for st, res in zip(self.states, self.residuals)))
@@ -211,21 +214,19 @@ def track_run(grid: RadialGrid, v0: np.ndarray, k: int, ds: float,
     its coefficients.
     """
     states: list[ModulationState] = []
-    b = None
 
     def observe(s, v):
-        nonlocal b
-        b, basis, coeffs = self_consistent_b1(grid, v, initial=b, k=k)
+        basis, coeffs = self_consistent_b1(
+            grid, v, initial=states[-1].b if states else None, k=k)
         states.append(decompose(v, s, basis, coeffs))
 
     series = solver.run(grid, v0, ds, s_max, norm_floor=norm_floor,
                         observe=observe)
     if len(states) >= 3:
-        residuals = modulation_residual(states,
-                                        float(series.s[1] - series.s[0]))
+        residuals = modulation_residual(states)
     else:
         residuals = np.full((len(states), k), np.nan)
-    return series, TrackResult(k=k, states=states, residuals=residuals)
+    return series, TrackResult(states=states, residuals=residuals)
 
 
 @dataclass

@@ -18,8 +18,9 @@ the ``scipy.linalg`` import); eigenvectors are mapped back,
 Simpson-normalized in the weighted norm, and signed positive at the
 origin.
 They are returned as one :class:`Basis`, whose weighted Gram projection
-serves the k = 1 fixed point and the mode decomposition, and whose
-eigenvalues are the floors of the spectral gap check.
+is the tracking fixed point's and so the mode decomposition's, whose
+eigenvalues are the floors of the spectral gap check, and whose residuals
+only a cold solve measures.
 
 Every basis a run tracks comes from one rule, :func:`basis_family`: the
 eigenpairs are analytic in b, so those at any |b| < 0.2 (the range
@@ -134,7 +135,7 @@ class Basis:
 
     Column j of ``psis`` is psi_{b,j+1}, Simpson-normalized to unit weighted
     norm and positive at the origin;
-    ``residuals`` are the discrete weighted norms of H_b psi - lam psi (NaN
+    ``residuals`` are the discrete weighted norms of H_b psi - lam psi (None
     for the bases of a :class:`BasisFamily`, which measures none).
 
     ``w`` is the :class:`WeightParam` the basis was made at, ``b`` its
@@ -148,7 +149,7 @@ class Basis:
     w: WeightParam
     psis: np.ndarray              # (n+1, k), C-contiguous
     lams: np.ndarray              # (k,)
-    residuals: np.ndarray         # (k,)
+    residuals: np.ndarray | None  # (k,)
     grid: RadialGrid
 
     @classmethod
@@ -194,18 +195,6 @@ class Basis:
         if len(rhs) == 1:
             return rhs / self._gram[0, 0]
         return np.linalg.solve(self._gram, rhs)
-
-    def split(self, values: np.ndarray, coeffs: np.ndarray | None = None
-              ) -> tuple[np.ndarray, np.ndarray]:
-        """Coefficients c (:meth:`coefficients`, unless given as ``coeffs``)
-        and remainder r of values = psis @ c + r, with r weighted-orthogonal
-        to every column in the weight at ``b`` and pinned to 0 at y = 1.
-        """
-        if coeffs is None:
-            coeffs = self.coefficients(values)
-        rest = values - self.psis @ coeffs
-        rest[-1] = 0.0
-        return coeffs, rest
 
 
 def eigenpairs(grid: RadialGrid, w: WeightParam, count: int) -> Basis:
@@ -299,9 +288,7 @@ class BasisFamily:
             lams = np.einsum("j,jk->k", c, self.lams)
             flat.flags.writeable = lams.flags.writeable = False
             psis = flat.reshape(self.psis.shape[1:])
-        residuals = np.full(len(lams), np.nan)
-        residuals.flags.writeable = False
-        basis = Basis(w=w, psis=psis, lams=lams, residuals=residuals,
+        basis = Basis(w=w, psis=psis, lams=lams, residuals=None,
                       grid=self.grid)
         self._last = (key, basis)
         return basis

@@ -262,18 +262,20 @@ class TestRateParityCoherence:
             lam_inf = asymptotics.predicted_terminal_radius(ts.mass[0])
             fit = asymptotics.fit_rate(ts, lam_inf, 1)
             regime = asymptotics.classify_regime(1, sign * 0.01)
-            outcomes.append((1, regime, lam_inf, fit))
+            outcomes.append((1, regime, ts, lam_inf, fit))
         for sign in (+1, -1):
             run = ctx.k2_family(sign)[1]
             lam_inf = asymptotics.predicted_terminal_radius(run.series.mass[0])
             fit = asymptotics.fit_rate(run.series, lam_inf, 2)
             regime = asymptotics.classify_regime(2, sign * 0.01)
-            outcomes.append((2, regime, lam_inf, fit))
-        for k, regime, lam_inf, fit in outcomes:
+            outcomes.append((2, regime, run.series, lam_inf, fit))
+        for k, regime, ts, lam_inf, fit in outcomes:
             assert (regime == "melting") == (lam_inf > 1.0)
             tol = 0.02 if k == 1 else 0.03
             assert fit.rate_rel_error <= tol
-            assert fit.amplitude_sign == (1 if regime == "freezing" else -1)
+            first = np.searchsorted(ts.t, fit.window[0])
+            assert np.sign(ts.lam[first] - lam_inf) == (
+                1 if regime == "freezing" else -1)
 
 
 def test_decay_plot_svg(ctx, tmp_path):

@@ -117,8 +117,12 @@ def _configs(draw):
              else st.integers(1, 12))
     # a valid ds takes at most MAX_STEPS_PER_RECORD steps per record
     min_ds = 2.0 * solver.RECORD_DS / solver.MAX_STEPS_PER_RECORD
+    # b0 = 0 drives no regime, so a run or shoot refuses it
+    b0 = _small(0.05)
+    if mode in ("run", "shoot"):
+        b0 = b0.filter(lambda b: b != 0.0)
     return dict(
-        mode=mode, k=k, b0=draw(_small(0.05)),
+        mode=mode, k=k, b0=draw(b0),
         grid_n=2 * draw(st.integers(256, 2048)),
         ds=draw(st.none() | st.floats(min_ds, 10.0)),
         s_max=draw(st.none() | _positive()),
@@ -421,6 +425,10 @@ class TestCliExitCodes:
         ("rate = 0.02\n", []),
         ("radius = 0.0001\n", []),
         (b"k = \xff\n", []),
+        # b0 = 0 drives no regime: refused in modes run and shoot
+        *((None, ["--mode", mode, "--k", k, "--grid", "512", "--b0", b0])
+          for mode, k in (("run", "1"), ("shoot", "2"))
+          for b0 in ("0", "-0.0")),
     ])
     def test_invalid_values_are_config_errors(self, config, flags, tmp_path,
                                               capsys):
@@ -522,6 +530,10 @@ class TestCliExitCodes:
         code = cli.main(["--mode", "run", "--k", "2", "--b0", "0.01",
                          "--grid", "512", "--out", str(tmp_path)])
         assert code == 1
+
+    def test_spectrum_takes_zero_b0(self, tmp_path):
+        assert cli.main(["--mode", "spectrum", "--grid", "512", "--b0", "0",
+                         "--out", str(tmp_path)]) == 0
 
     @pytest.mark.parametrize("argv, under", [
         (["--mode", "spectrum", "--grid", "512"], ""),

@@ -50,7 +50,7 @@ BAD_ARGUMENTS = {
         G512, 2, [0.01]),
     "residual states": lambda: modulation.modulation_residual(
         [modulation.ModulationState(s, 0.0, np.zeros(1), 0.0, np.zeros(0))
-         for s in (0.0, 1e-3)], 1e-3),
+         for s in (0.0, 1e-3)]),
     "regime b_k0 = 0": lambda: asymptotics.classify_regime(1, 0.0),
     "eigenpairs count": lambda: spectrum.eigenpairs(G512, W0, 0),
     "eigenpairs grid": lambda: spectrum.eigenpairs(RadialGrid(256), W0, 1),

@@ -32,7 +32,7 @@ class TestDecompose:
         w = WeightParam(0.01)
         basis = modulation.Basis.solve(grid512, 0.01, 1)
         v = basis.psis[:, 0].copy()
-        ms = modulation.decompose(v, 0.0, basis)
+        ms = modulation.decompose(v, 0.0, basis, basis.coefficients(v))
         assert abs(ms.coeffs[0] - 1.0) < 1e-12
         assert norm(grid512, remainder(v, basis, ms), w) < 1e-12
 
@@ -40,14 +40,14 @@ class TestDecompose:
         w = WeightParam(0.01)
         basis = modulation.Basis.solve(grid512, 0.01, 2)
         v = basis.psis @ np.array([2.0, 3.0])
-        ms = modulation.decompose(v, 0.0, basis)
+        ms = modulation.decompose(v, 0.0, basis, basis.coefficients(v))
         assert np.allclose(ms.coeffs, [2.0, 3.0], atol=1e-10)
         assert norm(grid512, remainder(v, basis, ms), w) < 1e-10
 
     def test_orthogonal_mode_goes_to_remainder(self, grid512):
         v = bessel.eta(3, grid512)
         basis = modulation.Basis.solve(grid512, 0.0, 2)
-        ms = modulation.decompose(v, 0.0, basis)
+        ms = modulation.decompose(v, 0.0, basis, basis.coefficients(v))
         assert np.max(np.abs(ms.coeffs)) < 1e-6
         assert abs(norm(grid512, remainder(v, basis, ms), W0) - 1.0) < 1e-4
 
@@ -56,7 +56,8 @@ class TestDecompose:
         basis = modulation.Basis.solve(grid512, w.b, 2)
         for _ in range(4):
             f = profiles.random_dirichlet(grid512, rng, modes=10)
-            eps = remainder(f, basis, modulation.decompose(f, 0.0, basis))
+            eps = remainder(f, basis, modulation.decompose(
+                f, 0.0, basis, basis.coefficients(f)))
             defect = max(abs(inner_b(grid512, eps, psi, w))
                          for psi in basis.psis.T)
             assert defect <= 1e-10 * (1.0 + norm(grid512, eps, w))
@@ -70,12 +71,12 @@ class TestDecompose:
             gram = basis.psis.T @ (wv[:, None] * basis.psis)
             for _ in range(3):
                 f = profiles.random_dirichlet(grid512, rng, modes=10)
-                coeffs, _ = basis.split(f)
+                coeffs = basis.coefficients(f)
                 want = np.linalg.solve(gram, basis.psis.T @ (wv * f))
                 assert coeffs.tobytes() == want.tobytes()
             # the first projection formed the Gram; every later one reads it
             formed = basis.__dict__["_gram"]
-            basis.split(f)
+            basis.coefficients(f)
             assert basis._gram is formed
             assert formed.tobytes() == gram.tobytes()
 
@@ -88,7 +89,7 @@ class TestDecompose:
             gram = basis.psis.T @ (wv[:, None] * basis.psis)
             for _ in range(4):
                 f = profiles.random_dirichlet(grid512, rng, modes=10)
-                coeffs, _ = basis.split(f)
+                coeffs = basis.coefficients(f)
                 want = np.linalg.solve(gram, basis.psis.T @ (wv * f))
                 assert coeffs.tobytes() == want.tobytes()
                 assert basis.coefficients(f).tobytes() == want.tobytes()
@@ -100,24 +101,26 @@ class TestDecompose:
         zero = np.zeros(513)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ms = modulation.decompose(v, 30.0, basis)
-            ms0 = modulation.decompose(zero, 30.0, basis)
+            ms = modulation.decompose(v, 30.0, basis, basis.coefficients(v))
+            ms0 = modulation.decompose(zero, 30.0, basis,
+                                       basis.coefficients(zero))
         assert ms.V[0] == -math.inf
         assert ms0.coeffs[0] == 0.0 and ms0.V[0] == 0.0
 
 
 class TestSelfConsistentB1:
     def test_zero_input(self, grid512):
-        b, basis, _ = modulation.self_consistent_b1(grid512, np.zeros(513))
-        assert b == 0.0 and basis.b == 0.0
+        basis, coeffs = modulation.self_consistent_b1(grid512, np.zeros(513))
+        assert basis.b == 0.0 and coeffs[0] == 0.0
 
     def test_constructed_fixed_point(self, grid512):
         target = 0.01
         basis = modulation.Basis.solve(grid512, target, 1)
         v = target * basis.psis[:, 0]
-        got, basis, _ = modulation.self_consistent_b1(grid512, v)
+        basis, coeffs = modulation.self_consistent_b1(grid512, v)
+        got = basis.b
         assert abs(got - target) < 1e-10
-        assert basis.b == got
+        assert abs(coeffs[0] - got) <= 1e-12
 
     def test_contraction_of_increments(self, grid512):
         # replicate the iteration and watch |increment| decrease
@@ -149,9 +152,10 @@ class TestSelfConsistentB1:
         family = spectrum.basis_family(grid512, 1)
         got = want = None
         for _, v in profiles:
-            got, basis, _ = modulation.self_consistent_b1(grid512, v,
+            basis, coeffs = modulation.self_consistent_b1(grid512, v,
                                                           initial=got)
-            assert basis.b == got
+            got = basis.b
+            assert abs(coeffs[0] - got) <= min(1e-12, 1e-6 * abs(coeffs[0]))
             b = 0.0 if want is None else want
             for _ in range(50):
                 psi = family.at(b).psis[:, 0]
@@ -233,7 +237,7 @@ class TestModulationResidual:
     def test_synthetic_riccati_input(self):
         # pure ODE input at a fine cadence: residual is FD error only
         states = self._riccati_states(1e-4, 41)
-        res = modulation.modulation_residual(states, 1e-4)
+        res = modulation.modulation_residual(states)
         assert res.shape == (41, 1)
         assert np.all(np.isnan(res[[0, -1]]))
         assert np.max(res[1:-1]) <= 1e-8
@@ -243,13 +247,13 @@ class TestModulationResidual:
             s=i * 1e-3, b=0.0, coeffs=np.zeros(1), energy=0.0,
             V=np.zeros(0))
             for i in range(5)]
-        res = modulation.modulation_residual(states, 1e-3)
+        res = modulation.modulation_residual(states)
         assert np.max(res[1:-1]) == 0.0
 
     def test_insufficient_history(self):
         states = self._riccati_states(1e-4, 2)
         with pytest.raises(ConfigError, match=">= 3 states"):
-            modulation.modulation_residual(states, 1e-4)
+            modulation.modulation_residual(states)
 
     def test_pde_ratio_bounded(self, ctx):
         # the tracked-law residual over |b1|^{5/2} stays below a fixed
@@ -332,6 +336,20 @@ class TestTrackRun:
         head = path.read_text().splitlines()[0]
         assert head.split(",")[:4] == ["s", "b", "b_1", "E"]
 
+    def test_k2_csv_of_two_records(self, grid512, tmp_path):
+        # a run to s_max = 1e-3 keeps its first record and its closing one:
+        # too few for centred differences, so every residual is NaN
+        run = modulation.scenario(grid512, 2, [1e-5, 0.01], s_max=1e-3)
+        assert len(run.track.states) == len(run.series.s) == 2
+        path = tmp_path / "modulation.csv"
+        run.track.to_csv(path)
+        head, *rows = path.read_text().splitlines()
+        assert head.split(",")[2:] == ["b_1", "b_2", "E", "V_1",
+                                       "residual_1", "residual_2"]
+        assert len(rows) == 2
+        assert all(row.split(",")[-2:] == ["nan", "nan"] for row in rows)
+        assert np.all(np.isnan(run.track.residuals))
+
 
 def observed_profiles(run):
     """(s, copy of v) of each record of the run that ``track_run(**run)``
@@ -402,11 +420,12 @@ class TestK1BasisReuse:
         monkeypatch.setattr(spectrum, "basis_family", ColdFamily)
         states, b1 = [], None
         for s, v in profiles:
-            b1, basis, _ = modulation.self_consistent_b1(grid, v,
-                                                         initial=b1)
+            basis, _ = modulation.self_consistent_b1(grid, v, initial=b1)
+            b1 = basis.b
             bare = replace(basis)
             assert "operator" not in vars(bare)
-            states.append(modulation.decompose(v, s, bare))
+            states.append(modulation.decompose(v, s, bare,
+                                               bare.coefficients(v)))
         monkeypatch.undo()
         return states
 
@@ -546,13 +565,13 @@ class TestStreamedTrack:
         states = []
         b = None
         for s, v in profiles:
-            # decompose projects again, the reference for the fixed point's
+            # the basis projects again, the reference for the fixed point's
             # coefficients that the track hands over
-            b, basis, _ = modulation.self_consistent_b1(grid, v, initial=b,
-                                                        k=k)
-            states.append(modulation.decompose(v, s, basis))
-        residuals = modulation.modulation_residual(
-            states, profiles[1][0] - profiles[0][0])
+            basis, _ = modulation.self_consistent_b1(grid, v, initial=b, k=k)
+            b = basis.b
+            states.append(modulation.decompose(v, s, basis,
+                                               basis.coefficients(v)))
+        residuals = modulation.modulation_residual(states)
         return states, residuals
 
     @pytest.mark.parametrize("make_run", [k1_run, k2_run])
@@ -578,7 +597,7 @@ class TestProfileBuilder:
             v = modulation.build_profile(grid512, k, coeffs)
             # the basis the run's first record is decomposed on, at b_k(0)
             basis = modulation.Basis.solve(grid512, coeffs[-1], k)
-            ms = modulation.decompose(v, 0.0, basis)
+            ms = modulation.decompose(v, 0.0, basis, basis.coefficients(v))
             assert np.allclose(ms.coeffs, coeffs, atol=1e-12)
             assert v[-1] == 0.0
 

@@ -43,7 +43,7 @@ def test_track_csv_k2_with_nan_and_inf(tmp_path):
                                    energy=0.0, V=np.array([-np.inf])),
     ]
     residuals = np.array([[np.nan, np.nan], [1.5e-7, np.inf]])
-    track = modulation.TrackResult(k=2, states=states, residuals=residuals)
+    track = modulation.TrackResult(states=states, residuals=residuals)
     track.to_csv(tmp_path / "mod.csv")
     assert read_bytes(tmp_path / "mod.csv") == (
         "s,b,b_1,b_2,E,V_1,residual_1,residual_2\r\n"
